@@ -9,8 +9,7 @@ from .algebra import (Bispinor, LorentzVector, PolarizationPair,
 from .kinematics import (ClosedFinalState, CollisionSetup, FinalStateConfig,
                          close_final_state, omega3)
 from .amplitude import (AmplitudeInputs, double_compton_amplitude,
-                        propagator_momenta, single_compton_amplitude,
-                        total_amplitude)
+                        single_compton_amplitude, total_amplitude)
 from .cross_section import (Sigma5Point, sigma5, spin_summed_sigma5,
                             unpolarized_sigma5)
 from .integration import (BeamParameters, IntegrationResult,

@@ -115,6 +115,23 @@ class Bispinor:
         return self.components.conj() @ GAMMA0
 
 
+def check_spin_label(r: int) -> None:
+    """Raise ValueError unless r is a spin label 1 or 2."""
+    if r not in (1, 2):
+        raise ValueError(f"spin label must be 1 or 2, got {r}")
+
+
+def check_on_shell(p: LorentzVector, mass: float = ELECTRON_MASS_MEV) -> None:
+    """Raise :class:`OffShellError` unless p has positive energy and lies
+    within 1e-6 relative of the mass shell."""
+    off = abs(p.mass2 - mass * mass) / (mass * mass)
+    if off > 1e-6:
+        raise OffShellError(
+            f"momentum off-shell: |p^2 - m^2|/m^2 = {off:.3e} > 1e-6")
+    if p.t <= 0:
+        raise OffShellError("positive-energy spinor requires E > 0")
+
+
 def dirac_spinor(p: LorentzVector, r: int,
                  mass: float = ELECTRON_MASS_MEV) -> Bispinor:
     """Positive-energy bispinor for on-shell momentum p and spin r in {1, 2}.
@@ -122,14 +139,8 @@ def dirac_spinor(p: LorentzVector, r: int,
     Satisfies ubar_r u_s = delta_rs and u^dagger u = E/m.  Rejects momenta
     off the mass shell by more than 1e-6 relative.
     """
-    if r not in (1, 2):
-        raise ValueError(f"spin label must be 1 or 2, got {r}")
-    off = abs(p.mass2 - mass * mass) / (mass * mass)
-    if off > 1e-6:
-        raise OffShellError(
-            f"momentum off-shell: |p^2 - m^2|/m^2 = {off:.3e} > 1e-6")
-    if p.t <= 0:
-        raise OffShellError("positive-energy spinor requires E > 0")
+    check_spin_label(r)
+    check_on_shell(p, mass)
     e_plus_m = p.t + mass
     norm = math.sqrt(e_plus_m / (2.0 * mass))
     if r == 1:
@@ -164,6 +175,17 @@ def dirac_spinor_bar_batch(p: np.ndarray, mass: float = ELECTRON_MASS_MEV) -> np
     return np.einsum('...ar,ab->...rb', cols.conj(), GAMMA0)
 
 
+def propagator_denominator(q: LorentzVector, mass: float = ELECTRON_MASS_MEV,
+                           pole_guard: float = 1e-12) -> float:
+    """q^2 - m^2, raising :class:`PropagatorPoleError` when its magnitude is
+    below pole_guard * m^2."""
+    denom = minkowski_dot(q, q) - mass * mass
+    if abs(denom) < pole_guard * mass * mass:
+        raise PropagatorPoleError(
+            f"propagator pole: q^2 - m^2 = {denom:.6e} MeV^2")
+    return denom
+
+
 def propagator(q: LorentzVector, mass: float = ELECTRON_MASS_MEV,
                pole_guard: float = 1e-12) -> np.ndarray:
     """Electron propagator numerator-over-denominator (qslash + m)/(q^2 - m^2).
@@ -172,11 +194,8 @@ def propagator(q: LorentzVector, mass: float = ELECTRON_MASS_MEV,
     the physical phase space of the photon-splitting processes never reaches
     the pole, so this only traps malformed input.
     """
-    denom = minkowski_dot(q, q) - mass * mass
-    if abs(denom) < pole_guard * mass * mass:
-        raise PropagatorPoleError(
-            f"propagator pole: q^2 - m^2 = {denom:.6e} MeV^2")
-    return (slash(q) + mass * IDENTITY4) / denom
+    return (slash(q) + mass * IDENTITY4) / propagator_denominator(
+        q, mass, pole_guard)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,14 @@ order given by the permutation xi.  n = 3 gives the photon-splitting process
 (24 permutations); n = 2 and n = 1 run on the same machinery (6 and 2
 permutations) and feed the two-photon and one-photon cross sections.
 
-Two evaluation strategies are kept deliberately distinct:
-
-* ``total_amplitude`` / the batched ``amplitude_tensor`` chain the operators
-  onto the initial spinor right-to-left (matrix-vector) and cache slashed
-  polarizations plus every distinct propagator across permutations;
-* ``naive_total_amplitude`` multiplies the full 4x4 chains term by term with
-  no sharing, as an independent reference path for tests.
+``amplitude_tensor`` is the one evaluation engine: it chains the operators
+onto the initial spinors right-to-left over stacked phase-space points,
+sharing slashed polarizations, every distinct propagator and every common
+permutation prefix.  The scalar ``total_amplitude``,
+``single_compton_amplitude`` and ``double_compton_amplitude`` run it at one
+point, with each given polarization four-vector as a length-1 basis, after
+checking the external momenta and propagator denominators.  An independent
+term-by-term reference lives with the tests.
 """
 from __future__ import annotations
 
@@ -26,20 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (IDENTITY4, LorentzVector, dirac_spinor,
-                      dirac_spinor_bar_batch, dirac_spinor_batch,
-                      minkowski_dot, polarization_basis, propagator, slash,
-                      slash_batch)
+from .algebra import (IDENTITY4, LorentzVector, check_on_shell,
+                      check_spin_label, dirac_spinor_bar_batch,
+                      dirac_spinor_batch, propagator_denominator, slash_batch)
 from .kinematics import ClosedFinalState, CollisionSetup
-
-PERMUTATIONS4 = tuple(itertools.permutations(range(4)))
-
-_POL_AXES = "pqstuv"
-
-
-def photon_sign(index: int) -> int:
-    """+1 for the absorbed photon (index 0), -1 for emitted photons."""
-    return 1 if index == 0 else -1
 
 
 @dataclass(frozen=True)
@@ -62,72 +53,33 @@ class AmplitudeInputs:
         return (self.setup.k_0,) + self.state.photons
 
 
-def propagator_momenta(xi, inputs: AmplitudeInputs) -> tuple:
-    """Intermediate electron momenta (q_1, q_2, q_3) for insertion order xi."""
-    ks = inputs.photons
-    qs = []
-    q = inputs.setup.p_i
-    for j in xi[:-1]:
-        q = q + ks[j] if j == 0 else q - ks[j]
-        qs.append(q)
-    return tuple(qs)
+def _point_amplitude(setup, photons, p_f, eps, r_i, r_f) -> complex:
+    """amplitude_tensor at one point with eps as length-1 polarization axes.
 
-
-def _chain_amplitude(p_i, p_f, photons, eps, r_i, r_f, mass):
-    """Right-to-left evaluation with cached slashed-eps and propagators."""
+    Raises OffShellError for an off-shell external electron and
+    PropagatorPoleError for an internal momentum on the mass shell.
+    """
+    check_spin_label(r_i)
+    check_spin_label(r_f)
+    for p in (setup.p_i, p_f):
+        check_on_shell(p, setup.mass)
     n = len(photons)
-    u_i = dirac_spinor(p_i, r_i, mass).components
-    ubar_f = dirac_spinor(p_f, r_f, mass).bar()
-    slashed = [slash(e) for e in eps]
-    prop_cache = {}
-    total = 0.0 + 0.0j
-    for xi in itertools.permutations(range(n)):
-        v = u_i
-        q = p_i
-        for step, j in enumerate(xi):
-            v = slashed[j] @ v
-            if step < n - 1:
+    for size in range(1, n):
+        for subset in itertools.combinations(range(n), size):
+            q = setup.p_i
+            for j in subset:
                 q = q + photons[j] if j == 0 else q - photons[j]
-                key = frozenset(xi[:step + 1])
-                mat = prop_cache.get(key)
-                if mat is None:
-                    mat = propagator(q, mass)
-                    prop_cache[key] = mat
-                v = mat @ v
-        total += ubar_f @ v
-    return mass ** (n - 1) * total
+            propagator_denominator(q, setup.mass)
+    tensor = amplitude_tensor(
+        setup, np.array([[k.as_array()] for k in photons]),
+        p_f.as_array()[None], [e.as_array()[None, None] for e in eps])
+    return complex(tensor.reshape(2, 2)[r_i - 1, r_f - 1])
 
 
 def total_amplitude(inputs: AmplitudeInputs) -> complex:
     """Full 24-permutation amplitude for the three-photon final state."""
-    return _chain_amplitude(inputs.setup.p_i, inputs.state.p_f,
-                            inputs.photons, inputs.eps,
-                            inputs.r_i, inputs.r_f, inputs.setup.mass)
-
-
-def naive_total_amplitude(inputs: AmplitudeInputs) -> complex:
-    """Reference path: explicit matrix products, one permutation at a time."""
-    p_i, p_f = inputs.setup.p_i, inputs.state.p_f
-    mass = inputs.setup.mass
-    ks = inputs.photons
-    n = len(ks)
-    u_i = dirac_spinor(p_i, inputs.r_i, mass).components
-    ubar_f = dirac_spinor(p_f, inputs.r_f, mass).bar()
-    slashed = [slash(e) for e in inputs.eps]
-    total = 0.0 + 0.0j
-    for xi in itertools.permutations(range(n)):
-        # application order: eps_xi(0), S(q_1), eps_xi(1), ..., eps_xi(n-1)
-        mats = [slashed[xi[0]]]
-        q = p_i
-        for step, j in enumerate(xi[:-1]):
-            q = q + ks[j] if j == 0 else q - ks[j]
-            mats.append(propagator(q, mass))
-            mats.append(slashed[xi[step + 1]])
-        chain = IDENTITY4
-        for mat in mats:
-            chain = mat @ chain
-        total += ubar_f @ chain @ u_i
-    return mass ** (n - 1) * total
+    return _point_amplitude(inputs.setup, inputs.photons, inputs.state.p_f,
+                            inputs.eps, inputs.r_i, inputs.r_f)
 
 
 def single_compton_amplitude(setup: CollisionSetup, k_out: LorentzVector,
@@ -135,8 +87,8 @@ def single_compton_amplitude(setup: CollisionSetup, k_out: LorentzVector,
                              eps_out: LorentzVector, r_i: int = 1,
                              r_f: int = 1) -> complex:
     """Two-permutation amplitude for one emitted photon."""
-    return _chain_amplitude(setup.p_i, p_f, (setup.k_0, k_out),
-                            (eps_in, eps_out), r_i, r_f, setup.mass)
+    return _point_amplitude(setup, (setup.k_0, k_out), p_f,
+                            (eps_in, eps_out), r_i, r_f)
 
 
 def double_compton_amplitude(setup: CollisionSetup, k_1: LorentzVector,
@@ -145,8 +97,7 @@ def double_compton_amplitude(setup: CollisionSetup, k_1: LorentzVector,
                              r_f: int = 1) -> complex:
     """Six-permutation amplitude for two emitted photons; eps holds the
     absorbed photon's polarization first."""
-    return _chain_amplitude(setup.p_i, p_f, (setup.k_0, k_1, k_2),
-                            eps, r_i, r_f, setup.mass)
+    return _point_amplitude(setup, (setup.k_0, k_1, k_2), p_f, eps, r_i, r_f)
 
 
 def beam_basis_arrays(n_pts: int) -> np.ndarray:
@@ -175,9 +126,9 @@ def amplitude_tensor(setup: CollisionSetup, k_arrays: np.ndarray,
     """Amplitudes for every polarization label and spin at stacked points.
 
     k_arrays: (n_photons, N, 4) four-momenta with the absorbed photon first;
-    eps_arrays: per photon, (N, 2, 4) basis polarization four-vectors.
-    Returns a complex array (N, 2, ..., 2, 2, 2): one axis of length 2 per
-    photon (polarization label, photon order), then r_i, then r_f.
+    eps_arrays: per photon, (N, P, 4) polarization four-vectors, normally
+    the P = 2 basis.  Returns a complex array (N, P, ..., P, 2, 2): one
+    polarization axis per photon (photon order), then r_i, then r_f.
     """
     ks = np.asarray(k_arrays, float)
     n, n_pts = ks.shape[0], ks.shape[1]

@@ -19,7 +19,6 @@ non-convergence or insufficient sampling budget.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -131,7 +130,7 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
         _write(out_dir / "threshold_boundary.dat", "\n".join(rows) + "\n")
         written.append("threshold_boundary.dat")
     else:
-        taus, masked = tau_grid(setup, cfg.theta_rad, cfg.phi_rad, w1s, w2s,
+        taus, masked, _ = tau_grid(setup, cfg.theta_rad, cfg.phi_rad, w1s, w2s,
                                 beam, cfg.threshold_mev)
         _write(out_dir / "tau_grid.dat",
                _grid_table(w1s, w2s, taus, masked, "tau"))

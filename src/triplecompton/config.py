@@ -23,7 +23,7 @@ Schema (all keys optional once a scenario is chosen):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .constants import ELECTRON_MASS_MEV
 
@@ -79,17 +79,11 @@ class ScenarioConfig:
         return tuple(parts)
 
 
+# Field overrides per named scenario on top of the ScenarioConfig defaults,
+# which are the mgbr1968 scenario.
 SCENARIO_DEFAULTS = {
-    "mgbr1968": dict(
-        e_i_mev=ELECTRON_MASS_MEV,
-        omega0_mev=0.662,
-        theta_rad=(math.pi / 2, math.pi / 2, math.pi / 2),
-        phi_rad=(2 * math.pi / 3, 4 * math.pi / 3, 0.0),
-        solid_angle_sr=0.378,
-        threshold_mev=0.013,
-        grid_omega1_min_mev=0.013, grid_omega1_max_mev=0.55, grid_n_omega1=40,
-        grid_omega2_min_mev=0.013, grid_omega2_max_mev=0.55, grid_n_omega2=40,
-    ),
+    "mgbr1968": {},
+    "custom": {},
     "xfel": dict(
         e_i_mev=5000.0,
         omega0_mev=0.001,
@@ -103,7 +97,6 @@ SCENARIO_DEFAULTS = {
         grid_n_omega2=40,
     ),
 }
-SCENARIO_DEFAULTS["custom"] = {}
 
 _KEY_ALIASES = {
     "grid.omega1_min_mev": "grid_omega1_min_mev",

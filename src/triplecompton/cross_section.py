@@ -23,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import amplitude as amp
-from .algebra import polarization_basis
 from .constants import ALPHA, HBARC2_MEV2_BARN
-from .kinematics import (CollisionSetup, FinalStateConfig, _close_arrays,
-                         close_final_state)
+from .kinematics import CollisionSetup, FinalStateConfig, _close_arrays
 
 
 @dataclass(frozen=True)
@@ -48,33 +46,14 @@ def prefactor(n_out: int, mass: float) -> float:
 def sigma5(setup: CollisionSetup, cfg: FinalStateConfig,
            threshold_eps: float = 0.0, beam_pol=1) -> Sigma5Point:
     """Five-fold differential cross section at one spin/polarization point."""
-    state = close_final_state(setup, cfg)
-    if not state.physical:
-        return Sigma5Point(0.0, False, cfg)
-    omegas = (cfg.omega1, cfg.omega2, state.omega3)
-    if any(w < threshold_eps for w in omegas):
-        return Sigma5Point(0.0, True, cfg)
-    eps0 = _beam_polarization_vector(beam_pol)
-    eps_out = [polarization_basis(t, p).get(lab)
-               for t, p, lab in zip(cfg.thetas, cfg.phis, cfg.pols)]
-    m = amp.total_amplitude(amp.AmplitudeInputs(
-        setup, state, (eps0,) + tuple(eps_out), cfg.r_i, cfg.r_f))
-    value = (prefactor(3, setup.mass)
-             * omegas[0] * omegas[1] * omegas[2]
-             / (state.e_f * setup.flux)
-             * abs(m) ** 2 / abs(state.K)
-             * HBARC2_MEV2_BARN)
-    return Sigma5Point(value, True, cfg)
-
-
-def _beam_polarization_vector(beam_pol):
-    from .algebra import LorentzVector
-    if isinstance(beam_pol, int):
-        basis = polarization_basis(0.0, 0.0)
-        return basis.get(beam_pol)
-    ex, ey = float(beam_pol[0]), float(beam_pol[1])
-    norm = math.hypot(ex, ey)
-    return LorentzVector(0.0, ex / norm, ey / norm, 0.0)
+    tensor, kin, _, physical = _tensor_for_points(
+        setup, 3, np.array(cfg.thetas, float)[:, None],
+        np.array(cfg.phis, float)[:, None],
+        np.array([[cfg.omega1], [cfg.omega2]]), threshold_eps)
+    i, j, l = (lab - 1 for lab in cfg.pols)
+    m = amp.contract_beam(tensor, beam_pol)[0, i, j, l, cfg.r_i - 1,
+                                            cfg.r_f - 1]
+    return Sigma5Point(float(abs(m) ** 2 * kin[0]), bool(physical[0]), cfg)
 
 
 def spin_summed_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
@@ -100,83 +79,60 @@ def unpolarized_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
 # ---------------------------------------------------------------------------
 # batched evaluation on arrays of phase-space points
 
-def _tensor_for_points(setup, n_out, thetas, phis, omegas_free):
-    """Closure plus amplitude tensor; returns (tensor, omegas, e_f, K,
-    physical)."""
+def _close_and_keep(setup, thetas, phis, omegas_free, threshold_eps):
+    """Closure plus the keep mask: physical points with every photon at or
+    above threshold_eps.  Returns (omegas (n_out, N), k_out, p_f, K,
+    physical, keep)."""
     w_last, k_out, p_f, kfac, physical, _ = _close_arrays(
         setup, thetas, phis, omegas_free)
-    n_pts = thetas.shape[1]
-    k0 = np.zeros((n_pts, 4))
-    k0[:, 0] = setup.omega0_mev
-    k0[:, 3] = setup.omega0_mev
-    ks = np.concatenate([k0[None], k_out], axis=0)
-    # amplitude evaluation is only defined on physical points; park the rest
-    # at a harmless reference point and zero them afterwards
-    if not physical.all():
-        safe = _safe_reference_points(setup, ks, p_f, physical)
-        ks, p_f = safe
-    eps_arrays = [amp.beam_basis_arrays(n_pts)]
+    omegas = np.vstack([np.asarray(omegas_free, float).reshape(
+        k_out.shape[0] - 1, w_last.size), w_last[None]])
+    keep = physical & (omegas >= threshold_eps).all(axis=0)
+    return omegas, k_out, p_f, kfac, physical, keep
+
+
+def _tensor_for_points(setup, n_out, thetas, phis, omegas_free,
+                       threshold_eps: float = 0.0):
+    """Amplitude tensor and kinematic factor at stacked points.
+
+    The tensor is evaluated on the kept rows only (see ``_close_and_keep``)
+    and reads zero elsewhere.  kin is the differential cross section per
+    unit squared amplitude (the formula in the module docstring without
+    |M|^2), zero off the kept rows.  Returns (tensor, kin, keep, physical).
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, float))
+    phis = np.atleast_2d(np.asarray(phis, float))
+    omegas, k_out, p_f, kfac, physical, keep = _close_and_keep(
+        setup, thetas, phis, omegas_free, threshold_eps)
+    n_pts = keep.size
+    tensor = np.zeros((n_pts,) + (2,) * (n_out + 3), dtype=complex)
+    kin = np.zeros(n_pts)
+    if not keep.any():
+        return tensor, kin, keep, physical
+    n_kept = int(np.count_nonzero(keep))
+    k0 = np.zeros((1, n_kept, 4))
+    k0[..., 0] = setup.omega0_mev
+    k0[..., 3] = setup.omega0_mev
+    eps_arrays = [amp.beam_basis_arrays(n_kept)]
     for j in range(n_out):
-        eps_arrays.append(amp.outgoing_basis_arrays(thetas[j], phis[j]))
-    tensor = amp.amplitude_tensor(setup, ks, p_f, eps_arrays)
-    omegas = np.vstack([np.asarray(omegas_free,
-                                   float).reshape(n_out - 1, n_pts),
-                        w_last[None]])
-    return tensor, omegas, p_f[:, 0], kfac, physical
-
-
-def _safe_reference_points(setup, ks, p_f, physical):
-    """Replace unphysical rows by a fixed physical configuration so spinor
-    and propagator construction stay well defined; callers zero these rows."""
-    bad = ~physical
-    ks = ks.copy()
-    p_f = p_f.copy()
-    w_ref = 0.05 * setup.omega_max
-    n_bad = int(bad.sum())
-    if setup.e_i_mev / setup.mass > 100.0:
-        # hard emission only lives in the backscatter cone
-        cone = setup.mass / setup.e_i_mev
-        ref_angles = math.pi - cone * np.array([[2.0], [3.0], [4.0]])
-    else:
-        ref_angles = np.array([[0.7], [1.3], [2.1]])
-    thetas = ref_angles[:ks.shape[0] - 1]
-    phis = np.array([[0.3], [2.4], [4.5]])[:ks.shape[0] - 1]
-    w_free = np.full((ks.shape[0] - 2, 1), w_ref)
-    w_last, k_out, p_f_ref, _, ok, _ = _close_arrays(setup, thetas, phis,
-                                                     w_free)
-    k0 = np.array([setup.omega0_mev, 0.0, 0.0, setup.omega0_mev])
-    ks[0, bad] = k0
-    for j in range(k_out.shape[0]):
-        ks[j + 1, bad] = np.broadcast_to(k_out[j, 0], (n_bad, 4))
-    p_f[bad] = np.broadcast_to(p_f_ref[0], (n_bad, 4))
-    return ks, p_f
-
-
-def _differential_from_msq(setup, n_out, msq, omegas, e_f, kfac, physical,
-                           threshold_eps):
-    above = np.ones_like(e_f, dtype=bool)
-    if threshold_eps > 0.0:
-        above = (omegas >= threshold_eps).all(axis=0)
-    keep = physical & above
-    with np.errstate(divide='ignore', invalid='ignore'):
-        value = (prefactor(n_out, setup.mass)
-                 * omegas.prod(axis=0) / (e_f * setup.flux)
-                 * msq / np.abs(kfac)
-                 * HBARC2_MEV2_BARN)
-    return np.where(keep, value, 0.0)
+        eps_arrays.append(amp.outgoing_basis_arrays(thetas[j][keep],
+                                                    phis[j][keep]))
+    tensor[keep] = amp.amplitude_tensor(
+        setup, np.concatenate([k0, k_out[:, keep]]), p_f[keep], eps_arrays)
+    e_f = p_f[keep, 0]
+    kin[keep] = (prefactor(n_out, setup.mass)
+                 * omegas[:, keep].prod(axis=0) / (e_f * setup.flux)
+                 / np.abs(kfac[keep]) * HBARC2_MEV2_BARN)
+    return tensor, kin, keep, physical
 
 
 def unpolarized_sigma5_batch(setup, thetas, phis, omega1, omega2,
                              threshold_eps: float = 0.0) -> np.ndarray:
     """(1/4) sum_{spins, pols} sigma5 on arrays thetas/phis (3, N), omega (N,)."""
-    omegas_free = np.stack([np.asarray(omega1, float),
-                            np.asarray(omega2, float)])
-    tensor, omegas, e_f, kfac, physical = _tensor_for_points(
-        setup, 3, thetas, phis, omegas_free)
-    msq = 0.25 * (np.abs(tensor) ** 2).reshape(tensor.shape[0],
-                                               -1).sum(axis=1)
-    return _differential_from_msq(setup, 3, msq, omegas, e_f, kfac, physical,
-                                  threshold_eps)
+    return unpolarized_differential_batch(
+        setup, 3, thetas, phis,
+        np.stack([np.asarray(omega1, float), np.asarray(omega2, float)]),
+        threshold_eps)
 
 
 def spin_summed_sigma5_batch(setup, thetas, phis, omega1, omega2, beam_pol,
@@ -185,14 +141,11 @@ def spin_summed_sigma5_batch(setup, thetas, phis, omega1, omega2, beam_pol,
     """(1/2) sum over electron spins at fixed beam and final polarizations."""
     omegas_free = np.stack([np.asarray(omega1, float),
                             np.asarray(omega2, float)])
-    tensor, omegas, e_f, kfac, physical = _tensor_for_points(
-        setup, 3, thetas, phis, omegas_free)
-    beam = amp.contract_beam(tensor, beam_pol)
+    tensor, kin, _, _ = _tensor_for_points(setup, 3, thetas, phis,
+                                           omegas_free, threshold_eps)
     i, j, l = (lab - 1 for lab in final_pols)
-    fixed = beam[:, i, j, l]                      # (N, r_i, r_f)
-    msq = 0.5 * (np.abs(fixed) ** 2).sum(axis=(1, 2))
-    return _differential_from_msq(setup, 3, msq, omegas, e_f, kfac, physical,
-                                  threshold_eps)
+    fixed = amp.contract_beam(tensor, beam_pol)[:, i, j, l]  # (N, r_i, r_f)
+    return 0.5 * (np.abs(fixed) ** 2).sum(axis=(1, 2)) * kin
 
 
 PANEL_ORDER = ("111", "211", "121", "112", "221", "212", "122", "222")
@@ -216,17 +169,10 @@ def sigma5_panel_grids(setup, thetas, phis, omega1_grid, omega2_grid,
     th = np.repeat(np.asarray(thetas, float)[:, None], w1m.size, axis=1)
     ph = np.repeat(np.asarray(phis, float)[:, None], w1m.size, axis=1)
     omegas_free = np.stack([w1m.ravel(), w2m.ravel()])
-    tensor, omegas, e_f, kfac, physical = _tensor_for_points(
-        setup, 3, th, ph, omegas_free)
+    tensor, kin, keep, _ = _tensor_for_points(setup, 3, th, ph, omegas_free,
+                                              threshold_eps)
     beam = amp.contract_beam(tensor, beam_pol)     # (N, 2,2,2, r_i, r_f)
     msq = 0.5 * (np.abs(beam) ** 2).sum(axis=(4, 5))
-    above = (omegas >= threshold_eps).all(axis=0) if threshold_eps > 0 \
-        else np.ones(w1m.size, bool)
-    keep = physical & above
-    with np.errstate(divide='ignore', invalid='ignore'):
-        kin = (prefactor(3, setup.mass) * omegas.prod(axis=0)
-               / (e_f * setup.flux) / np.abs(kfac) * HBARC2_MEV2_BARN)
-    kin = np.where(keep, kin, 0.0)
     panels = {}
     for label in PANEL_ORDER:
         i, j, l = (int(c) - 1 for c in label)
@@ -288,9 +234,8 @@ def unpolarized_differential_batch(setup, n_out, thetas, phis, omegas_free,
     phis = np.atleast_2d(phis)
     if n_out == 1:
         omegas_free = np.zeros((0, thetas.shape[1]))
-    tensor, omegas, e_f, kfac, physical = _tensor_for_points(
-        setup, n_out, thetas, phis, omegas_free)
+    tensor, kin, _, _ = _tensor_for_points(setup, n_out, thetas, phis,
+                                           omegas_free, threshold_eps)
     msq = 0.25 * (np.abs(tensor) ** 2).reshape(tensor.shape[0],
                                                -1).sum(axis=1)
-    return _differential_from_msq(setup, n_out, msq, omegas, e_f, kfac,
-                                  physical, threshold_eps)
+    return msq * kin

@@ -22,12 +22,12 @@ tau = 0 for biseparable states; the GHZ state reaches the maximum 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import amplitude as amp
-from .cross_section import _tensor_for_points
+from .cross_section import _close_and_keep, _tensor_for_points
 from .kinematics import CollisionSetup
 
 BIPARTITIONS = (1, 2, 3)
@@ -93,7 +93,7 @@ def partial_transpose(rho: np.ndarray, subsystem) -> np.ndarray:
 def density_from_amplitudes(setup: CollisionSetup, thetas, phis, omega1,
                             omega2, beam_pol=1) -> np.ndarray:
     """rho_{l l'} = N sum_{spins} M(l1 l2 l3) M*(l1' l2' l3'), trace one."""
-    tensor, _, _, _, physical = _tensor_for_points(
+    tensor, _, _, physical = _tensor_for_points(
         setup, 3, np.array([[t] for t in thetas]),
         np.array([[p] for p in phis]),
         np.stack([np.atleast_1d(float(omega1)),
@@ -337,31 +337,34 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
     """tau over an (omega1, omega2) grid; masked (tau = 0) wherever the point
     is unphysical or any photon falls below the detector threshold.
 
-    Returns (tau array, masked boolean array), shapes (len(w1), len(w2)).
+    Returns (tau array, masked boolean array, certificate gaps), shapes
+    (len(w1), len(w2)); a cell's gap is its ``upper_bound - tau`` (zero on
+    masked cells), so every unmasked tau is certified within it.
     """
-    from .kinematics import close_batch
-
     w1g = np.asarray(omega1_grid, float)
     w2g = np.asarray(omega2_grid, float)
     w1m, w2m = np.meshgrid(w1g, w2g, indexing="ij")
     n = w1m.size
     th = np.repeat(np.asarray(thetas, float)[:, None], n, axis=1)
     ph = np.repeat(np.asarray(phis, float)[:, None], n, axis=1)
-    w3, _, _, _, physical, _ = close_batch(setup, th, ph, w1m.ravel(),
-                                           w2m.ravel())
-    ok = physical & (w3 >= threshold_eps) \
-        & (w1m.ravel() >= threshold_eps) & (w2m.ravel() >= threshold_eps)
+    keep = _close_and_keep(setup, th, ph, np.stack([w1m.ravel(),
+                                                    w2m.ravel()]),
+                           threshold_eps)[-1]
     taus = np.zeros(n)
-    masked = ~ok
-    for i in np.nonzero(ok)[0]:
+    gaps = np.zeros(n)
+    masked = ~keep
+    for i in np.nonzero(keep)[0]:
         try:
             rho = density_from_amplitudes(
                 setup, thetas, phis, w1m.ravel()[i], w2m.ravel()[i], beam_pol)
         except DegenerateStateError:
             masked[i] = True
             continue
-        taus[i] = gme_tau(rho, tolerance=tolerance).tau
-    return taus.reshape(w1m.shape), masked.reshape(w1m.shape)
+        res = gme_tau(rho, tolerance=tolerance)
+        taus[i] = res.tau
+        gaps[i] = res.upper_bound - res.tau
+    return (taus.reshape(w1m.shape), masked.reshape(w1m.shape),
+            gaps.reshape(w1m.shape))
 
 
 def save_density_matrix(path, rho: np.ndarray) -> None:

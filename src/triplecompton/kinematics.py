@@ -19,11 +19,11 @@ to ~1e-10 relative even at 10^4 Lorentz boosts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LorentzVector, minkowski_dot, photon_direction, photon_momentum
+from .algebra import LorentzVector, minkowski_dot
 from .constants import ELECTRON_MASS_MEV
 
 
@@ -109,6 +109,8 @@ class FinalStateConfig:
     def __post_init__(self):
         if len(self.thetas) != 3 or len(self.phis) != 3:
             raise ValueError("need three detector directions")
+        if any(lab not in (1, 2) for lab in (*self.pols, self.r_i, self.r_f)):
+            raise ValueError("polarization and spin labels must be 1 or 2")
 
 
 @dataclass(frozen=True)

@@ -208,9 +208,11 @@ def test_criterion_07_entanglement_calibration():
 def test_criterion_08_tau_grid_qualitative(xfel_setup):
     omegas1 = np.linspace(60.0, 1300.0, 12)
     omegas2 = np.linspace(60.0, 1300.0, 12)
-    taus, masked = tau_grid(xfel_setup, XFEL_THETAS, XFEL_PHIS, omegas1,
-                            omegas2, beam_pol=1, threshold_eps=50.0)
+    taus, masked, gaps = tau_grid(xfel_setup, XFEL_THETAS, XFEL_PHIS,
+                                  omegas1, omegas2, beam_pol=1,
+                                  threshold_eps=50.0)
     values = taus[~masked]
+    grid_gap = float(gaps[~masked].max())
     frac_entangled = float((values > 0.01).mean())
     # the coarse grid undersamples the high-entanglement ridge; include its
     # peak (located by a fine minimum-negativity scan) in the maximum
@@ -223,17 +225,20 @@ def test_criterion_08_tau_grid_qualitative(xfel_setup):
     # tau never exceeds the minimum bipartite negativity, which keeps the
     # ridge below 0.45; a change to the state that lifts it fails here
     negativity_bound = min(negativity(ridge, s) for s in (1, 2, 3))
-    ok = (frac_entangled >= 0.90 and gap <= 1e-5 and residual <= 1e-6
+    ok = (frac_entangled >= 0.90 and gap <= 1e-5 and grid_gap <= 1e-5
+          and residual <= 1e-6
           and abs(tau_max - XFEL_RIDGE_TAU_REFERENCE) <= 1e-4
           and negativity_bound < 0.45)
     report(8, ok, f"{100 * frac_entangled:.0f}% of {values.size} unmasked "
                   f"cells have tau > 0.01; max tau = {tau_max:.6f} "
                   f"(reference {XFEL_RIDGE_TAU_REFERENCE}), ridge "
-                  f"certificate gap {gap:.1e}, witness residual "
+                  f"certificate gap {gap:.1e} (grid cells at most "
+                  f"{grid_gap:.1e}), witness residual "
                   f"{residual:.1e}, ridge minimum negativity "
                   f"{negativity_bound:.5f} (must stay below 0.45)")
     assert frac_entangled >= 0.90
     assert gap <= 1e-5
+    assert grid_gap <= 1e-5
     assert residual <= 1e-6
     assert tau_max == pytest.approx(XFEL_RIDGE_TAU_REFERENCE, abs=1e-4)
     assert negativity_bound < 0.45

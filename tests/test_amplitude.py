@@ -10,6 +10,7 @@ from triplecompton.constants import ELECTRON_MASS_MEV as M
 from triplecompton.kinematics import (CollisionSetup, FinalStateConfig,
                                       _close_arrays, close_final_state)
 from conftest import MGBR_PHIS, MGBR_THETAS, random_physical_configs
+from _oracle import PERMUTATIONS4, naive_total_amplitude, propagator_momenta
 
 
 def _inputs(setup, cfg, state, beam_label=1):
@@ -27,14 +28,14 @@ def sample_point(rest_setup):
 
 
 def test_permutation_count():
-    assert len(am.PERMUTATIONS4) == 24
-    assert len(set(am.PERMUTATIONS4)) == 24
+    assert len(PERMUTATIONS4) == 24
+    assert len(set(PERMUTATIONS4)) == 24
 
 
 def test_propagator_momenta_identity_order(rest_setup, sample_point):
     cfg, state = sample_point
     inputs = _inputs(rest_setup, cfg, state)
-    q1, q2, q3 = am.propagator_momenta((0, 1, 2, 3), inputs)
+    q1, q2, q3 = propagator_momenta((0, 1, 2, 3), inputs)
     p_i, k0 = rest_setup.p_i, rest_setup.k_0
     assert np.allclose(q1.as_array(), (p_i + k0).as_array())
     assert np.allclose(q2.as_array(), (p_i + k0 - state.k1).as_array())
@@ -45,7 +46,7 @@ def test_propagator_momenta_identity_order(rest_setup, sample_point):
 def test_propagator_momenta_emission_first(rest_setup, sample_point):
     cfg, state = sample_point
     inputs = _inputs(rest_setup, cfg, state)
-    q1, _, _ = am.propagator_momenta((1, 0, 2, 3), inputs)
+    q1, _, _ = propagator_momenta((1, 0, 2, 3), inputs)
     assert np.allclose(q1.as_array(),
                        (rest_setup.p_i - state.k1).as_array())
 
@@ -54,8 +55,8 @@ def test_momentum_closure_every_permutation(rest_setup, sample_point):
     cfg, state = sample_point
     inputs = _inputs(rest_setup, cfg, state)
     ks = inputs.photons
-    for xi in am.PERMUTATIONS4:
-        q3 = am.propagator_momenta(xi, inputs)[2]
+    for xi in PERMUTATIONS4:
+        q3 = propagator_momenta(xi, inputs)[2]
         last = ks[xi[3]]
         q4 = q3 + last if xi[3] == 0 else q3 - last
         assert np.abs((q4 - state.p_f).as_array()).max() < 1e-12
@@ -120,7 +121,7 @@ def test_dual_path_agreement(rest_setup, xfel_setup):
     for cfg, state in random_physical_configs(rest_setup, rng, 4):
         inputs = _inputs(rest_setup, cfg, state)
         fast = am.total_amplitude(inputs)
-        slow = am.naive_total_amplitude(inputs)
+        slow = naive_total_amplitude(inputs)
         assert fast == pytest.approx(slow, rel=1e-12)
     # backscatter kinematics amplify rounding by the internal cancellation
     # (up to ~1e9); double precision only supports a loose mutual bound here,
@@ -128,7 +129,7 @@ def test_dual_path_agreement(rest_setup, xfel_setup):
     for cfg, state in random_physical_configs(xfel_setup, rng, 3):
         inputs = _inputs(xfel_setup, cfg, state)
         fast = am.total_amplitude(inputs)
-        slow = am.naive_total_amplitude(inputs)
+        slow = naive_total_amplitude(inputs)
         assert fast == pytest.approx(slow, rel=1e-5)
 
 
@@ -161,11 +162,11 @@ def test_tensor_path_matches_scalar(rest_setup, sample_point):
         for r_i, r_f in itertools.product((1, 2), repeat=2):
             cfg2 = FinalStateConfig(cfg.thetas, cfg.phis, cfg.omega1,
                                     cfg.omega2, labels[1:], r_i, r_f)
-            scalar = am.total_amplitude(_inputs(rest_setup, cfg2, state,
-                                                labels[0]))
+            oracle = naive_total_amplitude(_inputs(rest_setup, cfg2, state,
+                                                   labels[0]))
             indexed = tensor[0, labels[0] - 1, labels[1] - 1,
                              labels[2] - 1, labels[3] - 1, r_i - 1, r_f - 1]
-            assert indexed == pytest.approx(scalar, rel=1e-12)
+            assert indexed == pytest.approx(oracle, rel=1e-12)
 
 
 def test_squared_sum_is_real_nonnegative(rest_setup, sample_point):
@@ -226,6 +227,30 @@ def test_double_compton_gauge_and_bose(rest_setup):
         amp = am.double_compton_amplitude(rest_setup, k1, k2, p_f,
                                           tuple(eps))
         assert abs(amp) <= 1e-9 * abs(base)
+
+
+def test_scalar_api_typed_errors(rest_setup, sample_point):
+    cfg, state = sample_point
+    k1, p_f, _, _ = _single_closure(rest_setup, 1.1, 0.7)
+    eps_in = al.polarization_basis(0.0, 0.0).get(1)
+    eps_out = al.polarization_basis(1.1, 0.7).get(1)
+    off_shell = al.LorentzVector(5.0, 0.0, 0.0, 1.0)
+    with pytest.raises(al.OffShellError):
+        am.single_compton_amplitude(rest_setup, k1, off_shell, eps_in,
+                                    eps_out)
+    with pytest.raises(al.OffShellError):
+        am.total_amplitude(_inputs(rest_setup, cfg, type(state)(
+            state.k1, state.k2, state.k3, off_shell, state.omega3, state.K,
+            state.physical)))
+    # a zero-momentum photon puts the internal line p_i - k on the pole
+    k2, k3, p_f2 = _double_closure(rest_setup, 1.0, 0.3, 0.15, 2.0, 2.8)
+    zero = al.LorentzVector(0.0, 0.0, 0.0, 0.0)
+    soft = type(state)(zero, k2, k3, p_f2, k3.t, 1.0, True)
+    with pytest.raises(al.PropagatorPoleError):
+        am.total_amplitude(_inputs(rest_setup, cfg, soft))
+    with pytest.raises(ValueError):
+        am.single_compton_amplitude(rest_setup, k1, p_f, eps_in, eps_out,
+                                    r_i=3)
 
 
 def test_contract_beam_linearity(rest_setup, sample_point):

@@ -180,8 +180,9 @@ def test_density_export_import_roundtrip(tmp_path, rest_setup):
 
 def test_tau_grid_masking_and_symmetry(rest_setup):
     omegas = np.linspace(0.05, 0.45, 4)
-    taus, masked = tau_grid(rest_setup, MGBR_THETAS, MGBR_PHIS, omegas,
-                            omegas, beam_pol=1, threshold_eps=0.013)
+    taus, masked, gaps = tau_grid(rest_setup, MGBR_THETAS, MGBR_PHIS,
+                                  omegas, omegas, beam_pol=1,
+                                  threshold_eps=0.013)
     from triplecompton.kinematics import close_batch
 
     w1m, w2m = np.meshgrid(omegas, omegas, indexing="ij")
@@ -193,6 +194,8 @@ def test_tau_grid_masking_and_symmetry(rest_setup):
                       & (w2m.ravel() >= 0.013))
     assert (masked.ravel() == expected_mask).all()
     assert (taus[masked] == 0.0).all()
+    assert (gaps[masked] == 0.0).all()
+    assert (gaps[~masked] >= 0.0).all()
     # the 120-degree detector triangle makes the grid symmetric in w1 <-> w2
     both = ~masked & ~masked.T
     assert np.abs(taus - taus.T)[both].max() < 1e-4

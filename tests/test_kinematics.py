@@ -168,6 +168,13 @@ def test_setup_validation():
         CollisionSetup(M, -1.0)
 
 
+def test_final_state_labels_validated():
+    for labels in (dict(pols=(1, 3, 1)), dict(r_i=0), dict(r_f=2.5)):
+        with pytest.raises(ValueError):
+            FinalStateConfig((1.0, 2.0, 3.0), (0.0, 1.0, 2.0), 0.1, 0.1,
+                             **labels)
+
+
 def test_omega_max_rest_frame(rest_setup):
     # forward-emitted photon keeps the full beam energy in the rest frame
     assert rest_setup.omega_max == pytest.approx(0.662, rel=1e-12)
