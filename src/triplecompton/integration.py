@@ -8,9 +8,11 @@ backscatter cone theta = pi - (m/E_i) u with a heavy-tailed (Cauchy-like)
 radial density in u that still covers the full sphere.
 
 Reproducibility: every stratum owns a Philox counter-based substream with
-key = (master_seed << 64) | stratum_index, so results are bit-identical for a
-given (seed, budget, config) regardless of batching, and the per-stratum
-means are combined with compensated summation (math.fsum).
+key = (master_seed << 64) | stratum_index, and each stratum's weights and
+squared weights are summed with correctly rounded summation (math.fsum) over
+all of its samples, so results are bit-identical for a given (seed, budget,
+config) regardless of batching; the per-stratum means are combined with
+math.fsum as well.
 """
 from __future__ import annotations
 
@@ -93,18 +95,20 @@ def stratified_monte_carlo(integrand, dim, strata, budget, seed,
             rem //= c
         idx = idx[::-1]
         rng = substream(seed, cell)
-        s1 = 0.0
-        s2 = 0.0
+        parts = []
         remaining = n_per
         while remaining > 0:
             nb = min(batch, remaining)
             x = rng.random((nb, dim))
             for axis, (i, c) in enumerate(zip(idx, counts)):
                 x[:, axis] = (i + x[:, axis]) / c
-            w = np.asarray(integrand(x), float)
-            s1 += float(w.sum())
-            s2 += float((w * w).sum())
+            parts.append(np.asarray(integrand(x), float))
             remaining -= nb
+        # correctly rounded sums over the whole stratum, so the batch
+        # boundaries cannot change a bit of the result
+        w = np.concatenate(parts)
+        s1 = math.fsum(w)
+        s2 = math.fsum(w * w)
         mean = s1 / n_per
         var = max(s2 / n_per - mean * mean, 0.0)
         means.append(mean)

@@ -40,6 +40,16 @@ def test_total_cross_section_deterministic(rest_setup):
     assert r1 == r2  # bit-identical dataclasses
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_batching_does_not_change_result(rest_setup, seed):
+    results = [total_cross_section(rest_setup, 0.0, "single",
+                                   budget=1 << 14, seed=seed, batch=batch)
+               for batch in (7, 100, 8192)]
+    for res in results[1:]:
+        assert res.value == results[0].value
+        assert res.statistical_error == results[0].statistical_error
+
+
 def test_thomson_limit():
     setup = CollisionSetup.rest_frame(1e-6)
     res = total_cross_section(setup, 0.0, "single", budget=1 << 14, seed=3)
