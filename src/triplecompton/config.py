@@ -73,7 +73,7 @@ class ScenarioConfig:
             parts = [float(tok) for tok in text.split(",")]
         except ValueError:
             parts = []
-        if len(parts) != 2 or math.hypot(*parts) == 0.0:
+        if len(parts) != 2 or not 0.0 < math.hypot(*parts) < math.inf:
             raise ConfigError(
                 [f"beam_polarization: expected x, y or 'ex,ey', got {text!r}"])
         return tuple(parts)
@@ -98,21 +98,10 @@ SCENARIO_DEFAULTS = {
     ),
 }
 
-_KEY_ALIASES = {
-    "grid.omega1_min_mev": "grid_omega1_min_mev",
-    "grid.omega1_max_mev": "grid_omega1_max_mev",
-    "grid.n_omega1": "grid_n_omega1",
-    "grid.omega2_min_mev": "grid_omega2_min_mev",
-    "grid.omega2_max_mev": "grid_omega2_max_mev",
-    "grid.n_omega2": "grid_n_omega2",
-    "beams.photons_per_pulse": "beams_photons_per_pulse",
-    "beams.electrons_per_bunch": "beams_electrons_per_bunch",
-    "beams.transverse_size_um": "beams_transverse_size_um",
-    "beams.repetition_rate_hz": "beams_repetition_rate_hz",
-    "scan.omega0_min_mev": "scan_omega0_min_mev",
-    "scan.omega0_max_mev": "scan_omega0_max_mev",
-    "scan.n_points": "scan_n_points",
-}
+# dotted file keys ("grid.n_omega1") for the prefixed fields
+_KEY_ALIASES = {f.name.replace("_", ".", 1): f.name
+                for f in fields(ScenarioConfig)
+                if f.name.startswith(("grid_", "beams_", "scan_"))}
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
@@ -153,7 +142,7 @@ def _coerce(name: str, raw, problems: list):
         if "float" in str(kind):
             return float(raw)
         return raw
-    except ValueError:
+    except (ValueError, OverflowError):
         problems.append(f"{name}: cannot parse {raw!r}")
         return None
 
@@ -184,6 +173,12 @@ def resolve_config(scenario=None, file_values=None, overrides=None
 
 def validate_config(cfg: ScenarioConfig) -> None:
     problems = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        entries = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(v) for v in entries
+                   if isinstance(v, float)):
+            problems.append(f"{f.name}: must be finite")
     if cfg.e_i_mev < ELECTRON_MASS_MEV:
         problems.append(f"e_i_mev: {cfg.e_i_mev} below the electron mass")
     if cfg.omega0_mev <= 0:

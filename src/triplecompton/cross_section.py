@@ -24,7 +24,8 @@ import numpy as np
 
 from . import amplitude as amp
 from .constants import ALPHA, HBARC2_MEV2_BARN
-from .kinematics import CollisionSetup, FinalStateConfig, _close_arrays
+from .kinematics import (CollisionSetup, FinalStateConfig, _close_arrays,
+                         _dot_k0_n, _dot_pi_n, _one_minus_cos_angle)
 
 
 @dataclass(frozen=True)
@@ -181,46 +182,43 @@ def sigma5_panel_grids(setup, thetas, phis, omega1_grid, omega2_grid,
 
 
 def threshold_boundary(setup, thetas, phis, omega1_grid,
-                       threshold_eps: float, omega2_max: float,
-                       scan_points: int = 512):
-    """Points (omega1, omega2) where the derived photon energy equals the
-    threshold on the physical branch.
+                       threshold_eps: float, omega2_max: float):
+    """Points (omega1, omega2) where the derived photon energy falls through
+    the threshold on the physical branch.
 
-    The closure has an unphysical continuation (E_f < m) on which the derived
-    energy turns positive again, so for each omega1 the physical branch is
-    scanned first and the crossing bracketed there before bisecting."""
+    At fixed angles and omega1 the closure is linear-fractional in omega2,
+
+        w3 = (a - b w2) / (c - d w2),
+        a = p_i.k_0 - w1 (p_i.n1 + k_0.n1),
+        b = p_i.n2 + k_0.n2 - w1 (1 - n1.n2),
+        c = p_i.n3 + k_0.n3 - w1 (1 - n1.n3),
+        d = 1 - n2.n3,
+
+    so w3 = eps has the single root w2* = (a - eps c) / (b - eps d), and
+    dw3/dw2 has the sign of a d - b c.  A row keeps (omega1, w2*) when
+    0 < w2* < omega2_max, w3 falls through eps there (a d - b c < 0) and the
+    closed point is physical; the last test drops the unphysical
+    continuation (E_f < m) on which w3 turns positive again.  Rows without
+    such a root are left out.
+    """
     from .kinematics import close_batch
 
-    th = np.asarray(thetas, float)[:, None]
-    ph = np.asarray(phis, float)[:, None]
-
-    def closure(w1, w2_arr):
-        w2_arr = np.asarray(w2_arr, float)
-        n = w2_arr.size
-        w3, _, _, _, physical, _ = close_batch(
-            setup, np.repeat(th, n, axis=1), np.repeat(ph, n, axis=1),
-            np.full(n, w1), w2_arr)
-        return w3, physical
-
-    pts = []
-    for w1 in np.asarray(omega1_grid, float):
-        w2_scan = np.linspace(1e-9, float(omega2_max), scan_points)
-        w3, physical = closure(w1, w2_scan)
-        above = physical & (w3 >= threshold_eps)
-        crossings = np.nonzero(above[:-1] & physical[1:]
-                               & (w3[1:] < threshold_eps))[0]
-        if crossings.size == 0:
-            continue
-        lo, hi = w2_scan[crossings[0]], w2_scan[crossings[0] + 1]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            w3_mid, phys_mid = closure(w1, [mid])
-            if phys_mid[0] and w3_mid[0] >= threshold_eps:
-                lo = mid
-            else:
-                hi = mid
-        pts.append((w1, 0.5 * (lo + hi)))
-    return pts
+    th = np.asarray(thetas, float)
+    ph = np.asarray(phis, float)
+    w1 = np.asarray(omega1_grid, float)
+    along = _dot_pi_n(setup, th) + _dot_k0_n(setup, th)
+    a = setup.flux - w1 * along[0]
+    b = along[1] - w1 * _one_minus_cos_angle(th[0], ph[0], th[1], ph[1])
+    c = along[2] - w1 * _one_minus_cos_angle(th[0], ph[0], th[2], ph[2])
+    d = _one_minus_cos_angle(th[1], ph[1], th[2], ph[2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w2 = (a - threshold_eps * c) / (b - threshold_eps * d)
+    rows = np.nonzero((w2 > 0.0) & (w2 < omega2_max)
+                      & (a * d - b * c < 0.0))[0]
+    _, _, _, _, physical, _ = close_batch(
+        setup, np.repeat(th[:, None], rows.size, axis=1),
+        np.repeat(ph[:, None], rows.size, axis=1), w1[rows], w2[rows])
+    return [(float(w1[i]), float(w2[i])) for i in rows[physical]]
 
 
 def unpolarized_differential_batch(setup, n_out, thetas, phis, omegas_free,

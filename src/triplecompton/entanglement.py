@@ -10,8 +10,8 @@ fastest.  tau is obtained from the fully decomposable witness program
 
     tau = max(0, -optimum),
 
-solved by a first-order operator-splitting scheme (ADMM with over-relaxation)
-whose two projections are closed-form: the affine coupling constraints admit
+solved by a first-order operator-splitting scheme (ADMM) whose two
+projections are closed-form: the affine coupling constraints admit
 an exact least-squares projection, and the [0, 1] operator intervals project
 by eigenvalue clipping of 8x8 Hermitian matrices.  A returned witness is
 re-verified outside the solver by explicit eigendecompositions, and a dual
@@ -210,17 +210,16 @@ def _hermitize_stack(stack: np.ndarray) -> np.ndarray:
 
 
 def gme_tau(rho: np.ndarray, tolerance: float = 1e-7,
-            max_iterations: int = 200000, step: float = 20.0,
-            relaxation: float = 1.0, check_every: int = 25) -> TauResult:
+            max_iterations: int = 200000) -> TauResult:
     """Genuine-multipartite-entanglement measure tau of an 8x8 state.
 
-    Runs ADMM (optionally over-relaxed via ``relaxation``) on the witness
-    program, stopping when the primal and dual residuals fall below
-    ``tolerance`` relative to the iterate scales; raises :class:`SolverError`
-    with the residuals if the iteration budget runs out.  The step size is
-    re-balanced (with the matching dual rescaling) when the residuals drift
-    apart, which rescues the nearly-pure rank-deficient states the amplitude
-    construction produces.
+    Runs ADMM on the witness program, stopping when the primal and dual
+    residuals, checked every 25 iterations, fall below ``tolerance``
+    relative to the iterate scales; raises :class:`SolverError` with the
+    residuals if the iteration budget runs out.  The step size starts at 20
+    and is re-balanced (with the matching dual rescaling) when the residuals
+    drift apart, which rescues the nearly-pure rank-deficient states the
+    amplitude construction produces.
 
     The returned witness is polished into an exactly feasible one: with
     delta the worst eigenvalue violation of any P_s, Q_s, the shift
@@ -252,15 +251,15 @@ def gme_tau(rho: np.ndarray, tolerance: float = 1e-7,
     x = np.zeros((7, 8, 8), dtype=complex)
     z = np.zeros_like(x)
     u = np.zeros_like(x)
+    step = 20.0
     primal = dual = math.inf
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         x = _project_affine(z - u - step * cost)
-        x_rel = relaxation * x + (1.0 - relaxation) * z
-        z_new = _project_box(x_rel + u)
-        u = u + x_rel - z_new
-        if iterations % check_every == 0:
+        z_new = _project_box(x + u)
+        u = u + x - z_new
+        if iterations % 25 == 0:
             primal = float(np.linalg.norm(x - z_new))
             dual = float(np.linalg.norm(z_new - z) / step)
             scale_p = max(1.0, float(np.linalg.norm(x)))
@@ -332,8 +331,7 @@ def _feasibilize(x: np.ndarray) -> Witness:
 
 
 def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
-             beam_pol=1, threshold_eps: float = 0.0,
-             tolerance: float = 1e-7):
+             beam_pol=1, threshold_eps: float = 0.0):
     """tau over an (omega1, omega2) grid; masked (tau = 0) wherever the point
     is unphysical or any photon falls below the detector threshold.
 
@@ -360,7 +358,7 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
         except DegenerateStateError:
             masked[i] = True
             continue
-        res = gme_tau(rho, tolerance=tolerance)
+        res = gme_tau(rho)
         taus[i] = res.tau
         gaps[i] = res.upper_bound - res.tau
     return (taus.reshape(w1m.shape), masked.reshape(w1m.shape),

@@ -41,6 +41,9 @@ class CollisionSetup:
     mass: float = ELECTRON_MASS_MEV
 
     def __post_init__(self):
+        if not all(map(math.isfinite,
+                       (self.e_i_mev, self.omega0_mev, self.mass))):
+            raise ValueError("energies must be finite")
         if self.e_i_mev < self.mass:
             raise ValueError(f"electron energy {self.e_i_mev} below mass")
         if self.omega0_mev <= 0:

@@ -72,6 +72,25 @@ def test_validation_messages():
         resolve_config("nope")
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("e_i_mev", "nan"), ("omega0_mev", "nan"), ("threshold_mev", "inf"),
+    ("phi_rad", "0.5, nan, 1.0"), ("beams_photons_per_pulse", "nan"),
+    ("budget", "inf"), ("beam_polarization", "nan, 1")])
+def test_non_finite_values_rejected(key, raw):
+    with pytest.raises(ConfigError, match=key):
+        resolve_config("xfel", {key: raw}, {})
+
+
+@pytest.mark.parametrize("line", ["omega0_mev = nan", "e_i_mev = nan"])
+def test_cli_non_finite_energy_exit_code(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    code = cli.main(["totals", "--config", str(bad), "--process", "single",
+                     "--budget", "128", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_config_lines_roundtrip():
     cfg = resolve_config("xfel")
     lines = config_lines(cfg)

@@ -218,18 +218,46 @@ def test_panel_exchange_symmetry(xfel_panels):
         assert np.abs(pa[both] / pb[both] - 1.0).max() < 1e-4
 
 
+def _closed_w3(setup, thetas, phis, w1, w2):
+    th = np.array(thetas)[:, None]
+    ph = np.array(phis)[:, None]
+    w3, _, _, _, physical, _ = close_batch(setup, th, ph, np.array([w1]),
+                                           np.array([w2]))
+    return w3[0], physical[0]
+
+
 def test_threshold_boundary_on_curve(xfel_setup):
     pts = threshold_boundary(xfel_setup, XFEL_THETAS, XFEL_PHIS,
                              np.linspace(100, 1000, 5), 50.0,
                              xfel_setup.omega_max)
     assert len(pts) == 5
-    th = np.array(XFEL_THETAS)[:, None]
-    ph = np.array(XFEL_PHIS)[:, None]
     for w1, w2 in pts:
-        w3, _, _, _, physical, _ = close_batch(
-            xfel_setup, th, ph, np.array([w1]), np.array([w2]))
-        assert physical[0]
-        assert w3[0] == pytest.approx(50.0, abs=0.05)
+        w3, physical = _closed_w3(xfel_setup, XFEL_THETAS, XFEL_PHIS, w1, w2)
+        assert physical
+        assert w3 == pytest.approx(50.0, rel=1e-9)
+
+
+def test_threshold_boundary_narrow_crossing(xfel_setup):
+    # here w3 falls from the threshold to zero within 7 MeV of omega2, less
+    # than one 9.7 MeV step of a 512-point scan over [0, omega_max]
+    thetas = tuple(math.pi - np.array([1.6e-3, 1.0e-3, 0.5e-3]))
+    phis = (5.6, 2.7, 0.9)
+    pts = threshold_boundary(xfel_setup, thetas, phis, [900.0], 50.0,
+                             xfel_setup.omega_max)
+    assert len(pts) == 1
+    w1, w2 = pts[0]
+    assert w1 == 900.0
+    assert w2 == pytest.approx(1576.63666, rel=1e-8)
+    w3, physical = _closed_w3(xfel_setup, thetas, phis, w1, w2)
+    assert physical
+    assert w3 == pytest.approx(50.0, rel=1e-9)
+    w3_before, physical_before = _closed_w3(xfel_setup, thetas, phis, w1,
+                                            w2 * (1.0 - 1e-6))
+    assert physical_before
+    assert w3_before > 50.0
+    # a row whose derived photon never falls through the threshold
+    assert threshold_boundary(xfel_setup, XFEL_THETAS, XFEL_PHIS, [1400.0],
+                              50.0, xfel_setup.omega_max) == []
 
 
 def test_unit_conversion_round_trip(rest_setup):

@@ -166,6 +166,10 @@ def test_setup_validation():
         CollisionSetup(0.1, 0.662)
     with pytest.raises(ValueError):
         CollisionSetup(M, -1.0)
+    for bad in (math.nan, math.inf):
+        for energies in ((bad, 0.662), (M, bad), (5000.0, 0.001, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                CollisionSetup(*energies)
 
 
 def test_final_state_labels_validated():
