@@ -203,7 +203,7 @@ def contract_beam(tensor: np.ndarray, beam_pol) -> np.ndarray:
     """
     if isinstance(beam_pol, int):
         if beam_pol not in (1, 2):
-            raise ValueError(f"beam polarization label must be 1 or 2")
+            raise ValueError("beam polarization label must be 1 or 2")
         return tensor[:, beam_pol - 1]
     ex, ey = float(beam_pol[0]), float(beam_pol[1])
     norm = np.hypot(ex, ey)

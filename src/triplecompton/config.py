@@ -182,7 +182,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.e_i_mev < ELECTRON_MASS_MEV:
         problems.append(f"e_i_mev: {cfg.e_i_mev} below the electron mass")
     if cfg.omega0_mev <= 0:
-        problems.append(f"omega0_mev: must be positive")
+        problems.append("omega0_mev: must be positive")
     if len(cfg.theta_rad) != 3:
         problems.append("theta_rad: need exactly three angles")
     if len(cfg.phi_rad) != 3:

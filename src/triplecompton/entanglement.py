@@ -84,10 +84,17 @@ def partial_transpose(rho: np.ndarray, subsystem) -> np.ndarray:
     if isinstance(subsystem, str):
         subsystem = int(subsystem.split("|")[0])
     if subsystem not in (1, 2, 3):
-        raise ValueError(f"bipartition label must name photon 1, 2 or 3")
+        raise ValueError("bipartition label must name photon 1, 2 or 3")
     t = np.asarray(rho).reshape(2, 2, 2, 2, 2, 2)
     t = t.swapaxes(subsystem - 1, subsystem + 2)
     return t.reshape(8, 8).copy()
+
+
+# X^{T_s}.ravel() == X.ravel()[_PT_INDEX[s - 1]]; indexing a (3, 64) stack
+# with [_PT_ROWS, _PT_INDEX] transposes row s - 1 on photon s
+_PT_INDEX = np.stack([partial_transpose(np.arange(64).reshape(8, 8), s)
+                      .ravel() for s in BIPARTITIONS])
+_PT_ROWS = np.arange(len(BIPARTITIONS))[:, None]
 
 
 def density_from_amplitudes(setup: CollisionSetup, thetas, phis, omega1,
@@ -113,7 +120,8 @@ def density_from_amplitudes(setup: CollisionSetup, thetas, phis, omega1,
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
+    """Hermitian part of a matrix or of each matrix in a stack."""
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
 def _validate_density(rho: np.ndarray) -> np.ndarray:
@@ -139,15 +147,16 @@ class Witness:
 
     def feasibility_residuals(self) -> dict:
         """Post-hoc feasibility check by explicit eigendecomposition."""
+        parts = list(self.parts.items())
+        evs = np.linalg.eigvalsh(_hermitize(np.array(
+            [mat for _, pair in parts for mat in pair])))
         res = {}
-        for s, (p_mat, q_mat) in self.parts.items():
+        for k, (s, (p_mat, q_mat)) in enumerate(parts):
             affine = np.linalg.norm(
                 self.matrix - p_mat - partial_transpose(q_mat, s))
-            bounds = 0.0
-            for mat in (p_mat, q_mat):
-                ev = np.linalg.eigvalsh(_hermitize(mat))
-                bounds = max(bounds, -ev.min(), ev.max() - 1.0)
-            res[s] = {"affine": float(affine), "bounds": float(max(bounds, 0.0))}
+            ev = evs[2 * k:2 * k + 2]
+            bounds = max(-ev.min(), ev.max() - 1.0, 0.0)
+            res[s] = {"affine": float(affine), "bounds": float(bounds)}
         return res
 
     @property
@@ -179,34 +188,36 @@ def _project_affine(stack: np.ndarray) -> np.ndarray:
     R_s = W - P_s - Q_s^{T_s} the multipliers are L_s = R_s - (sum R)/5 and
 
         W -> W - (sum R)/5,  P_s -> P_s + L_s/2,  Q_s -> Q_s + L_s^{T_s}/2.
+
+    All three bipartitions are handled at once on the flattened (7, 64)
+    rows, with the partial transposes as the index map ``_PT_INDEX``.
     """
-    w = stack[0]
-    residuals = []
-    for i, s in enumerate(BIPARTITIONS):
-        residuals.append(w - stack[1 + 2 * i]
-                         - partial_transpose(stack[2 + 2 * i], s))
-    total = residuals[0] + residuals[1] + residuals[2]
-    out = np.empty_like(stack)
-    out[0] = w - total / 5.0
-    for i, s in enumerate(BIPARTITIONS):
-        lam = residuals[i] - total / 5.0
-        out[1 + 2 * i] = stack[1 + 2 * i] + 0.5 * lam
-        out[2 + 2 * i] = stack[2 + 2 * i] + 0.5 * partial_transpose(lam, s)
-    return out
+    flat = stack.reshape(7, 64)
+    w, p, q = flat[0], flat[1::2], flat[2::2]
+    resid = w - p - q[_PT_ROWS, _PT_INDEX]
+    mean = resid.sum(axis=0) / 5.0
+    lam = resid - mean
+    out = np.empty_like(flat)
+    out[0] = w - mean
+    out[1::2] = p + 0.5 * lam
+    out[2::2] = q + 0.5 * lam[_PT_ROWS, _PT_INDEX]
+    return out.reshape(stack.shape)
 
 
 def _project_box(stack: np.ndarray) -> np.ndarray:
-    """Clip P, Q eigenvalues into [0, 1]; W stays free."""
-    out = stack.copy()
-    blocks = _hermitize_stack(stack[1:])
-    vals, vecs = np.linalg.eigh(blocks)
-    vals = np.clip(vals, 0.0, 1.0)
-    out[1:] = np.einsum('kab,kb,kcb->kac', vecs, vals, vecs.conj())
+    """Clip P, Q eigenvalues into [0, 1]; W stays free.
+
+    ``eigh`` reads only the lower triangle of each block, so the blocks are
+    taken as the Hermitian matrices their lower triangles define and need
+    no explicit symmetrization.
+    """
+    out = np.empty_like(stack)
+    out[0] = stack[0]
+    vals, vecs = np.linalg.eigh(stack[1:])
+    np.clip(vals, 0.0, 1.0, out=vals)
+    np.matmul(vecs * vals[:, None, :], vecs.conj().swapaxes(-1, -2),
+              out=out[1:])
     return out
-
-
-def _hermitize_stack(stack: np.ndarray) -> np.ndarray:
-    return 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
 
 
 def gme_tau(rho: np.ndarray, tolerance: float = 1e-7,
@@ -245,9 +256,6 @@ def gme_tau(rho: np.ndarray, tolerance: float = 1e-7,
     tau <= min_s negativity(rho, s) for every state.
     """
     rho = _validate_density(rho)
-    cost = np.zeros((7, 8, 8), dtype=complex)
-    cost[0] = rho
-
     x = np.zeros((7, 8, 8), dtype=complex)
     z = np.zeros_like(x)
     u = np.zeros_like(x)
@@ -256,9 +264,13 @@ def gme_tau(rho: np.ndarray, tolerance: float = 1e-7,
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        x = _project_affine(z - u - step * cost)
+        # the cost tr(W rho) touches only the W block
+        v = z - u
+        v[0] -= step * rho
+        x = _project_affine(v)
         z_new = _project_box(x + u)
-        u = u + x - z_new
+        u += x
+        u -= z_new
         if iterations % 25 == 0:
             primal = float(np.linalg.norm(x - z_new))
             dual = float(np.linalg.norm(z_new - z) / step)
@@ -289,45 +301,42 @@ def gme_tau(rho: np.ndarray, tolerance: float = 1e-7,
                      _dual_bound(rho, u, step))
 
 
-def _negative_mass(mat: np.ndarray) -> float:
-    """Sum of the absolute values of the negative eigenvalues."""
+def _negative_mass(mat: np.ndarray):
+    """Sum of the absolute values of the negative eigenvalues, of a matrix
+    or of each matrix in a stack."""
     ev = np.linalg.eigvalsh(_hermitize(mat))
-    return float(np.maximum(-ev, 0.0).sum())
+    return np.maximum(-ev, 0.0).sum(axis=-1)
 
 
 def negativity(rho: np.ndarray, subsystem) -> float:
     """Bipartite negativity of photon ``subsystem`` against the other two:
     the negative eigenvalue mass of the partial transpose."""
-    return _negative_mass(partial_transpose(rho, subsystem))
+    return float(_negative_mass(partial_transpose(rho, subsystem)))
 
 
 def _dual_bound(rho: np.ndarray, u: np.ndarray, step: float) -> float:
     """Upper bound sum_s n(L_s) + n(L_s^{T_s}) on tau from the multiplier
     split L_1 = -u[P_1]/step, L_2 = -u[P_2]/step, L_3 = rho - L_1 - L_2."""
-    lam1 = -_hermitize(u[1]) / step
-    lam2 = -_hermitize(u[3]) / step
-    split = (lam1, lam2, rho - lam1 - lam2)
-    return sum(_negative_mass(lam) + _negative_mass(partial_transpose(lam, s))
-               for s, lam in zip(BIPARTITIONS, split))
+    lam1, lam2 = -_hermitize(u[1:4:2]) / step
+    split = np.stack([lam1, lam2, rho - lam1 - lam2]).reshape(3, 64)
+    transposed = split[_PT_ROWS, _PT_INDEX]
+    return float(_negative_mass(
+        np.concatenate([split, transposed]).reshape(6, 8, 8)).sum())
 
 
 def _feasibilize(x: np.ndarray) -> Witness:
     """Shift-and-scale an affine-exact iterate into an exactly feasible
     witness (identity shifts commute with every partial transpose)."""
-    delta = 0.0
-    for block in x[1:]:
-        ev = np.linalg.eigvalsh(_hermitize(block))
-        delta = max(delta, -float(ev.min()), float(ev.max()) - 1.0)
-    delta = max(delta, 0.0)
+    herm = _hermitize(x)
+    ev = np.linalg.eigvalsh(herm[1:])
+    delta = max(-float(ev.min()), float(ev.max()) - 1.0, 0.0)
     scale = 1.0 + 2.0 * delta
     eye = np.eye(8)
     parts = {}
     for i, s in enumerate(BIPARTITIONS):
-        parts[s] = (
-            (_hermitize(x[1 + 2 * i]) + delta * eye) / scale,
-            (_hermitize(x[2 + 2 * i]) + delta * eye) / scale,
-        )
-    return Witness((_hermitize(x[0]) + 2.0 * delta * eye) / scale, parts)
+        parts[s] = ((herm[1 + 2 * i] + delta * eye) / scale,
+                    (herm[2 + 2 * i] + delta * eye) / scale)
+    return Witness((herm[0] + 2.0 * delta * eye) / scale, parts)
 
 
 def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
@@ -335,9 +344,11 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
     """tau over an (omega1, omega2) grid; masked (tau = 0) wherever the point
     is unphysical or any photon falls below the detector threshold.
 
-    Returns (tau array, masked boolean array, certificate gaps), shapes
-    (len(w1), len(w2)); a cell's gap is its ``upper_bound - tau`` (zero on
-    masked cells), so every unmasked tau is certified within it.
+    Returns (tau array, masked boolean array, certificate gaps, solver
+    iterations), shapes (len(w1), len(w2)); a cell's gap is its
+    ``upper_bound - tau``, so every unmasked tau is certified within it.
+    Gaps and iterations are zero on masked cells.  Each unmasked cell is one
+    :func:`gme_tau` call.
     """
     w1g = np.asarray(omega1_grid, float)
     w2g = np.asarray(omega2_grid, float)
@@ -350,6 +361,7 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
                            threshold_eps)[-1]
     taus = np.zeros(n)
     gaps = np.zeros(n)
+    iterations = np.zeros(n, dtype=int)
     masked = ~keep
     for i in np.nonzero(keep)[0]:
         try:
@@ -361,8 +373,9 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
         res = gme_tau(rho)
         taus[i] = res.tau
         gaps[i] = res.upper_bound - res.tau
-    return (taus.reshape(w1m.shape), masked.reshape(w1m.shape),
-            gaps.reshape(w1m.shape))
+        iterations[i] = res.iterations
+    return tuple(a.reshape(w1m.shape)
+                 for a in (taus, masked, gaps, iterations))
 
 
 def save_density_matrix(path, rho: np.ndarray) -> None:

@@ -208,9 +208,9 @@ def test_criterion_07_entanglement_calibration():
 def test_criterion_08_tau_grid_qualitative(xfel_setup):
     omegas1 = np.linspace(60.0, 1300.0, 12)
     omegas2 = np.linspace(60.0, 1300.0, 12)
-    taus, masked, gaps = tau_grid(xfel_setup, XFEL_THETAS, XFEL_PHIS,
-                                  omegas1, omegas2, beam_pol=1,
-                                  threshold_eps=50.0)
+    taus, masked, gaps, _ = tau_grid(xfel_setup, XFEL_THETAS, XFEL_PHIS,
+                                     omegas1, omegas2, beam_pol=1,
+                                     threshold_eps=50.0)
     values = taus[~masked]
     grid_gap = float(gaps[~masked].max())
     frac_entangled = float((values > 0.01).mean())
@@ -260,8 +260,19 @@ def test_criterion_09_determinism(tmp_path):
         assert cli.main(["grid", "--config", str(grid_cfg), *seeds,
                          "--out", str(out)]) == 0
         pairs.append(out)
+    tau_cfg = tmp_path / "tau.cfg"
+    tau_cfg.write_text("scenario = xfel\ngrid.omega1_min_mev = 540\n"
+                       "grid.omega1_max_mev = 540\ngrid.n_omega1 = 1\n"
+                       "grid.omega2_min_mev = 410\n"
+                       "grid.omega2_max_mev = 560\ngrid.n_omega2 = 2\n")
+    for tag in ("a", "b"):
+        out = tmp_path / f"tau_{tag}"
+        assert cli.main(["grid", "--observable", "tau", "--config",
+                         str(tau_cfg), "--out", str(out)]) == 0
+        pairs.append(out)
+    assert (pairs[4] / "tau_diagnostics.dat").is_file()
     mismatches = []
-    for one, two in ((pairs[0], pairs[1]), (pairs[2], pairs[3])):
+    for one, two in zip(pairs[::2], pairs[1::2]):
         for path in sorted(one.iterdir()):
             if (two / path.name).read_bytes() != path.read_bytes():
                 mismatches.append(path.name)

@@ -173,7 +173,44 @@ grid.n_omega2 = 1
 
     rho = density_from_amplitudes(xfel_setup, XFEL_THETAS, XFEL_PHIS,
                                   700.0, 400.0, 1)
-    assert tau_value == pytest.approx(gme_tau(rho).tau, abs=1e-6)
+    res = gme_tau(rho)
+    assert tau_value == pytest.approx(res.tau, abs=1e-6)
+    header, line = (out_tau / "tau_diagnostics.dat").read_text().splitlines()
+    assert header.split("\t") == ["omega1_mev", "omega2_mev", "iterations",
+                                   "certificate_gap", "masked"]
+    w1, w2, iterations, gap, masked = line.split("\t")
+    assert float(w1) == 700.0 and float(w2) == 400.0 and masked == "0"
+    assert int(iterations) == res.iterations
+    assert float(gap) == pytest.approx(res.upper_bound - res.tau, rel=1e-9)
+
+
+def test_cli_tau_diagnostics_match_benchmark_iterations(tmp_path):
+    # placement 0 of the benchmark's xfel_tau map: the solver must take the
+    # recorded number of iterations in every cell
+    import json
+
+    refs = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                       / "references.json").read_text())
+    place = refs["xfel_tau"]["placements"][0]
+    cfg = tmp_path / "tau.cfg"
+    cfg.write_text("""
+scenario = xfel
+grid.omega1_min_mev = 540
+grid.omega1_max_mev = 840
+grid.n_omega1 = 3
+grid.omega2_min_mev = 260
+grid.omega2_max_mev = 560
+grid.n_omega2 = 3
+""")
+    out = tmp_path / "out"
+    assert cli.main(["grid", "--observable", "tau", "--config", str(cfg),
+                     "--out", str(out)]) == cli.EXIT_OK
+    rows = [line.split("\t") for line in
+            (out / "tau_diagnostics.dat").read_text().splitlines()[1:]]
+    assert [int(r[2]) for r in rows] == place["iterations"]
+    assert [int(r[4]) for r in rows] == [m for row in place["masked"]
+                                         for m in row]
+    assert all(0.0 <= float(r[3]) <= 1e-5 for r in rows)
 
 
 def test_cli_grid_outputs_roundtrip(tmp_path):

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from triplecompton.entanglement import (DegenerateStateError,
                                         InvalidDensityMatrix, SolverError,
+                                        _project_affine, _project_box,
                                         basis_index, density_from_amplitudes,
                                         ghz_state, gme_tau,
                                         load_density_matrix, negativity,
                                         partial_transpose, product_state,
                                         save_density_matrix, tau_grid,
                                         w_state)
+from _oracle import naive_project_affine
 from conftest import MGBR_PHIS, MGBR_THETAS, random_physical_configs
 
 # Independent-solver oracle for the W state (computed once with two
@@ -57,6 +59,49 @@ def test_ghz_partial_transpose_spectrum():
         eigs = np.linalg.eigvalsh(partial_transpose(ghz_state(), s))
         assert eigs.min() == pytest.approx(-0.5, abs=1e-12)
         assert negativity(ghz_state(), s) == pytest.approx(0.5, abs=1e-12)
+
+
+def _random_hermitian_stack(rng):
+    mat = rng.normal(size=(7, 8, 8)) + 1j * rng.normal(size=(7, 8, 8))
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_project_affine_matches_oracle(seed):
+    stack = _random_hermitian_stack(np.random.default_rng(seed))
+    out = _project_affine(stack)
+    assert np.abs(out - naive_project_affine(stack)).max() <= 1e-14
+    # the output satisfies W = P_s + Q_s^{T_s} for every bipartition
+    for i, s in enumerate((1, 2, 3)):
+        resid = out[0] - out[1 + 2 * i] - partial_transpose(out[2 + 2 * i], s)
+        assert np.abs(resid).max() <= 1e-13
+    assert np.abs(_project_affine(out) - out).max() <= 1e-13
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_project_box_contract(seed):
+    stack = _random_hermitian_stack(np.random.default_rng(seed))
+    out = _project_box(stack)
+    assert np.array_equal(out[0], stack[0])
+    assert np.abs(out - out.conj().swapaxes(-1, -2)).max() <= 1e-13
+    eigs = np.linalg.eigvalsh(out[1:])
+    assert eigs.min() >= -1e-13 and eigs.max() <= 1.0 + 1e-13
+    # the random blocks have eigenvalues outside [0, 1], so clipping acts
+    assert np.abs(out[1:] - stack[1:]).max() > 0.1
+    assert np.abs(_project_box(out) - out).max() <= 1e-13
+
+
+@pytest.mark.parametrize("state, iterations, tau", [
+    (ghz_state(), 50, 0.499999998272781),
+    (w_state(), 125, 0.442809037300393),
+    (product_state(), 50, 0.0),
+])
+def test_solver_trajectory_pinned(state, iterations, tau):
+    # the ADMM iteration itself, not only its limit: any change to the
+    # projections, the step control or the stopping rule moves these
+    res = gme_tau(state)
+    assert res.iterations == iterations
+    assert res.tau == pytest.approx(tau, abs=1e-12)
 
 
 def test_tau_ghz_calibration():
@@ -180,9 +225,9 @@ def test_density_export_import_roundtrip(tmp_path, rest_setup):
 
 def test_tau_grid_masking_and_symmetry(rest_setup):
     omegas = np.linspace(0.05, 0.45, 4)
-    taus, masked, gaps = tau_grid(rest_setup, MGBR_THETAS, MGBR_PHIS,
-                                  omegas, omegas, beam_pol=1,
-                                  threshold_eps=0.013)
+    taus, masked, gaps, iterations = tau_grid(
+        rest_setup, MGBR_THETAS, MGBR_PHIS, omegas, omegas, beam_pol=1,
+        threshold_eps=0.013)
     from triplecompton.kinematics import close_batch
 
     w1m, w2m = np.meshgrid(omegas, omegas, indexing="ij")
@@ -196,6 +241,9 @@ def test_tau_grid_masking_and_symmetry(rest_setup):
     assert (taus[masked] == 0.0).all()
     assert (gaps[masked] == 0.0).all()
     assert (gaps[~masked] >= 0.0).all()
+    assert (iterations[masked] == 0).all()
+    assert (iterations[~masked] > 0).all()
+    assert (iterations % 25 == 0).all()
     # the 120-degree detector triangle makes the grid symmetric in w1 <-> w2
     both = ~masked & ~masked.T
     assert np.abs(taus - taus.T)[both].max() < 1e-4
