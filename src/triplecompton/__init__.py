@@ -3,11 +3,9 @@ polarization entanglement."""
 
 __version__ = "0.1.0"
 
-from .algebra import (Bispinor, LorentzVector, PolarizationPair,
-                      dirac_spinor, minkowski_dot, polarization_basis,
-                      propagator, slash)
+from .algebra import minkowski_dot
 from .kinematics import (ClosedFinalState, CollisionSetup, FinalStateConfig,
-                         close_final_state, omega3)
+                         close_final_state)
 from .amplitude import (AmplitudeInputs, double_compton_amplitude,
                         single_compton_amplitude, total_amplitude)
 from .cross_section import (Sigma5Point, sigma5, spin_summed_sigma5,

@@ -1,22 +1,22 @@
-"""Four-vectors, Dirac matrices, bispinors and photon polarization bases.
+"""Four-vectors, Dirac matrices, bispinors and propagator checks.
 
-Metric signature is (+,-,-,-).  The gamma matrices are kept in the Dirac
+Metric signature is (+,-,-,-).  Four-vectors are float arrays ``(..., 4)``
+ordered (t, x, y, z).  The gamma matrices are kept in the Dirac
 representation (diagonal gamma^0); every squared amplitude is representation
-independent, so one representation is pinned for reproducibility.  Bispinors
-are positive-energy solutions normalized to ubar_r(p) u_s(p) = delta_rs.
+independent, so one representation is pinned for reproducibility.  The
+spinors are positive-energy solutions normalized to
+ubar_r(p) u_s(p) = delta_rs.
 
-Scalar operations work on :class:`LorentzVector`; the ``*_batch`` helpers do
-the same algebra on stacked ``(..., 4)`` arrays and are used by the amplitude
-and integration layers.  Everything here is a pure function of its inputs.
+Everything here is a pure function of its inputs.
 """
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import ELECTRON_MASS_MEV
+
+# |q^2 - m^2| below this many m^2 counts as the propagator pole
+POLE_GUARD = 1e-12
 
 
 class OffShellError(ValueError):
@@ -27,49 +27,11 @@ class PropagatorPoleError(ValueError):
     """Virtual momentum is too close to the mass shell to form a propagator."""
 
 
-@dataclass(frozen=True)
-class LorentzVector:
-    """Four-vector (t, x, y, z) with the time-like component first."""
-
-    t: float
-    x: float
-    y: float
-    z: float
-
-    def __add__(self, other: "LorentzVector") -> "LorentzVector":
-        return LorentzVector(self.t + other.t, self.x + other.x,
-                             self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "LorentzVector") -> "LorentzVector":
-        return LorentzVector(self.t - other.t, self.x - other.x,
-                             self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "LorentzVector":
-        return LorentzVector(-self.t, -self.x, -self.y, -self.z)
-
-    def __mul__(self, scale: float) -> "LorentzVector":
-        return LorentzVector(scale * self.t, scale * self.x,
-                             scale * self.y, scale * self.z)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "LorentzVector") -> float:
-        return minkowski_dot(self, other)
-
-    @property
-    def mass2(self) -> float:
-        return minkowski_dot(self, self)
-
-    def space(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.x, self.y, self.z])
-
-
-def minkowski_dot(a: LorentzVector, b: LorentzVector) -> float:
-    """a.b = a^0 b^0 - a.b (three-vector part)."""
-    return a.t * b.t - a.x * b.x - a.y * b.y - a.z * b.z
+def minkowski_dot(a: np.ndarray, b: np.ndarray):
+    """a.b = a^0 b^0 - a.b (three-vector part) over the last axis."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
+            - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
 
 
 GAMMA0 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
@@ -92,70 +54,36 @@ IDENTITY4 = np.eye(4, dtype=complex)
 _METRIC = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def slash(a: LorentzVector) -> np.ndarray:
-    """Contraction a^mu gamma_mu = a^0 g^0 - a.gamma as a 4x4 complex matrix."""
-    return (a.t * GAMMA0 - a.x * GAMMA1 - a.y * GAMMA2 - a.z * GAMMA3)
-
-
 def slash_batch(a: np.ndarray) -> np.ndarray:
-    """slash() for stacked four-vectors of shape (..., 4) -> (..., 4, 4)."""
+    """a^mu gamma_mu for four-vectors (..., 4) -> (..., 4, 4) complex."""
     return np.einsum('...k,kab->...ab', np.asarray(a) * _METRIC, GAMMA)
 
 
-@dataclass(frozen=True)
-class Bispinor:
-    """Positive-energy solution u_r(p) with ubar u = 1 normalization."""
-
-    components: np.ndarray
-    r: int
-    p: LorentzVector
-
-    def bar(self) -> np.ndarray:
-        """Row vector ubar = u^dagger gamma^0."""
-        return self.components.conj() @ GAMMA0
+def check_labels(*labels) -> None:
+    """Raise ValueError unless every polarization or spin label is 1 or 2."""
+    for label in labels:
+        if label not in (1, 2):
+            raise ValueError(
+                f"polarization and spin labels must be 1 or 2, got {label}")
 
 
-def check_spin_label(r: int) -> None:
-    """Raise ValueError unless r is a spin label 1 or 2."""
-    if r not in (1, 2):
-        raise ValueError(f"spin label must be 1 or 2, got {r}")
-
-
-def check_on_shell(p: LorentzVector, mass: float = ELECTRON_MASS_MEV) -> None:
-    """Raise :class:`OffShellError` unless p has positive energy and lies
-    within 1e-6 relative of the mass shell."""
-    off = abs(p.mass2 - mass * mass) / (mass * mass)
+def check_on_shell(p: np.ndarray, mass: float = ELECTRON_MASS_MEV) -> None:
+    """Raise :class:`OffShellError` unless the four-vector p has positive
+    energy and lies within 1e-6 relative of the mass shell."""
+    off = abs(minkowski_dot(p, p) - mass * mass) / (mass * mass)
     if off > 1e-6:
         raise OffShellError(
             f"momentum off-shell: |p^2 - m^2|/m^2 = {off:.3e} > 1e-6")
-    if p.t <= 0:
+    if p[0] <= 0:
         raise OffShellError("positive-energy spinor requires E > 0")
 
 
-def dirac_spinor(p: LorentzVector, r: int,
-                 mass: float = ELECTRON_MASS_MEV) -> Bispinor:
-    """Positive-energy bispinor for on-shell momentum p and spin r in {1, 2}.
-
-    Satisfies ubar_r u_s = delta_rs and u^dagger u = E/m.  Rejects momenta
-    off the mass shell by more than 1e-6 relative.
-    """
-    check_spin_label(r)
-    check_on_shell(p, mass)
-    e_plus_m = p.t + mass
-    norm = math.sqrt(e_plus_m / (2.0 * mass))
-    if r == 1:
-        comps = np.array([1.0, 0.0,
-                          p.z / e_plus_m,
-                          (p.x + 1j * p.y) / e_plus_m], dtype=complex)
-    else:
-        comps = np.array([0.0, 1.0,
-                          (p.x - 1j * p.y) / e_plus_m,
-                          -p.z / e_plus_m], dtype=complex)
-    return Bispinor(norm * comps, r, p)
-
-
 def dirac_spinor_batch(p: np.ndarray, mass: float = ELECTRON_MASS_MEV) -> np.ndarray:
-    """Both spin columns u_1, u_2 for stacked momenta (..., 4) -> (..., 4, 2)."""
+    """Both spin columns u_1, u_2 for momenta (..., 4) -> (..., 4, 2).
+
+    Satisfies ubar_r u_s = delta_rs and u^dagger u = E/m for on-shell p;
+    the mass shell is not checked here (see :func:`check_on_shell`).
+    """
     p = np.asarray(p, dtype=float)
     e_plus_m = p[..., 0] + mass
     norm = np.sqrt(e_plus_m / (2.0 * mass))
@@ -170,72 +98,21 @@ def dirac_spinor_batch(p: np.ndarray, mass: float = ELECTRON_MASS_MEV) -> np.nda
 
 
 def dirac_spinor_bar_batch(p: np.ndarray, mass: float = ELECTRON_MASS_MEV) -> np.ndarray:
-    """Rows ubar_1, ubar_2 for stacked momenta (..., 4) -> (..., 2, 4)."""
+    """Rows ubar_1, ubar_2 for momenta (..., 4) -> (..., 2, 4)."""
     cols = dirac_spinor_batch(p, mass)
     return np.einsum('...ar,ab->...rb', cols.conj(), GAMMA0)
 
 
-def propagator_denominator(q: LorentzVector, mass: float = ELECTRON_MASS_MEV,
-                           pole_guard: float = 1e-12) -> float:
-    """q^2 - m^2, raising :class:`PropagatorPoleError` when its magnitude is
-    below pole_guard * m^2."""
+def propagator_denominator(q: np.ndarray, mass: float = ELECTRON_MASS_MEV
+                           ) -> float:
+    """q^2 - m^2 for one four-vector q, raising :class:`PropagatorPoleError`
+    when its magnitude is below POLE_GUARD * m^2.
+
+    The physical phase space of the photon-splitting processes never
+    reaches the pole, so this only traps malformed input.
+    """
     denom = minkowski_dot(q, q) - mass * mass
-    if abs(denom) < pole_guard * mass * mass:
+    if abs(denom) < POLE_GUARD * mass * mass:
         raise PropagatorPoleError(
             f"propagator pole: q^2 - m^2 = {denom:.6e} MeV^2")
     return denom
-
-
-def propagator(q: LorentzVector, mass: float = ELECTRON_MASS_MEV,
-               pole_guard: float = 1e-12) -> np.ndarray:
-    """Electron propagator numerator-over-denominator (qslash + m)/(q^2 - m^2).
-
-    Raises :class:`PropagatorPoleError` when |q^2 - m^2| < pole_guard * m^2;
-    the physical phase space of the photon-splitting processes never reaches
-    the pole, so this only traps malformed input.
-    """
-    return (slash(q) + mass * IDENTITY4) / propagator_denominator(
-        q, mass, pole_guard)
-
-
-@dataclass(frozen=True)
-class PolarizationPair:
-    """Two linear polarization basis vectors for a photon direction."""
-
-    eps1: LorentzVector
-    eps2: LorentzVector
-
-    def get(self, label: int) -> LorentzVector:
-        if label == 1:
-            return self.eps1
-        if label == 2:
-            return self.eps2
-        raise ValueError(f"polarization label must be 1 or 2, got {label}")
-
-
-def polarization_basis(theta: float, phi: float) -> PolarizationPair:
-    """Transverse linear polarization basis for propagation direction (theta, phi).
-
-    eps^1 = (cos t cos p, cos t sin p, -sin t), eps^2 = (-sin p, cos p, 0),
-    both embedded as four-vectors with zero time component so eps.k = 0.
-    """
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    return PolarizationPair(
-        LorentzVector(0.0, ct * cp, ct * sp, -st),
-        LorentzVector(0.0, -sp, cp, 0.0),
-    )
-
-
-def photon_momentum(omega: float, theta: float, phi: float) -> LorentzVector:
-    """Null four-momentum omega * (1, n) for direction (theta, phi)."""
-    st = math.sin(theta)
-    return LorentzVector(omega, omega * st * math.cos(phi),
-                         omega * st * math.sin(phi), omega * math.cos(theta))
-
-
-def photon_direction(theta: float, phi: float) -> LorentzVector:
-    """Unit direction four-vector (1, n) for (theta, phi)."""
-    st = math.sin(theta)
-    return LorentzVector(1.0, st * math.cos(phi), st * math.sin(phi),
-                         math.cos(theta))

@@ -14,22 +14,24 @@ permutations) and feed the two-photon and one-photon cross sections.
 ``amplitude_tensor`` is the one evaluation engine: it chains the operators
 onto the initial spinors right-to-left over stacked phase-space points,
 sharing slashed polarizations, every distinct propagator and every common
-permutation prefix.  The scalar ``total_amplitude``,
-``single_compton_amplitude`` and ``double_compton_amplitude`` run it at one
-point, with each given polarization four-vector as a length-1 basis, after
-checking the external momenta and propagator denominators.  An independent
-term-by-term reference lives with the tests.
+permutation prefix.  ``total_amplitude``, ``single_compton_amplitude`` and
+``double_compton_amplitude`` run it at one point, with each given
+polarization four-vector as a length-1 basis, after checking the external
+momenta and propagator denominators.  Four-vectors are float arrays
+(t, x, y, z) in MeV.  An independent term-by-term reference lives with the
+tests.
 """
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (IDENTITY4, LorentzVector, check_on_shell,
-                      check_spin_label, dirac_spinor_bar_batch,
-                      dirac_spinor_batch, propagator_denominator, slash_batch)
+from .algebra import (IDENTITY4, check_labels, check_on_shell,
+                      dirac_spinor_bar_batch, dirac_spinor_batch,
+                      propagator_denominator, slash_batch)
 from .kinematics import ClosedFinalState, CollisionSetup
 
 
@@ -59,8 +61,7 @@ def _point_amplitude(setup, photons, p_f, eps, r_i, r_f) -> complex:
     Raises OffShellError for an off-shell external electron and
     PropagatorPoleError for an internal momentum on the mass shell.
     """
-    check_spin_label(r_i)
-    check_spin_label(r_f)
+    check_labels(r_i, r_f)
     for p in (setup.p_i, p_f):
         check_on_shell(p, setup.mass)
     n = len(photons)
@@ -71,8 +72,8 @@ def _point_amplitude(setup, photons, p_f, eps, r_i, r_f) -> complex:
                 q = q + photons[j] if j == 0 else q - photons[j]
             propagator_denominator(q, setup.mass)
     tensor = amplitude_tensor(
-        setup, np.array([[k.as_array()] for k in photons]),
-        p_f.as_array()[None], [e.as_array()[None, None] for e in eps])
+        setup, np.array([[k] for k in photons]), np.asarray(p_f)[None],
+        [np.asarray(e)[None, None] for e in eps])
     return complex(tensor.reshape(2, 2)[r_i - 1, r_f - 1])
 
 
@@ -82,17 +83,17 @@ def total_amplitude(inputs: AmplitudeInputs) -> complex:
                             inputs.eps, inputs.r_i, inputs.r_f)
 
 
-def single_compton_amplitude(setup: CollisionSetup, k_out: LorentzVector,
-                             p_f: LorentzVector, eps_in: LorentzVector,
-                             eps_out: LorentzVector, r_i: int = 1,
+def single_compton_amplitude(setup: CollisionSetup, k_out: np.ndarray,
+                             p_f: np.ndarray, eps_in: np.ndarray,
+                             eps_out: np.ndarray, r_i: int = 1,
                              r_f: int = 1) -> complex:
     """Two-permutation amplitude for one emitted photon."""
     return _point_amplitude(setup, (setup.k_0, k_out), p_f,
                             (eps_in, eps_out), r_i, r_f)
 
 
-def double_compton_amplitude(setup: CollisionSetup, k_1: LorentzVector,
-                             k_2: LorentzVector, p_f: LorentzVector,
+def double_compton_amplitude(setup: CollisionSetup, k_1: np.ndarray,
+                             k_2: np.ndarray, p_f: np.ndarray,
                              eps: tuple, r_i: int = 1,
                              r_f: int = 1) -> complex:
     """Six-permutation amplitude for two emitted photons; eps holds the
@@ -133,7 +134,7 @@ def amplitude_tensor(setup: CollisionSetup, k_arrays: np.ndarray,
     ks = np.asarray(k_arrays, float)
     n, n_pts = ks.shape[0], ks.shape[1]
     mass = setup.mass
-    p_i = np.broadcast_to(setup.p_i.as_array(), (n_pts, 4))
+    p_i = np.broadcast_to(setup.p_i, (n_pts, 4))
     u_cols = dirac_spinor_batch(p_i, mass)              # (N, 4, 2)
     ubar = dirac_spinor_bar_batch(np.asarray(p_f), mass)  # (N, 2, 4)
     slashed = [slash_batch(e) for e in eps_arrays]      # (N, 2, 4, 4)
@@ -197,16 +198,16 @@ def amplitude_tensor(setup: CollisionSetup, k_arrays: np.ndarray,
 def contract_beam(tensor: np.ndarray, beam_pol) -> np.ndarray:
     """Collapse the absorbed photon's polarization axis.
 
-    beam_pol: label 1 or 2, or a transverse (ex, ey) pair combining the two
-    basis amplitudes linearly (the amplitude is linear in the beam
-    polarization vector).
+    beam_pol: label 1 or 2 (any integral type), or a transverse (ex, ey)
+    pair with 0 < hypot(ex, ey) < inf combining the two basis amplitudes
+    linearly (the amplitude is linear in the beam polarization vector).
     """
-    if isinstance(beam_pol, int):
-        if beam_pol not in (1, 2):
-            raise ValueError("beam polarization label must be 1 or 2")
+    if isinstance(beam_pol, numbers.Integral):
+        check_labels(beam_pol)
         return tensor[:, beam_pol - 1]
     ex, ey = float(beam_pol[0]), float(beam_pol[1])
     norm = np.hypot(ex, ey)
-    if norm == 0.0:
-        raise ValueError("beam polarization vector must be non-zero")
+    if not 0.0 < norm < np.inf:
+        raise ValueError(
+            "beam polarization vector must be non-zero and finite")
     return (ex * tensor[:, 0] + ey * tensor[:, 1]) / norm

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import amplitude as amp
+from .algebra import check_labels
 from .constants import ALPHA, HBARC2_MEV2_BARN
 from .kinematics import (CollisionSetup, FinalStateConfig, _close_arrays,
                          _dot_k0_n, _dot_pi_n, _one_minus_cos_angle)
@@ -111,9 +112,7 @@ def _tensor_for_points(setup, n_out, thetas, phis, omegas_free,
     if not keep.any():
         return tensor, kin, keep, physical
     n_kept = int(np.count_nonzero(keep))
-    k0 = np.zeros((1, n_kept, 4))
-    k0[..., 0] = setup.omega0_mev
-    k0[..., 3] = setup.omega0_mev
+    k0 = np.broadcast_to(setup.k_0, (1, n_kept, 4))
     eps_arrays = [amp.beam_basis_arrays(n_kept)]
     for j in range(n_out):
         eps_arrays.append(amp.outgoing_basis_arrays(thetas[j][keep],
@@ -140,6 +139,7 @@ def spin_summed_sigma5_batch(setup, thetas, phis, omega1, omega2, beam_pol,
                              final_pols, threshold_eps: float = 0.0
                              ) -> np.ndarray:
     """(1/2) sum over electron spins at fixed beam and final polarizations."""
+    check_labels(*final_pols)
     omegas_free = np.stack([np.asarray(omega1, float),
                             np.asarray(omega2, float)])
     tensor, kin, _, _ = _tensor_for_points(setup, 3, thetas, phis,

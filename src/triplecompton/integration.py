@@ -29,6 +29,11 @@ from .kinematics import CollisionSetup
 _MASK64 = (1 << 64) - 1
 
 PROCESS_PHOTONS = {"single": 1, "double": 2, "triple": 3}
+# Above the Lorentz factor E/m = BOOST_THRESHOLD, PhaseSpaceMap draws each
+# photon in the backscatter cone: pi - theta = (m/E) CONE_SCALE tan(psi),
+# psi uniform.
+BOOST_THRESHOLD = 100.0
+CONE_SCALE = 10.0
 
 
 class BudgetError(RuntimeError):
@@ -134,8 +139,6 @@ class PhaseSpaceMap:
     setup: CollisionSetup
     n_out: int
     eps_mev: float
-    cone_scale: float = 10.0
-    boost_threshold: float = 100.0
 
     @property
     def dim(self) -> int:
@@ -143,7 +146,7 @@ class PhaseSpaceMap:
 
     @property
     def backscatter(self) -> bool:
-        return self.setup.e_i_mev / self.setup.mass > self.boost_threshold
+        return self.setup.e_i_mev / self.setup.mass > BOOST_THRESHOLD
 
     @property
     def log_range(self) -> float:
@@ -166,13 +169,13 @@ class PhaseSpaceMap:
             if self.backscatter:
                 ratio = self.setup.mass / self.setup.e_i_mev
                 u_max = math.pi / ratio
-                psi_max = math.atan(u_max / self.cone_scale)
+                psi_max = math.atan(u_max / CONE_SCALE)
                 psi = r * psi_max
-                u = self.cone_scale * np.tan(psi)
+                u = CONE_SCALE * np.tan(psi)
                 delta = ratio * u
                 thetas[j] = math.pi - delta
-                dtheta_dpsi = (ratio * self.cone_scale
-                               * (1.0 + (u / self.cone_scale) ** 2))
+                dtheta_dpsi = (ratio * CONE_SCALE
+                               * (1.0 + (u / CONE_SCALE) ** 2))
                 weight *= (np.sin(delta) * dtheta_dpsi * psi_max
                            * 2.0 * math.pi)
             else:

@@ -14,7 +14,8 @@ and the delta-function integration over w_last leaves the Jacobian factor
 
 All pairwise Minkowski products are evaluated in cancellation-free forms
 (half-angle identities, m^2/(E+|p|) for E-|p|) so that closure stays accurate
-to ~1e-10 relative even at 10^4 Lorentz boosts.
+to ~1e-10 relative even at 10^4 Lorentz boosts.  Four-momenta are float
+arrays (t, x, y, z) in MeV.
 """
 from __future__ import annotations
 
@@ -23,12 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LorentzVector, minkowski_dot
+from .algebra import check_labels
 from .constants import ELECTRON_MASS_MEV
-
-
-class DegenerateDirectionError(ValueError):
-    """Closure denominator vanishes: physically unreachable direction."""
 
 
 @dataclass(frozen=True)
@@ -63,12 +60,14 @@ class CollisionSetup:
         return math.sqrt((self.e_i_mev - self.mass) * (self.e_i_mev + self.mass))
 
     @property
-    def p_i(self) -> LorentzVector:
-        return LorentzVector(self.e_i_mev, 0.0, 0.0, -self.p_abs)
+    def p_i(self) -> np.ndarray:
+        """Incoming electron four-momentum (t, x, y, z), a fresh array."""
+        return np.array([self.e_i_mev, 0.0, 0.0, -self.p_abs])
 
     @property
-    def k_0(self) -> LorentzVector:
-        return LorentzVector(self.omega0_mev, 0.0, 0.0, self.omega0_mev)
+    def k_0(self) -> np.ndarray:
+        """Incoming photon four-momentum (t, x, y, z), a fresh array."""
+        return np.array([self.omega0_mev, 0.0, 0.0, self.omega0_mev])
 
     @property
     def e_minus_p(self) -> float:
@@ -112,66 +111,46 @@ class FinalStateConfig:
     def __post_init__(self):
         if len(self.thetas) != 3 or len(self.phis) != 3:
             raise ValueError("need three detector directions")
-        if any(lab not in (1, 2) for lab in (*self.pols, self.r_i, self.r_f)):
-            raise ValueError("polarization and spin labels must be 1 or 2")
+        check_labels(*self.pols, self.r_i, self.r_f)
 
 
 @dataclass(frozen=True)
 class ClosedFinalState:
-    """All final four-momenta plus the recoil Jacobian and physical flag."""
+    """All final four-momenta ((4,) arrays) plus the recoil Jacobian and
+    physical flag."""
 
-    k1: LorentzVector
-    k2: LorentzVector
-    k3: LorentzVector
-    p_f: LorentzVector
+    k1: np.ndarray
+    k2: np.ndarray
+    k3: np.ndarray
+    p_f: np.ndarray
     omega3: float
     K: float
     physical: bool
 
     @property
     def e_f(self) -> float:
-        return self.p_f.t
+        return float(self.p_f[0])
 
     @property
     def photons(self) -> tuple:
         return (self.k1, self.k2, self.k3)
 
 
-def omega3(setup: CollisionSetup, k_1: LorentzVector, k_2: LorentzVector,
-           n_3: LorentzVector) -> float:
-    """Energy of the third photon fixed by conservation.
-
-    k_1, k_2 are the other outgoing photon four-momenta and n_3 = (1, unit
-    direction) of photon three.
-    """
-    p_i, k_0 = setup.p_i, setup.k_0
-    num = (minkowski_dot(p_i, k_0 - k_1 - k_2)
-           - minkowski_dot(k_0, k_1 + k_2)
-           + minkowski_dot(k_1, k_2))
-    den = minkowski_dot(n_3, p_i + k_0 - k_1 - k_2)
-    if abs(den) < 1e-12 * (setup.e_i_mev + setup.omega0_mev):
-        raise DegenerateDirectionError(
-            f"closure denominator {den:.3e} vanishes for this direction")
-    return num / den
-
-
 def close_final_state(setup: CollisionSetup,
                       cfg: FinalStateConfig) -> ClosedFinalState:
     """Construct all final momenta from angles and (omega1, omega2).
 
-    physical = (omega3 > 0) and (E_f >= m).  Conservation holds by
-    construction; p_f lands on-shell to the accuracy of the closure.
+    physical = (omega3 > 0) and (E_f >= m), and False where the closure
+    denominator vanishes (a physically unreachable direction).  Conservation
+    holds by construction; p_f lands on-shell to the accuracy of the
+    closure.
     """
     th, ph = np.asarray(cfg.thetas, float), np.asarray(cfg.phis, float)
     w12 = np.array([cfg.omega1, cfg.omega2])
-    w3, kvecs, p_f_arr, kfac, physical, _ = _close_arrays(
+    w3, kvecs, p_f, kfac, physical, _ = _close_arrays(
         setup, th[:, None], ph[:, None], w12[:, None])
-    k1 = LorentzVector(*kvecs[0, 0])
-    k2 = LorentzVector(*kvecs[1, 0])
-    k3 = LorentzVector(*kvecs[2, 0])
-    p_f = LorentzVector(*p_f_arr[0])
-    return ClosedFinalState(k1, k2, k3, p_f, float(w3[0]), float(kfac[0]),
-                            bool(physical[0]))
+    return ClosedFinalState(kvecs[0, 0], kvecs[1, 0], kvecs[2, 0], p_f[0],
+                            float(w3[0]), float(kfac[0]), bool(physical[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +182,9 @@ def _close_arrays(setup, thetas, phis, omegas_free):
 
     thetas, phis: (n_out, N); omegas_free: (n_out - 1, N).
     Returns (w_last (N,), k (n_out, N, 4), p_f (N, 4), K (N,),
-    physical (N,), degenerate (N,)).
+    physical (N,), degenerate (N,)).  degenerate flags points whose
+    closure denominator vanishes (a physically unreachable direction); they
+    read w_last = -1 and physical False.
     """
     thetas = np.atleast_2d(np.asarray(thetas, float))
     phis = np.atleast_2d(np.asarray(phis, float))

@@ -3,7 +3,8 @@ the witness solver.
 
 ``naive_total_amplitude`` multiplies the full 4x4 chain of every insertion
 order term by term, with no sharing of propagators or permutation prefixes,
-from the scalar spinor and propagator constructors in ``algebra``.  The
+with the spinors of ``algebra.dirac_spinor_batch`` taken one column at a
+time and each propagator (qslash + m)/(q^2 - m^2) formed on its own.  The
 production engine, ``amplitude.amplitude_tensor``, shares all of that, so
 agreement between the two checks the sharing.
 
@@ -16,7 +17,9 @@ import itertools
 
 import numpy as np
 
-from triplecompton.algebra import IDENTITY4, dirac_spinor, propagator, slash
+from triplecompton.algebra import (IDENTITY4, dirac_spinor_bar_batch,
+                                   dirac_spinor_batch,
+                                   propagator_denominator, slash_batch)
 from triplecompton.entanglement import BIPARTITIONS, partial_transpose
 
 PERMUTATIONS4 = tuple(itertools.permutations(range(4)))
@@ -38,15 +41,16 @@ def naive_total_amplitude(inputs) -> complex:
     """Explicit matrix products, one permutation at a time."""
     mass = inputs.setup.mass
     n = len(inputs.photons)
-    u_i = dirac_spinor(inputs.setup.p_i, inputs.r_i, mass).components
-    ubar_f = dirac_spinor(inputs.state.p_f, inputs.r_f, mass).bar()
-    slashed = [slash(e) for e in inputs.eps]
+    u_i = dirac_spinor_batch(inputs.setup.p_i, mass)[:, inputs.r_i - 1]
+    ubar_f = dirac_spinor_bar_batch(inputs.state.p_f, mass)[inputs.r_f - 1]
+    slashed = [slash_batch(e) for e in inputs.eps]
     total = 0.0 + 0.0j
     for xi in itertools.permutations(range(n)):
         # application order: eps_xi(0), S(q_1), eps_xi(1), ..., eps_xi(n-1)
         mats = [slashed[xi[0]]]
         for q, j in zip(propagator_momenta(xi, inputs), xi[1:]):
-            mats.append(propagator(q, mass))
+            mats.append((slash_batch(q) + mass * IDENTITY4)
+                        / propagator_denominator(q, mass))
             mats.append(slashed[j])
         chain = IDENTITY4
         for mat in mats:

@@ -11,6 +11,13 @@ XFEL_THETAS = (math.pi - 1.5e-3,) * 3
 XFEL_PHIS = (2 * math.pi / 3, 4 * math.pi / 3, 0.0)
 
 
+def unit_direction(theta, phi):
+    """(1, n) for the unit direction n at (theta, phi)."""
+    st = math.sin(theta)
+    return np.array([1.0, st * math.cos(phi), st * math.sin(phi),
+                     math.cos(theta)])
+
+
 @pytest.fixture(scope="session")
 def rest_setup():
     return CollisionSetup.rest_frame(0.662)

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triplecompton import algebra as al
 from triplecompton import amplitude as am
 from triplecompton import cli
 from triplecompton.constants import (ALPHA, ELECTRON_MASS_MEV as M,
@@ -89,16 +88,16 @@ def test_criterion_02_klein_nishina_oracle():
 
 
 def _ward_ratio(setup, cfg, state):
-    eps0 = al.polarization_basis(0.0, 0.0).get(1)
-    eps = [eps0] + [al.polarization_basis(t, p).get(lab)
-                    for t, p, lab in zip(cfg.thetas, cfg.phis, cfg.pols)]
+    beam = am.beam_basis_arrays(1)[0]
+    outgoing = am.outgoing_basis_arrays(np.array(cfg.thetas),
+                                        np.array(cfg.phis))
+    eps = [beam[0]] + [outgoing[j, lab - 1] for j, lab in enumerate(cfg.pols)]
     inputs = am.AmplitudeInputs(setup, state, tuple(eps), cfg.r_i, cfg.r_f)
     scale = 0.0
     for labels in ((1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1),
                    (1, 1, 1, 2), (2, 2, 2, 2)):
-        basis = [al.polarization_basis(0.0, 0.0).get(labels[0])]
-        basis += [al.polarization_basis(t, p).get(lab) for t, p, lab in
-                  zip(cfg.thetas, cfg.phis, labels[1:])]
+        basis = [beam[labels[0] - 1]]
+        basis += [outgoing[j, lab - 1] for j, lab in enumerate(labels[1:])]
         scale = max(scale, abs(am.total_amplitude(am.AmplitudeInputs(
             setup, state, tuple(basis), cfg.r_i, cfg.r_f))))
     worst = 0.0

@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triplecompton import algebra as al
+from triplecompton.amplitude import outgoing_basis_arrays
 from triplecompton.constants import ELECTRON_MASS_MEV as M
+from triplecompton.kinematics import CollisionSetup, _close_arrays
+from conftest import unit_direction
 
 finite = st.floats(-50.0, 50.0, allow_nan=False)
 
 
 def test_minkowski_dot_examples():
-    null = al.LorentzVector(1, 0, 0, 1)
+    null = np.array([1, 0, 0, 1])
     assert al.minkowski_dot(null, null) == 0.0
-    rest = al.LorentzVector(M, 0, 0, 0)
-    photon = al.LorentzVector(0.662, 0, 0, 0.662)
+    rest = np.array([M, 0, 0, 0])
+    photon = np.array([0.662, 0, 0, 0.662])
     assert al.minkowski_dot(rest, photon) == pytest.approx(M * 0.662, rel=1e-15)
-    a = al.LorentzVector(5, 1, 2, 3)
-    b = al.LorentzVector(4, 3, 2, 1)
+    a = np.array([5, 1, 2, 3])
+    b = np.array([4, 3, 2, 1])
     assert al.minkowski_dot(a, b) == 10.0
 
 
@@ -30,19 +33,20 @@ def test_gamma_anticommutator():
 
 
 def test_slash_clifford_identity():
-    a = al.LorentzVector(2, 1, 0, 0)
-    sq = al.slash(a) @ al.slash(a)
+    a = np.array([2, 1, 0, 0])
+    sq = al.slash_batch(a) @ al.slash_batch(a)
     assert np.abs(sq - 3.0 * np.eye(4)).max() < 1e-12
-    null = al.LorentzVector(1, 0, 0, 1)
-    assert np.abs(al.slash(null) @ al.slash(null)).max() < 1e-14
+    null = np.array([1, 0, 0, 1])
+    assert np.abs(al.slash_batch(null) @ al.slash_batch(null)).max() < 1e-14
 
 
 @settings(max_examples=50, deadline=None)
 @given(finite, finite, finite, finite, finite, finite, finite, finite)
 def test_slash_anticommutator_random(at, ax, ay, az, bt, bx, by, bz):
-    a = al.LorentzVector(at, ax, ay, az)
-    b = al.LorentzVector(bt, bx, by, bz)
-    lhs = al.slash(a) @ al.slash(b) + al.slash(b) @ al.slash(a)
+    a = np.array([at, ax, ay, az])
+    b = np.array([bt, bx, by, bz])
+    lhs = (al.slash_batch(a) @ al.slash_batch(b)
+           + al.slash_batch(b) @ al.slash_batch(a))
     rhs = 2.0 * al.minkowski_dot(a, b) * np.eye(4)
     assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, abs(al.minkowski_dot(a, b)))
 
@@ -50,41 +54,45 @@ def test_slash_anticommutator_random(at, ax, ay, az, bt, bx, by, bz):
 def _onshell(e, ct, phi, mass=M):
     p = math.sqrt((e - mass) * (e + mass))
     stheta = math.sqrt(1 - ct * ct)
-    return al.LorentzVector(e, p * stheta * math.cos(phi),
-                            p * stheta * math.sin(phi), p * ct)
+    return np.array([e, p * stheta * math.cos(phi),
+                     p * stheta * math.sin(phi), p * ct])
 
 
 def test_rest_frame_spinor():
-    u = al.dirac_spinor(al.LorentzVector(M, 0, 0, 0), 1)
-    assert np.allclose(u.components, [1, 0, 0, 0])
-    assert (u.bar() @ u.components).real == pytest.approx(1.0)
+    p = np.array([M, 0, 0, 0])
+    u = al.dirac_spinor_batch(p)[:, 0]
+    ubar = al.dirac_spinor_bar_batch(p)[0]
+    assert np.allclose(u, [1, 0, 0, 0])
+    assert (ubar @ u).real == pytest.approx(1.0)
 
 
 def test_spinor_orthonormality_and_density():
-    p = al.LorentzVector(5000.0, 0, 0, -math.sqrt(5000.0 ** 2 - M * M))
-    u1, u2 = al.dirac_spinor(p, 1), al.dirac_spinor(p, 2)
-    assert abs(u1.bar() @ u2.components) < 1e-12
-    assert (u1.bar() @ u1.components).real == pytest.approx(1.0, rel=1e-10)
+    p = np.array([5000.0, 0, 0, -math.sqrt(5000.0 ** 2 - M * M)])
+    cols = al.dirac_spinor_batch(p)
+    bars = al.dirac_spinor_bar_batch(p)
+    u1, u2 = cols[:, 0], cols[:, 1]
+    assert abs(bars[0] @ u2) < 1e-12
+    assert (bars[0] @ u1).real == pytest.approx(1.0, rel=1e-10)
     # u+ u = E/m, checked against the explicit component formula
-    norm = (u1.components.conj() @ u1.components).real
-    assert norm == pytest.approx(p.t / M, rel=1e-12)
-    e_plus_m = p.t + M
+    norm = (u1.conj() @ u1).real
+    assert norm == pytest.approx(p[0] / M, rel=1e-12)
+    e_plus_m = p[0] + M
     explicit = math.sqrt(e_plus_m / (2 * M)) * np.array(
-        [1, 0, p.z / e_plus_m, 0])
-    assert np.allclose(u1.components, explicit, atol=1e-12)
+        [1, 0, p[3] / e_plus_m, 0])
+    assert np.allclose(u1, explicit, atol=1e-12)
 
 
 def test_dirac_equation():
     p = _onshell(3.5, 0.3, 1.1)
+    cols = al.dirac_spinor_batch(p)
     for r in (1, 2):
-        u = al.dirac_spinor(p, r)
-        resid = (al.slash(p) - M * np.eye(4)) @ u.components
-        assert np.abs(resid).max() < 1e-10 * p.t
+        resid = (al.slash_batch(p) - M * np.eye(4)) @ cols[:, r - 1]
+        assert np.abs(resid).max() < 1e-10 * p[0]
 
 
 def test_off_shell_rejected():
     with pytest.raises(al.OffShellError):
-        al.dirac_spinor(al.LorentzVector(5.0, 0, 0, 1.0), 1)
+        al.check_on_shell(np.array([5.0, 0, 0, 1.0]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -93,44 +101,56 @@ def test_off_shell_rejected():
 def test_spinor_completeness(e, ct, phi):
     p = _onshell(e, ct, phi)
     total = np.zeros((4, 4), complex)
+    cols = al.dirac_spinor_batch(p)
+    bars = al.dirac_spinor_bar_batch(p)
     for r in (1, 2):
-        u = al.dirac_spinor(p, r)
-        total += np.outer(u.components, u.bar())
-    expected = (al.slash(p) + M * np.eye(4)) / (2 * M)
+        total += np.outer(cols[:, r - 1], bars[r - 1])
+    expected = (al.slash_batch(p) + M * np.eye(4)) / (2 * M)
     assert np.abs(total - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
+def _propagator(q):
+    return (al.slash_batch(q) + M * np.eye(4)) / al.propagator_denominator(q)
+
+
 def test_propagator_examples():
-    q = al.LorentzVector(2 * M, 0, 0, 0)
-    mat = al.propagator(q)
-    assert np.allclose(mat, (al.slash(q) + M * np.eye(4)) / (3 * M * M))
+    q = np.array([2 * M, 0, 0, 0])
+    mat = _propagator(q)
+    assert np.allclose(mat, (al.slash_batch(q) + M * np.eye(4)) / (3 * M * M))
     # numerator/denominator consistency via the Clifford identity
-    q2 = al.LorentzVector(3.0, 1.0, 1.0, 1.0)
-    lhs = (al.slash(q2) + M * np.eye(4)) @ (al.slash(q2) - M * np.eye(4))
-    assert np.allclose(lhs, (q2.mass2 - M * M) * np.eye(4), atol=1e-12)
+    q2 = np.array([3.0, 1.0, 1.0, 1.0])
+    lhs = ((al.slash_batch(q2) + M * np.eye(4))
+           @ (al.slash_batch(q2) - M * np.eye(4)))
+    assert np.allclose(lhs, (al.minkowski_dot(q2, q2) - M * M) * np.eye(4),
+                       atol=1e-12)
 
 
 def test_propagator_pole_guard():
-    almost_on_shell = al.LorentzVector(M * (1 + 1e-16), 0, 0, 0)
+    almost_on_shell = np.array([M * (1 + 1e-16), 0, 0, 0])
     with pytest.raises(al.PropagatorPoleError):
-        al.propagator(almost_on_shell)
+        al.propagator_denominator(almost_on_shell)
+
+
+def _basis(theta, phi):
+    """Rows eps^1, eps^2 of the outgoing polarization basis, (2, 4)."""
+    return outgoing_basis_arrays(np.asarray(theta), np.asarray(phi))
 
 
 def test_polarization_basis_examples():
-    pair = al.polarization_basis(0.0, 0.0)
-    assert np.allclose(pair.eps1.space(), [1, 0, 0])
-    assert np.allclose(pair.eps2.space(), [0, 1, 0])
-    pair = al.polarization_basis(math.pi / 2, 0.0)
-    assert np.allclose(pair.eps1.space(), [0, 0, -1], atol=1e-15)
-    assert np.allclose(pair.eps2.space(), [0, 1, 0], atol=1e-15)
+    pair = _basis(0.0, 0.0)
+    assert np.allclose(pair[0, 1:], [1, 0, 0])
+    assert np.allclose(pair[1, 1:], [0, 1, 0])
+    pair = _basis(math.pi / 2, 0.0)
+    assert np.allclose(pair[0, 1:], [0, 0, -1], atol=1e-15)
+    assert np.allclose(pair[1, 1:], [0, 1, 0], atol=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0, math.pi), st.floats(0, 2 * math.pi))
 def test_polarization_orthonormal_triad(theta, phi):
-    pair = al.polarization_basis(theta, phi)
-    n = al.photon_direction(theta, phi).space()
-    e1, e2 = pair.eps1.space(), pair.eps2.space()
+    pair = _basis(theta, phi)
+    n = unit_direction(theta, phi)[1:]
+    e1, e2 = pair[0, 1:], pair[1, 1:]
     assert abs(np.dot(e1, e1) - 1) < 1e-12
     assert abs(np.dot(e2, e2) - 1) < 1e-12
     assert abs(np.dot(e1, e2)) < 1e-12
@@ -143,23 +163,34 @@ def test_polarization_orthonormal_triad(theta, phi):
 @settings(max_examples=30, deadline=None)
 @given(st.floats(1e-3, 1e4), st.floats(0, math.pi), st.floats(0, 2 * math.pi))
 def test_photon_momentum_null_and_transverse(omega, theta, phi):
-    k = al.photon_momentum(omega, theta, phi)
+    # the closure builds the momentum of a photon whose energy is given
+    _, k, _, _, _, _ = _close_arrays(
+        CollisionSetup.rest_frame(0.662), np.array([[theta], [1.0]]),
+        np.array([[phi], [0.0]]), np.array([[omega]]))
+    k = k[0, 0]
     assert abs(al.minkowski_dot(k, k)) <= 1e-9 * omega * omega
-    pair = al.polarization_basis(theta, phi)
-    for eps in (pair.eps1, pair.eps2):
+    for eps in _basis(theta, phi):
         assert abs(al.minkowski_dot(eps, k)) <= 1e-12 * omega
 
 
 def test_batched_matches_scalar():
+    # each stacked entry against the explicit single-vector formulas
     rng = np.random.default_rng(3)
     vecs = rng.normal(size=(6, 4))
     stacked = al.slash_batch(vecs)
-    for i, v in enumerate(vecs):
-        assert np.allclose(stacked[i], al.slash(al.LorentzVector(*v)))
+    for i, (t, x, y, z) in enumerate(vecs):
+        explicit = t * al.GAMMA0 - x * al.GAMMA1 - y * al.GAMMA2 - z * al.GAMMA3
+        assert np.allclose(stacked[i], explicit)
     p = _onshell(7.0, -0.4, 2.0)
-    cols = al.dirac_spinor_batch(p.as_array())
-    bars = al.dirac_spinor_bar_batch(p.as_array())
+    cols = al.dirac_spinor_batch(np.stack([p, p]))
+    bars = al.dirac_spinor_bar_batch(np.stack([p, p]))
+    e_plus_m = p[0] + M
+    norm = math.sqrt(e_plus_m / (2 * M))
+    explicit = norm * np.array(
+        [[1, 0, p[3] / e_plus_m, (p[1] + 1j * p[2]) / e_plus_m],
+         [0, 1, (p[1] - 1j * p[2]) / e_plus_m, -p[3] / e_plus_m]])
     for r in (1, 2):
-        u = al.dirac_spinor(p, r)
-        assert np.allclose(cols[:, r - 1], u.components)
-        assert np.allclose(bars[r - 1], u.bar())
+        for i in range(2):
+            assert np.allclose(cols[i, :, r - 1], explicit[r - 1])
+            assert np.allclose(bars[i, r - 1],
+                               explicit[r - 1].conj() @ al.GAMMA0)

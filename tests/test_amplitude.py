@@ -13,10 +13,18 @@ from conftest import MGBR_PHIS, MGBR_THETAS, random_physical_configs
 from _oracle import PERMUTATIONS4, naive_total_amplitude, propagator_momenta
 
 
+def _beam_eps(label):
+    return am.beam_basis_arrays(1)[0, label - 1]
+
+
+def _eps(theta, phi, label):
+    return am.outgoing_basis_arrays(np.asarray(theta),
+                                    np.asarray(phi))[label - 1]
+
+
 def _inputs(setup, cfg, state, beam_label=1):
-    eps0 = al.polarization_basis(0.0, 0.0).get(beam_label)
-    eps = [eps0] + [al.polarization_basis(t, p).get(lab)
-                    for t, p, lab in zip(cfg.thetas, cfg.phis, cfg.pols)]
+    eps = [_beam_eps(beam_label)] + [
+        _eps(t, p, lab) for t, p, lab in zip(cfg.thetas, cfg.phis, cfg.pols)]
     return am.AmplitudeInputs(setup, state, tuple(eps), cfg.r_i, cfg.r_f)
 
 
@@ -37,18 +45,16 @@ def test_propagator_momenta_identity_order(rest_setup, sample_point):
     inputs = _inputs(rest_setup, cfg, state)
     q1, q2, q3 = propagator_momenta((0, 1, 2, 3), inputs)
     p_i, k0 = rest_setup.p_i, rest_setup.k_0
-    assert np.allclose(q1.as_array(), (p_i + k0).as_array())
-    assert np.allclose(q2.as_array(), (p_i + k0 - state.k1).as_array())
-    assert np.allclose(q3.as_array(),
-                       (p_i + k0 - state.k1 - state.k2).as_array())
+    assert np.allclose(q1, p_i + k0)
+    assert np.allclose(q2, p_i + k0 - state.k1)
+    assert np.allclose(q3, p_i + k0 - state.k1 - state.k2)
 
 
 def test_propagator_momenta_emission_first(rest_setup, sample_point):
     cfg, state = sample_point
     inputs = _inputs(rest_setup, cfg, state)
     q1, _, _ = propagator_momenta((1, 0, 2, 3), inputs)
-    assert np.allclose(q1.as_array(),
-                       (rest_setup.p_i - state.k1).as_array())
+    assert np.allclose(q1, rest_setup.p_i - state.k1)
 
 
 def test_momentum_closure_every_permutation(rest_setup, sample_point):
@@ -59,16 +65,15 @@ def test_momentum_closure_every_permutation(rest_setup, sample_point):
         q3 = propagator_momenta(xi, inputs)[2]
         last = ks[xi[3]]
         q4 = q3 + last if xi[3] == 0 else q3 - last
-        assert np.abs((q4 - state.p_f).as_array()).max() < 1e-12
+        assert np.abs(q4 - state.p_f).max() < 1e-12
 
 
 def _max_basis_amplitude(setup, cfg, state):
     best = 0.0
     for labels in itertools.product((1, 2), repeat=4):
-        eps0 = al.polarization_basis(0.0, 0.0).get(labels[0])
-        eps = [eps0] + [al.polarization_basis(t, p).get(lab)
-                        for t, p, lab in zip(cfg.thetas, cfg.phis,
-                                             labels[1:])]
+        eps = [_beam_eps(labels[0])] + [
+            _eps(t, p, lab)
+            for t, p, lab in zip(cfg.thetas, cfg.phis, labels[1:])]
         amp = am.total_amplitude(am.AmplitudeInputs(
             setup, state, tuple(eps), cfg.r_i, cfg.r_f))
         best = max(best, abs(amp))
@@ -95,11 +100,10 @@ def test_bose_symmetry_full_permutations(rest_setup):
     outgoing = [(state.k1, cfg.thetas[0], cfg.phis[0], 1),
                 (state.k2, cfg.thetas[1], cfg.phis[1], 2),
                 (state.k3, cfg.thetas[2], cfg.phis[2], 1)]
-    eps0 = al.polarization_basis(0.0, 0.0).get(1)
+    eps0 = _beam_eps(1)
 
     def amp_for(order):
-        eps = [eps0] + [al.polarization_basis(t, p).get(lab)
-                        for _, t, p, lab in order]
+        eps = [eps0] + [_eps(t, p, lab) for _, t, p, lab in order]
         ks = tuple(k for k, *_ in order)
         # rebuild the inputs with photons permuted coherently
         state_perm = type(state)(ks[0], ks[1], ks[2], state.p_f,
@@ -185,20 +189,18 @@ def test_squared_sum_is_real_nonnegative(rest_setup, sample_point):
 def _single_closure(setup, theta, phi):
     w3, k_out, p_f, kfac, phys, _ = _close_arrays(
         setup, np.array([[theta]]), np.array([[phi]]), np.zeros((0, 1)))
-    k1 = al.LorentzVector(*k_out[0, 0])
-    return k1, al.LorentzVector(*p_f[0]), float(w3[0]), float(kfac[0])
+    return k_out[0, 0], p_f[0], float(w3[0]), float(kfac[0])
 
 
 def test_single_compton_gauge(rest_setup):
     k1, p_f, w1, _ = _single_closure(rest_setup, 1.1, 0.7)
-    eps_in = al.polarization_basis(0.0, 0.0).get(1)
+    eps_in = _beam_eps(1)
     amp = am.single_compton_amplitude(rest_setup, k1, p_f, eps_in, k1)
     scale = max(abs(am.single_compton_amplitude(
-        rest_setup, k1, p_f, eps_in,
-        al.polarization_basis(1.1, 0.7).get(lab))) for lab in (1, 2))
+        rest_setup, k1, p_f, eps_in, _eps(1.1, 0.7, lab))) for lab in (1, 2))
     assert abs(amp) <= 1e-9 * scale
     amp2 = am.single_compton_amplitude(rest_setup, k1, p_f, rest_setup.k_0,
-                                       al.polarization_basis(1.1, 0.7).get(1))
+                                       _eps(1.1, 0.7, 1))
     assert abs(amp2) <= 1e-9 * scale
 
 
@@ -207,15 +209,14 @@ def _double_closure(setup, t1, p1, w1, t2, p2):
         setup, np.array([[t1], [t2]]), np.array([[p1], [p2]]),
         np.array([[w1]]))
     assert phys[0]
-    return (al.LorentzVector(*k_out[0, 0]), al.LorentzVector(*k_out[1, 0]),
-            al.LorentzVector(*p_f[0]))
+    return k_out[0, 0], k_out[1, 0], p_f[0]
 
 
 def test_double_compton_gauge_and_bose(rest_setup):
     k1, k2, p_f = _double_closure(rest_setup, 1.0, 0.3, 0.15, 2.0, 2.8)
-    eps0 = al.polarization_basis(0.0, 0.0).get(1)
-    e1 = al.polarization_basis(1.0, 0.3).get(1)
-    e2 = al.polarization_basis(2.0, 2.8).get(2)
+    eps0 = _beam_eps(1)
+    e1 = _eps(1.0, 0.3, 1)
+    e2 = _eps(2.0, 2.8, 2)
     base = am.double_compton_amplitude(rest_setup, k1, k2, p_f,
                                        (eps0, e1, e2))
     swapped = am.double_compton_amplitude(rest_setup, k2, k1, p_f,
@@ -232,9 +233,9 @@ def test_double_compton_gauge_and_bose(rest_setup):
 def test_scalar_api_typed_errors(rest_setup, sample_point):
     cfg, state = sample_point
     k1, p_f, _, _ = _single_closure(rest_setup, 1.1, 0.7)
-    eps_in = al.polarization_basis(0.0, 0.0).get(1)
-    eps_out = al.polarization_basis(1.1, 0.7).get(1)
-    off_shell = al.LorentzVector(5.0, 0.0, 0.0, 1.0)
+    eps_in = _beam_eps(1)
+    eps_out = _eps(1.1, 0.7, 1)
+    off_shell = np.array([5.0, 0.0, 0.0, 1.0])
     with pytest.raises(al.OffShellError):
         am.single_compton_amplitude(rest_setup, k1, off_shell, eps_in,
                                     eps_out)
@@ -244,8 +245,8 @@ def test_scalar_api_typed_errors(rest_setup, sample_point):
             state.physical)))
     # a zero-momentum photon puts the internal line p_i - k on the pole
     k2, k3, p_f2 = _double_closure(rest_setup, 1.0, 0.3, 0.15, 2.0, 2.8)
-    zero = al.LorentzVector(0.0, 0.0, 0.0, 0.0)
-    soft = type(state)(zero, k2, k3, p_f2, k3.t, 1.0, True)
+    zero = np.zeros(4)
+    soft = type(state)(zero, k2, k3, p_f2, k3[0], 1.0, True)
     with pytest.raises(al.PropagatorPoleError):
         am.total_amplitude(_inputs(rest_setup, cfg, soft))
     with pytest.raises(ValueError):
@@ -271,3 +272,21 @@ def test_contract_beam_linearity(rest_setup, sample_point):
         am.contract_beam(tensor, (0.0, 0.0))
     with pytest.raises(ValueError):
         am.contract_beam(tensor, 3)
+
+
+def test_beam_polarization_validated(rest_setup):
+    from triplecompton.cross_section import spin_summed_sigma5
+    from triplecompton.entanglement import density_from_amplitudes
+
+    args = (rest_setup, (1.2, 2.0, 0.9), (0.4, 2.5, 4.4), 0.1, 0.15)
+    # a numpy integer is a label like a Python int
+    assert spin_summed_sigma5(*args, beam_pol=np.int64(2)) == \
+        spin_summed_sigma5(*args, beam_pol=2)
+    with pytest.raises(ValueError, match="labels must be 1 or 2"):
+        spin_summed_sigma5(*args, beam_pol=np.int64(3))
+    # a non-finite vector has no direction; it used to give sigma5 = nan
+    for bad in ((math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf)):
+        with pytest.raises(ValueError, match="beam polarization vector"):
+            spin_summed_sigma5(*args, beam_pol=bad)
+        with pytest.raises(ValueError, match="beam polarization vector"):
+            density_from_amplitudes(*args, beam_pol=bad)

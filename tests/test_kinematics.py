@@ -6,32 +6,45 @@ from hypothesis import given, settings, strategies as st
 
 from triplecompton import algebra as al
 from triplecompton.constants import ELECTRON_MASS_MEV as M
-from triplecompton.kinematics import (CollisionSetup, DegenerateDirectionError,
-                                      FinalStateConfig, close_batch,
-                                      close_final_state, omega3)
-from conftest import MGBR_PHIS, MGBR_THETAS, random_physical_configs
-
-ZERO = al.LorentzVector(0, 0, 0, 0)
+from triplecompton.cross_section import spin_summed_sigma5
+from triplecompton.kinematics import (CollisionSetup, FinalStateConfig,
+                                      _close_arrays, close_batch,
+                                      close_final_state)
+from conftest import (MGBR_PHIS, MGBR_THETAS, random_physical_configs,
+                      unit_direction)
 
 
 def compton_line(omega0, theta):
     return M * omega0 / (M + omega0 * (1 - math.cos(theta)))
 
 
+def _compton_omega(setup, theta, phi):
+    """Closure with one emitted photon (n_out = 1): its energy."""
+    w, _, _, _, _, _ = _close_arrays(setup, np.array([[theta]]),
+                                     np.array([[phi]]), np.zeros((0, 1)))
+    return w[0]
+
+
+def _omega3(setup, thetas, phis, w1, w2):
+    """Derived third-photon energy with the physical and degenerate flags."""
+    w3, _, _, _, physical, degenerate = close_batch(
+        setup, np.array(thetas, float)[:, None],
+        np.array(phis, float)[:, None], np.array([w1]), np.array([w2]))
+    return w3[0], physical[0], degenerate[0]
+
+
 def test_omega3_single_compton_line(rest_setup):
     # with no other photons the closure is the one-photon scattering formula
     for theta in (0.3, math.pi / 2, 2.7):
-        n3 = al.photon_direction(theta, 0.4)
-        assert omega3(rest_setup, ZERO, ZERO, n3) == pytest.approx(
+        assert _compton_omega(rest_setup, theta, 0.4) == pytest.approx(
             compton_line(0.662, theta), rel=1e-12)
-    assert omega3(rest_setup, ZERO, ZERO,
-                  al.photon_direction(math.pi / 2, 0.0)) == pytest.approx(
+    assert _compton_omega(rest_setup, math.pi / 2, 0.0) == pytest.approx(
         0.28839, abs=5e-6)
 
 
 def test_omega3_vanishing_beam_energy():
     setup = CollisionSetup.rest_frame(1e-12)
-    w3 = omega3(setup, ZERO, ZERO, al.photon_direction(1.0, 0.0))
+    w3 = _compton_omega(setup, 1.0, 0.0)
     assert abs(w3) < 1e-11
 
 
@@ -54,10 +67,10 @@ def _solve_omega3_bisect(setup, k1, k2, n3):
 
 
 def test_omega3_against_root_finder(rest_setup):
-    k1 = al.photon_momentum(0.1, MGBR_THETAS[0], MGBR_PHIS[0])
-    k2 = al.photon_momentum(0.1, MGBR_THETAS[1], MGBR_PHIS[1])
-    n3 = al.photon_direction(MGBR_THETAS[2], MGBR_PHIS[2])
-    direct = omega3(rest_setup, k1, k2, n3)
+    k1 = 0.1 * unit_direction(MGBR_THETAS[0], MGBR_PHIS[0])
+    k2 = 0.1 * unit_direction(MGBR_THETAS[1], MGBR_PHIS[1])
+    n3 = unit_direction(MGBR_THETAS[2], MGBR_PHIS[2])
+    direct, _, _ = _omega3(rest_setup, MGBR_THETAS, MGBR_PHIS, 0.1, 0.1)
     assert direct == pytest.approx(
         _solve_omega3_bisect(rest_setup, k1, k2, n3), rel=1e-10)
 
@@ -67,23 +80,21 @@ def test_omega3_against_root_finder(rest_setup):
        st.floats(0, 6.28), st.floats(0.01, 0.2), st.floats(0.01, 0.2))
 def test_omega3_symmetric_in_first_two_photons(t1, p1, t2, p2, w1, w2):
     setup = CollisionSetup.rest_frame(0.662)
-    k1 = al.photon_momentum(w1, t1, p1)
-    k2 = al.photon_momentum(w2, t2, p2)
-    n3 = al.photon_direction(1.234, 0.777)
-    assert omega3(setup, k1, k2, n3) == pytest.approx(
-        omega3(setup, k2, k1, n3), rel=1e-13)
+    w3, _, _ = _omega3(setup, (t1, t2, 1.234), (p1, p2, 0.777), w1, w2)
+    swapped, _, _ = _omega3(setup, (t2, t1, 1.234), (p2, p1, 0.777), w2, w1)
+    assert w3 == pytest.approx(swapped, rel=1e-13)
 
 
 def test_omega3_degenerate_direction():
     # the denominator m + 2 omega0 - 2(w1 + w2) vanishes for forward prior
-    # photons against a backward n_3; physically unreachable, must raise
+    # photons against a backward n_3; physically unreachable, so the closure
+    # flags it degenerate and unphysical
     setup = CollisionSetup.rest_frame(0.662)
     w_half = 0.5 * (setup.mass / 2 + 0.662)
-    k1 = al.photon_momentum(w_half, 0.0, 0.0)
-    k2 = al.photon_momentum(w_half, 0.0, 0.0)
-    n3 = al.photon_direction(math.pi, 0.0)
-    with pytest.raises(DegenerateDirectionError):
-        omega3(setup, k1, k2, n3)
+    _, physical, degenerate = _omega3(setup, (0.0, 0.0, math.pi),
+                                      (0.0, 0.0, 0.0), w_half, w_half)
+    assert degenerate
+    assert not physical
 
 
 def test_close_final_state_conservation(rest_setup):
@@ -92,8 +103,9 @@ def test_close_final_state_conservation(rest_setup):
         total = (rest_setup.p_i + rest_setup.k_0 - state.p_f
                  - state.k1 - state.k2 - state.k3)
         scale = rest_setup.e_i_mev + rest_setup.omega0_mev
-        assert np.abs(total.as_array()).max() <= 1e-9 * scale
-        assert abs(state.p_f.mass2 - M * M) <= 1e-9 * M * M
+        assert np.abs(total).max() <= 1e-9 * scale
+        p_f2 = al.minkowski_dot(state.p_f, state.p_f)
+        assert abs(p_f2 - M * M) <= 1e-9 * M * M
         assert state.e_f >= M
 
 
@@ -105,11 +117,12 @@ def test_close_final_state_xfel_precision(xfel_setup):
         scale = xfel_setup.e_i_mev + xfel_setup.omega0_mev
         total = (xfel_setup.p_i + xfel_setup.k_0 - state.p_f
                  - state.k1 - state.k2 - state.k3)
-        assert np.abs(total.as_array()).max() <= 1e-9 * scale
+        assert np.abs(total).max() <= 1e-9 * scale
         # a float four-vector with GeV components carries ~2 E^2 eps of
         # intrinsic mass-shell ambiguity; allow that measurement floor
         floor = 64 * np.finfo(float).eps * state.e_f ** 2
-        assert abs(state.p_f.mass2 - M * M) <= 1e-9 * M * M + floor
+        p_f2 = al.minkowski_dot(state.p_f, state.p_f)
+        assert abs(p_f2 - M * M) <= 1e-9 * M * M + floor
 
 
 def test_overspent_energy_is_unphysical(rest_setup):
@@ -131,9 +144,9 @@ def test_overspent_energy_is_unphysical(rest_setup):
 def test_recoil_factor_is_closure_derivative(rest_setup):
     rng = np.random.default_rng(5)
     for cfg, state in random_physical_configs(rest_setup, rng, 10):
-        n3 = al.photon_direction(cfg.thetas[2], cfg.phis[2]).space()
+        n3 = unit_direction(cfg.thetas[2], cfg.phis[2])[1:]
         p_vec = (rest_setup.p_i + rest_setup.k_0 - state.k1
-                 - state.k2).space()
+                 - state.k2)[1:]
 
         def closure_energy(w):
             pf = p_vec - w * n3
@@ -158,7 +171,7 @@ def test_close_batch_matches_scalar(rest_setup):
         assert w3[i] == pytest.approx(state.omega3, rel=1e-12)
         assert kfac[i] == pytest.approx(state.K, rel=1e-12)
         assert physical[i]
-        assert np.allclose(p_f[i], state.p_f.as_array(), rtol=1e-12)
+        assert np.allclose(p_f[i], state.p_f, rtol=1e-12)
 
 
 def test_setup_validation():
@@ -177,6 +190,13 @@ def test_final_state_labels_validated():
         with pytest.raises(ValueError):
             FinalStateConfig((1.0, 2.0, 3.0), (0.0, 1.0, 2.0), 0.1, 0.1,
                              **labels)
+    # the spin-summed entry point takes its labels outside a config; label
+    # 0 would otherwise index the last basis vector
+    setup = CollisionSetup.rest_frame(0.662)
+    for final_pols in ((0, 1, 1), (1, 3, 1)):
+        with pytest.raises(ValueError):
+            spin_summed_sigma5(setup, (1.2, 2.0, 0.9), (0.4, 2.5, 4.4),
+                               0.1, 0.15, final_pols=final_pols)
 
 
 def test_omega_max_rest_frame(rest_setup):
