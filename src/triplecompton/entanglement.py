@@ -13,9 +13,11 @@ fastest.  tau is obtained from the fully decomposable witness program
 solved by a first-order operator-splitting scheme (ADMM) whose two
 projections are closed-form: the affine coupling constraints admit
 an exact least-squares projection, and the [0, 1] operator intervals project
-by eigenvalue clipping of 8x8 Hermitian matrices.  A returned witness is
+by eigenvalue clipping of 8x8 Hermitian matrices.  The ADMM map is
+accelerated by safeguarded type-II Anderson mixing.  A returned witness is
 re-verified outside the solver by explicit eigendecompositions, and a dual
-certificate built from the solver's multipliers bounds tau from above.
+certificate built from the solver's multipliers bounds tau from above; the
+solver stops once the two bounds are within its tolerance.
 
 tau = 0 for biseparable states; the GHZ state reaches the maximum 1/2.
 """
@@ -126,6 +128,8 @@ def _hermitize(mat: np.ndarray) -> np.ndarray:
 
 def _validate_density(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise InvalidDensityMatrix("matrix has non-finite entries")
     if rho.shape != (8, 8):
         raise InvalidDensityMatrix(f"expected 8x8, got {rho.shape}")
     if np.linalg.norm(rho - rho.conj().T) > 1e-10:
@@ -220,17 +224,112 @@ def _project_box(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def gme_tau(rho: np.ndarray, tolerance: float = 1e-7,
+# Anderson memory: how many past steps each mixed step combines
+ANDERSON_MEMORY = 5
+# Tikhonov weight of the mixing solve, relative to the trace of its Gram
+# matrix; on the product state the unregularized matrix is singular
+ANDERSON_REGULARIZATION = 1e-10
+# accepted steps between certificate checks and step re-balancing
+CHECK_EVERY = 25
+
+
+def _admm_step(point: np.ndarray, cost: np.ndarray):
+    """One ADMM map evaluation at the packed iterate ``point = [z, u]``,
+    shape (14, 8, 8).
+
+    Returns ``(pair, x)``: ``pair[0]`` is the image ``[z', u']``,
+    ``pair[1]`` the fixed-point residual ``image - point``, and x the affine
+    iterate the step passed through.  ``cost`` is ``step * rho``; the cost
+    tr(W rho) touches only the W block.
+    """
+    z, u = point[:7], point[7:]
+    v = z - u
+    v[0] -= cost
+    x = _project_affine(v)
+    pair = np.empty((2,) + point.shape, dtype=complex)
+    image = pair[0]
+    image[:7] = _project_box(x + u)
+    np.add(u, x, out=image[7:])
+    image[7:] -= image[:7]
+    np.subtract(image, point, out=pair[1])
+    return pair, x
+
+
+class _AndersonMixer:
+    """Type-II Anderson mixing for a fixed-point map y -> g(y) with residual
+    f = g(y) - y (Walker & Ni, SIAM J. Numer. Anal. 49 (2011) 1715).
+
+    The differences of consecutive (image, residual) pairs over the last
+    ``ANDERSON_MEMORY`` steps sit in a ring buffer; the Gram matrix of the
+    residual differences gains one row per step, so a mixed point costs
+    three small matrix-vector products and one tiny solve.
+    """
+
+    def __init__(self, size: int):
+        self.diff = np.empty((ANDERSON_MEMORY, 2, size))
+        self.gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
+        self.eye = np.eye(ANDERSON_MEMORY)
+        self.count = 0
+        self.slot = 0
+
+    def clear(self) -> None:
+        self.count = self.slot = 0
+
+    def push(self, old: np.ndarray, new: np.ndarray) -> None:
+        """Record the step between two consecutive accepted (image,
+        residual) pairs, each given as two real rows."""
+        j = self.slot
+        np.subtract(new, old, out=self.diff[j])
+        self.count = min(self.count + 1, ANDERSON_MEMORY)
+        row = self.diff[:self.count, 1] @ self.diff[j, 1]
+        self.gram[j, :self.count] = row
+        self.gram[:self.count, j] = row
+        self.slot = (j + 1) % ANDERSON_MEMORY
+
+    def mix(self, rows: np.ndarray):
+        """``image - dG gamma`` with gamma the regularized least-squares fit
+        of ``residual`` by the residual differences dF; None when the
+        history is empty or the solve is singular or not finite."""
+        n = self.count
+        if not n:
+            return None
+        image, residual = rows
+        gram = self.gram[:n, :n]
+        reg = ANDERSON_REGULARIZATION * gram.trace()
+        try:
+            gamma = np.linalg.solve(gram + reg * self.eye[:n, :n],
+                                    self.diff[:n, 1] @ residual)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(gamma).all():
+            return None
+        return image - gamma @ self.diff[:n, 0]
+
+
+def gme_tau(rho: np.ndarray, tolerance: float = 5e-7,
             max_iterations: int = 200000) -> TauResult:
     """Genuine-multipartite-entanglement measure tau of an 8x8 state.
 
-    Runs ADMM on the witness program, stopping when the primal and dual
-    residuals, checked every 25 iterations, fall below ``tolerance``
-    relative to the iterate scales; raises :class:`SolverError` with the
-    residuals if the iteration budget runs out.  The step size starts at 20
-    and is re-balanced (with the matching dual rescaling) when the residuals
-    drift apart, which rescues the nearly-pure rank-deficient states the
-    amplitude construction produces.
+    Runs ADMM on the witness program and stops once the certificate gap
+    ``upper_bound - tau`` is at most ``tolerance``; the gap is checked every
+    25 accepted steps.  Raises :class:`SolverError` with the residuals and
+    the gap if ``max_iterations`` map evaluations pass first, and
+    ``ValueError`` for a ``tolerance`` that is not a positive number or a
+    budget below one.
+    The step size starts at 20 and is re-balanced (with the matching dual
+    rescaling) when the primal and dual residuals drift apart, which rescues
+    the nearly-pure rank-deficient states the amplitude construction
+    produces.
+
+    The ADMM map acts on the packed iterate y = (z, u) and is accelerated by
+    safeguarded type-II Anderson mixing (Zhang, O'Donoghue & Boyd, SIAM J.
+    Optim. 30 (2020) 3170): each step mixes the images of the last
+    ``ANDERSON_MEMORY`` steps into the point whose fixed-point residual
+    g(y) - y is smallest in the least-squares sense.  The mixed point is
+    kept only if its residual does not grow; otherwise the plain ADMM step
+    is taken and the history cleared, as it is at every step rescaling.
+    ``iterations`` counts ADMM map evaluations, rejected mixed points
+    included, so it is the number of 8x8 eigendecomposition stacks run.
 
     The returned witness is polished into an exactly feasible one: with
     delta the worst eigenvalue violation of any P_s, Q_s, the shift
@@ -255,50 +354,71 @@ def gme_tau(rho: np.ndarray, tolerance: float = 1e-7,
     split L_s = rho gives the bipartite negativity n(rho^{T_s}), hence
     tau <= min_s negativity(rho, s) for every state.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be a positive number, "
+                         f"got {tolerance!r}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, "
+                         f"got {max_iterations!r}")
     rho = _validate_density(rho)
-    x = np.zeros((7, 8, 8), dtype=complex)
-    z = np.zeros_like(x)
-    u = np.zeros_like(x)
     step = 20.0
-    primal = dual = math.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        # the cost tr(W rho) touches only the W block
-        v = z - u
-        v[0] -= step * rho
-        x = _project_affine(v)
-        z_new = _project_box(x + u)
-        u += x
-        u -= z_new
-        if iterations % 25 == 0:
-            primal = float(np.linalg.norm(x - z_new))
-            dual = float(np.linalg.norm(z_new - z) / step)
-            scale_p = max(1.0, float(np.linalg.norm(x)))
-            scale_d = max(1.0, float(np.linalg.norm(u)) / step)
-            z = z_new
-            if primal < tolerance * scale_p and dual < tolerance * scale_d:
-                converged = True
-                break
+    cost = step * rho
+    trial = np.zeros((14, 8, 8), dtype=complex)
+    mixer = _AndersonMixer(2 * trial.size)
+    # plain: the trial is the last image (no safeguard needed);
+    # restart: no accepted step yet under the current step size
+    plain = restart = True
+    accepted = 0
+    primal = dual = gap = math.inf
+    for evaluations in range(1, max_iterations + 1):
+        t_pair, t_x = _admm_step(trial, cost)
+        t_rows = t_pair.view(np.float64).reshape(2, -1)
+        t_norm = float(t_rows[1] @ t_rows[1])
+        # a NaN residual fails this test too
+        if not plain and not t_norm <= norm:
+            mixer.clear()
+            trial, plain = pair[0], True
+            continue
+        if not restart:
+            mixer.push(rows, t_rows)
+        pair, rows, x, norm = t_pair, t_rows, t_x, t_norm
+        restart = False
+        accepted += 1
+        if accepted % CHECK_EVERY == 0:
+            image, resid = pair
+            u = image[7:]
+            primal = float(np.linalg.norm(resid[7:]))
+            dual = float(np.linalg.norm(resid[:7]) / step)
+            witness = _feasibilize(x)
+            tau = max(0.0, -float(np.trace(witness.matrix @ rho).real))
+            upper_bound = _dual_bound(rho, u, step)
+            gap = upper_bound - tau
+            if gap <= tolerance:
+                return TauResult(tau, witness, evaluations, primal, dual,
+                                 upper_bound)
             # residual balancing: a larger step attacks a lagging dual
             # residual and vice versa; u is the step-scaled dual variable
+            scale_p = max(1.0, float(np.linalg.norm(x)))
+            scale_d = max(1.0, float(np.linalg.norm(u)) / step)
+            factor = 1.0
             if dual / scale_d > 5.0 * primal / scale_p and step < 1e5:
-                step *= 1.6
-                u *= 1.6
+                factor = 1.6
             elif primal / scale_p > 5.0 * dual / scale_d and step > 1e-4:
-                step /= 1.6
-                u /= 1.6
-        else:
-            z = z_new
-    if not converged:
-        raise SolverError(
-            f"no convergence in {max_iterations} iterations: "
-            f"primal={primal:.3e} dual={dual:.3e}")
-
-    witness = _feasibilize(x)
-    objective = float(np.trace(witness.matrix @ rho).real)
-    return TauResult(max(0.0, -objective), witness, iterations, primal, dual,
-                     _dual_bound(rho, u, step))
+                factor = 1.0 / 1.6
+            if factor != 1.0:
+                step *= factor
+                cost = step * rho
+                trial = image.copy()
+                trial[7:] *= factor
+                mixer.clear()
+                plain = restart = True
+                continue
+        mixed = mixer.mix(rows)
+        plain = mixed is None
+        trial = pair[0] if plain else mixed.view(complex).reshape(trial.shape)
+    raise SolverError(
+        f"no convergence in {max_iterations} iterations: "
+        f"primal={primal:.3e} dual={dual:.3e} gap={gap:.3e}")
 
 
 def _negative_mass(mat: np.ndarray):
@@ -311,7 +431,8 @@ def _negative_mass(mat: np.ndarray):
 def negativity(rho: np.ndarray, subsystem) -> float:
     """Bipartite negativity of photon ``subsystem`` against the other two:
     the negative eigenvalue mass of the partial transpose."""
-    return float(_negative_mass(partial_transpose(rho, subsystem)))
+    return float(_negative_mass(partial_transpose(_validate_density(rho),
+                                                  subsystem)))
 
 
 def _dual_bound(rho: np.ndarray, u: np.ndarray, step: float) -> float:
@@ -345,10 +466,11 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
     is unphysical or any photon falls below the detector threshold.
 
     Returns (tau array, masked boolean array, certificate gaps, solver
-    iterations), shapes (len(w1), len(w2)); a cell's gap is its
-    ``upper_bound - tau``, so every unmasked tau is certified within it.
-    Gaps and iterations are zero on masked cells.  Each unmasked cell is one
-    :func:`gme_tau` call.
+    iterations, witness residuals), shapes (len(w1), len(w2)); a cell's gap
+    is its ``upper_bound - tau``, so every unmasked tau is certified within
+    it, and its residual is its witness's ``max_residual``.  Gaps,
+    iterations and residuals are zero on masked cells.  Each unmasked cell
+    is one :func:`gme_tau` call.
     """
     w1g = np.asarray(omega1_grid, float)
     w2g = np.asarray(omega2_grid, float)
@@ -362,6 +484,7 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
     taus = np.zeros(n)
     gaps = np.zeros(n)
     iterations = np.zeros(n, dtype=int)
+    residuals = np.zeros(n)
     masked = ~keep
     for i in np.nonzero(keep)[0]:
         try:
@@ -374,8 +497,9 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
         taus[i] = res.tau
         gaps[i] = res.upper_bound - res.tau
         iterations[i] = res.iterations
+        residuals[i] = res.witness.max_residual
     return tuple(a.reshape(w1m.shape)
-                 for a in (taus, masked, gaps, iterations))
+                 for a in (taus, masked, gaps, iterations, residuals))
 
 
 def save_density_matrix(path, rho: np.ndarray) -> None:
