@@ -14,15 +14,19 @@ permutations) and feed the two-photon and one-photon cross sections.
 ``amplitude_tensor`` is the one evaluation engine: it chains the operators
 onto the initial spinors right-to-left over stacked phase-space points,
 sharing slashed polarizations, every distinct propagator and every common
-permutation prefix.  ``total_amplitude``, ``single_compton_amplitude`` and
-``double_compton_amplitude`` run it at one point, with each given
-polarization four-vector as a length-1 basis, after checking the external
-momenta and propagator denominators.  Four-vectors are float arrays
-(t, x, y, z) in MeV.  An independent term-by-term reference lives with the
-tests.
+permutation prefix.  Inside it the point axis is last, so applying an
+operator takes two whole-array operations rather than one small matrix
+product per point, and the prefix tree is walked depth first, so memory
+holds one root-to-leaf path of states.  ``total_amplitude``,
+``single_compton_amplitude`` and ``double_compton_amplitude`` run it at
+one point, with each given polarization four-vector as a length-1 basis,
+after checking the external momenta and propagator denominators.
+Four-vectors are float arrays (t, x, y, z) in MeV.  An independent
+term-by-term reference lives with the tests.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -122,6 +126,37 @@ def outgoing_basis_arrays(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _walk_plan(n: int) -> tuple:
+    """Depth-first (lexicographic) visit order of the prefix tree of the n!
+    insertion orders: every proper prefix and every full order once, each
+    prefix before its extensions.
+
+    Entries are (order, key, axes): key (set of photons used, last photon)
+    names a chain node's step operator and is None at a leaf; axes moves a
+    leaf's (r_f, pol_xi(n-1), ..., pol_xi(0), r_i, N) to photon order with
+    (r_i, r_f, N) trailing, and is None at a chain node.
+    """
+    plan = []
+    stack = [(j,) for j in reversed(range(n))]
+    while stack:
+        order = stack.pop()
+        if len(order) < n:
+            plan.append((order, (frozenset(order), order[-1]), None))
+            stack.extend(order + (t,) for t in reversed(range(n))
+                         if t not in order)
+        else:
+            plan.append((order, None,
+                         tuple(n - order.index(t) for t in range(n))
+                         + (n + 1, 0, n + 2)))
+    return tuple(plan)
+
+
+def _apply(op: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """op (r, 4, P, N) on state (4, M, N) -> (r, P, M, N)."""
+    return np.add.reduce(op[:, :, :, None] * state[None, :, None], axis=1)
+
+
 def amplitude_tensor(setup: CollisionSetup, k_arrays: np.ndarray,
                      p_f: np.ndarray, eps_arrays: list) -> np.ndarray:
     """Amplitudes for every polarization label and spin at stacked points.
@@ -130,69 +165,76 @@ def amplitude_tensor(setup: CollisionSetup, k_arrays: np.ndarray,
     eps_arrays: per photon, (N, P, 4) polarization four-vectors, normally
     the P = 2 basis.  Returns a complex array (N, P, ..., P, 2, 2): one
     polarization axis per photon (photon order), then r_i, then r_f.
+
+    Inside, the point axis is last and contiguous: spinors, slashed
+    polarizations and propagators are (4, 4, ..., N) stacks, and applying
+    an operator is a broadcast multiply and a sum over the contracted
+    spinor index for all points at once.  The permutation prefix tree is
+    walked depth first with the current root-to-leaf path as the stack, so
+    memory holds one path of states plus the step operators; each leaf is
+    added into one preallocated total.  Every operation is elementwise
+    along the point axis, so a row's result does not depend on the other
+    rows or on N.
     """
     ks = np.asarray(k_arrays, float)
     n, n_pts = ks.shape[0], ks.shape[1]
     mass = setup.mass
     p_i = np.broadcast_to(setup.p_i, (n_pts, 4))
-    u_cols = dirac_spinor_batch(p_i, mass)              # (N, 4, 2)
-    ubar = dirac_spinor_bar_batch(np.asarray(p_f), mass)  # (N, 2, 4)
-    slashed = [slash_batch(e) for e in eps_arrays]      # (N, 2, 4, 4)
+    u_cols = dirac_spinor_batch(p_i, mass).transpose(1, 2, 0)   # (4, 2, N)
+    ubar = dirac_spinor_bar_batch(np.asarray(p_f), mass).transpose(1, 2, 0)
 
-    m2 = mass * mass
+    # every internal momentum p_i + k_0 - ..., one per proper subset
+    subsets = [subset for size in range(1, n)
+               for subset in itertools.combinations(range(n), size)]
+    n_sub = len(subsets)
+    qs = np.empty((n_pts, n_sub, 4))
+    for col, subset in enumerate(subsets):
+        q = p_i.copy()
+        for j in subset:
+            q = q + ks[j] if j == 0 else q - ks[j]
+        qs[:, col] = q
     metric = np.array([1.0, -1.0, -1.0, -1.0])
-    props = {}
-    for size in range(1, n):
-        for subset in itertools.combinations(range(n), size):
-            q = p_i.copy()
-            for j in subset:
-                q = q + ks[j] if j == 0 else q - ks[j]
-            denom = np.einsum('ni,ni->n', q * metric, q) - m2
-            props[frozenset(subset)] = (
-                (slash_batch(q) + mass * IDENTITY4) / denom[:, None, None])
+    denom = np.einsum('nsi,nsi->sn', qs * metric, qs) - mass * mass
+    # one slash for every four-vector: the internal momenta, then each
+    # photon's polarizations, moved to (4, 4, vector, N)
+    slashed = np.ascontiguousarray(slash_batch(
+        np.concatenate([qs] + list(eps_arrays), axis=1)).transpose(2, 3, 1, 0))
+    props = ((slashed[:, :, :n_sub] + mass * IDENTITY4[..., None, None])
+             / denom).transpose(2, 0, 1, 3)                     # (S, 4, 4, N)
+    n_pols = [e.shape[1] for e in eps_arrays]
+    bounds = np.cumsum([n_sub] + n_pols)
+    slashed = [np.ascontiguousarray(slashed[:, :, lo:hi])
+               for lo, hi in zip(bounds[:-1], bounds[1:])]      # (4, 4, P, N)
 
+    # per photon j, every operator ending in its vertex in one product:
+    # S(used) eps_j for each used set holding j, and ubar eps_j (the last
+    # vertex folded into the final-spinor rows)
     ops = {}
+    exit_ops = []
+    for j in range(n):
+        used = [i for i, subset in enumerate(subsets) if j in subset]
+        rows = np.concatenate([props[used].reshape(-1, 4, n_pts), ubar])
+        folded = _apply(rows[:, :, None],
+                        slashed[j].reshape(4, -1, n_pts)).reshape(
+            (-1,) + slashed[j].shape[1:])               # (r, 4, P, N)
+        for k, i in enumerate(used):
+            ops[frozenset(subsets[i]), j] = folded[4 * k:4 * k + 4]
+        exit_ops.append(folded[4 * len(used):])
 
-    def step_op(used: frozenset, j: int) -> np.ndarray:
-        key = (used, j)
-        mat = ops.get(key)
-        if mat is None:
-            mat = props[used][:, None] @ slashed[j]
-            ops[key] = mat
-        return mat
-
-    def apply(op: np.ndarray, state: np.ndarray, depth: int) -> np.ndarray:
-        # op (N, 2, r, 4) acting on state (N, pols..., 4, 2); the new
-        # polarization axis lands in front of the existing ones
-        op_b = op.reshape(op.shape[:2] + (1,) * depth + op.shape[2:])
-        return op_b @ state[:, None]
-
-    # last vertex folded into the final-spinor rows: (N, 2, 2, 4)
-    exit_ops = [ubar[:, None] @ slashed[j] for j in range(n)]
-
-    total = None
-    level = {(): u_cols}
-    for depth in range(n):
-        nxt = {}
-        for prefix, state in level.items():
-            used = set(prefix)
-            for j in range(n):
-                if j in used:
-                    continue
-                if depth < n - 1:
-                    op = step_op(frozenset(used | {j}), j)
-                    nxt[prefix + (j,)] = apply(op, state, depth)
-                else:
-                    amp = apply(exit_ops[j], state, depth)
-                    # axes: (N, pol_xi(n-1), ..., pol_xi(0), r_f, r_i);
-                    # reorder to photon order with (r_i, r_f) trailing
-                    order = prefix + (j,)
-                    perm = ([0] + [1 + (n - 1 - order.index(t))
-                                   for t in range(n)] + [n + 2, n + 1])
-                    amp = np.transpose(amp, perm)
-                    total = amp if total is None else total + amp
-        level = nxt
-    return mass ** (n - 1) * total
+    total = np.zeros(tuple(n_pols) + (2, 2, n_pts), dtype=complex)
+    # path[d]: (4, pol_xi(d-1) * ... * pol_xi(0) * r_i, N) after d vertices
+    path = [u_cols]
+    for order, key, axes in _walk_plan(n):
+        depth = len(order)
+        del path[depth:]
+        if key is not None:
+            path.append(_apply(ops[key], path[-1]).reshape(4, -1, n_pts))
+            continue
+        amp = _apply(exit_ops[order[-1]], path[-1]).reshape(
+            (2,) + tuple(n_pols[t] for t in reversed(order)) + (2, n_pts))
+        total += amp.transpose(axes)
+    total *= mass ** (n - 1)
+    return np.ascontiguousarray(np.moveaxis(total, -1, 0))
 
 
 def contract_beam(tensor: np.ndarray, beam_pol) -> np.ndarray:

@@ -312,8 +312,9 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7,
 
     Runs ADMM on the witness program and stops once the certificate gap
     ``upper_bound - tau`` is at most ``tolerance``; the gap is checked every
-    25 accepted steps.  Raises :class:`SolverError` with the residuals and
-    the gap if ``max_iterations`` map evaluations pass first, and
+    25 accepted steps.  Raises :class:`SolverError` with the last accepted
+    step's primal and dual residuals and the last checked gap (or that none
+    was checked yet) if ``max_iterations`` map evaluations pass first, and
     ``ValueError`` for a ``tolerance`` that is not a positive number or a
     budget below one.
     The step size starts at 20 and is re-balanced (with the matching dual
@@ -369,7 +370,6 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7,
     # restart: no accepted step yet under the current step size
     plain = restart = True
     accepted = 0
-    primal = dual = gap = math.inf
     for evaluations in range(1, max_iterations + 1):
         t_pair, t_x = _admm_step(trial, cost)
         t_rows = t_pair.view(np.float64).reshape(2, -1)
@@ -416,9 +416,18 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7,
         mixed = mixer.mix(rows)
         plain = mixed is None
         trial = pair[0] if plain else mixed.view(complex).reshape(trial.shape)
+    if accepted % CHECK_EVERY:
+        # the last accepted step came after the last check (a check's own
+        # residuals were taken before any rescaling it made)
+        resid = pair[1]
+        primal = float(np.linalg.norm(resid[7:]))
+        dual = float(np.linalg.norm(resid[:7]) / step)
+    checked = (f"gap={gap:.3e} at the last check" if accepted >= CHECK_EVERY
+               else f"gap not yet checked (every {CHECK_EVERY} accepted "
+                    f"steps)")
     raise SolverError(
-        f"no convergence in {max_iterations} iterations: "
-        f"primal={primal:.3e} dual={dual:.3e} gap={gap:.3e}")
+        f"no convergence in {max_iterations} iterations: last accepted step "
+        f"primal={primal:.3e} dual={dual:.3e}, {checked}")
 
 
 def _negative_mass(mat: np.ndarray):

@@ -40,6 +40,18 @@ def test_slash_clifford_identity():
     assert np.abs(al.slash_batch(null) @ al.slash_batch(null)).max() < 1e-14
 
 
+def test_slash_matches_gamma_contraction():
+    # the written-out entries are a_mu gamma^mu summed over the stack,
+    # exactly, for real and complex four-vectors of any batch shape
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(3, 5, 4)) * 100.0
+    for vec in (a, a + 1j * rng.normal(size=a.shape), a[0, 0]):
+        expected = np.einsum('...k,kab->...ab',
+                             vec * np.array([1.0, -1.0, -1.0, -1.0]),
+                             al.GAMMA)
+        assert np.array_equal(al.slash_batch(vec), expected)
+
+
 @settings(max_examples=50, deadline=None)
 @given(finite, finite, finite, finite, finite, finite, finite, finite)
 def test_slash_anticommutator_random(at, ax, ay, az, bt, bx, by, bz):

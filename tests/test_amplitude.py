@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -290,3 +291,50 @@ def test_beam_polarization_validated(rest_setup):
             spin_summed_sigma5(*args, beam_pol=bad)
         with pytest.raises(ValueError, match="beam polarization vector"):
             density_from_amplitudes(*args, beam_pol=bad)
+
+
+def _stacked_points(setup, n_out, n_pts, seed):
+    """n_pts physical points with n_out emitted photons: (ks, p_f, eps)."""
+    rng = np.random.default_rng(seed)
+    th = np.arccos(rng.uniform(-1, 1, (n_out, 8 * n_pts)))
+    ph = rng.uniform(0, 2 * math.pi, (n_out, 8 * n_pts))
+    w = rng.uniform(0.02, 0.3, (n_out - 1, 8 * n_pts)) * setup.omega_max
+    w_last, k_out, p_f, _, phys, _ = _close_arrays(setup, th, ph, w)
+    rows = np.flatnonzero(phys & (w_last > 0))[:n_pts]
+    assert rows.size == n_pts
+    ks = np.concatenate([np.broadcast_to(setup.k_0, (1, n_pts, 4)),
+                         k_out[:, rows]])
+    eps = [am.beam_basis_arrays(n_pts)] + [
+        am.outgoing_basis_arrays(th[j, rows], ph[j, rows])
+        for j in range(n_out)]
+    return ks, p_f[rows], eps
+
+
+@pytest.mark.parametrize("n_out,gauge", [(1, None), (2, None), (3, None),
+                                         (3, 2)])
+def test_tensor_rows_independent_bit_for_bit(rest_setup, n_out, gauge):
+    # batch-size independence of every Monte Carlo sum rests on this: a
+    # row's amplitudes must not depend on which rows share its batch
+    ks, p_f, eps = _stacked_points(rest_setup, n_out, 37, 40 + n_out)
+    if gauge is not None:
+        eps[gauge] = ks[gauge][:, None]        # P = 1 axis, eps -> k
+    tensor = am.amplitude_tensor(rest_setup, ks, p_f, eps)
+    assert tensor.shape == ((37,) + tuple(e.shape[1] for e in eps)
+                            + (2, 2))
+    for i in range(37):
+        alone = am.amplitude_tensor(rest_setup, ks[:, i:i + 1],
+                                    p_f[i:i + 1], [e[i:i + 1] for e in eps])
+        assert np.array_equal(tensor[i], alone[0])
+
+
+def test_tensor_leaves_no_garbage(rest_setup):
+    # reference cycles in the kernel would hold every call's arrays until
+    # the cyclic collector runs
+    ks, p_f, eps = _stacked_points(rest_setup, 3, 16, 47)
+    gc.collect()
+    gc.disable()
+    try:
+        am.amplitude_tensor(rest_setup, ks, p_f, eps)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

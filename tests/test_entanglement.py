@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,19 @@ def test_invalid_density_matrices():
 def test_solver_error_reports_residuals():
     with pytest.raises(SolverError, match="primal"):
         gme_tau(ghz_state(), max_iterations=10)
+
+
+def test_solver_error_before_first_check_is_finite():
+    # the budget ends before the first gap check: the message carries the
+    # last accepted step's residuals, not the inf placeholders
+    with pytest.raises(SolverError) as err:
+        gme_tau(ghz_state(), max_iterations=10)
+    message = str(err.value)
+    assert "inf" not in message and "gap not yet checked" in message
+    residuals = re.search(r"primal=(\S+) dual=(\S+),", message).groups()
+    assert all(0.0 < float(r) < math.inf for r in residuals)
+    with pytest.raises(SolverError, match=r"gap=\S+ at the last check"):
+        gme_tau(w_state(), max_iterations=30)
 
 
 @pytest.mark.parametrize("kwargs", [
