@@ -130,18 +130,19 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
         _write(out_dir / "threshold_boundary.dat", "\n".join(rows) + "\n")
         written.append("threshold_boundary.dat")
     else:
-        taus, masked, gaps, iterations, residuals = tau_grid(
+        taus, masked, gaps, iterations, residuals, primal, dual = tau_grid(
             setup, cfg.theta_rad, cfg.phi_rad, w1s, w2s, beam,
             cfg.threshold_mev)
         _write(out_dir / "tau_grid.dat",
                _grid_table(w1s, w2s, taus, masked, "tau"))
         rows = ["omega1_mev\tomega2_mev\titerations\tcertificate_gap"
-                "\twitness_residual\tmasked"]
+                "\twitness_residual\tprimal_residual\tdual_residual\tmasked"]
         for i, w1 in enumerate(w1s):
             for j, w2 in enumerate(w2s):
                 rows.append(f"{w1:.10e}\t{w2:.10e}\t{iterations[i, j]:d}"
-                            f"\t{gaps[i, j]:.10e}\t{residuals[i, j]:.10e}"
-                            f"\t{int(masked[i, j])}")
+                            + "".join(f"\t{a[i, j]:.10e}" for a in
+                                      (gaps, residuals, primal, dual))
+                            + f"\t{int(masked[i, j])}")
         _write(out_dir / "tau_diagnostics.dat", "\n".join(rows) + "\n")
         written += ["tau_grid.dat", "tau_diagnostics.dat"]
     _write(out_dir / "metadata.txt",

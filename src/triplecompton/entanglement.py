@@ -10,14 +10,13 @@ fastest.  tau is obtained from the fully decomposable witness program
 
     tau = max(0, -optimum),
 
-solved by a first-order operator-splitting scheme (ADMM) whose two
-projections are closed-form: the affine coupling constraints admit
-an exact least-squares projection, and the [0, 1] operator intervals project
-by eigenvalue clipping of 8x8 Hermitian matrices.  The ADMM map is
-accelerated by safeguarded type-II Anderson mixing.  A returned witness is
-re-verified outside the solver by explicit eigendecompositions, and a dual
-certificate built from the solver's multipliers bounds tau from above; the
-solver stops once the two bounds are within its tolerance.
+solved by a primal-dual interior-point method (Mehrotra predictor-corrector
+steps along the HKM direction) in which every iterate meets the coupling
+constraints exactly and keeps each P_s, Q_s strictly inside [0, 1].  A
+returned witness is re-verified outside the solver by explicit
+eigendecompositions, and a dual certificate built from the solver's
+multipliers bounds tau from above; the solver stops once the two bounds are
+within its tolerance.
 
 tau = 0 for biseparable states; the GHZ state reaches the maximum 1/2.
 """
@@ -101,7 +100,15 @@ _PT_ROWS = np.arange(len(BIPARTITIONS))[:, None]
 
 def density_from_amplitudes(setup: CollisionSetup, thetas, phis, omega1,
                             omega2, beam_pol=1) -> np.ndarray:
-    """rho_{l l'} = N sum_{spins} M(l1 l2 l3) M*(l1' l2' l3'), trace one."""
+    """rho_{l l'} = N sum_{spins} M(l1 l2 l3) M*(l1' l2' l3'), trace one.
+
+    The state is returned real symmetric.  With both electron spins summed
+    each entry is a Dirac trace of gamma matrices contracted with real
+    momenta and real linear polarizations (the beam's included), with no
+    gamma_5, so it is real; the imaginary part computed here is rounding,
+    ~1e-16 relative at rest and up to ~2e-8 at collider kinematics, where
+    the amplitude kernel itself loses digits.
+    """
     tensor, _, _, physical = _tensor_for_points(
         setup, 3, np.array([[t] for t in thetas]),
         np.array([[p] for p in phis]),
@@ -118,7 +125,7 @@ def density_from_amplitudes(setup: CollisionSetup, thetas, phis, omega1,
     if norm <= 1e-18 or not np.isfinite(norm):
         raise DegenerateStateError(
             f"all amplitudes vanish at this point (sum |M|^2 = {norm:.2e})")
-    return rho / norm
+    return (rho / norm).real
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
@@ -127,7 +134,9 @@ def _hermitize(mat: np.ndarray) -> np.ndarray:
 
 
 def _validate_density(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
+    """The checked state as a complex or, for real input, a float array."""
+    rho = np.asarray(rho)
+    rho = rho.astype(complex if np.iscomplexobj(rho) else float)
     if not np.isfinite(rho).all():
         raise InvalidDensityMatrix("matrix has non-finite entries")
     if rho.shape != (8, 8):
@@ -208,132 +217,175 @@ def _project_affine(stack: np.ndarray) -> np.ndarray:
     return out.reshape(stack.shape)
 
 
-def _project_box(stack: np.ndarray) -> np.ndarray:
-    """Clip P, Q eigenvalues into [0, 1]; W stays free.
+# The witness program's slack cones, each an 8x8 block held positive
+# definite: P_1, Q_1, P_2, Q_2, P_3, Q_3, then 1 minus each of them
+CONES = 12
+# fraction of the distance to the nearest cone boundary that a step covers
+STEP_FRACTION = 0.95
 
-    ``eigh`` reads only the lower triangle of each block, so the blocks are
-    taken as the Hermitian matrices their lower triangles define and need
-    no explicit symmetrization.
-    """
-    out = np.empty_like(stack)
-    out[0] = stack[0]
-    vals, vecs = np.linalg.eigh(stack[1:])
-    np.clip(vals, 0.0, 1.0, out=vals)
-    np.matmul(vecs * vals[:, None, :], vecs.conj().swapaxes(-1, -2),
-              out=out[1:])
+
+def _witness_stack(y: np.ndarray) -> np.ndarray:
+    """[W, P_1, Q_1, P_2, Q_2, P_3, Q_3] at the point y = [W, P_1, P_2, P_3]:
+    Q_s = (W - P_s)^{T_s}, so every coupling holds by construction."""
+    flat = y.reshape(4, 64)
+    stack = np.empty((7, 64), dtype=y.dtype)
+    stack[0] = flat[0]
+    stack[1::2] = flat[1:]
+    stack[2::2] = (flat[0] - flat[1:])[_PT_ROWS, _PT_INDEX]
+    return stack.reshape(7, 8, 8)
+
+
+def _slacks(y: np.ndarray, shift) -> np.ndarray:
+    """The 12 cone blocks at y, the upper ones ``shift - lower``; a shift of
+    0 maps a step in y to the step of the blocks."""
+    lower = _witness_stack(y)[1:]
+    return np.concatenate([lower, shift - lower])
+
+
+def _adjoint(v: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`_slacks` (shift 0) on a stack of 12 cone matrices:
+    rows W, P_1, P_2, P_3 of 64 raveled entries."""
+    d = (v[:6] - v[6:]).reshape(6, 64)
+    dq = d[1::2][_PT_ROWS, _PT_INDEX]
+    out = np.empty((4, 64), dtype=v.dtype)
+    out[0] = dq.sum(axis=0)
+    out[1:] = d[0::2] - dq
     return out
 
 
-# Anderson memory: how many past steps each mixed step combines
-ANDERSON_MEMORY = 5
-# Tikhonov weight of the mixing solve, relative to the trace of its Gram
-# matrix; on the product state the unregularized matrix is singular
-ANDERSON_REGULARIZATION = 1e-10
-# accepted steps between certificate checks and step re-balancing
-CHECK_EVERY = 25
+def _max_steps(linv: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Per block, the largest a with mat + a * direction positive
+    semidefinite (inf if every a >= 0 is), where ``linv`` is the inverse of
+    the Cholesky factor of each block of mat."""
+    low = -np.linalg.eigvalsh(
+        linv @ direction @ linv.conj().swapaxes(-1, -2))[..., 0]
+    return np.reciprocal(low, out=np.full_like(low, np.inf),
+                         where=low > 0.0)
 
 
-def _admm_step(point: np.ndarray, cost: np.ndarray):
-    """One ADMM map evaluation at the packed iterate ``point = [z, u]``,
-    shape (14, 8, 8).
+def _pair_operators(u: np.ndarray) -> np.ndarray:
+    """(3, 64, 64) HKM operators from u[k, (i, j), (b, a)] = sum over a cone
+    pair of X_ij (S^{-1})_ba: entry [(i, a), (j, b)] is (u[k, i, j, b, a] +
+    u[k, b, a, i, j]) / 2."""
+    u = u.reshape(3, 8, 8, 8, 8)
+    op = np.add(u.transpose(0, 1, 4, 2, 3), u.transpose(0, 3, 2, 4, 1),
+                order="C")
+    op *= 0.5
+    return op.reshape(3, 64, 64)
 
-    Returns ``(pair, x)``: ``pair[0]`` is the image ``[z', u']``,
-    ``pair[1]`` the fixed-point residual ``image - point``, and x the affine
-    iterate the step passed through.  ``cost`` is ``step * rho``; the cost
-    tr(W rho) touches only the W block.
+
+def _newton_system(x: np.ndarray, sinv: np.ndarray):
+    """The HKM Newton system in y, factored by block Cholesky.
+
+    On raveled blocks the HKM operator of cone k, D -> sym(X_k D S_k^{-1}),
+    is (X_k (x) S_k^{-T} + S_k^{-1} (x) X_k^T) / 2.  Summed over each pair
+    of cones P_s, 1 - P_s it gives F_s, and over Q_s, 1 - Q_s, conjugated by
+    the partial transpose of Q_s = (W - P_s)^{T_s}, it gives G_s.  The
+    system is block arrow,
+
+        [sum G_s   -G_s     ] [dW  ]   [r_W]
+        [-G_s      F_s + G_s] [dP_s] = [r_s],
+
+    and with F_s + G_s = L_s L_s^H the dP_s are eliminated through
+    Y_s = L_s^{-1} G_s, leaving the Schur complement sum_s (G_s - Y_s^H Y_s)
+    of W.  Near the optimum of a rank-deficient state the system's condition
+    number passes 1e14; eliminating through (F_s + G_s)^{-1} or an explicit
+    L_s^{-1} instead of triangular solves then leaves residuals up to 1e-3
+    in the step, and the dual certificate stalls above the tolerance.
+    Returns (L, Y, Schur complement).
     """
-    z, u = point[:7], point[7:]
-    v = z - u
-    v[0] -= cost
-    x = _project_affine(v)
-    pair = np.empty((2,) + point.shape, dtype=complex)
-    image = pair[0]
-    image[:7] = _project_box(x + u)
-    np.add(u, x, out=image[7:])
-    image[7:] -= image[:7]
-    np.subtract(image, point, out=pair[1])
-    return pair, x
+    # the cone pairs' X_ij (S^{-1})_ba summed, rows (i, j), columns (b, a)
+    xp = x.reshape(2, 6, 64).transpose(1, 2, 0)
+    sp = sinv.reshape(2, 6, 64).transpose(1, 0, 2)
+    f, g = (_pair_operators(xp[k::2] @ sp[k::2]) for k in (0, 1))
+    # conjugate G_s by the partial transpose of photon s
+    g = g[_PT_ROWS[:, :, None], _PT_INDEX[:, :, None], _PT_INDEX[:, None, :]]
+    f += g
+    chol = np.linalg.cholesky(f)
+    y = np.linalg.solve(chol, g)
+    g -= y.conj().swapaxes(-1, -2) @ y
+    return chol, y, g.sum(axis=0)
 
 
-class _AndersonMixer:
-    """Type-II Anderson mixing for a fixed-point map y -> g(y) with residual
-    f = g(y) - y (Walker & Ni, SIAM J. Numer. Anal. 49 (2011) 1715).
+def _direction(system, rhs: np.ndarray) -> np.ndarray:
+    """The step in y = [W, P_1, P_2, P_3] for right-hand-side rows r_W, r_s;
+    the exact step is Hermitian, so the computed one is projected there."""
+    chol, y, schur = system
+    t = np.linalg.solve(chol, rhs[1:, :, None])
+    dy = np.empty((4, 64), dtype=rhs.dtype)
+    dy[0] = np.linalg.solve(
+        schur, rhs[0] + (y.conj().swapaxes(-1, -2) @ t).sum(axis=0)[:, 0])
+    dy[1:] = np.linalg.solve(chol.conj().swapaxes(-1, -2),
+                             t + y @ dy[0, :, None])[..., 0]
+    return _hermitize(dy.reshape(4, 8, 8))
 
-    The differences of consecutive (image, residual) pairs over the last
-    ``ANDERSON_MEMORY`` steps sit in a ring buffer; the Gram matrix of the
-    residual differences gains one row per step, so a mixed point costs
-    three small matrix-vector products and one tiny solve.
-    """
 
-    def __init__(self, size: int):
-        self.diff = np.empty((ANDERSON_MEMORY, 2, size))
-        self.gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
-        self.eye = np.eye(ANDERSON_MEMORY)
-        self.count = 0
-        self.slot = 0
+def _measure(y: np.ndarray, x: np.ndarray, eye: np.ndarray,
+             target: np.ndarray):
+    """(cone blocks at y, duality measure sum_k tr(X_k S_k) / 96, norm of
+    the residual of the multiplier equations)."""
+    s = _slacks(y, eye)
+    return (s, float(np.vdot(s, x).real) / (8 * CONES),
+            float(np.linalg.norm(_adjoint(x) - target)))
 
-    def clear(self) -> None:
-        self.count = self.slot = 0
 
-    def push(self, old: np.ndarray, new: np.ndarray) -> None:
-        """Record the step between two consecutive accepted (image,
-        residual) pairs, each given as two real rows."""
-        j = self.slot
-        np.subtract(new, old, out=self.diff[j])
-        self.count = min(self.count + 1, ANDERSON_MEMORY)
-        row = self.diff[:self.count, 1] @ self.diff[j, 1]
-        self.gram[j, :self.count] = row
-        self.gram[:self.count, j] = row
-        self.slot = (j + 1) % ANDERSON_MEMORY
-
-    def mix(self, rows: np.ndarray):
-        """``image - dG gamma`` with gamma the regularized least-squares fit
-        of ``residual`` by the residual differences dF; None when the
-        history is empty or the solve is singular or not finite."""
-        n = self.count
-        if not n:
-            return None
-        image, residual = rows
-        gram = self.gram[:n, :n]
-        reg = ANDERSON_REGULARIZATION * gram.trace()
-        try:
-            gamma = np.linalg.solve(gram + reg * self.eye[:n, :n],
-                                    self.diff[:n, 1] @ residual)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(gamma).all():
-            return None
-        return image - gamma @ self.diff[:n, 0]
+def _newton_step(s: np.ndarray, x: np.ndarray, mu: float,
+                 target: np.ndarray):
+    """One Mehrotra predictor-corrector step (dy, dx) from the cone blocks
+    s and their multipliers x, lengths included; ``mu`` is the duality
+    measure and ``target`` the multiplier equations' right-hand side."""
+    linv = np.linalg.inv(np.linalg.cholesky(np.concatenate([s, x])))
+    sinv = linv[:CONES].conj().swapaxes(-1, -2) @ linv[:CONES]
+    system = _newton_system(x, sinv)
+    # predictor: the affine-scaling step (mu = 0)
+    ds = _slacks(_direction(system, -target), 0.0)
+    dx = -x - _hermitize(x @ ds @ sinv)
+    reach = np.minimum(1.0, _max_steps(linv, np.concatenate([ds, dx])))
+    mu_aff = float(np.vdot(s + reach[:CONES].min() * ds,
+                           x + reach[CONES:].min() * dx).real)
+    sigma = (mu_aff / (8 * CONES * mu)) ** 3
+    # corrector: centring at sigma * mu plus Mehrotra's second-order term
+    centre = sigma * mu * sinv - _hermitize(dx @ ds @ sinv)
+    dy = _direction(system, _adjoint(centre) - target)
+    ds = _slacks(dy, 0.0)
+    dx = _hermitize(centre - x @ ds @ sinv) - x
+    reach = np.minimum(1.0, STEP_FRACTION
+                       * _max_steps(linv, np.concatenate([ds, dx])))
+    return reach[:CONES].min() * dy, reach[CONES:].min() * dx
 
 
 def gme_tau(rho: np.ndarray, tolerance: float = 5e-7,
-            max_iterations: int = 200000) -> TauResult:
+            max_iterations: int = 100) -> TauResult:
     """Genuine-multipartite-entanglement measure tau of an 8x8 state.
 
-    Runs ADMM on the witness program and stops once the certificate gap
-    ``upper_bound - tau`` is at most ``tolerance``; the gap is checked every
-    25 accepted steps.  Raises :class:`SolverError` with the last accepted
-    step's primal and dual residuals and the last checked gap (or that none
-    was checked yet) if ``max_iterations`` map evaluations pass first, and
-    ``ValueError`` for a ``tolerance`` that is not a positive number or a
-    budget below one.
-    The step size starts at 20 and is re-balanced (with the matching dual
-    rescaling) when the primal and dual residuals drift apart, which rescues
-    the nearly-pure rank-deficient states the amplitude construction
-    produces.
+    Runs a primal-dual interior-point method on the witness program and
+    stops once the certificate gap ``upper_bound - tau`` is at most
+    ``tolerance``; both bounds are valid at every iterate, and the gap is
+    checked after every Newton step.  Raises :class:`SolverError` with the
+    last iterate's residuals and gap if ``max_iterations`` Newton steps
+    pass first or rounding breaks the Newton system down (a gap far below
+    what double precision can certify), and ``ValueError`` for a
+    ``tolerance`` that is not a positive number or a budget below one.  A
+    real state is solved in real arithmetic.
 
-    The ADMM map acts on the packed iterate y = (z, u) and is accelerated by
-    safeguarded type-II Anderson mixing (Zhang, O'Donoghue & Boyd, SIAM J.
-    Optim. 30 (2020) 3170): each step mixes the images of the last
-    ``ANDERSON_MEMORY`` steps into the point whose fixed-point residual
-    g(y) - y is smallest in the least-squares sense.  The mixed point is
-    kept only if its residual does not grow; otherwise the plain ADMM step
-    is taken and the history cleared, as it is at every step rescaling.
-    ``iterations`` counts ADMM map evaluations, rejected mixed points
-    included, so it is the number of 8x8 eigendecomposition stacks run.
+    The iterate is y = [W, P_1, P_2, P_3] with Q_s = (W - P_s)^{T_s}, so it
+    meets every coupling exactly, and its 12 cone blocks S_k (P_s, Q_s,
+    1 - P_s, 1 - Q_s) stay positive definite.  Their multipliers X_k are
+    the box duals; the coupling multipliers L_s = X[P_s] - X[1 - P_s] must
+    equal (X[Q_s] - X[1 - Q_s])^{T_s} and sum to rho at the optimum.  Each
+    step is a Mehrotra predictor-corrector step (Mehrotra, SIAM J. Optim. 2
+    (1992) 575) along the HKM direction (Helmberg, Rendl, Vanderbei &
+    Wolkowicz, SIAM J. Optim. 6 (1996) 342), its Newton system solved by
+    block Cholesky over 64x64 blocks (:func:`_newton_system`); y and X each
+    move ``STEP_FRACTION`` of the way to their cone boundary, at most a
+    full step.  ``iterations`` counts Newton steps, ``primal_residual`` is
+    the norm of the residual of the multiplier equations and
+    ``dual_residual`` the duality measure sum_k tr(X_k S_k) / 96, both at
+    the returned iterate.
 
-    The returned witness is polished into an exactly feasible one: with
-    delta the worst eigenvalue violation of any P_s, Q_s, the shift
+    The witness is certified outside the solver: the coupling is imposed by
+    an exact projection, and with delta the worst eigenvalue violation of
+    any P_s, Q_s, the shift
 
         P -> (P + delta)/(1 + 2 delta),  Q -> (Q + delta)/(1 + 2 delta),
         W -> (W + 2 delta)/(1 + 2 delta)
@@ -349,11 +401,12 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7,
 
     with n(X) the sum of the absolute values of the negative eigenvalues of
     X, so every Hermitian split of rho gives tau <= sum_s n(L_s) +
-    n(L_s^{T_s}).  The split is read from the exit iterate's box multipliers,
-    L_s = -u[P_s] / step for s = 1, 2 and L_3 = rho - L_1 - L_2, which keeps
-    the sum exact; upper_bound - tau bounds the distance to the optimum.  The
-    split L_s = rho gives the bipartite negativity n(rho^{T_s}), hence
-    tau <= min_s negativity(rho, s) for every state.
+    n(L_s^{T_s}).  The split is read from the box multipliers, L_1 and L_2
+    as above and L_3 = rho - L_1 - L_2, which keeps the sum exact.  tau and
+    ``upper_bound`` are the best of either bound over the iterates, and
+    upper_bound - tau bounds the distance to the optimum.  The split L_s =
+    rho gives the bipartite negativity n(rho^{T_s}), hence tau <= min_s
+    negativity(rho, s) for every state.
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be a positive number, "
@@ -362,72 +415,36 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7,
         raise ValueError(f"max_iterations must be at least 1, "
                          f"got {max_iterations!r}")
     rho = _validate_density(rho)
-    step = 20.0
-    cost = step * rho
-    trial = np.zeros((14, 8, 8), dtype=complex)
-    mixer = _AndersonMixer(2 * trial.size)
-    # plain: the trial is the last image (no safeguard needed);
-    # restart: no accepted step yet under the current step size
-    plain = restart = True
-    accepted = 0
-    for evaluations in range(1, max_iterations + 1):
-        t_pair, t_x = _admm_step(trial, cost)
-        t_rows = t_pair.view(np.float64).reshape(2, -1)
-        t_norm = float(t_rows[1] @ t_rows[1])
-        # a NaN residual fails this test too
-        if not plain and not t_norm <= norm:
-            mixer.clear()
-            trial, plain = pair[0], True
-            continue
-        if not restart:
-            mixer.push(rows, t_rows)
-        pair, rows, x, norm = t_pair, t_rows, t_x, t_norm
-        restart = False
-        accepted += 1
-        if accepted % CHECK_EVERY == 0:
-            image, resid = pair
-            u = image[7:]
-            primal = float(np.linalg.norm(resid[7:]))
-            dual = float(np.linalg.norm(resid[:7]) / step)
-            witness = _feasibilize(x)
-            tau = max(0.0, -float(np.trace(witness.matrix @ rho).real))
-            upper_bound = _dual_bound(rho, u, step)
-            gap = upper_bound - tau
-            if gap <= tolerance:
-                return TauResult(tau, witness, evaluations, primal, dual,
-                                 upper_bound)
-            # residual balancing: a larger step attacks a lagging dual
-            # residual and vice versa; u is the step-scaled dual variable
-            scale_p = max(1.0, float(np.linalg.norm(x)))
-            scale_d = max(1.0, float(np.linalg.norm(u)) / step)
-            factor = 1.0
-            if dual / scale_d > 5.0 * primal / scale_p and step < 1e5:
-                factor = 1.6
-            elif primal / scale_p > 5.0 * dual / scale_d and step > 1e-4:
-                factor = 1.0 / 1.6
-            if factor != 1.0:
-                step *= factor
-                cost = step * rho
-                trial = image.copy()
-                trial[7:] *= factor
-                mixer.clear()
-                plain = restart = True
-                continue
-        mixed = mixer.mix(rows)
-        plain = mixed is None
-        trial = pair[0] if plain else mixed.view(complex).reshape(trial.shape)
-    if accepted % CHECK_EVERY:
-        # the last accepted step came after the last check (a check's own
-        # residuals were taken before any rescaling it made)
-        resid = pair[1]
-        primal = float(np.linalg.norm(resid[7:]))
-        dual = float(np.linalg.norm(resid[:7]) / step)
-    checked = (f"gap={gap:.3e} at the last check" if accepted >= CHECK_EVERY
-               else f"gap not yet checked (every {CHECK_EVERY} accepted "
-                    f"steps)")
-    raise SolverError(
-        f"no convergence in {max_iterations} iterations: last accepted step "
-        f"primal={primal:.3e} dual={dual:.3e}, {checked}")
+    eye = np.eye(8, dtype=rho.dtype)
+    # the centre of every box: W = 1, P_s = Q_s = 1/2, X_k = 1
+    y = np.stack([eye] + 3 * [0.5 * eye])
+    x = np.stack(CONES * [eye])
+    target = np.zeros((4, 64), dtype=rho.dtype)
+    target[0] = rho.ravel()
+    s, mu, primal = _measure(y, x, eye, target)
+    tau, upper_bound = 0.0, math.inf
+    for step in range(1, max_iterations + 1):
+        try:
+            dy, dx = _newton_step(s, x, mu, target)
+        except np.linalg.LinAlgError:
+            failure = f"Newton system broke down after {step - 1} steps"
+            break
+        y += dy
+        x += dx
+        s, mu, primal = _measure(y, x, eye, target)
+        # both certificates, from the iterate as it stands
+        polished = _feasibilize(_project_affine(_witness_stack(y)))
+        lower = -float(np.trace(polished.matrix @ rho).real)
+        if lower > tau or step == 1:
+            tau, witness = max(0.0, lower), polished
+        upper_bound = min(upper_bound,
+                          _dual_bound(rho, (x[:6] - x[6:])[0:4:2]))
+        if upper_bound - tau <= tolerance:
+            return TauResult(tau, witness, step, primal, mu, upper_bound)
+    else:
+        failure = f"no convergence in {max_iterations} Newton steps"
+    raise SolverError(f"{failure}: primal={primal:.3e} dual={mu:.3e} "
+                      f"gap={upper_bound - tau:.3e}")
 
 
 def _negative_mass(mat: np.ndarray):
@@ -444,10 +461,10 @@ def negativity(rho: np.ndarray, subsystem) -> float:
                                                   subsystem)))
 
 
-def _dual_bound(rho: np.ndarray, u: np.ndarray, step: float) -> float:
-    """Upper bound sum_s n(L_s) + n(L_s^{T_s}) on tau from the multiplier
-    split L_1 = -u[P_1]/step, L_2 = -u[P_2]/step, L_3 = rho - L_1 - L_2."""
-    lam1, lam2 = -_hermitize(u[1:4:2]) / step
+def _dual_bound(rho: np.ndarray, lam: np.ndarray) -> float:
+    """Upper bound sum_s n(L_s) + n(L_s^{T_s}) on tau from the split
+    L_1, L_2 = lam, L_3 = rho - L_1 - L_2."""
+    lam1, lam2 = _hermitize(lam)
     split = np.stack([lam1, lam2, rho - lam1 - lam2]).reshape(3, 64)
     transposed = split[_PT_ROWS, _PT_INDEX]
     return float(_negative_mass(
@@ -475,11 +492,12 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
     is unphysical or any photon falls below the detector threshold.
 
     Returns (tau array, masked boolean array, certificate gaps, solver
-    iterations, witness residuals), shapes (len(w1), len(w2)); a cell's gap
-    is its ``upper_bound - tau``, so every unmasked tau is certified within
-    it, and its residual is its witness's ``max_residual``.  Gaps,
-    iterations and residuals are zero on masked cells.  Each unmasked cell
-    is one :func:`gme_tau` call.
+    iterations, witness residuals, primal residuals, dual residuals), shapes
+    (len(w1), len(w2)); a cell's gap is its ``upper_bound - tau``, so every
+    unmasked tau is certified within it, its witness residual is its
+    witness's ``max_residual``, and the last two are its
+    :class:`TauResult` residuals.  All but tau and the mask are zero on
+    masked cells.  Each unmasked cell is one :func:`gme_tau` call.
     """
     w1g = np.asarray(omega1_grid, float)
     w2g = np.asarray(omega2_grid, float)
@@ -490,10 +508,8 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
     keep = _close_and_keep(setup, th, ph, np.stack([w1m.ravel(),
                                                     w2m.ravel()]),
                            threshold_eps)[-1]
-    taus = np.zeros(n)
-    gaps = np.zeros(n)
+    taus, gaps, residuals, primal, dual = np.zeros((5, n))
     iterations = np.zeros(n, dtype=int)
-    residuals = np.zeros(n)
     masked = ~keep
     for i in np.nonzero(keep)[0]:
         try:
@@ -507,8 +523,10 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
         gaps[i] = res.upper_bound - res.tau
         iterations[i] = res.iterations
         residuals[i] = res.witness.max_residual
-    return tuple(a.reshape(w1m.shape)
-                 for a in (taus, masked, gaps, iterations, residuals))
+        primal[i] = res.primal_residual
+        dual[i] = res.dual_residual
+    return tuple(a.reshape(w1m.shape) for a in (taus, masked, gaps, iterations,
+                                                residuals, primal, dual))
 
 
 def save_density_matrix(path, rho: np.ndarray) -> None:

@@ -207,9 +207,9 @@ def test_criterion_07_entanglement_calibration():
 def test_criterion_08_tau_grid_qualitative(xfel_setup):
     omegas1 = np.linspace(60.0, 1300.0, 12)
     omegas2 = np.linspace(60.0, 1300.0, 12)
-    taus, masked, gaps, _, _ = tau_grid(xfel_setup, XFEL_THETAS, XFEL_PHIS,
-                                        omegas1, omegas2, beam_pol=1,
-                                        threshold_eps=50.0)
+    taus, masked, gaps = tau_grid(xfel_setup, XFEL_THETAS, XFEL_PHIS,
+                                  omegas1, omegas2, beam_pol=1,
+                                  threshold_eps=50.0)[:3]
     values = taus[~masked]
     grid_gap = float(gaps[~masked].max())
     frac_entangled = float((values > 0.01).mean())

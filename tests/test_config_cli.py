@@ -178,13 +178,17 @@ grid.n_omega2 = 1
     header, line = (out_tau / "tau_diagnostics.dat").read_text().splitlines()
     assert header.split("\t") == ["omega1_mev", "omega2_mev", "iterations",
                                    "certificate_gap", "witness_residual",
+                                   "primal_residual", "dual_residual",
                                    "masked"]
-    w1, w2, iterations, gap, residual, masked = line.split("\t")
+    (w1, w2, iterations, gap, residual, primal, dual,
+     masked) = line.split("\t")
     assert float(w1) == 700.0 and float(w2) == 400.0 and masked == "0"
     assert int(iterations) == res.iterations
     assert float(gap) == pytest.approx(res.upper_bound - res.tau, rel=1e-9)
     assert float(residual) == pytest.approx(res.witness.max_residual,
                                             rel=1e-9, abs=1e-300)
+    assert float(primal) == pytest.approx(res.primal_residual, rel=1e-9)
+    assert float(dual) == pytest.approx(res.dual_residual, rel=1e-9)
 
 
 def test_cli_tau_diagnostics_match_benchmark_iterations(tmp_path,
@@ -215,10 +219,10 @@ grid.n_omega2 = 3
                      "--out", str(out)]) == cli.EXIT_OK
     rows = [line.split("\t") for line in
             (out / "tau_diagnostics.dat").read_text().splitlines()[1:]]
-    assert [int(r[5]) for r in rows] == [m for row in place["masked"]
+    assert [int(r[7]) for r in rows] == [m for row in place["masked"]
                                          for m in row]
     for r in rows:
-        expected = 0 if r[5] == "1" else gme_tau(density_from_amplitudes(
+        expected = 0 if r[7] == "1" else gme_tau(density_from_amplitudes(
             xfel_setup, XFEL_THETAS, XFEL_PHIS, float(r[0]), float(r[1]),
             1)).iterations
         assert int(r[2]) == expected

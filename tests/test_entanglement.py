@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triplecompton import amplitude as amp
+from triplecompton.cross_section import _tensor_for_points
 from triplecompton.entanglement import (DegenerateStateError,
                                         InvalidDensityMatrix, SolverError,
-                                        _project_affine, _project_box,
+                                        _max_steps, _project_affine,
                                         basis_index, density_from_amplitudes,
                                         ghz_state, gme_tau,
                                         load_density_matrix, negativity,
@@ -80,27 +82,39 @@ def test_project_affine_matches_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_project_box_contract(seed):
-    stack = _random_hermitian_stack(np.random.default_rng(seed))
-    out = _project_box(stack)
-    assert np.array_equal(out[0], stack[0])
-    assert np.abs(out - out.conj().swapaxes(-1, -2)).max() <= 1e-13
-    eigs = np.linalg.eigvalsh(out[1:])
-    assert eigs.min() >= -1e-13 and eigs.max() <= 1.0 + 1e-13
-    # the random blocks have eigenvalues outside [0, 1], so clipping acts
-    assert np.abs(out[1:] - stack[1:]).max() > 0.1
-    assert np.abs(_project_box(out) - out).max() <= 1e-13
+def test_max_steps_matches_bisection(seed):
+    # the largest a keeping mat + a * direction positive semidefinite,
+    # against a bisection on the smallest eigenvalue
+    rng = np.random.default_rng(seed)
+    mats = _random_hermitian_stack(rng)
+    mats = mats @ mats + 0.1 * np.eye(8)
+    directions = _random_hermitian_stack(rng)
+    directions[0] = np.eye(8)           # never leaves the cone
+    steps = _max_steps(np.linalg.inv(np.linalg.cholesky(mats)), directions)
+    assert steps[0] == math.inf
+
+    def inside(k, a):
+        return np.linalg.eigvalsh(mats[k] + a * directions[k]).min() >= 0.0
+
+    for k in range(1, len(mats)):
+        lo, hi = 0.0, 1.0
+        while inside(k, hi):
+            lo, hi = hi, 2.0 * hi
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if inside(k, mid) else (lo, mid)
+        assert steps[k] == pytest.approx(lo, rel=1e-10)
 
 
 @pytest.mark.parametrize("state, iterations, tau", [
-    (ghz_state(), 25, 0.4999999999999965),
-    (w_state(), 51, 0.4428086644018854),
-    (product_state(), 25, 0.0),
+    (ghz_state(), 7, 0.4999999365180704),
+    (w_state(), 8, 0.442808961347266),
+    (product_state(), 1, 0.0),
 ])
 def test_solver_trajectory_pinned(state, iterations, tau):
-    # the accelerated iteration itself, not only its limit: any change to
-    # the projections, the mixing, the step control or the stopping rule
-    # moves these
+    # the interior-point iteration itself, not only its limit: any change
+    # to the starting point, the Newton system, the step control or the
+    # stopping rule moves these
     res = gme_tau(state)
     assert res.iterations == iterations
     assert res.tau == pytest.approx(tau, abs=1e-12)
@@ -190,21 +204,40 @@ def test_invalid_density_matrices():
 
 
 def test_solver_error_reports_residuals():
-    with pytest.raises(SolverError, match="primal"):
-        gme_tau(ghz_state(), max_iterations=10)
+    # the gap is checked after every Newton step, so a budget that ends
+    # early reports the last iterate's residuals and gap, all finite
+    with pytest.raises(SolverError, match="in 2 Newton steps") as err:
+        gme_tau(ghz_state(), max_iterations=2)
+    found = re.search(r"primal=(\S+) dual=(\S+) gap=(\S+)$", str(err.value))
+    assert all(0.0 < float(r) < math.inf for r in found.groups())
+    # a gap below what double precision can certify ends in the same
+    # typed error, never in a linear-algebra exception
+    with pytest.raises(SolverError, match="primal="):
+        gme_tau(w_state(), tolerance=1e-15)
 
 
-def test_solver_error_before_first_check_is_finite():
-    # the budget ends before the first gap check: the message carries the
-    # last accepted step's residuals, not the inf placeholders
-    with pytest.raises(SolverError) as err:
-        gme_tau(ghz_state(), max_iterations=10)
-    message = str(err.value)
-    assert "inf" not in message and "gap not yet checked" in message
-    residuals = re.search(r"primal=(\S+) dual=(\S+),", message).groups()
-    assert all(0.0 < float(r) < math.inf for r in residuals)
-    with pytest.raises(SolverError, match=r"gap=\S+ at the last check"):
-        gme_tau(w_state(), max_iterations=30)
+def test_gme_tau_degenerate_states():
+    # rank-deficient, locally rotated and barely entangled states: the
+    # interior-point steps must stay accurate all the way to the gap
+    rng = np.random.default_rng(23)
+    states = []
+    for rank in (1, 1, 2, 2):
+        mat = (rng.normal(size=(8, rank))
+               + 1j * rng.normal(size=(8, rank)))
+        states.append(mat @ mat.conj().T / np.linalg.norm(mat) ** 2)
+    for base in (ghz_state(), w_state()):
+        u = np.kron(np.kron(_random_local_unitary(rng),
+                            _random_local_unitary(rng)),
+                    _random_local_unitary(rng))
+        states.append(u @ base @ u.conj().T)
+    # white noise at p = 0.43 leaves tau = (7p - 3)/8 = 0.00125
+    states.append(0.43 * ghz_state() + 0.57 * np.eye(8) / 8.0)
+    results = [gme_tau(rho) for rho in states]
+    for rho, res in zip(states, results):
+        assert res.upper_bound - res.tau <= 5e-7
+        assert res.witness.max_residual <= 1e-12
+        assert res.tau <= min(negativity(rho, s) for s in (1, 2, 3)) + 1e-9
+    assert results[-1].tau == pytest.approx(0.00125, abs=1e-6)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -242,6 +275,26 @@ def test_density_from_amplitudes_properties(rest_setup):
         assert (np.sort(eigs)[:4] < 1e-10).all()
 
 
+def test_density_is_real_symmetric(rest_setup):
+    # with both electron spins summed and real linear polarizations every
+    # entry of rho is a real Dirac trace: the imaginary part of the complex
+    # Gram matrix is rounding, and the state comes back as a real array
+    rng = np.random.default_rng(29)
+    for cfg, _ in random_physical_configs(rest_setup, rng, 40):
+        tensor = _tensor_for_points(
+            rest_setup, 3, np.array(cfg.thetas)[:, None],
+            np.array(cfg.phis)[:, None], np.array([[cfg.omega1],
+                                                   [cfg.omega2]]))[0]
+        for beam_pol in (1, 2, (0.6, 0.8)):
+            vecs = amp.contract_beam(tensor, beam_pol)[0].reshape(8, 4)
+            gram = vecs @ vecs.conj().T
+            assert np.abs(gram.imag).max() <= 1e-13 * np.abs(gram).max()
+            rho = density_from_amplitudes(rest_setup, cfg.thetas, cfg.phis,
+                                          cfg.omega1, cfg.omega2, beam_pol)
+            assert rho.dtype == np.float64
+            assert np.abs(rho - gram.real / np.trace(gram).real).max() <= 1e-15
+
+
 def test_density_degenerate_point(rest_setup):
     # collinear emission has vanishing amplitudes for every polarization
     with pytest.raises(DegenerateStateError):
@@ -262,7 +315,7 @@ def test_density_export_import_roundtrip(tmp_path, rest_setup):
 
 def test_tau_grid_masking_and_symmetry(rest_setup):
     omegas = np.linspace(0.05, 0.45, 4)
-    taus, masked, gaps, iterations, residuals = tau_grid(
+    taus, masked, gaps, iterations, residuals, primal, dual = tau_grid(
         rest_setup, MGBR_THETAS, MGBR_PHIS, omegas, omegas, beam_pol=1,
         threshold_eps=0.013)
     from triplecompton.kinematics import close_batch
@@ -279,9 +332,11 @@ def test_tau_grid_masking_and_symmetry(rest_setup):
     assert (gaps[masked] == 0.0).all()
     assert (gaps[~masked] >= 0.0).all()
     assert (iterations[masked] == 0).all()
-    # the first certificate check comes after 25 accepted steps
-    assert (iterations[~masked] >= 25).all()
+    # the gap is checked after every Newton step
+    assert (iterations[~masked] >= 1).all()
     assert (residuals[masked] == 0.0).all()
+    assert (primal[masked] == 0.0).all() and (dual[masked] == 0.0).all()
+    assert (primal[~masked] > 0.0).all() and (dual[~masked] > 0.0).all()
     assert (residuals[~masked] <= 1e-6).all()
     # the 120-degree detector triangle makes the grid symmetric in w1 <-> w2
     both = ~masked & ~masked.T
