@@ -216,6 +216,19 @@ def test_solver_error_reports_residuals():
         gme_tau(w_state(), tolerance=1e-15)
 
 
+def test_solver_error_before_first_check_is_finite():
+    # the smallest budget ends at the first gap check: the message carries
+    # that iterate's residuals and gap, never the inf placeholder of the
+    # upper bound before any dual certificate exists
+    for state in (ghz_state(), w_state()):
+        with pytest.raises(SolverError, match="in 1 Newton steps") as err:
+            gme_tau(state, max_iterations=1)
+        message = str(err.value)
+        assert "inf" not in message
+        found = re.search(r"primal=(\S+) dual=(\S+) gap=(\S+)$", message)
+        assert all(0.0 < float(r) < math.inf for r in found.groups())
+
+
 def test_gme_tau_degenerate_states():
     # rank-deficient, locally rotated and barely entangled states: the
     # interior-point steps must stay accurate all the way to the gap
