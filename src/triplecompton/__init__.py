@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 from .algebra import minkowski_dot
 from .kinematics import (ClosedFinalState, CollisionSetup, FinalStateConfig,
                          close_final_state)
-from .amplitude import (AmplitudeInputs, double_compton_amplitude,
-                        single_compton_amplitude, total_amplitude)
+from .amplitude import point_amplitude
 from .cross_section import (Sigma5Point, sigma5, spin_summed_sigma5,
                             unpolarized_sigma5)
 from .integration import (BeamParameters, IntegrationResult,

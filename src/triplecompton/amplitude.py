@@ -17,10 +17,10 @@ sharing slashed polarizations, every distinct propagator and every common
 permutation prefix.  Inside it the point axis is last, so applying an
 operator takes two whole-array operations rather than one small matrix
 product per point, and the prefix tree is walked depth first, so memory
-holds one root-to-leaf path of states.  ``total_amplitude``,
-``single_compton_amplitude`` and ``double_compton_amplitude`` run it at
-one point, with each given polarization four-vector as a length-1 basis,
-after checking the external momenta and propagator denominators.
+holds one root-to-leaf path of states.  ``point_amplitude`` runs it at
+one point for any number of emitted photons, with each given polarization
+four-vector as a length-1 basis, after checking the spin labels, the
+external momenta and the propagator denominators.
 Four-vectors are float arrays (t, x, y, z) in MeV.  An independent
 term-by-term reference lives with the tests.
 """
@@ -29,45 +29,31 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (IDENTITY4, check_labels, check_on_shell,
                       dirac_spinor_bar_batch, dirac_spinor_batch,
                       propagator_denominator, slash_batch)
-from .kinematics import ClosedFinalState, CollisionSetup
+from .kinematics import CollisionSetup
 
 
-@dataclass(frozen=True)
-class AmplitudeInputs:
-    """Everything a single amplitude evaluation needs.
+def point_amplitude(setup: CollisionSetup, photons, p_f, eps, r_i: int = 1,
+                    r_f: int = 1) -> complex:
+    """Amplitude at one point: emitted photon momenta ``photons``, final
+    electron momentum p_f and electron spin labels r_i, r_f.
 
-    eps holds the four polarization four-vectors (absorbed photon first);
-    arbitrary four-vectors are accepted there so gauge tests can substitute
-    eps -> k.
-    """
-
-    setup: CollisionSetup
-    state: ClosedFinalState
-    eps: tuple
-    r_i: int = 1
-    r_f: int = 1
-
-    @property
-    def photons(self) -> tuple:
-        return (self.setup.k_0,) + self.state.photons
-
-
-def _point_amplitude(setup, photons, p_f, eps, r_i, r_f) -> complex:
-    """amplitude_tensor at one point with eps as length-1 polarization axes.
-
-    Raises OffShellError for an off-shell external electron and
-    PropagatorPoleError for an internal momentum on the mass shell.
+    eps holds one polarization four-vector per photon, the absorbed photon's
+    first; any four-vectors are accepted there, so gauge tests can put
+    eps -> k.  This is amplitude_tensor with each eps a length-1
+    polarization axis.  Raises OffShellError for an off-shell external
+    electron and PropagatorPoleError for an internal momentum on the mass
+    shell.
     """
     check_labels(r_i, r_f)
     for p in (setup.p_i, p_f):
         check_on_shell(p, setup.mass)
+    photons = (setup.k_0,) + tuple(photons)
     n = len(photons)
     for size in range(1, n):
         for subset in itertools.combinations(range(n), size):
@@ -79,30 +65,6 @@ def _point_amplitude(setup, photons, p_f, eps, r_i, r_f) -> complex:
         setup, np.array([[k] for k in photons]), np.asarray(p_f)[None],
         [np.asarray(e)[None, None] for e in eps])
     return complex(tensor.reshape(2, 2)[r_i - 1, r_f - 1])
-
-
-def total_amplitude(inputs: AmplitudeInputs) -> complex:
-    """Full 24-permutation amplitude for the three-photon final state."""
-    return _point_amplitude(inputs.setup, inputs.photons, inputs.state.p_f,
-                            inputs.eps, inputs.r_i, inputs.r_f)
-
-
-def single_compton_amplitude(setup: CollisionSetup, k_out: np.ndarray,
-                             p_f: np.ndarray, eps_in: np.ndarray,
-                             eps_out: np.ndarray, r_i: int = 1,
-                             r_f: int = 1) -> complex:
-    """Two-permutation amplitude for one emitted photon."""
-    return _point_amplitude(setup, (setup.k_0, k_out), p_f,
-                            (eps_in, eps_out), r_i, r_f)
-
-
-def double_compton_amplitude(setup: CollisionSetup, k_1: np.ndarray,
-                             k_2: np.ndarray, p_f: np.ndarray,
-                             eps: tuple, r_i: int = 1,
-                             r_f: int = 1) -> complex:
-    """Six-permutation amplitude for two emitted photons; eps holds the
-    absorbed photon's polarization first."""
-    return _point_amplitude(setup, (setup.k_0, k_1, k_2), p_f, eps, r_i, r_f)
 
 
 def beam_basis_arrays(n_pts: int) -> np.ndarray:

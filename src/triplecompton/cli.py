@@ -130,7 +130,7 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
         _write(out_dir / "threshold_boundary.dat", "\n".join(rows) + "\n")
         written.append("threshold_boundary.dat")
     else:
-        taus, masked, gaps, iterations, residuals, primal, dual = tau_grid(
+        taus, masked, results = tau_grid(
             setup, cfg.theta_rad, cfg.phi_rad, w1s, w2s, beam,
             cfg.threshold_mev)
         _write(out_dir / "tau_grid.dat",
@@ -139,9 +139,13 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
                 "\twitness_residual\tprimal_residual\tdual_residual\tmasked"]
         for i, w1 in enumerate(w1s):
             for j, w2 in enumerate(w2s):
-                rows.append(f"{w1:.10e}\t{w2:.10e}\t{iterations[i, j]:d}"
-                            + "".join(f"\t{a[i, j]:.10e}" for a in
-                                      (gaps, residuals, primal, dual))
+                res = results[i, j]
+                iterations, values = (0, (0.0,) * 4) if res is None else (
+                    res.iterations,
+                    (res.upper_bound - res.tau, res.witness.max_residual,
+                     res.primal_residual, res.dual_residual))
+                rows.append(f"{w1:.10e}\t{w2:.10e}\t{iterations:d}"
+                            + "".join(f"\t{v:.10e}" for v in values)
                             + f"\t{int(masked[i, j])}")
         _write(out_dir / "tau_diagnostics.dat", "\n".join(rows) + "\n")
         written += ["tau_grid.dat", "tau_diagnostics.dat"]

@@ -138,7 +138,11 @@ def _coerce(name: str, raw, problems: list):
         if name in ("theta_rad", "phi_rad"):
             return tuple(float(tok) for tok in raw.split(","))
         if "int" in str(kind):
-            return int(float(raw))
+            value = float(raw)
+            if not value.is_integer():
+                problems.append(f"{name}: {raw!r} is not an integer")
+                return None
+            return int(value)
         if "float" in str(kind):
             return float(raw)
         return raw
@@ -213,9 +217,11 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.scan_n_points < 1:
         problems.append("scan.n_points: need at least 1 point")
     for name in ("beams_photons_per_pulse", "beams_electrons_per_bunch",
-                 "beams_transverse_size_um", "beams_repetition_rate_hz"):
+                 "beams_repetition_rate_hz"):
         if getattr(cfg, name) < 0:
             problems.append(f"{name.replace('_', '.', 1)}: must be >= 0")
+    if not cfg.beams_transverse_size_um > 0:
+        problems.append("beams.transverse_size_um: must be > 0")
     try:
         cfg.beam_pol_value()
     except ConfigError as exc:

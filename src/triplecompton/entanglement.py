@@ -11,12 +11,13 @@ fastest.  tau is obtained from the fully decomposable witness program
     tau = max(0, -optimum),
 
 solved by a primal-dual interior-point method (Mehrotra predictor-corrector
-steps along the HKM direction) in which every iterate meets the coupling
-constraints exactly and keeps each P_s, Q_s strictly inside [0, 1].  A
-returned witness is re-verified outside the solver by explicit
-eigendecompositions, and a dual certificate built from the solver's
-multipliers bounds tau from above; the solver stops once the two bounds are
-within its tolerance.
+steps along the HKM direction).  Its iterate is W and the P_s alone, with
+Q_s = (W - P_s)^{T_s}, so every iterate meets the coupling constraints
+exactly by construction and no projection step is needed; each P_s, Q_s
+stays strictly inside [0, 1].  A returned witness is re-verified outside
+the solver by explicit eigendecompositions, and a dual certificate built
+from the solver's multipliers bounds tau from above; the solver stops once
+the two bounds are within its tolerance.
 
 tau = 0 for biseparable states; the GHZ state reaches the maximum 1/2.
 """
@@ -189,33 +190,6 @@ class TauResult:
     dual_residual: float
     upper_bound: float
 
-    @property
-    def converged(self) -> bool:
-        return math.isfinite(self.primal_residual)
-
-
-def _project_affine(stack: np.ndarray) -> np.ndarray:
-    """Least-squares projection onto {W = P_s + Q_s^{T_s} for all s}.
-
-    stack rows: [W, P1, Q1, P2, Q2, P3, Q3].  With residuals
-    R_s = W - P_s - Q_s^{T_s} the multipliers are L_s = R_s - (sum R)/5 and
-
-        W -> W - (sum R)/5,  P_s -> P_s + L_s/2,  Q_s -> Q_s + L_s^{T_s}/2.
-
-    All three bipartitions are handled at once on the flattened (7, 64)
-    rows, with the partial transposes as the index map ``_PT_INDEX``.
-    """
-    flat = stack.reshape(7, 64)
-    w, p, q = flat[0], flat[1::2], flat[2::2]
-    resid = w - p - q[_PT_ROWS, _PT_INDEX]
-    mean = resid.sum(axis=0) / 5.0
-    lam = resid - mean
-    out = np.empty_like(flat)
-    out[0] = w - mean
-    out[1::2] = p + 0.5 * lam
-    out[2::2] = q + 0.5 * lam[_PT_ROWS, _PT_INDEX]
-    return out.reshape(stack.shape)
-
 
 # The witness program's slack cones, each an 8x8 block held positive
 # definite: P_1, Q_1, P_2, Q_2, P_3, Q_3, then 1 minus each of them
@@ -383,9 +357,10 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7,
     ``dual_residual`` the duality measure sum_k tr(X_k S_k) / 96, both at
     the returned iterate.
 
-    The witness is certified outside the solver: the coupling is imposed by
-    an exact projection, and with delta the worst eigenvalue violation of
-    any P_s, Q_s, the shift
+    The witness is certified outside the solver.  The coupling holds by
+    construction: Q_s is the partial transpose of the rounded W - P_s, so
+    W - P_s - Q_s^{T_s} is exactly 0 and no projection step is needed.
+    With delta the worst eigenvalue violation of any P_s, Q_s, the shift
 
         P -> (P + delta)/(1 + 2 delta),  Q -> (Q + delta)/(1 + 2 delta),
         W -> (W + 2 delta)/(1 + 2 delta)
@@ -433,7 +408,7 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7,
         x += dx
         s, mu, primal = _measure(y, x, eye, target)
         # both certificates, from the iterate as it stands
-        polished = _feasibilize(_project_affine(_witness_stack(y)))
+        polished = _feasibilize(_witness_stack(y))
         lower = -float(np.trace(polished.matrix @ rho).real)
         if lower > tau or step == 1:
             tau, witness = max(0.0, lower), polished
@@ -491,13 +466,10 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
     """tau over an (omega1, omega2) grid; masked (tau = 0) wherever the point
     is unphysical or any photon falls below the detector threshold.
 
-    Returns (tau array, masked boolean array, certificate gaps, solver
-    iterations, witness residuals, primal residuals, dual residuals), shapes
-    (len(w1), len(w2)); a cell's gap is its ``upper_bound - tau``, so every
-    unmasked tau is certified within it, its witness residual is its
-    witness's ``max_residual``, and the last two are its
-    :class:`TauResult` residuals.  All but tau and the mask are zero on
-    masked cells.  Each unmasked cell is one :func:`gme_tau` call.
+    Returns (taus, masked, results), arrays of shape (len(w1), len(w2)):
+    results[i, j] is the cell's :class:`TauResult`, which certifies its tau
+    within ``upper_bound - tau``, or None on a masked cell.  Each unmasked
+    cell is one :func:`gme_tau` call.
     """
     w1g = np.asarray(omega1_grid, float)
     w2g = np.asarray(omega2_grid, float)
@@ -508,8 +480,8 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
     keep = _close_and_keep(setup, th, ph, np.stack([w1m.ravel(),
                                                     w2m.ravel()]),
                            threshold_eps)[-1]
-    taus, gaps, residuals, primal, dual = np.zeros((5, n))
-    iterations = np.zeros(n, dtype=int)
+    taus = np.zeros(n)
+    results = np.full(n, None, dtype=object)
     masked = ~keep
     for i in np.nonzero(keep)[0]:
         try:
@@ -518,15 +490,9 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
         except DegenerateStateError:
             masked[i] = True
             continue
-        res = gme_tau(rho)
-        taus[i] = res.tau
-        gaps[i] = res.upper_bound - res.tau
-        iterations[i] = res.iterations
-        residuals[i] = res.witness.max_residual
-        primal[i] = res.primal_residual
-        dual[i] = res.dual_residual
-    return tuple(a.reshape(w1m.shape) for a in (taus, masked, gaps, iterations,
-                                                residuals, primal, dual))
+        results[i] = gme_tau(rho)
+        taus[i] = results[i].tau
+    return tuple(a.reshape(w1m.shape) for a in (taus, masked, results))
 
 
 def save_density_matrix(path, rho: np.ndarray) -> None:

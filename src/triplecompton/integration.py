@@ -65,9 +65,12 @@ class BeamParameters:
 
     def __post_init__(self):
         for name in ("photons_per_pulse", "electrons_per_bunch",
-                     "transverse_size_um", "repetition_rate_hz"):
+                     "repetition_rate_hz"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        # the rate divides by the overlap area pi (d/2)^2
+        if not self.transverse_size_um > 0:
+            raise ValueError("transverse_size_um must be positive")
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -227,7 +230,7 @@ def total_cross_section(setup: CollisionSetup, threshold_eps: float,
 def detector_average(setup: CollisionSetup, thetas, phis,
                      solid_angle_sr: float, threshold_eps: float,
                      budget: int = 1 << 20, seed: int = 1,
-                     strata=(8, 8), batch: int = 8192) -> IntegrationResult:
+                     batch: int = 8192) -> IntegrationResult:
     """Unpolarized sigma5 averaged over three detector windows and integrated
     over photon energies above threshold, in b/sr^3.
 
@@ -268,7 +271,7 @@ def detector_average(setup: CollisionSetup, thetas, phis,
         f = unpolarized_sigma5_batch(setup, th, ph, w1, w2, threshold_eps)
         return f * weight
 
-    value, error, n = stratified_monte_carlo(integrand, 8, strata, budget,
+    value, error, n = stratified_monte_carlo(integrand, 8, (8, 8), budget,
                                              seed, batch)
     norm = solid_angle_sr ** 3
     return IntegrationResult(value / norm, error / norm, n, seed)

@@ -50,11 +50,6 @@ class CollisionSetup:
     def rest_frame(cls, omega0_mev: float, mass: float = ELECTRON_MASS_MEV):
         return cls(mass, omega0_mev, mass)
 
-    @classmethod
-    def head_on(cls, e_i_mev: float, omega0_mev: float,
-                mass: float = ELECTRON_MASS_MEV):
-        return cls(e_i_mev, omega0_mev, mass)
-
     @property
     def p_abs(self) -> float:
         return math.sqrt((self.e_i_mev - self.mass) * (self.e_i_mev + self.mass))

@@ -25,7 +25,7 @@ def rest_setup():
 
 @pytest.fixture(scope="session")
 def xfel_setup():
-    return CollisionSetup.head_on(5000.0, 0.001)
+    return CollisionSetup(5000.0, 0.001)
 
 
 def random_physical_configs(setup, rng, n, omega_lo_frac=0.02,

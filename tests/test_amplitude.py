@@ -23,10 +23,11 @@ def _eps(theta, phi, label):
                                     np.asarray(phi))[label - 1]
 
 
-def _inputs(setup, cfg, state, beam_label=1):
+def _args(setup, cfg, state, beam_label=1):
+    """point_amplitude's arguments at a closed state with cfg's labels."""
     eps = [_beam_eps(beam_label)] + [
         _eps(t, p, lab) for t, p, lab in zip(cfg.thetas, cfg.phis, cfg.pols)]
-    return am.AmplitudeInputs(setup, state, tuple(eps), cfg.r_i, cfg.r_f)
+    return setup, state.photons, state.p_f, tuple(eps), cfg.r_i, cfg.r_f
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +44,7 @@ def test_permutation_count():
 
 def test_propagator_momenta_identity_order(rest_setup, sample_point):
     cfg, state = sample_point
-    inputs = _inputs(rest_setup, cfg, state)
-    q1, q2, q3 = propagator_momenta((0, 1, 2, 3), inputs)
+    q1, q2, q3 = propagator_momenta((0, 1, 2, 3), rest_setup, state.photons)
     p_i, k0 = rest_setup.p_i, rest_setup.k_0
     assert np.allclose(q1, p_i + k0)
     assert np.allclose(q2, p_i + k0 - state.k1)
@@ -53,17 +53,15 @@ def test_propagator_momenta_identity_order(rest_setup, sample_point):
 
 def test_propagator_momenta_emission_first(rest_setup, sample_point):
     cfg, state = sample_point
-    inputs = _inputs(rest_setup, cfg, state)
-    q1, _, _ = propagator_momenta((1, 0, 2, 3), inputs)
+    q1, _, _ = propagator_momenta((1, 0, 2, 3), rest_setup, state.photons)
     assert np.allclose(q1, rest_setup.p_i - state.k1)
 
 
 def test_momentum_closure_every_permutation(rest_setup, sample_point):
     cfg, state = sample_point
-    inputs = _inputs(rest_setup, cfg, state)
-    ks = inputs.photons
+    ks = (rest_setup.k_0,) + state.photons
     for xi in PERMUTATIONS4:
-        q3 = propagator_momenta(xi, inputs)[2]
+        q3 = propagator_momenta(xi, rest_setup, state.photons)[2]
         last = ks[xi[3]]
         q4 = q3 + last if xi[3] == 0 else q3 - last
         assert np.abs(q4 - state.p_f).max() < 1e-12
@@ -75,8 +73,8 @@ def _max_basis_amplitude(setup, cfg, state):
         eps = [_beam_eps(labels[0])] + [
             _eps(t, p, lab)
             for t, p, lab in zip(cfg.thetas, cfg.phis, labels[1:])]
-        amp = am.total_amplitude(am.AmplitudeInputs(
-            setup, state, tuple(eps), cfg.r_i, cfg.r_f))
+        amp = am.point_amplitude(setup, state.photons, state.p_f,
+                                 tuple(eps), cfg.r_i, cfg.r_f)
         best = max(best, abs(amp))
     return best
 
@@ -84,14 +82,14 @@ def _max_basis_amplitude(setup, cfg, state):
 def test_ward_identity(rest_setup):
     rng = np.random.default_rng(21)
     for cfg, state in random_physical_configs(rest_setup, rng, 5):
-        base = _inputs(rest_setup, cfg, state)
+        setup, photons, p_f, base, r_i, r_f = _args(rest_setup, cfg, state)
         scale = _max_basis_amplitude(rest_setup, cfg, state)
-        ks = base.photons
+        ks = (rest_setup.k_0,) + photons
         for j in range(4):
-            eps = list(base.eps)
+            eps = list(base)
             eps[j] = ks[j]
-            amp = am.total_amplitude(am.AmplitudeInputs(
-                rest_setup, state, tuple(eps), cfg.r_i, cfg.r_f))
+            amp = am.point_amplitude(setup, photons, p_f, tuple(eps), r_i,
+                                     r_f)
             assert abs(amp) <= 1e-9 * scale
 
 
@@ -105,12 +103,10 @@ def test_bose_symmetry_full_permutations(rest_setup):
 
     def amp_for(order):
         eps = [eps0] + [_eps(t, p, lab) for _, t, p, lab in order]
+        # photons and their polarizations permuted coherently
         ks = tuple(k for k, *_ in order)
-        # rebuild the inputs with photons permuted coherently
-        state_perm = type(state)(ks[0], ks[1], ks[2], state.p_f,
-                                 state.omega3, state.K, state.physical)
-        return am.total_amplitude(am.AmplitudeInputs(
-            rest_setup, state_perm, tuple(eps), cfg.r_i, cfg.r_f))
+        return am.point_amplitude(rest_setup, ks, state.p_f, tuple(eps),
+                                  cfg.r_i, cfg.r_f)
 
     reference = None
     for order in itertools.permutations(outgoing):
@@ -124,17 +120,17 @@ def test_dual_path_agreement(rest_setup, xfel_setup):
     rng = np.random.default_rng(23)
     # benign kinematics: the two strategies agree at double precision
     for cfg, state in random_physical_configs(rest_setup, rng, 4):
-        inputs = _inputs(rest_setup, cfg, state)
-        fast = am.total_amplitude(inputs)
-        slow = naive_total_amplitude(inputs)
+        args = _args(rest_setup, cfg, state)
+        fast = am.point_amplitude(*args)
+        slow = naive_total_amplitude(*args)
         assert fast == pytest.approx(slow, rel=1e-12)
     # backscatter kinematics amplify rounding by the internal cancellation
     # (up to ~1e9); double precision only supports a loose mutual bound here,
     # the strict 1e-12 comparison runs in software precision below
     for cfg, state in random_physical_configs(xfel_setup, rng, 3):
-        inputs = _inputs(xfel_setup, cfg, state)
-        fast = am.total_amplitude(inputs)
-        slow = naive_total_amplitude(inputs)
+        args = _args(xfel_setup, cfg, state)
+        fast = am.point_amplitude(*args)
+        slow = naive_total_amplitude(*args)
         assert fast == pytest.approx(slow, rel=1e-5)
 
 
@@ -167,8 +163,8 @@ def test_tensor_path_matches_scalar(rest_setup, sample_point):
         for r_i, r_f in itertools.product((1, 2), repeat=2):
             cfg2 = FinalStateConfig(cfg.thetas, cfg.phis, cfg.omega1,
                                     cfg.omega2, labels[1:], r_i, r_f)
-            oracle = naive_total_amplitude(_inputs(rest_setup, cfg2, state,
-                                                   labels[0]))
+            oracle = naive_total_amplitude(*_args(rest_setup, cfg2, state,
+                                                  labels[0]))
             indexed = tensor[0, labels[0] - 1, labels[1] - 1,
                              labels[2] - 1, labels[3] - 1, r_i - 1, r_f - 1]
             assert indexed == pytest.approx(oracle, rel=1e-12)
@@ -181,8 +177,8 @@ def test_squared_sum_is_real_nonnegative(rest_setup, sample_point):
         for r_i, r_f in itertools.product((1, 2), repeat=2):
             cfg2 = FinalStateConfig(cfg.thetas, cfg.phis, cfg.omega1,
                                     cfg.omega2, labels[1:], r_i, r_f)
-            amp = am.total_amplitude(_inputs(rest_setup, cfg2, state,
-                                             labels[0]))
+            amp = am.point_amplitude(*_args(rest_setup, cfg2, state,
+                                            labels[0]))
             total += abs(amp) ** 2
     assert total > 0.0
 
@@ -196,12 +192,13 @@ def _single_closure(setup, theta, phi):
 def test_single_compton_gauge(rest_setup):
     k1, p_f, w1, _ = _single_closure(rest_setup, 1.1, 0.7)
     eps_in = _beam_eps(1)
-    amp = am.single_compton_amplitude(rest_setup, k1, p_f, eps_in, k1)
-    scale = max(abs(am.single_compton_amplitude(
-        rest_setup, k1, p_f, eps_in, _eps(1.1, 0.7, lab))) for lab in (1, 2))
+    amp = am.point_amplitude(rest_setup, (k1,), p_f, (eps_in, k1))
+    scale = max(abs(am.point_amplitude(
+        rest_setup, (k1,), p_f, (eps_in, _eps(1.1, 0.7, lab))))
+        for lab in (1, 2))
     assert abs(amp) <= 1e-9 * scale
-    amp2 = am.single_compton_amplitude(rest_setup, k1, p_f, rest_setup.k_0,
-                                       _eps(1.1, 0.7, 1))
+    amp2 = am.point_amplitude(rest_setup, (k1,), p_f,
+                              (rest_setup.k_0, _eps(1.1, 0.7, 1)))
     assert abs(amp2) <= 1e-9 * scale
 
 
@@ -218,16 +215,13 @@ def test_double_compton_gauge_and_bose(rest_setup):
     eps0 = _beam_eps(1)
     e1 = _eps(1.0, 0.3, 1)
     e2 = _eps(2.0, 2.8, 2)
-    base = am.double_compton_amplitude(rest_setup, k1, k2, p_f,
-                                       (eps0, e1, e2))
-    swapped = am.double_compton_amplitude(rest_setup, k2, k1, p_f,
-                                          (eps0, e2, e1))
+    base = am.point_amplitude(rest_setup, (k1, k2), p_f, (eps0, e1, e2))
+    swapped = am.point_amplitude(rest_setup, (k2, k1), p_f, (eps0, e2, e1))
     assert swapped == pytest.approx(base, rel=1e-12)
     for j, vec in ((1, k1), (2, k2)):
         eps = [eps0, e1, e2]
         eps[j] = vec
-        amp = am.double_compton_amplitude(rest_setup, k1, k2, p_f,
-                                          tuple(eps))
+        amp = am.point_amplitude(rest_setup, (k1, k2), p_f, tuple(eps))
         assert abs(amp) <= 1e-9 * abs(base)
 
 
@@ -238,21 +232,17 @@ def test_scalar_api_typed_errors(rest_setup, sample_point):
     eps_out = _eps(1.1, 0.7, 1)
     off_shell = np.array([5.0, 0.0, 0.0, 1.0])
     with pytest.raises(al.OffShellError):
-        am.single_compton_amplitude(rest_setup, k1, off_shell, eps_in,
-                                    eps_out)
+        am.point_amplitude(rest_setup, (k1,), off_shell, (eps_in, eps_out))
+    setup, photons, _, eps, r_i, r_f = _args(rest_setup, cfg, state)
     with pytest.raises(al.OffShellError):
-        am.total_amplitude(_inputs(rest_setup, cfg, type(state)(
-            state.k1, state.k2, state.k3, off_shell, state.omega3, state.K,
-            state.physical)))
+        am.point_amplitude(setup, photons, off_shell, eps, r_i, r_f)
     # a zero-momentum photon puts the internal line p_i - k on the pole
     k2, k3, p_f2 = _double_closure(rest_setup, 1.0, 0.3, 0.15, 2.0, 2.8)
-    zero = np.zeros(4)
-    soft = type(state)(zero, k2, k3, p_f2, k3[0], 1.0, True)
     with pytest.raises(al.PropagatorPoleError):
-        am.total_amplitude(_inputs(rest_setup, cfg, soft))
+        am.point_amplitude(setup, (np.zeros(4), k2, k3), p_f2, eps, r_i,
+                           r_f)
     with pytest.raises(ValueError):
-        am.single_compton_amplitude(rest_setup, k1, p_f, eps_in, eps_out,
-                                    r_i=3)
+        am.point_amplitude(rest_setup, (k1,), p_f, (eps_in, eps_out), r_i=3)
 
 
 def test_contract_beam_linearity(rest_setup, sample_point):

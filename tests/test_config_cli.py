@@ -81,6 +81,38 @@ def test_non_finite_values_rejected(key, raw):
         resolve_config("xfel", {key: raw}, {})
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("seed", "1.5"), ("budget", "300.9"), ("grid.n_omega1", "40.7"),
+    ("scan.n_points", "2.5")])
+def test_fractional_integer_values_rejected(tmp_path, key, raw):
+    # they used to be truncated: seed = 1.5 ran as seed 1
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {raw}\n")
+    with pytest.raises(ConfigError, match="is not an integer"):
+        resolve_config("mgbr1968", parse_config_file(path), {})
+
+
+def test_integral_spellings_accepted(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("budget = 1e6\nseed = 4096.0\ngrid.n_omega1 = 7\n")
+    cfg = resolve_config("mgbr1968", parse_config_file(path), {})
+    assert (cfg.budget, cfg.seed, cfg.grid_n_omega1) == (10 ** 6, 4096, 7)
+    assert all(type(v) is int for v in (cfg.budget, cfg.seed,
+                                        cfg.grid_n_omega1))
+
+
+def test_cli_zero_beam_size_exit_code(tmp_path, capsys):
+    # event_rate divides by the beam area; a zero size used to run the
+    # whole Monte Carlo and then die with ZeroDivisionError
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("scenario = xfel\nbeams.transverse_size_um = 0\n")
+    code = cli.main(["totals", "--config", str(bad), "--process", "single",
+                     "--budget", "128", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "beams.transverse_size_um" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line", ["omega0_mev = nan", "e_i_mev = nan"])
 def test_cli_non_finite_energy_exit_code(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"

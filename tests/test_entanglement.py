@@ -7,16 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from triplecompton import amplitude as amp
 from triplecompton.cross_section import _tensor_for_points
-from triplecompton.entanglement import (DegenerateStateError,
+from triplecompton.entanglement import (BIPARTITIONS, DegenerateStateError,
                                         InvalidDensityMatrix, SolverError,
-                                        _max_steps, _project_affine,
+                                        _max_steps, _witness_stack,
                                         basis_index, density_from_amplitudes,
                                         ghz_state, gme_tau,
                                         load_density_matrix, negativity,
                                         partial_transpose, product_state,
                                         save_density_matrix, tau_grid,
                                         w_state)
-from _oracle import naive_project_affine
 from conftest import MGBR_PHIS, MGBR_THETAS, random_physical_configs
 
 # Independent-solver oracle for the W state (computed once with two
@@ -69,16 +68,23 @@ def _random_hermitian_stack(rng):
     return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_project_affine_matches_oracle(seed):
-    stack = _random_hermitian_stack(np.random.default_rng(seed))
-    out = _project_affine(stack)
-    assert np.abs(out - naive_project_affine(stack)).max() <= 1e-14
-    # the output satisfies W = P_s + Q_s^{T_s} for every bipartition
-    for i, s in enumerate((1, 2, 3)):
-        resid = out[0] - out[1 + 2 * i] - partial_transpose(out[2 + 2 * i], s)
-        assert np.abs(resid).max() <= 1e-13
-    assert np.abs(_project_affine(out) - out).max() <= 1e-13
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_witness_stack_meets_coupling_exactly(kind):
+    # Q_s = (W - P_s)^{T_s} in floating point, so W = P_s + Q_s^{T_s} holds
+    # bit for bit and the solver certifies its iterates with no projection
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        y = rng.normal(size=(4, 8, 8))
+        if kind == "complex":
+            y = y + 1j * rng.normal(size=(4, 8, 8))
+        stack = _witness_stack(y)
+        assert stack.dtype == y.dtype
+        assert np.array_equal(stack[0], y[0])
+        for i, s in enumerate(BIPARTITIONS):
+            assert np.array_equal(stack[1 + 2 * i], y[1 + i])
+            resid = (stack[0] - stack[1 + 2 * i]
+                     - partial_transpose(stack[2 + 2 * i], s))
+            assert not resid.any()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -328,7 +334,7 @@ def test_density_export_import_roundtrip(tmp_path, rest_setup):
 
 def test_tau_grid_masking_and_symmetry(rest_setup):
     omegas = np.linspace(0.05, 0.45, 4)
-    taus, masked, gaps, iterations, residuals, primal, dual = tau_grid(
+    taus, masked, results = tau_grid(
         rest_setup, MGBR_THETAS, MGBR_PHIS, omegas, omegas, beam_pol=1,
         threshold_eps=0.013)
     from triplecompton.kinematics import close_batch
@@ -342,15 +348,15 @@ def test_tau_grid_masking_and_symmetry(rest_setup):
                       & (w2m.ravel() >= 0.013))
     assert (masked.ravel() == expected_mask).all()
     assert (taus[masked] == 0.0).all()
-    assert (gaps[masked] == 0.0).all()
-    assert (gaps[~masked] >= 0.0).all()
-    assert (iterations[masked] == 0).all()
+    assert all(r is None for r in results[masked])
+    solved = results[~masked]
+    assert all(r.tau == t for r, t in zip(solved, taus[~masked]))
+    assert all(r.upper_bound - r.tau >= 0.0 for r in solved)
     # the gap is checked after every Newton step
-    assert (iterations[~masked] >= 1).all()
-    assert (residuals[masked] == 0.0).all()
-    assert (primal[masked] == 0.0).all() and (dual[masked] == 0.0).all()
-    assert (primal[~masked] > 0.0).all() and (dual[~masked] > 0.0).all()
-    assert (residuals[~masked] <= 1e-6).all()
+    assert all(r.iterations >= 1 for r in solved)
+    assert all(r.primal_residual > 0.0 and r.dual_residual > 0.0
+               for r in solved)
+    assert all(r.witness.max_residual <= 1e-6 for r in solved)
     # the 120-degree detector triangle makes the grid symmetric in w1 <-> w2
     both = ~masked & ~masked.T
     assert np.abs(taus - taus.T)[both].max() < 1e-4

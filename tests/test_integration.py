@@ -66,7 +66,7 @@ def test_single_total_matches_closed_form(rest_setup):
 
 def test_frame_consistency():
     # one-photon total at the same invariant s in the rest and collider frames
-    collider = CollisionSetup.head_on(5000.0, 0.001)
+    collider = CollisionSetup(5000.0, 0.001)
     equivalent_omega0 = (collider.s_invariant - M * M) / (2 * M)
     rest = CollisionSetup.rest_frame(equivalent_omega0)
     r1 = total_cross_section(collider, 0.0, "single", budget=1 << 15, seed=2)
@@ -200,6 +200,10 @@ def test_event_rate_examples():
     assert event_rate(2e-5, doubled) == pytest.approx(2 * rate, rel=1e-12)
     with pytest.raises(ValueError):
         BeamParameters(-1.0, 1e9, 40.0, 120.0)
+    # the rate divides by the overlap area, which a zero size makes zero
+    for size in (0.0, -40.0, math.nan):
+        with pytest.raises(ValueError, match="transverse_size_um"):
+            BeamParameters(2e13, 1e9, size, 120.0)
 
 
 def test_integration_result_fields(rest_setup):

@@ -1,15 +1,55 @@
-"""The documented library example runs as written."""
+"""The documented library example runs as written, and the README's names
+and file layouts match the code."""
 import re
 from pathlib import Path
+
+import triplecompton
+from triplecompton import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _section(text, heading):
+    start = text.index(heading)
+    end = text.find("\n## ", start + len(heading))
+    return text[start:end if end >= 0 else len(text)]
+
+
 def test_readme_library_example():
-    text = README.read_text()
-    section = text[text.index("## Library entry points"):]
+    section = _section(README.read_text(), "## Library entry points")
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     scope = {}
     exec(compile(block, str(README), "exec"), scope)
     assert scope["point"].value > 0
     assert 0 <= scope["tau"] <= 0.5
+
+
+def test_readme_entry_point_names_resolve():
+    # every dotted name in the section's prose is an attribute path from
+    # the package, so a renamed or deleted entry point fails here
+    section = _section(README.read_text(), "## Library entry points")
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    names = re.findall(r"`([A-Za-z_][\w.]*)`", prose)
+    assert "point_amplitude" in names
+    for name in names:
+        obj = triplecompton
+        for part in name.split("."):
+            assert hasattr(obj, part), f"README names missing {name!r}"
+            obj = getattr(obj, part)
+
+
+def test_readme_tau_diagnostics_columns(tmp_path):
+    text = README.read_text()
+    match = re.search(r"`tau_diagnostics\.dat`, one row per cell:\s*`([^`]*)`",
+                      text)
+    assert match, "README lost the tau_diagnostics.dat column list"
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("scenario = xfel\n"
+                   "grid.omega1_min_mev = 700\ngrid.omega1_max_mev = 700\n"
+                   "grid.n_omega1 = 1\ngrid.omega2_min_mev = 400\n"
+                   "grid.omega2_max_mev = 400\ngrid.n_omega2 = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["grid", "--observable", "tau", "--config", str(cfg),
+                     "--out", str(out)]) == cli.EXIT_OK
+    header = (out / "tau_diagnostics.dat").read_text().splitlines()[0]
+    assert match.group(1).split() == header.split("\t")
