@@ -23,6 +23,7 @@ Schema (all keys optional once a scenario is chosen):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .constants import ELECTRON_MASS_MEV
@@ -131,22 +132,26 @@ def parse_config_file(path) -> dict:
 
 
 def _coerce(name: str, raw, problems: list):
-    if not isinstance(raw, str):
+    """raw as the field's type; integer fields take any integral value,
+    whatever type it arrives as (7, 7.0, "1e6")."""
+    kind = str(_FIELD_TYPES[name])
+    if "int" not in kind and not isinstance(raw, str):
         return raw
-    kind = _FIELD_TYPES[name]
     try:
         if name in ("theta_rad", "phi_rad"):
             return tuple(float(tok) for tok in raw.split(","))
-        if "int" in str(kind):
+        if "int" in kind:
+            if isinstance(raw, numbers.Integral):
+                return int(raw)
             value = float(raw)
             if not value.is_integer():
                 problems.append(f"{name}: {raw!r} is not an integer")
                 return None
             return int(value)
-        if "float" in str(kind):
+        if "float" in kind:
             return float(raw)
         return raw
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         problems.append(f"{name}: cannot parse {raw!r}")
         return None
 

@@ -1,12 +1,14 @@
 """Independent double-precision reference for the amplitude engine.
 
 ``naive_total_amplitude`` multiplies the full 4x4 chain of every insertion
-order term by term, with no sharing of propagators or permutation prefixes,
-with the spinors of ``algebra.dirac_spinor_batch`` taken one column at a
-time and each propagator (qslash + m)/(q^2 - m^2) formed on its own.  The
-production engine, ``amplitude.amplitude_tensor``, shares all of that, so
-agreement between the two checks the sharing.  ``naive_total_amplitude``
-takes the arguments of ``amplitude.point_amplitude``.
+order term by term, with no sharing of propagators or partial sums, with
+the spinors of ``algebra.dirac_spinor_batch`` taken one column at a time
+and each propagator (qslash + m)/(q^2 - m^2) formed on its own.  The
+production engine, ``amplitude.amplitude_tensor``, regroups the same sum
+into subset currents that share every propagator and every partial sum
+over orders, so agreement between the two checks the regrouping.
+``naive_total_amplitude`` takes the arguments of
+``amplitude.point_amplitude``.
 """
 import itertools
 

@@ -328,3 +328,27 @@ def test_tensor_leaves_no_garbage(rest_setup):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_five_photon_lines_against_oracle_and_ward(rest_setup):
+    # four emitted photons: 120 insertion orders and currents four photons
+    # deep, which no shipped process reaches
+    ks, p_f, eps = _stacked_points(rest_setup, 4, 1, 53)
+    ks, p_f, bases = ks[:, 0], p_f[0], [e[0] for e in eps]
+    photons = tuple(ks[1:])
+    scale = 0.0
+    # every polarization label set once, the spin pairs taken in turn
+    for index, labels in enumerate(itertools.product((0, 1), repeat=5)):
+        pols = tuple(basis[lab] for basis, lab in zip(bases, labels))
+        r_i, r_f = (1 + bit for bit in divmod(index % 4, 2))
+        amp = am.point_amplitude(rest_setup, photons, p_f, pols, r_i, r_f)
+        oracle = naive_total_amplitude(rest_setup, photons, p_f, pols, r_i,
+                                       r_f)
+        assert abs(amp - oracle) <= 1e-12 * abs(oracle)
+        scale = max(scale, abs(amp))
+    for j in range(5):
+        for labels in itertools.product((0, 1), repeat=5):
+            pols = [basis[lab] for basis, lab in zip(bases, labels)]
+            pols[j] = ks[j]
+            amp = am.point_amplitude(rest_setup, photons, p_f, tuple(pols))
+            assert abs(amp) <= 1e-9 * scale

@@ -92,6 +92,23 @@ def test_fractional_integer_values_rejected(tmp_path, key, raw):
         resolve_config("mgbr1968", parse_config_file(path), {})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", 1.5), ("budget", 300.9), ("grid_n_omega1", 40.7),
+    ("scan_n_points", np.float64(2.5)), ("seed", math.inf)])
+def test_fractional_integer_overrides_rejected(key, value):
+    # non-string values used to pass through unchecked: seed 1.5 stayed 1.5
+    with pytest.raises(ConfigError, match=f"{key}: .* is not an integer"):
+        resolve_config("mgbr1968", {}, {key: value})
+
+
+def test_integral_overrides_accepted():
+    cfg = resolve_config("mgbr1968", {}, {"seed": 4096.0, "budget": 1e6,
+                                          "grid_n_omega1": np.int64(7)})
+    assert (cfg.budget, cfg.seed, cfg.grid_n_omega1) == (10 ** 6, 4096, 7)
+    assert all(type(v) is int for v in (cfg.budget, cfg.seed,
+                                        cfg.grid_n_omega1))
+
+
 def test_integral_spellings_accepted(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("budget = 1e6\nseed = 4096.0\ngrid.n_omega1 = 7\n")

@@ -169,11 +169,14 @@ def test_sigma5_against_high_precision_reference(rest_setup):
     from _highprec import spin_summed_sigma5 as mp_sigma5
 
     thetas, phis = (1.2, 2.0, 0.9), (0.4, 2.5, 4.4)
-    mine = spin_summed_sigma5(rest_setup, thetas, phis, 0.1, 0.15,
-                              beam_pol=1, final_pols=(1, 2, 1))
-    reference = float(mp_sigma5(M, 0.662, thetas, phis, 0.1, 0.15,
-                                pols=(1, 2, 1), beam_label=1))
-    assert mine == pytest.approx(reference, rel=1e-10)
+    # every final polarization channel: each sums its insertion orders in
+    # its own rounding order
+    for pols in itertools.product((1, 2), repeat=3):
+        mine = spin_summed_sigma5(rest_setup, thetas, phis, 0.1, 0.15,
+                                  beam_pol=1, final_pols=pols)
+        reference = float(mp_sigma5(M, 0.662, thetas, phis, 0.1, 0.15,
+                                    pols=pols, beam_label=1))
+        assert mine == pytest.approx(reference, rel=1e-10), pols
 
 
 @pytest.fixture(scope="module")
