@@ -19,8 +19,12 @@ built once from the currents one photon smaller and shared by every order
 that starts with that set.  The cost grows as (n+1) 2^(n+1) vertex
 applications rather than (n+1)! chains: for n = 3, 14 currents and 4 exit
 contractions instead of 24 chains.  Inside it the point axis is last, so
-applying an operator takes two whole-array operations rather than one
-small matrix product per point.  ``point_amplitude`` runs it at one point
+applying an operator takes a few whole-array operations rather than one
+small matrix product per point.  A polarization vector with zero time
+component, as every basis vector is, slashes to two off-diagonal 2x2 Pauli
+blocks, so each photon vertex is applied as those blocks alone, without
+the half of the 4x4 product that multiplies exact zeros; the result is the
+same to the bit.  ``point_amplitude`` runs it at one point
 for any number of emitted photons, with each given polarization
 four-vector as a length-1 basis, after checking the spin labels, the
 external momenta and the propagator denominators.
@@ -101,6 +105,30 @@ def _apply(op: np.ndarray, state: np.ndarray, before: int = 1) -> np.ndarray:
                          axis=1)
 
 
+# eslash's two off-diagonal 2x2 blocks by column c, upper rows first: entry
+# [c, h, i] is eslash[2h + i, 2(1 - h) + c]
+_BLOCK_ROWS = np.array([[[0, 1], [2, 3]], [[0, 1], [2, 3]]])
+_BLOCK_COLS = np.array([[[2, 2], [0, 0]], [[3, 3], [1, 1]]])
+
+
+def _vertex(vertex: tuple, state: np.ndarray, before: int) -> np.ndarray:
+    """eslash on state (4, M, N) -> (2, 2, A, P, M / A, N), A = before.
+
+    vertex is (blocks, diag).  blocks[c], (2, 2, 1, P, 1, N), holds column
+    c of eslash's two off-diagonal 2x2 blocks, the upper rows' block first;
+    each block acts on the other half of the state, so the halves are
+    swapped.  diag, (2, 1, 1, P, 1, N), holds eslash's diagonal (t, -t) and
+    is None where t is zero at every point.
+    """
+    halves = state.reshape(2, 2, before, 1, -1, state.shape[-1])
+    blocks, diag = vertex
+    out = blocks[0] * halves[::-1, None, 0]
+    out += blocks[1] * halves[::-1, None, 1]
+    if diag is not None:
+        out += diag * halves
+    return out
+
+
 def amplitude_tensor(setup: CollisionSetup, k_arrays: np.ndarray,
                      p_f: np.ndarray, eps_arrays: list) -> np.ndarray:
     """Amplitudes for every polarization label and spin at stacked points.
@@ -113,10 +141,29 @@ def amplitude_tensor(setup: CollisionSetup, k_arrays: np.ndarray,
     Inside, the point axis is last and contiguous: spinors, slashed
     polarizations and propagators are (4, 4, ..., N) stacks, and applying
     an operator is a broadcast multiply and a sum over the contracted
-    spinor index for all points at once.  The sum over insertion orders is
-    built from subset currents (F. A. Berends, W. T. Giele, Nucl. Phys.
-    B306 (1988) 759): J(empty) = u(p_i) and, for every proper subset S of
-    the photons,
+    spinor index for all points at once.
+
+    Photon vertices use the Dirac representation's block form.  With
+    eps = (t, e) and sigma.e the 2x2 Pauli combination,
+
+        eslash = [[t, -sigma.e], [sigma.e, -t]],
+
+    so the upper half of eslash J is -sigma.e times J's lower half and the
+    lower half is sigma.e times its upper half: ``_vertex`` swaps the
+    halves and applies one 2x2 block to each.  Each row sums the same two
+    non-zero terms in the same order as the full 4x4 product, whose other
+    two terms are exact zeros, so the term order is kept on purpose: every
+    amplitude with t = 0 equals the 4x4 product's to the bit, and results
+    recorded from it are reproduced exactly.  The basis vectors all have
+    t = 0 exactly.  The diagonal term is added, after the blocks, only for
+    a photon whose t is non-zero at some point of the batch, which happens
+    only in gauge tests (eps -> k); at the rows where t = 0 it adds exact
+    zeros.  Propagators and the exit contraction ubar eslash_j stay full
+    4x4 products: they have no zero blocks.
+
+    The sum over insertion orders is built from subset currents (F. A.
+    Berends, W. T. Giele, Nucl. Phys. B306 (1988) 759): J(empty) = u(p_i)
+    and, for every proper subset S of the photons,
 
         J(S) = S(p_i + k_S) sum_{j in S} eslash_j J(S - {j}),
 
@@ -150,22 +197,37 @@ def amplitude_tensor(setup: CollisionSetup, k_arrays: np.ndarray,
     denom = np.einsum('nsi,nsi->sn', qs * metric, qs) - mass * mass
     # one slash for every four-vector: the internal momenta, then each
     # photon's polarizations, moved to (4, 4, vector, N)
-    slashed = np.ascontiguousarray(slash_batch(
-        np.concatenate([qs] + list(eps_arrays), axis=1)).transpose(2, 3, 1, 0))
+    vectors = np.concatenate([qs] + list(eps_arrays), axis=1)
+    slashed = np.ascontiguousarray(slash_batch(vectors).transpose(2, 3, 1, 0))
     props = ((slashed[:, :, :n_sub] + mass * IDENTITY4[..., None, None])
              / denom).transpose(2, 0, 1, 3)[:, :, :, None]     # (S, 4, 4, 1, N)
+    eslash = slashed[:, :, n_sub:]
+    # the exit vertices ubar eslash, (2, 4, vector, N), and each eslash as
+    # its off-diagonal blocks by column, (c, upper/lower, row, 1, P, 1, N)
+    exit_ops = _apply(ubar[:, :, None], eslash.reshape(4, -1, n_pts)).reshape(
+        (2,) + eslash.shape[1:])
+    timelike = vectors[:, n_sub:, 0].any(axis=0).tolist()
     n_pols = [e.shape[1] for e in eps_arrays]
-    bounds = np.cumsum([n_sub] + n_pols)
-    slashed = [np.ascontiguousarray(slashed[:, :, lo:hi])
-               for lo, hi in zip(bounds[:-1], bounds[1:])]      # (4, 4, P, N)
+    vertices, exits, lo = [], [], 0
+    for n_pol in n_pols:
+        pols = slice(lo, lo + n_pol)
+        blocks = eslash[_BLOCK_ROWS, _BLOCK_COLS, pols]
+        diag = (eslash[[0, 2], [0, 2], None, None, pols, None]
+                if any(timelike[pols]) else None)
+        vertices.append((blocks[:, :, :, None, :, None], diag))
+        exits.append(exit_ops[:, :, pols])
+        lo += n_pol
+    # every operator above is a copy: free the slab of all slashed vectors
+    # before the currents grow
+    del slashed, eslash
 
-    def vertex_sum(ops, mask):
-        """sum over photons j in mask of ops[j] J(mask - {j}), (r, M, N)."""
+    def vertex_sum(apply, ops, mask):
+        """sum over photons j in mask of ops[j] J(mask - {j}), (r M, N)."""
         total, before = None, 1
         for j in range(n):
             if mask >> j & 1:
-                term = _apply(ops[j], currents[mask ^ 1 << j], before)
-                term = term.reshape(len(term), -1, n_pts)
+                term = apply(ops[j], currents[mask ^ 1 << j], before)
+                term = term.reshape(-1, n_pts)
                 if total is None:
                     total = term
                 else:
@@ -176,11 +238,9 @@ def amplitude_tensor(setup: CollisionSetup, k_arrays: np.ndarray,
     currents = {0: u_cols}          # J(S) by bit mask of S, (4, M, N)
     for col, subset in enumerate(subsets):
         mask = sum(1 << j for j in subset)
-        currents[mask] = _apply(props[col], vertex_sum(slashed, mask)).reshape(
-            4, -1, n_pts)
-    exits = [_apply(ubar[:, :, None], s.reshape(4, -1, n_pts)).reshape(
-        (2,) + s.shape[1:]) for s in slashed]                   # (2, 4, P, N)
-    total = vertex_sum(exits, (1 << n) - 1).reshape(
+        currents[mask] = _apply(props[col], vertex_sum(
+            _vertex, vertices, mask)).reshape(4, -1, n_pts)
+    total = vertex_sum(_apply, exits, (1 << n) - 1).reshape(
         (2,) + tuple(n_pols) + (2, n_pts))
     total *= mass ** (n - 1)
     return np.ascontiguousarray(total.transpose(

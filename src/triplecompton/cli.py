@@ -95,13 +95,21 @@ def run_mgbr1968(cfg: ScenarioConfig, out_dir: Path) -> str:
     return report
 
 
-def _grid_table(w1s, w2s, values, masked, value_name: str) -> str:
-    rows = [f"omega1_mev\tomega2_mev\t{value_name}\tmasked"]
-    for i, w1 in enumerate(w1s):
-        for j, w2 in enumerate(w2s):
-            rows.append(f"{w1:.10e}\t{w2:.10e}\t{values[i, j]:.10e}"
-                        f"\t{int(masked[i, j])}")
-    return "\n".join(rows) + "\n"
+def _grid_rows(w1s, w2s, masked) -> tuple:
+    """The text every table on one grid shares, row by row (omega1 major):
+    the "omega1\tomega2\t" prefixes and the "\tmasked" suffixes."""
+    w2_text = [f"{w2:.10e}" for w2 in w2s.tolist()]
+    prefixes = [f"{w1:.10e}\t{w2}\t" for w1 in w1s.tolist() for w2 in w2_text]
+    suffixes = ["\t1" if m else "\t0" for m in masked.ravel().tolist()]
+    return prefixes, suffixes
+
+
+def _grid_table(rows: tuple, values, value_name: str) -> str:
+    prefixes, suffixes = rows
+    lines = [f"omega1_mev\tomega2_mev\t{value_name}\tmasked"]
+    lines += [f"{p}{v:.10e}{s}" for p, v, s in
+              zip(prefixes, values.ravel().tolist(), suffixes)]
+    return "\n".join(lines) + "\n"
 
 
 def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
@@ -116,11 +124,11 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
         panels, masked = sigma5_panel_grids(
             setup, cfg.theta_rad, cfg.phi_rad, w1s, w2s, beam,
             cfg.threshold_mev)
+        rows = _grid_rows(w1s, w2s, masked)
         for letter, label in zip(PANEL_LETTERS, PANEL_ORDER):
             name = f"sigma5_panel_{letter}_{label}.dat"
             _write(out_dir / name,
-                   _grid_table(w1s, w2s, panels[label], masked,
-                               "sigma5_b_mev2_sr3"))
+                   _grid_table(rows, panels[label], "sigma5_b_mev2_sr3"))
             written.append(name)
         boundary = threshold_boundary(
             setup, cfg.theta_rad, cfg.phi_rad, w1s, cfg.threshold_mev,
@@ -133,21 +141,19 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
         taus, masked, results = tau_grid(
             setup, cfg.theta_rad, cfg.phi_rad, w1s, w2s, beam,
             cfg.threshold_mev)
-        _write(out_dir / "tau_grid.dat",
-               _grid_table(w1s, w2s, taus, masked, "tau"))
-        rows = ["omega1_mev\tomega2_mev\titerations\tcertificate_gap"
-                "\twitness_residual\tprimal_residual\tdual_residual\tmasked"]
-        for i, w1 in enumerate(w1s):
-            for j, w2 in enumerate(w2s):
-                res = results[i, j]
-                iterations, values = (0, (0.0,) * 4) if res is None else (
-                    res.iterations,
-                    (res.upper_bound - res.tau, res.witness.max_residual,
-                     res.primal_residual, res.dual_residual))
-                rows.append(f"{w1:.10e}\t{w2:.10e}\t{iterations:d}"
-                            + "".join(f"\t{v:.10e}" for v in values)
-                            + f"\t{int(masked[i, j])}")
-        _write(out_dir / "tau_diagnostics.dat", "\n".join(rows) + "\n")
+        rows = _grid_rows(w1s, w2s, masked)
+        _write(out_dir / "tau_grid.dat", _grid_table(rows, taus, "tau"))
+        prefixes, suffixes = rows
+        lines = ["omega1_mev\tomega2_mev\titerations\tcertificate_gap"
+                 "\twitness_residual\tprimal_residual\tdual_residual\tmasked"]
+        for prefix, res, suffix in zip(prefixes, results.ravel(), suffixes):
+            iterations, values = (0, (0.0,) * 4) if res is None else (
+                res.iterations,
+                (res.upper_bound - res.tau, res.witness.max_residual,
+                 res.primal_residual, res.dual_residual))
+            lines.append(f"{prefix}{iterations:d}"
+                         + "".join(f"\t{v:.10e}" for v in values) + suffix)
+        _write(out_dir / "tau_diagnostics.dat", "\n".join(lines) + "\n")
         written += ["tau_grid.dat", "tau_diagnostics.dat"]
     _write(out_dir / "metadata.txt",
            _metadata(cfg, f"grid {observable}",

@@ -7,29 +7,44 @@ between the two strategies is only meaningful above double precision.  Here
 everything (closure, spinors, propagators, chains) is rebuilt with mpmath
 scalars at configurable precision; implementation bugs in either strategy
 would show up at O(1), while agreement lands at ~10^-(dps-7).
+
+Four-vectors and spinors are lists of four mpmath scalars and 4x4 matrices
+are lists of four rows, multiplied by the hand-written products below; with
+``mpmath.matrix`` an evaluation took about twice as long.
 """
 import itertools
 
-from mpmath import mp, mpc, mpf, matrix
+from mpmath import mp, mpc, mpf
 from mpmath import cos as mcos, sin as msin, sqrt as msqrt
 
 ELECTRON_MASS = "0.510998950"
 
 
 def _gammas():
-    g0 = matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
-    g1 = matrix([[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]])
-    g2 = matrix(4, 4)
-    g2[0, 3] = mpc(0, -1)
-    g2[1, 2] = mpc(0, 1)
-    g2[2, 1] = mpc(0, 1)
-    g2[3, 0] = mpc(0, -1)
-    g3 = matrix([[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]])
+    i = mpc(0, 1)
+    g0 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+    g1 = [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
+    g2 = [[0, 0, 0, -i], [0, 0, i, 0], [0, i, 0, 0], [-i, 0, 0, 0]]
+    g3 = [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]]
     return g0, g1, g2, g3
 
 
 def _dot(a, b):
     return a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
+
+
+def _row_dot(a, b):
+    """Sum of a[i] b[i] without the metric: spinor rows times columns."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+
+def _matvec(a, v):
+    return [_row_dot(row, v) for row in a]
+
+
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return [[_row_dot(row, col) for col in cols] for row in a]
 
 
 def amplitude_pair(e_i, omega0, thetas, phis, omega1, omega2,
@@ -42,11 +57,11 @@ def amplitude_pair(e_i, omega0, thetas, phis, omega1, omega2,
     with mp.workdps(dps):
         m = mpf(ELECTRON_MASS)
         g0, g1, g2, g3 = _gammas()
-        eye = matrix([[1 if i == j else 0 for j in range(4)]
-                      for i in range(4)])
+        eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
 
         def slash(a):
-            return a[0] * g0 - a[1] * g1 - a[2] * g2 - a[3] * g3
+            return [[a[0] * g0[i][j] - a[1] * g1[i][j] - a[2] * g2[i][j]
+                     - a[3] * g3[i][j] for j in range(4)] for i in range(4)]
 
         e_i = mpf(repr(float(e_i)))
         omega0 = mpf(repr(float(omega0)))
@@ -83,7 +98,7 @@ def amplitude_pair(e_i, omega0, thetas, phis, omega1, omega2,
             else:
                 comps = [mpf(0), mpf(1), (p[1] - mpc(0, 1) * p[2]) / epm,
                          -p[3] / epm]
-            return matrix([norm * c for c in comps])
+            return [norm * c for c in comps]
 
         def pol_vector(theta, phi, label):
             if label == 1:
@@ -92,9 +107,7 @@ def amplitude_pair(e_i, omega0, thetas, phis, omega1, omega2,
             return [mpf(0), -msin(phi), mcos(phi), mpf(0)]
 
         u_i = spinor(p_i, r_i)
-        ubar = (g0 * spinor(p_f, r_f)).T
-        for i in range(4):
-            ubar[0, i] = mp.conj(ubar[0, i])
+        ubar = [mp.conj(c) for c in _matvec(g0, spinor(p_f, r_f))]
         # beam_label "momentum" substitutes the photon's own four-momentum
         # for its polarization vector (gauge/Ward check)
         if beam_label == "momentum":
@@ -108,23 +121,30 @@ def amplitude_pair(e_i, omega0, thetas, phis, omega1, omega2,
 
         total_fast = mpc(0)
         total_slow = mpc(0)
+        props = {}      # by the set of photons the line has met
         for xi in itertools.permutations(range(4)):
             vec = u_i
             q = list(p_i)
             mats = [slashed[xi[0]]]
             for step, j in enumerate(xi):
-                vec = slashed[j] * vec
+                vec = _matvec(slashed[j], vec)
                 if step < 3:
                     sign = 1 if j == 0 else -1
                     q = [q[i] + sign * ks[j][i] for i in range(4)]
-                    prop = (slash(q) + m * eye) / (_dot(q, q) - m * m)
-                    vec = prop * vec
+                    met = frozenset(xi[:step + 1])
+                    if met not in props:
+                        denom = _dot(q, q) - m * m
+                        props[met] = [[(s + m * e) / denom
+                                       for s, e in zip(*rows)]
+                                      for rows in zip(slash(q), eye)]
+                    prop = props[met]
+                    vec = _matvec(prop, vec)
                     mats += [prop, slashed[xi[step + 1]]]
-            total_fast += (ubar * vec)[0, 0]
+            total_fast += _row_dot(ubar, vec)
             chain = eye
             for mat in mats:
-                chain = mat * chain
-            total_slow += (ubar * chain * u_i)[0, 0]
+                chain = _matmul(mat, chain)
+            total_slow += _row_dot(ubar, _matvec(chain, u_i))
         scale = m ** 3
         return (scale * total_fast, scale * total_slow, w3, e_f, recoil)
 

@@ -300,13 +300,21 @@ def _stacked_points(setup, n_out, n_pts, seed):
     return ks, p_f[rows], eps
 
 
-@pytest.mark.parametrize("n_out,gauge", [(1, None), (2, None), (3, None),
-                                         (3, 2)])
+@pytest.mark.parametrize("n_out,gauge", [
+    (1, None), (2, None), (3, None), (3, 2),
+    pytest.param(3, (1, slice(1, None, 2)), id="3-1-odd-rows")])
 def test_tensor_rows_independent_bit_for_bit(rest_setup, n_out, gauge):
     # batch-size independence of every Monte Carlo sum rests on this: a
     # row's amplitudes must not depend on which rows share its batch
     ks, p_f, eps = _stacked_points(rest_setup, n_out, 37, 40 + n_out)
-    if gauge is not None:
+    if isinstance(gauge, tuple):
+        # polarization 0 -> k on some rows only: the time component is
+        # non-zero in part of the batch, so the kernel adds the diagonal
+        # term there, and the other rows still match their lone evaluation
+        j, rows = gauge
+        eps[j][rows, 0] = ks[j][rows]
+        assert eps[j][::2, :, 0].max() == 0.0 < eps[j][1::2, 0, 0].min()
+    elif gauge is not None:
         eps[gauge] = ks[gauge][:, None]        # P = 1 axis, eps -> k
     tensor = am.amplitude_tensor(rest_setup, ks, p_f, eps)
     assert tensor.shape == ((37,) + tuple(e.shape[1] for e in eps)

@@ -9,6 +9,8 @@ from triplecompton.config import (ConfigError, ScenarioConfig,
                                   config_lines, parse_config_file,
                                   resolve_config)
 from triplecompton.constants import ELECTRON_MASS_MEV as M
+from triplecompton.cross_section import (PANEL_LETTERS, PANEL_ORDER,
+                                         sigma5_panel_grids)
 
 
 def test_scenario_defaults():
@@ -304,6 +306,33 @@ grid.omega2_max_mev = 1300
         "\t".join((f"{float(r[0]):.10e}", f"{float(r[1]):.10e}",
                    f"{float(r[2]):.10e}", str(int(r[3])))) for r in rows) + "\n"
     assert rebuilt == table
+
+    # on a non-square grid every row of every panel, omega1 major, carries
+    # the value and mask sigma5_panel_grids gives at that row's coordinates
+    cfg.write_text(cfg.read_text().replace("n_omega1 = 4", "n_omega1 = 3")
+                   .replace("n_omega2 = 4", "n_omega2 = 5"))
+    out3 = tmp_path / "g3"
+    assert cli.main(["grid", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out3)]) == cli.EXIT_OK
+    conf = resolve_config(None, parse_config_file(cfg))
+    w1s = cli._grid_axis(conf.grid_omega1_min_mev, conf.grid_omega1_max_mev,
+                         conf.grid_n_omega1)
+    w2s = cli._grid_axis(conf.grid_omega2_min_mev, conf.grid_omega2_max_mev,
+                         conf.grid_n_omega2)
+    panels, masked = sigma5_panel_grids(
+        cli._setup_from_config(conf), conf.theta_rad, conf.phi_rad, w1s, w2s,
+        conf.beam_pol_value(), conf.threshold_mev)
+    assert masked.shape == (3, 5) and masked.any() and not masked.all()
+    cells = {(f"{w1:.10e}", f"{w2:.10e}"): (i, j)
+             for i, w1 in enumerate(w1s) for j, w2 in enumerate(w2s)}
+    for letter, label in zip(PANEL_LETTERS, PANEL_ORDER):
+        lines = (out3 / f"sigma5_panel_{letter}_{label}.dat").read_text()
+        rows = [line.split("\t") for line in lines.splitlines()[1:]]
+        assert [tuple(r[:2]) for r in rows] == list(cells)
+        for r in rows:
+            i, j = cells[r[0], r[1]]
+            assert r[2:] == [f"{panels[label][i, j]:.10e}",
+                             str(int(masked[i, j]))]
 
 
 def test_cli_totals_report(tmp_path):
