@@ -73,11 +73,33 @@ def point_amplitude(setup: CollisionSetup, photons, p_f, eps, r_i: int = 1,
     return complex(tensor.reshape(2, 2)[r_i - 1, r_f - 1])
 
 
-def beam_basis_arrays(n_pts: int) -> np.ndarray:
-    """Polarization basis of the +z beam photon as a (N, 2, 4) array."""
-    out = np.zeros((n_pts, 2, 4))
-    out[:, 0, 1] = 1.0   # x
-    out[:, 1, 2] = 1.0   # y
+def beam_basis_arrays(n_pts: int, beam_pol=None) -> np.ndarray:
+    """Polarization vectors of the +z beam photon as an (N, P, 4) array.
+
+    beam_pol None gives the basis, x then y (P = 2), for sums over the beam
+    polarization.  A label 1 or 2 (any integral type) gives that basis
+    vector alone, and a transverse (ex, ey) pair of finite components with
+    non-zero norm gives the normalized vector (P = 1).  Anything else
+    raises ValueError.
+    """
+    basis = [(1.0, 0.0), (0.0, 1.0)]     # x, y
+    if beam_pol is None:
+        vectors = basis
+    elif isinstance(beam_pol, numbers.Integral):
+        check_labels(beam_pol)
+        vectors = [basis[beam_pol - 1]]
+    else:
+        try:
+            vec = np.asarray(beam_pol, dtype=float)
+        except (TypeError, ValueError):
+            vec = np.empty(0)
+        norm = np.hypot(*vec) if vec.shape == (2,) else np.nan
+        if not 0.0 < norm < np.inf:
+            raise ValueError("beam polarization vector must be two finite "
+                             f"components, not both zero: got {beam_pol!r}")
+        vectors = [vec / norm]
+    out = np.zeros((n_pts, len(vectors), 4))
+    out[:, :, 1:3] = vectors
     return out
 
 
@@ -137,6 +159,13 @@ def amplitude_tensor(setup: CollisionSetup, k_arrays: np.ndarray,
     eps_arrays: per photon, (N, P, 4) polarization four-vectors, normally
     the P = 2 basis.  Returns a complex array (N, P, ..., P, 2, 2): one
     polarization axis per photon (photon order), then r_i, then r_f.
+
+    The amplitude is linear in each polarization vector, so a polarized
+    beam needs no contraction afterwards: ``beam_basis_arrays`` hands the
+    beam photon its own vector (P = 1), and only sums over the beam
+    polarization pass both basis vectors.  Each polarization entry is
+    computed on its own, so a basis vector alone gives the same amplitudes,
+    to the bit, as its slice of the P = 2 tensor.
 
     Inside, the point axis is last and contiguous: spinors, slashed
     polarizations and propagators are (4, 4, ..., N) stacks, and applying
@@ -246,20 +275,3 @@ def amplitude_tensor(setup: CollisionSetup, k_arrays: np.ndarray,
     return np.ascontiguousarray(total.transpose(
         (n + 2,) + tuple(range(1, n + 1)) + (n + 1, 0)))
 
-
-def contract_beam(tensor: np.ndarray, beam_pol) -> np.ndarray:
-    """Collapse the absorbed photon's polarization axis.
-
-    beam_pol: label 1 or 2 (any integral type), or a transverse (ex, ey)
-    pair with 0 < hypot(ex, ey) < inf combining the two basis amplitudes
-    linearly (the amplitude is linear in the beam polarization vector).
-    """
-    if isinstance(beam_pol, numbers.Integral):
-        check_labels(beam_pol)
-        return tensor[:, beam_pol - 1]
-    ex, ey = float(beam_pol[0]), float(beam_pol[1])
-    norm = np.hypot(ex, ey)
-    if not 0.0 < norm < np.inf:
-        raise ValueError(
-            "beam polarization vector must be non-zero and finite")
-    return (ex * tensor[:, 0] + ey * tensor[:, 1]) / norm

@@ -51,22 +51,21 @@ def sigma5(setup: CollisionSetup, cfg: FinalStateConfig,
     tensor, kin, _, physical = _tensor_for_points(
         setup, 3, np.array(cfg.thetas, float)[:, None],
         np.array(cfg.phis, float)[:, None],
-        np.array([[cfg.omega1], [cfg.omega2]]), threshold_eps)
+        np.array([[cfg.omega1], [cfg.omega2]]), threshold_eps, beam_pol)
     i, j, l = (lab - 1 for lab in cfg.pols)
-    m = amp.contract_beam(tensor, beam_pol)[0, i, j, l, cfg.r_i - 1,
-                                            cfg.r_f - 1]
+    m = tensor[0, 0, i, j, l, cfg.r_i - 1, cfg.r_f - 1]
     return Sigma5Point(float(abs(m) ** 2 * kin[0]), bool(physical[0]), cfg)
 
 
 def spin_summed_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
                        beam_pol=1, final_pols=(1, 1, 1),
                        threshold_eps: float = 0.0) -> float:
-    """(1/2) sum over both electron spins at fixed photon polarizations."""
-    value = spin_summed_sigma5_batch(
-        setup, np.array([[t] for t in thetas]), np.array([[p] for p in phis]),
-        np.array([omega1]), np.array([omega2]), beam_pol, final_pols,
-        threshold_eps)
-    return float(value[0])
+    """(1/2) sum over both electron spins at fixed photon polarizations:
+    the matching cell of a one-point :func:`sigma5_panel_grids`."""
+    check_labels(*final_pols)
+    panels, _ = sigma5_panel_grids(setup, thetas, phis, [omega1], [omega2],
+                                   beam_pol, threshold_eps)
+    return float(panels["".join(str(int(lab)) for lab in final_pols)][0, 0])
 
 
 def unpolarized_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
@@ -94,11 +93,14 @@ def _close_and_keep(setup, thetas, phis, omegas_free, threshold_eps):
 
 
 def _tensor_for_points(setup, n_out, thetas, phis, omegas_free,
-                       threshold_eps: float = 0.0):
+                       threshold_eps: float = 0.0, beam_pol=None):
     """Amplitude tensor and kinematic factor at stacked points.
 
-    The tensor is evaluated on the kept rows only (see ``_close_and_keep``)
-    and reads zero elsewhere.  kin is the differential cross section per
+    The beam photon's polarization axis holds the vectors of
+    ``amp.beam_basis_arrays(N, beam_pol)``: both basis vectors for None,
+    the beam's own polarization (one entry) otherwise.  The tensor is
+    evaluated on the kept rows only (see ``_close_and_keep``) and reads
+    zero elsewhere.  kin is the differential cross section per
     unit squared amplitude (the formula in the module docstring without
     |M|^2), zero off the kept rows.  Returns (tensor, kin, keep, physical).
     """
@@ -106,14 +108,14 @@ def _tensor_for_points(setup, n_out, thetas, phis, omegas_free,
     phis = np.atleast_2d(np.asarray(phis, float))
     omegas, k_out, p_f, kfac, physical, keep = _close_and_keep(
         setup, thetas, phis, omegas_free, threshold_eps)
-    n_pts = keep.size
-    tensor = np.zeros((n_pts,) + (2,) * (n_out + 3), dtype=complex)
+    n_pts, n_kept = keep.size, int(np.count_nonzero(keep))
+    eps_arrays = [amp.beam_basis_arrays(n_kept, beam_pol)]
+    tensor = np.zeros((n_pts, eps_arrays[0].shape[1]) + (2,) * (n_out + 2),
+                      dtype=complex)
     kin = np.zeros(n_pts)
-    if not keep.any():
+    if not n_kept:
         return tensor, kin, keep, physical
-    n_kept = int(np.count_nonzero(keep))
     k0 = np.broadcast_to(setup.k_0, (1, n_kept, 4))
-    eps_arrays = [amp.beam_basis_arrays(n_kept)]
     for j in range(n_out):
         eps_arrays.append(amp.outgoing_basis_arrays(thetas[j][keep],
                                                     phis[j][keep]))
@@ -133,20 +135,6 @@ def unpolarized_sigma5_batch(setup, thetas, phis, omega1, omega2,
         setup, 3, thetas, phis,
         np.stack([np.asarray(omega1, float), np.asarray(omega2, float)]),
         threshold_eps)
-
-
-def spin_summed_sigma5_batch(setup, thetas, phis, omega1, omega2, beam_pol,
-                             final_pols, threshold_eps: float = 0.0
-                             ) -> np.ndarray:
-    """(1/2) sum over electron spins at fixed beam and final polarizations."""
-    check_labels(*final_pols)
-    omegas_free = np.stack([np.asarray(omega1, float),
-                            np.asarray(omega2, float)])
-    tensor, kin, _, _ = _tensor_for_points(setup, 3, thetas, phis,
-                                           omegas_free, threshold_eps)
-    i, j, l = (lab - 1 for lab in final_pols)
-    fixed = amp.contract_beam(tensor, beam_pol)[:, i, j, l]  # (N, r_i, r_f)
-    return 0.5 * (np.abs(fixed) ** 2).sum(axis=(1, 2)) * kin
 
 
 PANEL_ORDER = ("111", "211", "121", "112", "221", "212", "122", "222")
@@ -171,9 +159,9 @@ def sigma5_panel_grids(setup, thetas, phis, omega1_grid, omega2_grid,
     ph = np.repeat(np.asarray(phis, float)[:, None], w1m.size, axis=1)
     omegas_free = np.stack([w1m.ravel(), w2m.ravel()])
     tensor, kin, keep, _ = _tensor_for_points(setup, 3, th, ph, omegas_free,
-                                              threshold_eps)
-    beam = amp.contract_beam(tensor, beam_pol)     # (N, 2,2,2, r_i, r_f)
-    msq = 0.5 * (np.abs(beam) ** 2).sum(axis=(4, 5))
+                                              threshold_eps, beam_pol)
+    # (N, 2,2,2, r_i, r_f) -> (N, 2,2,2)
+    msq = 0.5 * (np.abs(tensor[:, 0]) ** 2).sum(axis=(4, 5))
     panels = {}
     for label in PANEL_ORDER:
         i, j, l = (int(c) - 1 for c in label)

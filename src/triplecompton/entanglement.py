@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import amplitude as amp
 from .cross_section import _close_and_keep, _tensor_for_points
 from .kinematics import CollisionSetup
 
@@ -114,11 +113,10 @@ def density_from_amplitudes(setup: CollisionSetup, thetas, phis, omega1,
         setup, 3, np.array([[t] for t in thetas]),
         np.array([[p] for p in phis]),
         np.stack([np.atleast_1d(float(omega1)),
-                  np.atleast_1d(float(omega2))]))
+                  np.atleast_1d(float(omega2))]), beam_pol=beam_pol)
     if not physical[0]:
         raise DegenerateStateError("phase-space point is unphysical")
-    beam = amp.contract_beam(tensor, beam_pol)[0]      # (2,2,2, r_i, r_f)
-    vecs = beam.reshape(8, 4)                          # spin configs as columns
+    vecs = tensor[0, 0].reshape(8, 4)      # spin configs as columns
     rho = vecs @ vecs.conj().T
     norm = float(np.trace(rho).real)
     # physical squared amplitudes are >~1e-10 everywhere sampled; collinear

@@ -245,7 +245,9 @@ def test_scalar_api_typed_errors(rest_setup, sample_point):
         am.point_amplitude(rest_setup, (k1,), p_f, (eps_in, eps_out), r_i=3)
 
 
-def test_contract_beam_linearity(rest_setup, sample_point):
+def test_beam_vector_linearity(rest_setup, sample_point):
+    # the amplitude is linear in the beam polarization vector, so the beam's
+    # own vector in the kernel combines the two basis amplitudes
     cfg, state = sample_point
     th = np.array([[t] for t in cfg.thetas])
     ph = np.array([[p] for p in cfg.phis])
@@ -253,16 +255,18 @@ def test_contract_beam_linearity(rest_setup, sample_point):
         rest_setup, th, ph, np.array([[cfg.omega1], [cfg.omega2]]))
     ks = np.concatenate([np.array([[0.662, 0, 0, 0.662]])[None], k_out],
                         axis=0)
-    eps_arrays = [am.beam_basis_arrays(1)] + [
-        am.outgoing_basis_arrays(th[j], ph[j]) for j in range(3)]
-    tensor = am.amplitude_tensor(rest_setup, ks, p_f, eps_arrays)
-    mixed = am.contract_beam(tensor, (0.6, 0.8))
+    outgoing = [am.outgoing_basis_arrays(th[j], ph[j]) for j in range(3)]
+    tensor = am.amplitude_tensor(rest_setup, ks, p_f,
+                                 [am.beam_basis_arrays(1)] + outgoing)
+    beam = am.beam_basis_arrays(1, (0.6, 0.8))
+    assert np.array_equal(beam, [[[0.0, 0.6, 0.8, 0.0]]])
+    mixed = am.amplitude_tensor(rest_setup, ks, p_f, [beam] + outgoing)
     expected = 0.6 * tensor[:, 0] + 0.8 * tensor[:, 1]
-    assert np.allclose(mixed, expected, rtol=1e-12)
+    assert np.allclose(mixed[:, 0], expected, rtol=1e-12)
     with pytest.raises(ValueError):
-        am.contract_beam(tensor, (0.0, 0.0))
+        am.beam_basis_arrays(1, (0.0, 0.0))
     with pytest.raises(ValueError):
-        am.contract_beam(tensor, 3)
+        am.beam_basis_arrays(1, 3)
 
 
 def test_beam_polarization_validated(rest_setup):
@@ -275,8 +279,11 @@ def test_beam_polarization_validated(rest_setup):
         spin_summed_sigma5(*args, beam_pol=2)
     with pytest.raises(ValueError, match="labels must be 1 or 2"):
         spin_summed_sigma5(*args, beam_pol=np.int64(3))
-    # a non-finite vector has no direction; it used to give sigma5 = nan
-    for bad in ((math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf)):
+    # a non-finite vector has no direction; it used to give sigma5 = nan.
+    # A third component used to be dropped silently, one component raised
+    # IndexError and a float label TypeError
+    for bad in ((math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf),
+                (0.6, 0.8, 7.0), (0.6,), 1.0):
         with pytest.raises(ValueError, match="beam polarization vector"):
             spin_summed_sigma5(*args, beam_pol=bad)
         with pytest.raises(ValueError, match="beam polarization vector"):

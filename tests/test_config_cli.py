@@ -378,3 +378,38 @@ scan.n_points = 1
                      "--out", str(out2)]) == cli.EXIT_OK
     report = (out2 / "report.txt").read_text()
     assert f"{float(row[1]):.6e}" in report
+
+
+def test_benchmark_tracer_patches_bound_names(monkeypatch, rest_setup):
+    # a traced benchmark run replaces module attributes by name: deleting or
+    # renaming one of them in the package must fail here, not in the bench
+    import importlib
+
+    from triplecompton import entanglement, integration
+
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    patches = tracing.Patches()
+    tracing.capture_tau_results(patches, [])
+    tracer = tracing.Tracer(0)
+    tracer.install(patches)
+    originals = {}
+    try:
+        for module, name, value in patches._saved:
+            originals.setdefault((module, name), value)
+            assert getattr(module, name) is not value
+        rng = np.random.default_rng(5)
+        values = integration.unpolarized_sigma5_batch(
+            rest_setup, np.arccos(rng.uniform(-1, 1, (3, 4))),
+            rng.uniform(0, 2 * math.pi, (3, 4)), np.full(4, 0.1),
+            np.full(4, 0.15))
+        assert values.shape == (4,)
+    finally:
+        patches.restore()
+    assert (entanglement, "gme_tau") in originals
+    for (module, name), value in originals.items():
+        assert getattr(module, name) is value
+    names = {span.name for span in tracer.spans}
+    assert {"cross_section.unpolarized_sigma5_batch",
+            "kinematics._close_arrays", "amplitude.amplitude_tensor"} <= names

@@ -7,6 +7,7 @@ import pytest
 from triplecompton.constants import (ALPHA, ELECTRON_MASS_MEV as M,
                                      HBARC2_MEV2_BARN)
 from triplecompton.cross_section import (PANEL_ORDER, Sigma5Point,
+                                         _tensor_for_points,
                                          sigma5, sigma5_panel_grids,
                                          spin_summed_sigma5,
                                          threshold_boundary,
@@ -150,6 +151,40 @@ def test_beam_basis_independence(rest_setup):
         # the two spin_summed halves already carry the 1/2 spin average;
         # the beam average adds another factor 1/2
         assert 0.5 * total == pytest.approx(reference, rel=1e-10)
+
+
+@pytest.mark.parametrize("frame", ["rest", "collider"])
+def test_polarized_beam_bit_for_bit(rest_setup, xfel_setup, frame):
+    # a beam label hands the kernel that one basis vector, and each
+    # polarization entry is computed on its own: the polarized tensor is the
+    # beam-summed tensor's slice to the bit, and a one-point spin sum is the
+    # matching panel cell exactly
+    rng = np.random.default_rng(61)
+    if frame == "rest":
+        setup, thetas, phis = rest_setup, (1.2, 2.0, 0.9), (0.4, 2.5, 4.4)
+        th = np.arccos(rng.uniform(-1, 1, (3, 400)))
+        grid = np.linspace(0.05, 0.3, 4)
+    else:
+        setup, thetas, phis = xfel_setup, XFEL_THETAS, XFEL_PHIS
+        th = math.pi - rng.uniform(0.0, 3e-3, (3, 400))
+        grid = np.linspace(200.0, 1200.0, 4)
+    ph = rng.uniform(0, 2 * math.pi, (3, 400))
+    w = rng.uniform(0.02, 0.4, (2, 400)) * setup.omega_max
+    both, _, keep, _ = _tensor_for_points(setup, 3, th, ph, w)
+    assert keep.sum() >= 100
+    for label in (1, 2):
+        tensor = _tensor_for_points(setup, 3, th, ph, w, 0.0, label)[0]
+        assert tensor.shape[1] == 1
+        assert np.array_equal(tensor[:, 0], both[:, label - 1])
+        panels, masked = sigma5_panel_grids(setup, thetas, phis, grid, grid,
+                                            label)
+        assert (~masked).sum() >= 4
+        for i, j in np.argwhere(~masked):
+            for pols in PANEL_ORDER:
+                value = spin_summed_sigma5(
+                    setup, thetas, phis, grid[i], grid[j], beam_pol=label,
+                    final_pols=tuple(int(c) for c in pols))
+                assert value == panels[pols][i, j]
 
 
 def test_sigma5_nonnegative_everywhere(rest_setup):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triplecompton import amplitude as amp
 from triplecompton.cross_section import _tensor_for_points
 from triplecompton.entanglement import (BIPARTITIONS, DegenerateStateError,
                                         InvalidDensityMatrix, SolverError,
@@ -300,12 +299,12 @@ def test_density_is_real_symmetric(rest_setup):
     # Gram matrix is rounding, and the state comes back as a real array
     rng = np.random.default_rng(29)
     for cfg, _ in random_physical_configs(rest_setup, rng, 40):
-        tensor = _tensor_for_points(
-            rest_setup, 3, np.array(cfg.thetas)[:, None],
-            np.array(cfg.phis)[:, None], np.array([[cfg.omega1],
-                                                   [cfg.omega2]]))[0]
         for beam_pol in (1, 2, (0.6, 0.8)):
-            vecs = amp.contract_beam(tensor, beam_pol)[0].reshape(8, 4)
+            tensor = _tensor_for_points(
+                rest_setup, 3, np.array(cfg.thetas)[:, None],
+                np.array(cfg.phis)[:, None],
+                np.array([[cfg.omega1], [cfg.omega2]]), 0.0, beam_pol)[0]
+            vecs = tensor[0, 0].reshape(8, 4)
             gram = vecs @ vecs.conj().T
             assert np.abs(gram.imag).max() <= 1e-13 * np.abs(gram).max()
             rho = density_from_amplitudes(rest_setup, cfg.thetas, cfg.phis,
