@@ -206,8 +206,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         problems.append("threshold_mev: must be positive")
     if cfg.budget < 128:
         problems.append(f"budget: {cfg.budget} too small (need >= 128)")
-    if cfg.seed < 0:
-        problems.append("seed: must be non-negative")
+    if not 0 <= cfg.seed < 1 << 64:
+        problems.append(f"seed: {cfg.seed} outside [0, 2^64)")
     for axis in ("omega1", "omega2"):
         lo = getattr(cfg, f"grid_{axis}_min_mev")
         hi = getattr(cfg, f"grid_{axis}_max_mev")

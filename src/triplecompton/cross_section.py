@@ -48,10 +48,9 @@ def prefactor(n_out: int, mass: float) -> float:
 def sigma5(setup: CollisionSetup, cfg: FinalStateConfig,
            threshold_eps: float = 0.0, beam_pol=1) -> Sigma5Point:
     """Five-fold differential cross section at one spin/polarization point."""
-    tensor, kin, _, physical = _tensor_for_points(
-        setup, 3, np.array(cfg.thetas, float)[:, None],
-        np.array(cfg.phis, float)[:, None],
-        np.array([[cfg.omega1], [cfg.omega2]]), threshold_eps, beam_pol)
+    tensor, kin, _, physical = grid_tensor(
+        setup, cfg.thetas, cfg.phis, [cfg.omega1], [cfg.omega2], beam_pol,
+        threshold_eps)
     i, j, l = (lab - 1 for lab in cfg.pols)
     m = tensor[0, 0, i, j, l, cfg.r_i - 1, cfg.r_f - 1]
     return Sigma5Point(float(abs(m) ** 2 * kin[0]), bool(physical[0]), cfg)
@@ -80,18 +79,6 @@ def unpolarized_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
 # ---------------------------------------------------------------------------
 # batched evaluation on arrays of phase-space points
 
-def _close_and_keep(setup, thetas, phis, omegas_free, threshold_eps):
-    """Closure plus the keep mask: physical points with every photon at or
-    above threshold_eps.  Returns (omegas (n_out, N), k_out, p_f, K,
-    physical, keep)."""
-    w_last, k_out, p_f, kfac, physical, _ = _close_arrays(
-        setup, thetas, phis, omegas_free)
-    omegas = np.vstack([np.asarray(omegas_free, float).reshape(
-        k_out.shape[0] - 1, w_last.size), w_last[None]])
-    keep = physical & (omegas >= threshold_eps).all(axis=0)
-    return omegas, k_out, p_f, kfac, physical, keep
-
-
 def _tensor_for_points(setup, n_out, thetas, phis, omegas_free,
                        threshold_eps: float = 0.0, beam_pol=None):
     """Amplitude tensor and kinematic factor at stacked points.
@@ -99,15 +86,18 @@ def _tensor_for_points(setup, n_out, thetas, phis, omegas_free,
     The beam photon's polarization axis holds the vectors of
     ``amp.beam_basis_arrays(N, beam_pol)``: both basis vectors for None,
     the beam's own polarization (one entry) otherwise.  The tensor is
-    evaluated on the kept rows only (see ``_close_and_keep``) and reads
-    zero elsewhere.  kin is the differential cross section per
-    unit squared amplitude (the formula in the module docstring without
-    |M|^2), zero off the kept rows.  Returns (tensor, kin, keep, physical).
+    evaluated on the kept rows only, the physical points with every photon
+    at or above threshold_eps, and reads zero elsewhere.  kin is the
+    differential cross section per unit squared amplitude (the formula in
+    the module docstring without |M|^2), zero off the kept rows.  Returns
+    (tensor, kin, keep, physical).
     """
     thetas = np.atleast_2d(np.asarray(thetas, float))
     phis = np.atleast_2d(np.asarray(phis, float))
-    omegas, k_out, p_f, kfac, physical, keep = _close_and_keep(
-        setup, thetas, phis, omegas_free, threshold_eps)
+    _, k_out, p_f, kfac, physical, _ = _close_arrays(setup, thetas, phis,
+                                                     omegas_free)
+    # k_out[..., 0] holds every photon's energy, the derived one included
+    keep = physical & (k_out[..., 0] >= threshold_eps).all(axis=0)
     n_pts, n_kept = keep.size, int(np.count_nonzero(keep))
     eps_arrays = [amp.beam_basis_arrays(n_kept, beam_pol)]
     tensor = np.zeros((n_pts, eps_arrays[0].shape[1]) + (2,) * (n_out + 2),
@@ -123,9 +113,23 @@ def _tensor_for_points(setup, n_out, thetas, phis, omegas_free,
         setup, np.concatenate([k0, k_out[:, keep]]), p_f[keep], eps_arrays)
     e_f = p_f[keep, 0]
     kin[keep] = (prefactor(n_out, setup.mass)
-                 * omegas[:, keep].prod(axis=0) / (e_f * setup.flux)
+                 * k_out[:, keep, 0].prod(axis=0) / (e_f * setup.flux)
                  / np.abs(kfac[keep]) * HBARC2_MEV2_BARN)
     return tensor, kin, keep, physical
+
+
+def grid_tensor(setup, thetas, phis, omega1_grid, omega2_grid, beam_pol,
+                threshold_eps: float = 0.0):
+    """:func:`_tensor_for_points` for three photons at fixed angles on an
+    (omega1, omega2) grid, every cell in one evaluation.  Cell (i, j), at
+    (omega1_grid[i], omega2_grid[j]), is row i * len(omega2_grid) + j."""
+    w1m, w2m = np.meshgrid(np.asarray(omega1_grid, float),
+                           np.asarray(omega2_grid, float), indexing="ij")
+    th = np.repeat(np.asarray(thetas, float)[:, None], w1m.size, axis=1)
+    ph = np.repeat(np.asarray(phis, float)[:, None], w1m.size, axis=1)
+    return _tensor_for_points(setup, 3, th, ph,
+                              np.stack([w1m.ravel(), w2m.ravel()]),
+                              threshold_eps, beam_pol)
 
 
 def unpolarized_sigma5_batch(setup, thetas, phis, omega1, omega2,
@@ -151,15 +155,9 @@ def sigma5_panel_grids(setup, thetas, phis, omega1_grid, omega2_grid,
     unphysical or have any photon below threshold.  One amplitude tensor
     evaluation covers every panel.
     """
-    w1g = np.asarray(omega1_grid, float)
-    w2g = np.asarray(omega2_grid, float)
-    w1m, w2m = np.meshgrid(w1g, w2g, indexing="ij")
-    shape = w1m.shape
-    th = np.repeat(np.asarray(thetas, float)[:, None], w1m.size, axis=1)
-    ph = np.repeat(np.asarray(phis, float)[:, None], w1m.size, axis=1)
-    omegas_free = np.stack([w1m.ravel(), w2m.ravel()])
-    tensor, kin, keep, _ = _tensor_for_points(setup, 3, th, ph, omegas_free,
-                                              threshold_eps, beam_pol)
+    tensor, kin, keep, _ = grid_tensor(setup, thetas, phis, omega1_grid,
+                                       omega2_grid, beam_pol, threshold_eps)
+    shape = (np.size(omega1_grid), np.size(omega2_grid))
     # (N, 2,2,2, r_i, r_f) -> (N, 2,2,2)
     msq = 0.5 * (np.abs(tensor[:, 0]) ** 2).sum(axis=(4, 5))
     panels = {}

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cross_section import _close_and_keep, _tensor_for_points
+from .cross_section import grid_tensor
 from .kinematics import CollisionSetup
 
 BIPARTITIONS = (1, 2, 3)
@@ -109,22 +109,30 @@ def density_from_amplitudes(setup: CollisionSetup, thetas, phis, omega1,
     ~1e-16 relative at rest and up to ~2e-8 at collider kinematics, where
     the amplitude kernel itself loses digits.
     """
-    tensor, _, _, physical = _tensor_for_points(
-        setup, 3, np.array([[t] for t in thetas]),
-        np.array([[p] for p in phis]),
-        np.stack([np.atleast_1d(float(omega1)),
-                  np.atleast_1d(float(omega2))]), beam_pol=beam_pol)
+    tensor, _, _, physical = grid_tensor(setup, thetas, phis,
+                                         [float(omega1)], [float(omega2)],
+                                         beam_pol)
     if not physical[0]:
         raise DegenerateStateError("phase-space point is unphysical")
-    vecs = tensor[0, 0].reshape(8, 4)      # spin configs as columns
-    rho = vecs @ vecs.conj().T
-    norm = float(np.trace(rho).real)
+    rho, norm, live = _states(tensor[:, 0])
+    if not live[0]:
+        raise DegenerateStateError(
+            f"all amplitudes vanish at this point (sum |M|^2 = {norm[0]:.2e})")
+    return rho[0]
+
+
+def _states(amplitudes: np.ndarray):
+    """(rho, norm, live) for a stack of cells' amplitudes, each (2, 2, 2,
+    2, 2) with the photon labels before the electron spins: norm is each
+    cell's sum |M|^2, live flags the cells whose amplitudes do not all
+    vanish, and rho holds the trace-one real states of the live cells."""
+    vecs = amplitudes.reshape(-1, 8, 4)     # spin configs as columns
+    gram = vecs @ vecs.conj().swapaxes(-1, -2)
+    norm = np.trace(gram, axis1=1, axis2=2).real
     # physical squared amplitudes are >~1e-10 everywhere sampled; collinear
     # zeros leave only double-precision noise (~1e-30)
-    if norm <= 1e-18 or not np.isfinite(norm):
-        raise DegenerateStateError(
-            f"all amplitudes vanish at this point (sum |M|^2 = {norm:.2e})")
-    return (rho / norm).real
+    live = (norm > 1e-18) & np.isfinite(norm)
+    return (gram[live] / norm[live, None, None]).real, norm, live
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
@@ -466,31 +474,23 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
 
     Returns (taus, masked, results), arrays of shape (len(w1), len(w2)):
     results[i, j] is the cell's :class:`TauResult`, which certifies its tau
-    within ``upper_bound - tau``, or None on a masked cell.  Each unmasked
-    cell is one :func:`gme_tau` call.
+    within ``upper_bound - tau``, or None on a masked cell.  One
+    :func:`grid_tensor` evaluation gives every cell's state, and each
+    unmasked cell is one :func:`gme_tau` call.
     """
-    w1g = np.asarray(omega1_grid, float)
-    w2g = np.asarray(omega2_grid, float)
-    w1m, w2m = np.meshgrid(w1g, w2g, indexing="ij")
-    n = w1m.size
-    th = np.repeat(np.asarray(thetas, float)[:, None], n, axis=1)
-    ph = np.repeat(np.asarray(phis, float)[:, None], n, axis=1)
-    keep = _close_and_keep(setup, th, ph, np.stack([w1m.ravel(),
-                                                    w2m.ravel()]),
-                           threshold_eps)[-1]
-    taus = np.zeros(n)
-    results = np.full(n, None, dtype=object)
+    tensor, _, keep, _ = grid_tensor(setup, thetas, phis, omega1_grid,
+                                     omega2_grid, beam_pol, threshold_eps)
+    cells = np.nonzero(keep)[0]
+    states, _, live = _states(tensor[cells, 0])
     masked = ~keep
-    for i in np.nonzero(keep)[0]:
-        try:
-            rho = density_from_amplitudes(
-                setup, thetas, phis, w1m.ravel()[i], w2m.ravel()[i], beam_pol)
-        except DegenerateStateError:
-            masked[i] = True
-            continue
+    masked[cells[~live]] = True
+    taus = np.zeros(keep.size)
+    results = np.full(keep.size, None, dtype=object)
+    for i, rho in zip(cells[live], states):
         results[i] = gme_tau(rho)
         taus[i] = results[i].tau
-    return tuple(a.reshape(w1m.shape) for a in (taus, masked, results))
+    shape = (np.size(omega1_grid), np.size(omega2_grid))
+    return tuple(a.reshape(shape) for a in (taus, masked, results))
 
 
 def save_density_matrix(path, rho: np.ndarray) -> None:

@@ -27,6 +27,8 @@ from .constants import BARN_TO_CM2
 from .kinematics import CollisionSetup
 
 _MASK64 = (1 << 64) - 1
+# rows per integrand call; the per-stratum sums do not depend on it
+BATCH_ROWS = 8192
 
 PROCESS_PHOTONS = {"single": 1, "double": 2, "triple": 3}
 # Above the Lorentz factor E/m = BOOST_THRESHOLD, PhaseSpaceMap draws each
@@ -66,21 +68,24 @@ class BeamParameters:
     def __post_init__(self):
         for name in ("photons_per_pulse", "electrons_per_bunch",
                      "repetition_rate_hz"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         # the rate divides by the overlap area pi (d/2)^2
-        if not self.transverse_size_um > 0:
-            raise ValueError("transverse_size_um must be positive")
+        if not 0 < self.transverse_size_um < math.inf:
+            raise ValueError("transverse_size_um must be finite and positive")
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for one stratum."""
-    key = ((int(seed) & _MASK64) << 64) | (int(index) & _MASK64)
+    """Independent counter-based stream for one stratum; the master seed
+    must lie in [0, 2^64), the 64 bits of the key it fills."""
+    seed = int(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed {seed} outside [0, 2^64)")
+    key = (seed << 64) | (int(index) & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def stratified_monte_carlo(integrand, dim, strata, budget, seed,
-                           batch: int = 8192):
+def stratified_monte_carlo(integrand, dim, strata, budget, seed):
     """Stratified mean of ``integrand`` over the unit cube [0,1)^dim.
 
     strata: tuple of cell counts applied to the leading dims (equal
@@ -96,17 +101,12 @@ def stratified_monte_carlo(integrand, dim, strata, budget, seed,
             f"({n_cells} strata); need at least 2")
     means, mean_vars = [], []
     for cell in range(n_cells):
-        idx = []
-        rem = cell
-        for c in reversed(counts):
-            idx.append(rem % c)
-            rem //= c
-        idx = idx[::-1]
+        idx = np.unravel_index(cell, counts)
         rng = substream(seed, cell)
         parts = []
         remaining = n_per
         while remaining > 0:
-            nb = min(batch, remaining)
+            nb = min(BATCH_ROWS, remaining)
             x = rng.random((nb, dim))
             for axis, (i, c) in enumerate(zip(idx, counts)):
                 x[:, axis] = (i + x[:, axis]) / c
@@ -189,8 +189,8 @@ class PhaseSpaceMap:
 
 
 def total_cross_section(setup: CollisionSetup, threshold_eps: float,
-                        process: str, budget: int = 1 << 19, seed: int = 1,
-                        batch: int = 8192) -> IntegrationResult:
+                        process: str, budget: int = 1 << 19,
+                        seed: int = 1) -> IntegrationResult:
     """Total cross section in barns for 1, 2 or 3 emitted photons.
 
     Every detected photon must carry at least threshold_eps (mandatory for
@@ -201,13 +201,13 @@ def total_cross_section(setup: CollisionSetup, threshold_eps: float,
     if process not in PROCESS_PHOTONS:
         raise ValueError(f"unknown process {process!r}")
     n_out = PROCESS_PHOTONS[process]
-    if n_out > 1 and threshold_eps <= 0.0:
+    if n_out > 1 and not threshold_eps > 0.0:
         raise ValueError(
             "infrared cutoff threshold_eps > 0 is mandatory for the "
             "double and triple processes")
-    if threshold_eps >= setup.omega_max:
+    if not threshold_eps < setup.omega_max:
         raise ValueError(
-            f"threshold {threshold_eps} MeV is beyond the kinematic "
+            f"threshold {threshold_eps} MeV is not below the kinematic "
             f"maximum {setup.omega_max:.6g} MeV")
     ps = PhaseSpaceMap(setup, n_out, max(threshold_eps, 0.0))
 
@@ -222,15 +222,15 @@ def total_cross_section(setup: CollisionSetup, threshold_eps: float,
     else:
         strata = (8, 8)
     value, error, n = stratified_monte_carlo(integrand, ps.dim, strata,
-                                             budget, seed, batch)
+                                             budget, seed)
     sym = math.factorial(n_out)
     return IntegrationResult(value / sym, error / sym, n, seed)
 
 
 def detector_average(setup: CollisionSetup, thetas, phis,
                      solid_angle_sr: float, threshold_eps: float,
-                     budget: int = 1 << 20, seed: int = 1,
-                     batch: int = 8192) -> IntegrationResult:
+                     budget: int = 1 << 20,
+                     seed: int = 1) -> IntegrationResult:
     """Unpolarized sigma5 averaged over three detector windows and integrated
     over photon energies above threshold, in b/sr^3.
 
@@ -238,19 +238,22 @@ def detector_average(setup: CollisionSetup, thetas, phis,
     arcsin(sqrt(Omega)/2), the rectangle in (cos theta', phi') whose measure
     equals Omega at theta_j = pi/2; the result is normalized by Omega^3.
     """
-    if solid_angle_sr <= 0:
-        raise WindowError("solid angle must be positive")
-    root = math.sqrt(solid_angle_sr)
-    if root / 2.0 > 1.0:
-        raise WindowError(f"solid angle {solid_angle_sr} sr too large")
-    half_theta = math.asin(root / 2.0)
     thetas = [float(t) for t in thetas]
     phis = [float(p) for p in phis]
+    if len(thetas) != 3 or len(phis) != 3 \
+            or not all(map(math.isfinite, thetas + phis)):
+        raise ValueError("need three finite detector angles theta and phi")
+    if not solid_angle_sr > 0:
+        raise WindowError("solid angle must be positive")
+    root = math.sqrt(solid_angle_sr)
+    if not root / 2.0 <= 1.0:
+        raise WindowError(f"solid angle {solid_angle_sr} sr too large")
+    half_theta = math.asin(root / 2.0)
     for t in thetas:
-        if t - half_theta <= 0.0 or t + half_theta >= math.pi:
+        if not (t - half_theta > 0.0 and t + half_theta < math.pi):
             raise WindowError(
                 f"theta window {t} +- {half_theta:.4f} leaves (0, pi)")
-    if threshold_eps <= 0.0 or threshold_eps >= setup.omega_max:
+    if not 0.0 < threshold_eps < setup.omega_max:
         raise ValueError(
             f"threshold must lie in (0, {setup.omega_max:.6g}) MeV")
     span = math.log(setup.omega_max / threshold_eps)
@@ -272,7 +275,7 @@ def detector_average(setup: CollisionSetup, thetas, phis,
         return f * weight
 
     value, error, n = stratified_monte_carlo(integrand, 8, (8, 8), budget,
-                                             seed, batch)
+                                             seed)
     norm = solid_angle_sr ** 3
     return IntegrationResult(value / norm, error / norm, n, seed)
 

@@ -41,6 +41,8 @@ class CollisionSetup:
         if not all(map(math.isfinite,
                        (self.e_i_mev, self.omega0_mev, self.mass))):
             raise ValueError("energies must be finite")
+        if not self.mass > 0:
+            raise ValueError(f"mass {self.mass} must be positive")
         if self.e_i_mev < self.mass:
             raise ValueError(f"electron energy {self.e_i_mev} below mass")
         if self.omega0_mev <= 0:

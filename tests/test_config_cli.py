@@ -158,6 +158,16 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys):
     assert "solid_angle_sr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_cli_seed_outside_key_range_exit_code(tmp_path, capsys, seed):
+    # the Philox key holds 64 bits of seed: -1 used to run as 2^64 - 1
+    code = cli.main(["totals", "--process", "single", "--budget", "128",
+                     "--seed", str(seed), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     code = cli.main(["mgbr1968", "--config", str(tmp_path / "none.cfg"),
                      "--out", str(tmp_path / "out")])

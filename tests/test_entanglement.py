@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triplecompton.cross_section import _tensor_for_points
+from triplecompton import amplitude, cross_section, entanglement
+from triplecompton.cross_section import _tensor_for_points, sigma5_panel_grids
 from triplecompton.entanglement import (BIPARTITIONS, DegenerateStateError,
                                         InvalidDensityMatrix, SolverError,
                                         _max_steps, _witness_stack,
@@ -15,7 +16,8 @@ from triplecompton.entanglement import (BIPARTITIONS, DegenerateStateError,
                                         partial_transpose, product_state,
                                         save_density_matrix, tau_grid,
                                         w_state)
-from conftest import MGBR_PHIS, MGBR_THETAS, random_physical_configs
+from conftest import (MGBR_PHIS, MGBR_THETAS, XFEL_PHIS, XFEL_THETAS,
+                      random_physical_configs)
 
 # Independent-solver oracle for the W state (computed once with two
 # general-purpose SDP solvers, CLARABEL and SCS, which agree to 1e-9).
@@ -359,3 +361,51 @@ def test_tau_grid_masking_and_symmetry(rest_setup):
     # the 120-degree detector triangle makes the grid symmetric in w1 <-> w2
     both = ~masked & ~masked.T
     assert np.abs(taus - taus.T)[both].max() < 1e-4
+
+
+def test_tau_grid_reads_states_from_one_grid_evaluation(monkeypatch,
+                                                        rest_setup,
+                                                        xfel_setup):
+    # the whole map is one closure and one amplitude call; each solved cell
+    # gets exactly the state density_from_amplitudes gives at that cell
+    calls = {"closure": 0, "amplitude": 0}
+    states = []
+
+    def counted(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cross_section, "_close_arrays", "closure")
+    counted(amplitude, "amplitude_tensor", "amplitude")
+    solve = entanglement.gme_tau
+
+    def recording_solve(rho):
+        states.append(rho)
+        return solve(rho)
+    monkeypatch.setattr(entanglement, "gme_tau", recording_solve)
+    w1s = np.linspace(300.0, 1500.0, 3)
+    w2s = np.linspace(100.0, 900.0, 3)
+    _, masked, _ = tau_grid(xfel_setup, XFEL_THETAS, XFEL_PHIS, w1s, w2s,
+                            beam_pol=1, threshold_eps=150.0)
+    assert calls == {"closure": 1, "amplitude": 1}
+    # the grid crosses the threshold: some cells are masked, some solved
+    assert 0 < masked.sum() < masked.size
+    assert len(states) == (~masked).sum()
+    _, panel_mask = sigma5_panel_grids(xfel_setup, XFEL_THETAS, XFEL_PHIS,
+                                       w1s, w2s, 1, 150.0)
+    assert np.array_equal(masked, panel_mask)
+    for rho, (i, j) in zip(states, np.argwhere(~masked)):
+        assert np.array_equal(rho, density_from_amplitudes(
+            xfel_setup, XFEL_THETAS, XFEL_PHIS, w1s[i], w2s[j], 1))
+    # collinear emission keeps every cell but its amplitudes vanish: the
+    # cells are masked and nothing is solved
+    states.clear()
+    collinear = (rest_setup, (1e-9,) * 3, (0.0,) * 3, [0.1, 0.2], [0.2])
+    assert cross_section.grid_tensor(*collinear, 1, 0.013)[2].all()
+    taus, masked, results = tau_grid(*collinear, threshold_eps=0.013)
+    assert masked.all() and not states
+    assert (taus == 0.0).all() and all(r is None for r in results.ravel())

@@ -5,6 +5,7 @@ import pytest
 
 from triplecompton.constants import ALPHA, ELECTRON_MASS_MEV as M, \
     HBARC2_MEV2_BARN
+from triplecompton import integration
 from triplecompton.integration import (BeamParameters, BudgetError,
                                        IntegrationResult, PhaseSpaceMap,
                                        WindowError, detector_average,
@@ -30,6 +31,12 @@ def test_substream_determinism():
     assert (a == b).all()
     c = substream(42, 8).random(5)
     assert (a != c).any()
+    assert (substream((1 << 64) - 1, 7).random(5) != a).all()
+    # the seed fills 64 bits of the key: -1 used to alias 2^64 - 1, and
+    # 2^64 aliased 0
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            substream(seed, 7)
 
 
 def test_total_cross_section_deterministic(rest_setup):
@@ -41,10 +48,12 @@ def test_total_cross_section_deterministic(rest_setup):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_batching_does_not_change_result(rest_setup, seed):
-    results = [total_cross_section(rest_setup, 0.0, "single",
-                                   budget=1 << 14, seed=seed, batch=batch)
-               for batch in (7, 100, 8192)]
+def test_batching_does_not_change_result(monkeypatch, rest_setup, seed):
+    results = []
+    for rows in (7, 100, 8192):
+        monkeypatch.setattr(integration, "BATCH_ROWS", rows)
+        results.append(total_cross_section(rest_setup, 0.0, "single",
+                                           budget=1 << 14, seed=seed))
     for res in results[1:]:
         assert res.value == results[0].value
         assert res.statistical_error == results[0].statistical_error
@@ -137,6 +146,10 @@ def test_total_requires_cutoff(rest_setup):
         total_cross_section(rest_setup, 1.0, "triple", budget=1 << 12)
     with pytest.raises(ValueError):
         total_cross_section(rest_setup, 0.0, "septuple", budget=1 << 12)
+    # a NaN threshold used to return nan (triple) or 0.0 (single)
+    for process in ("single", "double", "triple"):
+        with pytest.raises(ValueError, match="threshold"):
+            total_cross_section(rest_setup, math.nan, process, budget=1 << 12)
 
 
 def test_detector_average_window_validation(rest_setup):
@@ -152,6 +165,20 @@ def test_detector_average_window_validation(rest_setup):
     with pytest.raises(ValueError):
         detector_average(rest_setup, MGBR_THETAS, MGBR_PHIS, 0.378, 10.0,
                          budget=1 << 10)
+    # NaN inputs used to return value=nan (a NaN phi gave 0.0), and two
+    # thetas raised IndexError
+    nan = math.nan
+    for thetas, phis, omega, eps in (
+            ((nan, 1.5, 1.5), MGBR_PHIS, 0.378, 0.013),
+            (MGBR_THETAS, (nan, 1.0, 2.0), 0.378, 0.013),
+            (MGBR_THETAS, (math.inf, 1.0, 2.0), 0.378, 0.013),
+            (MGBR_THETAS, MGBR_PHIS, nan, 0.013),
+            (MGBR_THETAS, MGBR_PHIS, 0.378, nan),
+            (MGBR_THETAS[:2], MGBR_PHIS, 0.378, 0.013),
+            (MGBR_THETAS, MGBR_PHIS + (0.0,), 0.378, 0.013)):
+        with pytest.raises(ValueError):
+            detector_average(rest_setup, thetas, phis, omega, eps,
+                             budget=1 << 10)
 
 
 def test_detector_average_small_window_limit(rest_setup):
@@ -198,10 +225,15 @@ def test_event_rate_examples():
     assert event_rate(2e-5, BeamParameters(2e13, 1e9, 40.0, 0.0)) == 0.0
     doubled = BeamParameters(2e13, 2e9, 40.0, 120.0)
     assert event_rate(2e-5, doubled) == pytest.approx(2 * rate, rel=1e-12)
-    with pytest.raises(ValueError):
-        BeamParameters(-1.0, 1e9, 40.0, 120.0)
+    for bad in (-1.0, math.nan, math.inf):
+        for k in (0, 1, 3):
+            values = [2e13, 1e9, 40.0, 120.0]
+            values[k] = bad
+            with pytest.raises(ValueError):
+                BeamParameters(*values)
     # the rate divides by the overlap area, which a zero size makes zero
-    for size in (0.0, -40.0, math.nan):
+    # and an infinite one (a rate of 0.0) makes infinite
+    for size in (0.0, -40.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="transverse_size_um"):
             BeamParameters(2e13, 1e9, size, 120.0)
 

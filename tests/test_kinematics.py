@@ -185,6 +185,10 @@ def test_setup_validation():
         for energies in ((bad, 0.662), (M, bad), (5000.0, 0.001, bad)):
             with pytest.raises(ValueError, match="finite"):
                 CollisionSetup(*energies)
+    # a zero or negative mass used to be accepted
+    for mass in (0.0, -M):
+        with pytest.raises(ValueError, match="mass"):
+            CollisionSetup(1.0, 1.0, mass)
 
 
 def test_final_state_labels_validated():
