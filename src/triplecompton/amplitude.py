@@ -59,17 +59,17 @@ def point_amplitude(setup: CollisionSetup, photons, p_f, eps, r_i: int = 1,
     check_labels(r_i, r_f)
     for p in (setup.p_i, p_f):
         check_on_shell(p, setup.mass)
-    photons = (setup.k_0,) + tuple(photons)
-    n = len(photons)
+    lines = (setup.k_0,) + tuple(photons)
+    n = len(lines)
     for size in range(1, n):
         for subset in itertools.combinations(range(n), size):
             q = setup.p_i
             for j in subset:
-                q = q + photons[j] if j == 0 else q - photons[j]
+                q = q + lines[j] if j == 0 else q - lines[j]
             propagator_denominator(q, setup.mass)
     tensor = amplitude_tensor(
-        setup, np.array([[k] for k in photons]), np.asarray(p_f)[None],
-        [np.asarray(e)[None, None] for e in eps])
+        setup, np.asarray(photons, float).reshape(-1, 1, 4),
+        np.asarray(p_f)[None], [np.asarray(e)[None, None] for e in eps])
     return complex(tensor.reshape(2, 2)[r_i - 1, r_f - 1])
 
 
@@ -151,14 +151,15 @@ def _vertex(vertex: tuple, state: np.ndarray, before: int) -> np.ndarray:
     return out
 
 
-def amplitude_tensor(setup: CollisionSetup, k_arrays: np.ndarray,
+def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
                      p_f: np.ndarray, eps_arrays: list) -> np.ndarray:
     """Amplitudes for every polarization label and spin at stacked points.
 
-    k_arrays: (n_photons, N, 4) four-momenta with the absorbed photon first;
-    eps_arrays: per photon, (N, P, 4) polarization four-vectors, normally
-    the P = 2 basis.  Returns a complex array (N, P, ..., P, 2, 2): one
-    polarization axis per photon (photon order), then r_i, then r_f.
+    k_out: (n_out, N, 4) emitted photon four-momenta; the absorbed photon's,
+    p_i and the mass come from setup.  eps_arrays: per photon, the absorbed
+    one first, (N, P, 4) polarization four-vectors, normally the P = 2
+    basis.  Returns a complex array (N, P, ..., P, 2, 2): one polarization
+    axis per photon (photon order), then r_i, then r_f.
 
     The amplitude is linear in each polarization vector, so a polarized
     beam needs no contraction afterwards: ``beam_basis_arrays`` hands the
@@ -205,9 +206,9 @@ def amplitude_tensor(setup: CollisionSetup, k_arrays: np.ndarray,
     the point axis, so a row's result does not depend on the other rows or
     on N.
     """
-    ks = np.asarray(k_arrays, float)
-    n, n_pts = ks.shape[0], ks.shape[1]
-    mass = setup.mass
+    k_out = np.asarray(k_out, float)
+    n, n_pts = k_out.shape[0] + 1, k_out.shape[1]
+    k_0, mass = setup.k_0, setup.mass
     p_i = np.broadcast_to(setup.p_i, (n_pts, 4))
     u_cols = dirac_spinor_batch(p_i, mass).transpose(1, 2, 0)   # (4, 2, N)
     ubar = dirac_spinor_bar_batch(np.asarray(p_f), mass).transpose(1, 2, 0)
@@ -220,7 +221,7 @@ def amplitude_tensor(setup: CollisionSetup, k_arrays: np.ndarray,
     for col, subset in enumerate(subsets):
         q = p_i.copy()
         for j in subset:
-            q = q + ks[j] if j == 0 else q - ks[j]
+            q = q + k_0 if j == 0 else q - k_out[j - 1]
         qs[:, col] = q
     metric = np.array([1.0, -1.0, -1.0, -1.0])
     denom = np.einsum('nsi,nsi->sn', qs * metric, qs) - mass * mass

@@ -30,8 +30,8 @@ from .config import ConfigError, ScenarioConfig, config_lines, \
 from .cross_section import (PANEL_LETTERS, PANEL_ORDER, sigma5_panel_grids,
                             threshold_boundary)
 from .entanglement import SolverError, tau_grid
-from .integration import (BeamParameters, BudgetError, WindowError,
-                          detector_average, event_rate, total_cross_section)
+from .integration import (BeamParameters, BudgetError, detector_average,
+                          event_rate, total_cross_section)
 from .kinematics import CollisionSetup
 
 EXIT_OK = 0
@@ -60,12 +60,6 @@ def _metadata(cfg: ScenarioConfig, command: str, extra=()) -> str:
     lines += config_lines(cfg)
     lines += list(extra)
     return "\n".join(lines) + "\n"
-
-
-def _grid_axis(lo: float, hi: float, n: int) -> np.ndarray:
-    if n == 1:
-        return np.array([lo])
-    return np.linspace(lo, hi, n)
 
 
 def run_mgbr1968(cfg: ScenarioConfig, out_dir: Path) -> str:
@@ -114,10 +108,10 @@ def _grid_table(rows: tuple, values, value_name: str) -> str:
 
 def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
     setup = _setup_from_config(cfg)
-    w1s = _grid_axis(cfg.grid_omega1_min_mev, cfg.grid_omega1_max_mev,
-                     cfg.grid_n_omega1)
-    w2s = _grid_axis(cfg.grid_omega2_min_mev, cfg.grid_omega2_max_mev,
-                     cfg.grid_n_omega2)
+    w1s = np.linspace(cfg.grid_omega1_min_mev, cfg.grid_omega1_max_mev,
+                      cfg.grid_n_omega1)
+    w2s = np.linspace(cfg.grid_omega2_min_mev, cfg.grid_omega2_max_mev,
+                      cfg.grid_n_omega2)
     beam = cfg.beam_pol_value()
     written = []
     if observable == "sigma5":
@@ -130,9 +124,8 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
             _write(out_dir / name,
                    _grid_table(rows, panels[label], "sigma5_b_mev2_sr3"))
             written.append(name)
-        boundary = threshold_boundary(
-            setup, cfg.theta_rad, cfg.phi_rad, w1s, cfg.threshold_mev,
-            omega2_max=setup.omega_max)
+        boundary = threshold_boundary(setup, cfg.theta_rad, cfg.phi_rad,
+                                      w1s, cfg.threshold_mev)
         rows = ["omega1_mev\tomega2_mev"]
         rows += [f"{a:.10e}\t{b:.10e}" for a, b in boundary]
         _write(out_dir / "threshold_boundary.dat", "\n".join(rows) + "\n")
@@ -194,11 +187,8 @@ def run_totals(cfg: ScenarioConfig, processes, out_dir: Path) -> str:
 
 
 def run_scan(cfg: ScenarioConfig, out_dir: Path) -> str:
-    if cfg.scan_n_points == 1:
-        omega0s = np.array([cfg.scan_omega0_min_mev])
-    else:
-        omega0s = np.geomspace(cfg.scan_omega0_min_mev,
-                               cfg.scan_omega0_max_mev, cfg.scan_n_points)
+    omega0s = np.geomspace(cfg.scan_omega0_min_mev, cfg.scan_omega0_max_mev,
+                           cfg.scan_n_points)
     rows = ["omega0_mev\tavg_sigma_b_sr3\tstat_error_b_sr3"]
     for w0 in omega0s:
         setup = CollisionSetup(cfg.e_i_mev, float(w0))
@@ -277,7 +267,7 @@ def main(argv=None) -> int:
     except (BudgetError, SolverError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (WindowError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(report, end="")

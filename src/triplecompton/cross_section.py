@@ -79,7 +79,7 @@ def unpolarized_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
 # ---------------------------------------------------------------------------
 # batched evaluation on arrays of phase-space points
 
-def _tensor_for_points(setup, n_out, thetas, phis, omegas_free,
+def _tensor_for_points(setup, thetas, phis, omegas_free,
                        threshold_eps: float = 0.0, beam_pol=None):
     """Amplitude tensor and kinematic factor at stacked points.
 
@@ -94,6 +94,7 @@ def _tensor_for_points(setup, n_out, thetas, phis, omegas_free,
     """
     thetas = np.atleast_2d(np.asarray(thetas, float))
     phis = np.atleast_2d(np.asarray(phis, float))
+    n_out = len(thetas)
     _, k_out, p_f, kfac, physical, _ = _close_arrays(setup, thetas, phis,
                                                      omegas_free)
     # k_out[..., 0] holds every photon's energy, the derived one included
@@ -105,12 +106,11 @@ def _tensor_for_points(setup, n_out, thetas, phis, omegas_free,
     kin = np.zeros(n_pts)
     if not n_kept:
         return tensor, kin, keep, physical
-    k0 = np.broadcast_to(setup.k_0, (1, n_kept, 4))
     for j in range(n_out):
         eps_arrays.append(amp.outgoing_basis_arrays(thetas[j][keep],
                                                     phis[j][keep]))
-    tensor[keep] = amp.amplitude_tensor(
-        setup, np.concatenate([k0, k_out[:, keep]]), p_f[keep], eps_arrays)
+    tensor[keep] = amp.amplitude_tensor(setup, k_out[:, keep], p_f[keep],
+                                        eps_arrays)
     e_f = p_f[keep, 0]
     kin[keep] = (prefactor(n_out, setup.mass)
                  * k_out[:, keep, 0].prod(axis=0) / (e_f * setup.flux)
@@ -127,7 +127,7 @@ def grid_tensor(setup, thetas, phis, omega1_grid, omega2_grid, beam_pol,
                            np.asarray(omega2_grid, float), indexing="ij")
     th = np.repeat(np.asarray(thetas, float)[:, None], w1m.size, axis=1)
     ph = np.repeat(np.asarray(phis, float)[:, None], w1m.size, axis=1)
-    return _tensor_for_points(setup, 3, th, ph,
+    return _tensor_for_points(setup, th, ph,
                               np.stack([w1m.ravel(), w2m.ravel()]),
                               threshold_eps, beam_pol)
 
@@ -136,7 +136,7 @@ def unpolarized_sigma5_batch(setup, thetas, phis, omega1, omega2,
                              threshold_eps: float = 0.0) -> np.ndarray:
     """(1/4) sum_{spins, pols} sigma5 on arrays thetas/phis (3, N), omega (N,)."""
     return unpolarized_differential_batch(
-        setup, 3, thetas, phis,
+        setup, thetas, phis,
         np.stack([np.asarray(omega1, float), np.asarray(omega2, float)]),
         threshold_eps)
 
@@ -168,7 +168,7 @@ def sigma5_panel_grids(setup, thetas, phis, omega1_grid, omega2_grid,
 
 
 def threshold_boundary(setup, thetas, phis, omega1_grid,
-                       threshold_eps: float, omega2_max: float):
+                       threshold_eps: float):
     """Points (omega1, omega2) where the derived photon energy falls through
     the threshold on the physical branch.
 
@@ -182,16 +182,19 @@ def threshold_boundary(setup, thetas, phis, omega1_grid,
 
     so w3 = eps has the single root w2* = (a - eps c) / (b - eps d), and
     dw3/dw2 has the sign of a d - b c.  A row keeps (omega1, w2*) when
-    0 < w2* < omega2_max, w3 falls through eps there (a d - b c < 0) and the
-    closed point is physical; the last test drops the unphysical
+    0 < w2* < setup.omega_max, w3 falls through eps there (a d - b c < 0)
+    and the closed point is physical; the last test drops the unphysical
     continuation (E_f < m) on which w3 turns positive again.  Rows without
-    such a root are left out.
+    such a root are left out.  A non-finite angle, omega1 or threshold
+    raises ValueError.
     """
     from .kinematics import close_batch
 
     th = np.asarray(thetas, float)
     ph = np.asarray(phis, float)
     w1 = np.asarray(omega1_grid, float)
+    if not all(np.isfinite(v).all() for v in (th, ph, w1, threshold_eps)):
+        raise ValueError("angles, omega1 and threshold must be finite")
     along = _dot_pi_n(setup, th) + _dot_k0_n(setup, th)
     a = setup.flux - w1 * along[0]
     b = along[1] - w1 * _one_minus_cos_angle(th[0], ph[0], th[1], ph[1])
@@ -199,7 +202,7 @@ def threshold_boundary(setup, thetas, phis, omega1_grid,
     d = _one_minus_cos_angle(th[1], ph[1], th[2], ph[2])
     with np.errstate(divide="ignore", invalid="ignore"):
         w2 = (a - threshold_eps * c) / (b - threshold_eps * d)
-    rows = np.nonzero((w2 > 0.0) & (w2 < omega2_max)
+    rows = np.nonzero((w2 > 0.0) & (w2 < setup.omega_max)
                       & (a * d - b * c < 0.0))[0]
     _, _, _, _, physical, _ = close_batch(
         setup, np.repeat(th[:, None], rows.size, axis=1),
@@ -207,19 +210,16 @@ def threshold_boundary(setup, thetas, phis, omega1_grid,
     return [(float(w1[i]), float(w2[i])) for i in rows[physical]]
 
 
-def unpolarized_differential_batch(setup, n_out, thetas, phis, omegas_free,
+def unpolarized_differential_batch(setup, thetas, phis, omegas_free,
                                    threshold_eps: float = 0.0) -> np.ndarray:
-    """Unpolarized differential cross section for n_out emitted photons.
+    """Unpolarized differential cross section for n_out = len(thetas)
+    emitted photons; thetas, phis (n_out, N), omegas_free (n_out - 1, N).
 
     Units: b sr^-n_out MeV^-(n_out-1).  Used by the total-cross-section
     integrators for the one-, two- and three-photon processes.
     """
-    thetas = np.atleast_2d(thetas)
-    phis = np.atleast_2d(phis)
-    if n_out == 1:
-        omegas_free = np.zeros((0, thetas.shape[1]))
-    tensor, kin, _, _ = _tensor_for_points(setup, n_out, thetas, phis,
-                                           omegas_free, threshold_eps)
+    tensor, kin, _, _ = _tensor_for_points(setup, thetas, phis, omegas_free,
+                                           threshold_eps)
     msq = 0.25 * (np.abs(tensor) ** 2).reshape(tensor.shape[0],
                                                -1).sum(axis=1)
     return msq * kin

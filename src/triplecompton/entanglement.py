@@ -202,6 +202,8 @@ class TauResult:
 CONES = 12
 # fraction of the distance to the nearest cone boundary that a step covers
 STEP_FRACTION = 0.95
+# Newton steps gme_tau takes before it gives up with SolverError
+MAX_NEWTON_STEPS = 100
 
 
 def _witness_stack(y: np.ndarray) -> np.ndarray:
@@ -334,19 +336,18 @@ def _newton_step(s: np.ndarray, x: np.ndarray, mu: float,
     return reach[:CONES].min() * dy, reach[CONES:].min() * dx
 
 
-def gme_tau(rho: np.ndarray, tolerance: float = 5e-7,
-            max_iterations: int = 100) -> TauResult:
+def gme_tau(rho: np.ndarray, tolerance: float = 5e-7) -> TauResult:
     """Genuine-multipartite-entanglement measure tau of an 8x8 state.
 
     Runs a primal-dual interior-point method on the witness program and
     stops once the certificate gap ``upper_bound - tau`` is at most
     ``tolerance``; both bounds are valid at every iterate, and the gap is
     checked after every Newton step.  Raises :class:`SolverError` with the
-    last iterate's residuals and gap if ``max_iterations`` Newton steps
+    last iterate's residuals and gap if ``MAX_NEWTON_STEPS`` Newton steps
     pass first or rounding breaks the Newton system down (a gap far below
     what double precision can certify), and ``ValueError`` for a
-    ``tolerance`` that is not a positive number or a budget below one.  A
-    real state is solved in real arithmetic.
+    ``tolerance`` that is not a positive number.  A real state is solved in
+    real arithmetic.
 
     The iterate is y = [W, P_1, P_2, P_3] with Q_s = (W - P_s)^{T_s}, so it
     meets every coupling exactly, and its 12 cone blocks S_k (P_s, Q_s,
@@ -392,9 +393,6 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7,
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be a positive number, "
                          f"got {tolerance!r}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be at least 1, "
-                         f"got {max_iterations!r}")
     rho = _validate_density(rho)
     eye = np.eye(8, dtype=rho.dtype)
     # the centre of every box: W = 1, P_s = Q_s = 1/2, X_k = 1
@@ -404,7 +402,7 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7,
     target[0] = rho.ravel()
     s, mu, primal = _measure(y, x, eye, target)
     tau, upper_bound = 0.0, math.inf
-    for step in range(1, max_iterations + 1):
+    for step in range(1, MAX_NEWTON_STEPS + 1):
         try:
             dy, dx = _newton_step(s, x, mu, target)
         except np.linalg.LinAlgError:
@@ -423,7 +421,7 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7,
         if upper_bound - tau <= tolerance:
             return TauResult(tau, witness, step, primal, mu, upper_bound)
     else:
-        failure = f"no convergence in {max_iterations} Newton steps"
+        failure = f"no convergence in {MAX_NEWTON_STEPS} Newton steps"
     raise SolverError(f"{failure}: primal={primal:.3e} dual={mu:.3e} "
                       f"gap={upper_bound - tau:.3e}")
 

@@ -17,6 +17,7 @@ math.fsum as well.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,13 @@ def stratified_monte_carlo(integrand, dim, strata, budget, seed):
 
     strata: tuple of cell counts applied to the leading dims (equal
     probability cells).  integrand maps (n, dim) -> (n,) weights already
-    including all map Jacobians.  Returns (value, error, n_samples).
+    including all map Jacobians.  budget and seed must be integral (4096.0
+    is, 4096.5 raises ValueError).  Returns (value, error, n_samples).
     """
+    for name, value in (("budget", budget), ("seed", seed)):
+        if not (isinstance(value, numbers.Integral)
+                or float(value).is_integer()):
+            raise ValueError(f"{name} {value!r} is not an integer")
     counts = tuple(int(c) for c in strata)
     n_cells = int(np.prod(counts)) if counts else 1
     n_per = int(budget) // n_cells
@@ -120,7 +126,7 @@ def stratified_monte_carlo(integrand, dim, strata, budget, seed):
         mean = s1 / n_per
         var = max(s2 / n_per - mean * mean, 0.0)
         means.append(mean)
-        mean_vars.append(var / max(n_per - 1, 1))
+        mean_vars.append(var / (n_per - 1))
     value = math.fsum(means) / n_cells
     error = math.sqrt(math.fsum(mean_vars)) / n_cells
     return value, error, n_per * n_cells
@@ -213,8 +219,8 @@ def total_cross_section(setup: CollisionSetup, threshold_eps: float,
 
     def integrand(x):
         thetas, phis, omegas, weight = ps.map_points(x)
-        f = unpolarized_differential_batch(setup, n_out, thetas, phis,
-                                           omegas, threshold_eps)
+        f = unpolarized_differential_batch(setup, thetas, phis, omegas,
+                                           threshold_eps)
         return f * weight
 
     if n_out == 1:

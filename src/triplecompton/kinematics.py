@@ -181,13 +181,16 @@ def _close_arrays(setup, thetas, phis, omegas_free):
     Returns (w_last (N,), k (n_out, N, 4), p_f (N, 4), K (N,),
     physical (N,), degenerate (N,)).  degenerate flags points whose
     closure denominator vanishes (a physically unreachable direction); they
-    read w_last = -1 and physical False.
+    read w_last = -1 and physical False.  A non-finite angle or free energy
+    raises ValueError.
     """
     thetas = np.atleast_2d(np.asarray(thetas, float))
     phis = np.atleast_2d(np.asarray(phis, float))
     n_out = thetas.shape[0]
     n_pts = thetas.shape[1]
     omegas_free = np.asarray(omegas_free, float).reshape(n_out - 1, n_pts)
+    if not all(np.isfinite(v).all() for v in (thetas, phis, omegas_free)):
+        raise ValueError("angles and free photon energies must be finite")
     last = n_out - 1
 
     pi_n = _dot_pi_n(setup, thetas)          # (n_out, N): p_i.n_j

@@ -69,8 +69,8 @@ def test_criterion_02_klein_nishina_oracle():
     for omega0 in (0.1, 0.662, 10.0):
         setup = CollisionSetup.rest_frame(omega0)
         values = unpolarized_differential_batch(
-            setup, 1, thetas[None, :], np.zeros((1, 20)),
-            np.zeros((0, 20)), 0.0)
+            setup, thetas[None, :], np.zeros((1, 20)), np.zeros((0, 20)),
+            0.0)
         expected = np.array([klein_nishina_dcs(omega0, t) for t in thetas])
         worst = max(worst, float(np.abs(values / expected - 1.0).max()))
     deterministic_elapsed = time.time() - started

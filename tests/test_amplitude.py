@@ -154,11 +154,9 @@ def test_tensor_path_matches_scalar(rest_setup, sample_point):
     ph = np.array([[p] for p in cfg.phis])
     w3, k_out, p_f, K, phys, _ = _close_arrays(
         rest_setup, th, ph, np.array([[cfg.omega1], [cfg.omega2]]))
-    k0 = np.array([[0.662, 0, 0, 0.662]])
-    ks = np.concatenate([k0[None], k_out], axis=0)
     eps_arrays = [am.beam_basis_arrays(1)] + [
         am.outgoing_basis_arrays(th[j], ph[j]) for j in range(3)]
-    tensor = am.amplitude_tensor(rest_setup, ks, p_f, eps_arrays)
+    tensor = am.amplitude_tensor(rest_setup, k_out, p_f, eps_arrays)
     for labels in itertools.product((1, 2), repeat=4):
         for r_i, r_f in itertools.product((1, 2), repeat=2):
             cfg2 = FinalStateConfig(cfg.thetas, cfg.phis, cfg.omega1,
@@ -253,14 +251,12 @@ def test_beam_vector_linearity(rest_setup, sample_point):
     ph = np.array([[p] for p in cfg.phis])
     _, k_out, p_f, _, _, _ = _close_arrays(
         rest_setup, th, ph, np.array([[cfg.omega1], [cfg.omega2]]))
-    ks = np.concatenate([np.array([[0.662, 0, 0, 0.662]])[None], k_out],
-                        axis=0)
     outgoing = [am.outgoing_basis_arrays(th[j], ph[j]) for j in range(3)]
-    tensor = am.amplitude_tensor(rest_setup, ks, p_f,
+    tensor = am.amplitude_tensor(rest_setup, k_out, p_f,
                                  [am.beam_basis_arrays(1)] + outgoing)
     beam = am.beam_basis_arrays(1, (0.6, 0.8))
     assert np.array_equal(beam, [[[0.0, 0.6, 0.8, 0.0]]])
-    mixed = am.amplitude_tensor(rest_setup, ks, p_f, [beam] + outgoing)
+    mixed = am.amplitude_tensor(rest_setup, k_out, p_f, [beam] + outgoing)
     expected = 0.6 * tensor[:, 0] + 0.8 * tensor[:, 1]
     assert np.allclose(mixed[:, 0], expected, rtol=1e-12)
     with pytest.raises(ValueError):
@@ -291,7 +287,8 @@ def test_beam_polarization_validated(rest_setup):
 
 
 def _stacked_points(setup, n_out, n_pts, seed):
-    """n_pts physical points with n_out emitted photons: (ks, p_f, eps)."""
+    """n_pts physical points with n_out emitted photons: (ks, p_f, eps),
+    each photon line's momentum and basis, the beam photon's first."""
     rng = np.random.default_rng(seed)
     th = np.arccos(rng.uniform(-1, 1, (n_out, 8 * n_pts)))
     ph = rng.uniform(0, 2 * math.pi, (n_out, 8 * n_pts))
@@ -323,11 +320,12 @@ def test_tensor_rows_independent_bit_for_bit(rest_setup, n_out, gauge):
         assert eps[j][::2, :, 0].max() == 0.0 < eps[j][1::2, 0, 0].min()
     elif gauge is not None:
         eps[gauge] = ks[gauge][:, None]        # P = 1 axis, eps -> k
-    tensor = am.amplitude_tensor(rest_setup, ks, p_f, eps)
+    # the kernel takes the emitted photons and reads k_0 from the setup
+    tensor = am.amplitude_tensor(rest_setup, ks[1:], p_f, eps)
     assert tensor.shape == ((37,) + tuple(e.shape[1] for e in eps)
                             + (2, 2))
     for i in range(37):
-        alone = am.amplitude_tensor(rest_setup, ks[:, i:i + 1],
+        alone = am.amplitude_tensor(rest_setup, ks[1:, i:i + 1],
                                     p_f[i:i + 1], [e[i:i + 1] for e in eps])
         assert np.array_equal(tensor[i], alone[0])
 
@@ -339,7 +337,7 @@ def test_tensor_leaves_no_garbage(rest_setup):
     gc.collect()
     gc.disable()
     try:
-        am.amplitude_tensor(rest_setup, ks, p_f, eps)
+        am.amplitude_tensor(rest_setup, ks[1:], p_f, eps)
         assert gc.collect() == 0
     finally:
         gc.enable()

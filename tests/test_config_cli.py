@@ -325,10 +325,10 @@ grid.omega2_max_mev = 1300
     assert cli.main(["grid", "--config", str(cfg), "--seed", "3",
                      "--out", str(out3)]) == cli.EXIT_OK
     conf = resolve_config(None, parse_config_file(cfg))
-    w1s = cli._grid_axis(conf.grid_omega1_min_mev, conf.grid_omega1_max_mev,
-                         conf.grid_n_omega1)
-    w2s = cli._grid_axis(conf.grid_omega2_min_mev, conf.grid_omega2_max_mev,
-                         conf.grid_n_omega2)
+    w1s = np.linspace(conf.grid_omega1_min_mev, conf.grid_omega1_max_mev,
+                      conf.grid_n_omega1)
+    w2s = np.linspace(conf.grid_omega2_min_mev, conf.grid_omega2_max_mev,
+                      conf.grid_n_omega2)
     panels, masked = sigma5_panel_grids(
         cli._setup_from_config(conf), conf.theta_rad, conf.phi_rad, w1s, w2s,
         conf.beam_pol_value(), conf.threshold_mev)

@@ -40,8 +40,8 @@ def test_klein_nishina_oracle_20x3():
     for omega0 in (0.1, 0.662, 10.0):
         setup = CollisionSetup.rest_frame(omega0)
         values = unpolarized_differential_batch(
-            setup, 1, thetas[None, :], np.zeros((1, 20)),
-            np.zeros((0, 20)), 0.0)
+            setup, thetas[None, :], np.zeros((1, 20)), np.zeros((0, 20)),
+            0.0)
         expected = np.array([klein_nishina_dcs(omega0, t) for t in thetas])
         assert np.abs(values / expected - 1.0).max() < 1e-9
 
@@ -54,10 +54,9 @@ def test_polarized_klein_nishina():
     for theta, phi in ((0.7, 0.0), (1.3, 0.9), (2.2, 4.0)):
         w_out, k_out, p_f, kfac, _, _ = _close_arrays(
             setup, np.array([[theta]]), np.array([[phi]]), np.zeros((0, 1)))
-        ks = np.concatenate([np.array([[0.662, 0, 0, 0.662]])[None], k_out])
         eps = [am.beam_basis_arrays(1),
                am.outgoing_basis_arrays(np.array([theta]), np.array([phi]))]
-        tensor = am.amplitude_tensor(setup, ks, p_f, eps)
+        tensor = am.amplitude_tensor(setup, k_out, p_f, eps)
         pref = (ALPHA ** 2 * w_out[0] / (p_f[0, 0] * setup.flux
                                          * abs(kfac[0])) * HBARC2_MEV2_BARN)
         for lam in (1, 2):
@@ -72,8 +71,7 @@ def test_polarized_klein_nishina():
 def test_forward_limit_is_classical_radius():
     setup = CollisionSetup.rest_frame(1e-6)
     value = unpolarized_differential_batch(
-        setup, 1, np.array([[1e-4]]), np.array([[0.0]]), np.zeros((0, 1)),
-        0.0)
+        setup, np.array([[1e-4]]), np.array([[0.0]]), np.zeros((0, 1)), 0.0)
     assert value[0] == pytest.approx(0.07941, rel=2e-4)
 
 
@@ -170,10 +168,10 @@ def test_polarized_beam_bit_for_bit(rest_setup, xfel_setup, frame):
         grid = np.linspace(200.0, 1200.0, 4)
     ph = rng.uniform(0, 2 * math.pi, (3, 400))
     w = rng.uniform(0.02, 0.4, (2, 400)) * setup.omega_max
-    both, _, keep, _ = _tensor_for_points(setup, 3, th, ph, w)
+    both, _, keep, _ = _tensor_for_points(setup, th, ph, w)
     assert keep.sum() >= 100
     for label in (1, 2):
-        tensor = _tensor_for_points(setup, 3, th, ph, w, 0.0, label)[0]
+        tensor = _tensor_for_points(setup, th, ph, w, 0.0, label)[0]
         assert tensor.shape[1] == 1
         assert np.array_equal(tensor[:, 0], both[:, label - 1])
         panels, masked = sigma5_panel_grids(setup, thetas, phis, grid, grid,
@@ -265,8 +263,7 @@ def _closed_w3(setup, thetas, phis, w1, w2):
 
 def test_threshold_boundary_on_curve(xfel_setup):
     pts = threshold_boundary(xfel_setup, XFEL_THETAS, XFEL_PHIS,
-                             np.linspace(100, 1000, 5), 50.0,
-                             xfel_setup.omega_max)
+                             np.linspace(100, 1000, 5), 50.0)
     assert len(pts) == 5
     for w1, w2 in pts:
         w3, physical = _closed_w3(xfel_setup, XFEL_THETAS, XFEL_PHIS, w1, w2)
@@ -279,8 +276,7 @@ def test_threshold_boundary_narrow_crossing(xfel_setup):
     # than one 9.7 MeV step of a 512-point scan over [0, omega_max]
     thetas = tuple(math.pi - np.array([1.6e-3, 1.0e-3, 0.5e-3]))
     phis = (5.6, 2.7, 0.9)
-    pts = threshold_boundary(xfel_setup, thetas, phis, [900.0], 50.0,
-                             xfel_setup.omega_max)
+    pts = threshold_boundary(xfel_setup, thetas, phis, [900.0], 50.0)
     assert len(pts) == 1
     w1, w2 = pts[0]
     assert w1 == 900.0
@@ -294,7 +290,7 @@ def test_threshold_boundary_narrow_crossing(xfel_setup):
     assert w3_before > 50.0
     # a row whose derived photon never falls through the threshold
     assert threshold_boundary(xfel_setup, XFEL_THETAS, XFEL_PHIS, [1400.0],
-                              50.0, xfel_setup.omega_max) == []
+                              50.0) == []
 
 
 def test_unit_conversion_round_trip(rest_setup):
@@ -314,3 +310,32 @@ def test_unphysical_point_returns_zero(rest_setup):
     assert isinstance(point, Sigma5Point)
     assert point.value == 0.0
     assert not point.physical
+
+
+def test_non_finite_phase_space_input_raises(rest_setup, xfel_setup):
+    # a NaN or infinite angle or free energy used to read as an ordinary
+    # unphysical point: sigma5 0.0, a masked panel cell, no boundary row
+    nan, inf = math.nan, math.inf
+    thetas, phis = (1.2, 2.0, 0.9), (0.4, 2.5, 4.4)
+    for bad in ((thetas, phis, nan, 0.15), (thetas, phis, 0.1, inf),
+                ((1.2, nan, 0.9), phis, 0.1, 0.15),
+                (thetas, (0.4, 2.5, -inf), 0.1, 0.15)):
+        for evaluate in (
+                lambda: sigma5(rest_setup, FinalStateConfig(*bad)),
+                lambda: close_final_state(rest_setup, FinalStateConfig(*bad)),
+                lambda: spin_summed_sigma5(rest_setup, *bad),
+                lambda: unpolarized_sigma5(rest_setup, *bad),
+                lambda: sigma5_panel_grids(rest_setup, bad[0], bad[1],
+                                           [0.05, bad[2]], [bad[3], 0.2])):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate()
+    # the boundary solves for omega2 in closed form and never closes a row
+    # with a bad entry: a NaN angle or threshold used to give [], and a NaN
+    # omega1 entry was dropped from the rows
+    for thetas, phis, w1s, eps in (
+            ((nan,) + XFEL_THETAS[1:], XFEL_PHIS, [500.0], 50.0),
+            (XFEL_THETAS, XFEL_PHIS[:2] + (inf,), [500.0], 50.0),
+            (XFEL_THETAS, XFEL_PHIS, [100.0, nan, 1000.0], 50.0),
+            (XFEL_THETAS, XFEL_PHIS, [500.0], nan)):
+        with pytest.raises(ValueError, match="finite"):
+            threshold_boundary(xfel_setup, thetas, phis, w1s, eps)

@@ -210,26 +210,29 @@ def test_invalid_density_matrices():
         gme_tau(indefinite)
 
 
-def test_solver_error_reports_residuals():
+def test_solver_error_reports_residuals(monkeypatch):
     # the gap is checked after every Newton step, so a budget that ends
     # early reports the last iterate's residuals and gap, all finite
+    monkeypatch.setattr(entanglement, "MAX_NEWTON_STEPS", 2)
     with pytest.raises(SolverError, match="in 2 Newton steps") as err:
-        gme_tau(ghz_state(), max_iterations=2)
+        gme_tau(ghz_state())
     found = re.search(r"primal=(\S+) dual=(\S+) gap=(\S+)$", str(err.value))
     assert all(0.0 < float(r) < math.inf for r in found.groups())
     # a gap below what double precision can certify ends in the same
     # typed error, never in a linear-algebra exception
+    monkeypatch.undo()
     with pytest.raises(SolverError, match="primal="):
         gme_tau(w_state(), tolerance=1e-15)
 
 
-def test_solver_error_before_first_check_is_finite():
+def test_solver_error_before_first_check_is_finite(monkeypatch):
     # the smallest budget ends at the first gap check: the message carries
     # that iterate's residuals and gap, never the inf placeholder of the
     # upper bound before any dual certificate exists
+    monkeypatch.setattr(entanglement, "MAX_NEWTON_STEPS", 1)
     for state in (ghz_state(), w_state()):
         with pytest.raises(SolverError, match="in 1 Newton steps") as err:
-            gme_tau(state, max_iterations=1)
+            gme_tau(state)
         message = str(err.value)
         assert "inf" not in message
         found = re.search(r"primal=(\S+) dual=(\S+) gap=(\S+)$", message)
@@ -262,7 +265,7 @@ def test_gme_tau_degenerate_states():
 
 @pytest.mark.parametrize("kwargs", [
     {"tolerance": math.nan}, {"tolerance": math.inf}, {"tolerance": 0.0},
-    {"tolerance": -1e-7}, {"max_iterations": 0}, {"max_iterations": -5},
+    {"tolerance": -1e-7},
 ])
 def test_gme_tau_rejects_unmeetable_settings(kwargs):
     # an unmeetable tolerance would spin through the whole budget
@@ -303,7 +306,7 @@ def test_density_is_real_symmetric(rest_setup):
     for cfg, _ in random_physical_configs(rest_setup, rng, 40):
         for beam_pol in (1, 2, (0.6, 0.8)):
             tensor = _tensor_for_points(
-                rest_setup, 3, np.array(cfg.thetas)[:, None],
+                rest_setup, np.array(cfg.thetas)[:, None],
                 np.array(cfg.phis)[:, None],
                 np.array([[cfg.omega1], [cfg.omega2]]), 0.0, beam_pol)[0]
             vecs = tensor[0, 0].reshape(8, 4)
@@ -320,6 +323,19 @@ def test_density_degenerate_point(rest_setup):
     with pytest.raises(DegenerateStateError):
         density_from_amplitudes(rest_setup, (1e-9, 1e-9, 1e-9),
                                 (0.0, 0.0, 0.0), 0.2, 0.2)
+
+
+def test_non_finite_phase_space_input_raises(rest_setup):
+    # a NaN angle or energy used to come back as DegenerateStateError
+    # ("unphysical") from the density and as a masked cell from the map
+    thetas, phis = (1.2, 2.0, 0.9), (0.4, 2.5, 4.4)
+    for th, ph, w1, w2 in (((1.2, math.nan, 0.9), phis, 0.1, 0.15),
+                           (thetas, phis, math.nan, 0.15),
+                           (thetas, (0.4, 2.5, math.inf), 0.1, 0.15)):
+        with pytest.raises(ValueError, match="finite"):
+            density_from_amplitudes(rest_setup, th, ph, w1, w2)
+        with pytest.raises(ValueError, match="finite"):
+            tau_grid(rest_setup, th, ph, [0.05, w1], [w2])
 
 
 def test_density_export_import_roundtrip(tmp_path, rest_setup):

@@ -238,6 +238,25 @@ def test_event_rate_examples():
             BeamParameters(2e13, 1e9, size, 120.0)
 
 
+def test_fractional_seed_and_budget_rejected(rest_setup):
+    # a fractional seed or budget used to be truncated silently: seed 1.5
+    # ran as seed 1 and was recorded as 1.5, budget 4096.9 ran as 4096
+    window = (MGBR_THETAS, MGBR_PHIS, 0.378, 0.013)
+    assert total_cross_section(rest_setup, 0.0, "single", budget=4096.0,
+                               seed=1.0) == total_cross_section(
+        rest_setup, 0.0, "single", budget=4096, seed=1)
+    assert detector_average(rest_setup, *window, budget=1024.0,
+                            seed=2.0) == detector_average(
+        rest_setup, *window, budget=1024, seed=2)
+    for budget, seed in ((4096, 1.5), (4096.9, 1), (4096, math.nan),
+                         (math.inf, 1)):
+        with pytest.raises(ValueError, match="not an integer"):
+            total_cross_section(rest_setup, 0.0, "single", budget=budget,
+                                seed=seed)
+        with pytest.raises(ValueError, match="not an integer"):
+            detector_average(rest_setup, *window, budget=budget, seed=seed)
+
+
 def test_integration_result_fields(rest_setup):
     res = total_cross_section(rest_setup, 0.0, "single", budget=1 << 12,
                               seed=21)
