@@ -11,6 +11,8 @@ Everything here is a pure function of its inputs.
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .constants import ELECTRON_MASS_MEV
@@ -71,9 +73,10 @@ def slash_batch(a: np.ndarray) -> np.ndarray:
 
 
 def check_labels(*labels) -> None:
-    """Raise ValueError unless every polarization or spin label is 1 or 2."""
+    """Raise ValueError unless every polarization or spin label is the
+    integer 1 or 2 (any integral type; 1.0 is not a label)."""
     for label in labels:
-        if label not in (1, 2):
+        if not isinstance(label, numbers.Integral) or label not in (1, 2):
             raise ValueError(
                 f"polarization and spin labels must be 1 or 2, got {label}")
 

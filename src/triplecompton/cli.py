@@ -27,12 +27,11 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ScenarioConfig, config_lines, \
     parse_config_file, resolve_config
-from .cross_section import (PANEL_LETTERS, PANEL_ORDER, sigma5_panel_grids,
-                            threshold_boundary)
+from .cross_section import PANEL_LETTERS, PANEL_ORDER, sigma5_panel_grids
 from .entanglement import SolverError, tau_grid
 from .integration import (BeamParameters, BudgetError, detector_average,
                           event_rate, total_cross_section)
-from .kinematics import CollisionSetup
+from .kinematics import CollisionSetup, threshold_boundary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -8,9 +8,10 @@ conservation) is
              * (w_1 ... w_n) / (E_f  p_i.k_0) * |M|^2 / |K|
              * Theta(w_n) Theta(E_f - m),
 
-in natural units, converted to barns via (hbar c)^2.  n = 3 is the five-fold
-cross section sigma5 (b MeV^-2 sr^-3); n = 1 reduces to the one-photon
-angular distribution (b/sr).
+in natural units, converted to barns via (hbar c)^2; K = n_n.p_f / E_f is
+the recoil Jacobian of the closure in ``kinematics``.  n = 3 is the
+five-fold cross section sigma5 (b MeV^-2 sr^-3); n = 1 reduces to the
+one-photon angular distribution (b/sr).
 
 Photon energies below the detector threshold zero the result here, so the
 integrators always see an already-regularized integrand.
@@ -25,8 +26,7 @@ import numpy as np
 from . import amplitude as amp
 from .algebra import check_labels
 from .constants import ALPHA, HBARC2_MEV2_BARN
-from .kinematics import (CollisionSetup, FinalStateConfig, _close_arrays,
-                         _dot_k0_n, _dot_pi_n, _one_minus_cos_angle)
+from .kinematics import CollisionSetup, FinalStateConfig, _close_arrays
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,11 @@ def _tensor_for_points(setup, thetas, phis, omegas_free,
     at or above threshold_eps, and reads zero elsewhere.  kin is the
     differential cross section per unit squared amplitude (the formula in
     the module docstring without |M|^2), zero off the kept rows.  Returns
-    (tensor, kin, keep, physical).
+    (tensor, kin, keep, physical).  A non-finite threshold_eps raises
+    ValueError.
     """
+    if not math.isfinite(threshold_eps):
+        raise ValueError(f"threshold_eps must be finite, got {threshold_eps}")
     thetas = np.atleast_2d(np.asarray(thetas, float))
     phis = np.atleast_2d(np.asarray(phis, float))
     n_out = len(thetas)
@@ -165,49 +168,6 @@ def sigma5_panel_grids(setup, thetas, phis, omega1_grid, omega2_grid,
         i, j, l = (int(c) - 1 for c in label)
         panels[label] = (msq[:, i, j, l] * kin).reshape(shape)
     return panels, (~keep).reshape(shape)
-
-
-def threshold_boundary(setup, thetas, phis, omega1_grid,
-                       threshold_eps: float):
-    """Points (omega1, omega2) where the derived photon energy falls through
-    the threshold on the physical branch.
-
-    At fixed angles and omega1 the closure is linear-fractional in omega2,
-
-        w3 = (a - b w2) / (c - d w2),
-        a = p_i.k_0 - w1 (p_i.n1 + k_0.n1),
-        b = p_i.n2 + k_0.n2 - w1 (1 - n1.n2),
-        c = p_i.n3 + k_0.n3 - w1 (1 - n1.n3),
-        d = 1 - n2.n3,
-
-    so w3 = eps has the single root w2* = (a - eps c) / (b - eps d), and
-    dw3/dw2 has the sign of a d - b c.  A row keeps (omega1, w2*) when
-    0 < w2* < setup.omega_max, w3 falls through eps there (a d - b c < 0)
-    and the closed point is physical; the last test drops the unphysical
-    continuation (E_f < m) on which w3 turns positive again.  Rows without
-    such a root are left out.  A non-finite angle, omega1 or threshold
-    raises ValueError.
-    """
-    from .kinematics import close_batch
-
-    th = np.asarray(thetas, float)
-    ph = np.asarray(phis, float)
-    w1 = np.asarray(omega1_grid, float)
-    if not all(np.isfinite(v).all() for v in (th, ph, w1, threshold_eps)):
-        raise ValueError("angles, omega1 and threshold must be finite")
-    along = _dot_pi_n(setup, th) + _dot_k0_n(setup, th)
-    a = setup.flux - w1 * along[0]
-    b = along[1] - w1 * _one_minus_cos_angle(th[0], ph[0], th[1], ph[1])
-    c = along[2] - w1 * _one_minus_cos_angle(th[0], ph[0], th[2], ph[2])
-    d = _one_minus_cos_angle(th[1], ph[1], th[2], ph[2])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w2 = (a - threshold_eps * c) / (b - threshold_eps * d)
-    rows = np.nonzero((w2 > 0.0) & (w2 < setup.omega_max)
-                      & (a * d - b * c < 0.0))[0]
-    _, _, _, _, physical, _ = close_batch(
-        setup, np.repeat(th[:, None], rows.size, axis=1),
-        np.repeat(ph[:, None], rows.size, axis=1), w1[rows], w2[rows])
-    return [(float(w1[i]), float(w2[i])) for i in rows[physical]]
 
 
 def unpolarized_differential_batch(setup, thetas, phis, omegas_free,

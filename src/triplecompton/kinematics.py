@@ -1,21 +1,23 @@
-"""Lab-frame kinematics: scenario setups, final-state closure and the recoil
-Jacobian.
+"""Lab-frame kinematics: scenario setups, the final-state closure with its
+recoil Jacobian, and the threshold boundary.
 
 The incoming photon travels along +z; a moving target electron travels along
--z (head-on collision).  The energy of the last emitted photon follows from
-four-momentum conservation; for n prior emitted photons
+-z (head-on collision).  With n_j = (1, unit direction) and k_j = w_j n_j,
+the momentum left after photons j = 1..n leave P = p_i + k_0,
+Q = P - sum k_j, has
 
-    w_last = [p_i.(k_0 - sum k_j) - k_0.(sum k_j) + sum_{j<l} k_j.k_l]
-             / [n_last.(p_i + k_0 - sum k_j)]
+    num = (Q^2 - m^2)/2 = p_i.k_0 - sum_j w_j n_j.P
+                          + sum_{j<l} w_j w_l (1 - n_j.n_l),
+    n_l.Q = n_l.P - sum_j w_j (1 - n_j.n_l),
 
-and the delta-function integration over w_last leaves the Jacobian factor
+so the last photon's energy is w_last = num/den with den = n_last.Q, and
+since n_last.n_last = 0 the delta-function integration over w_last leaves
+the Jacobian K = n_last.p_f / E_f = den / E_f.
 
-    K = 1 + (n_last.(sum k_j - k_0 - p_i)  (three-vectors)  + w_last) / E_f.
-
-All pairwise Minkowski products are evaluated in cancellation-free forms
-(half-angle identities, m^2/(E+|p|) for E-|p|) so that closure stays accurate
-to ~1e-10 relative even at 10^4 Lorentz boosts.  Four-momenta are float
-arrays (t, x, y, z) in MeV.
+Every term is evaluated in a cancellation-free form (half-angle identities,
+m^2/(E+|p|) for E-|p|): at 10^4 Lorentz boosts den is within a few ulps of
+a 40-digit closure, and K within E_f's own rounding (a few ulps of the beam
+energy).  Four-momenta are float arrays (t, x, y, z) in MeV.
 """
 from __future__ import annotations
 
@@ -161,17 +163,33 @@ def _one_minus_cos_angle(th_a, ph_a, th_b, ph_b):
     return 2.0 * s1 * s1 + 2.0 * np.sin(th_a) * np.sin(th_b) * s2 * s2
 
 
-def _dot_pi_n(setup, theta):
-    """p_i.n for n = (1, unit(theta, .)): E_i + |p_i| cos(theta), stable near
-    theta = pi where it collapses to m^2/(E+|p|)."""
+def _dot_p_n(setup, theta):
+    """n.(p_i + k_0) = E_i + |p_i| cos(theta) + omega0 (1 - cos(theta)) for
+    n = (1, unit(theta, .)), in half angles: stable near theta = pi, where
+    E_i + |p_i| cos(theta) collapses to m^2/(E+|p|)."""
     c_half = np.cos(0.5 * theta)
-    return setup.e_minus_p + 2.0 * setup.p_abs * c_half * c_half
-
-
-def _dot_k0_n(setup, theta):
-    """k_0.n = omega0 (1 - cos theta)."""
     s_half = np.sin(0.5 * theta)
-    return 2.0 * setup.omega0_mev * s_half * s_half
+    return (setup.e_minus_p + 2.0 * setup.p_abs * c_half * c_half
+            + 2.0 * setup.omega0_mev * s_half * s_half)
+
+
+def _leave(setup, thetas, phis, omegas):
+    """(num, dots) of the module docstring once the first len(omegas)
+    photons have left: dots[l] = n_l.Q for each photon l still to leave.
+    thetas, phis: (n_out, ...); omegas: one energy array per leaving photon,
+    broadcasting against the angles."""
+    along = _dot_p_n(setup, thetas)
+    dots = list(along)
+    num = setup.flux
+    for j, wj in enumerate(omegas):
+        num = num - wj * along[j]
+        for l in range(j + 1, len(dots)):
+            omc = _one_minus_cos_angle(thetas[j], phis[j], thetas[l], phis[l])
+            if l < len(omegas):
+                num = num + wj * omegas[l] * omc
+            else:
+                dots[l] = dots[l] - wj * omc
+    return num, dots
 
 
 def _close_arrays(setup, thetas, phis, omegas_free):
@@ -179,10 +197,11 @@ def _close_arrays(setup, thetas, phis, omegas_free):
 
     thetas, phis: (n_out, N); omegas_free: (n_out - 1, N).
     Returns (w_last (N,), k (n_out, N, 4), p_f (N, 4), K (N,),
-    physical (N,), degenerate (N,)).  degenerate flags points whose
-    closure denominator vanishes (a physically unreachable direction); they
-    read w_last = -1 and physical False.  A non-finite angle or free energy
-    raises ValueError.
+    physical (N,), degenerate (N,)).  K = den/E_f on physical points and
+    1.0 elsewhere.  degenerate flags points whose closure denominator
+    vanishes (a physically unreachable direction); they read w_last = -1
+    and physical False.  A non-finite angle or free energy raises
+    ValueError.
     """
     thetas = np.atleast_2d(np.asarray(thetas, float))
     phis = np.atleast_2d(np.asarray(phis, float))
@@ -191,25 +210,12 @@ def _close_arrays(setup, thetas, phis, omegas_free):
     omegas_free = np.asarray(omegas_free, float).reshape(n_out - 1, n_pts)
     if not all(np.isfinite(v).all() for v in (thetas, phis, omegas_free)):
         raise ValueError("angles and free photon energies must be finite")
-    last = n_out - 1
 
-    pi_n = _dot_pi_n(setup, thetas)          # (n_out, N): p_i.n_j
-    k0_n = _dot_k0_n(setup, thetas)          # (n_out, N): k_0.n_j
-    num = np.full(n_pts, setup.flux)
-    den = pi_n[last] + k0_n[last]
-    for j in range(last):
-        wj = omegas_free[j]
-        num -= wj * (pi_n[j] + k0_n[j])
-        den -= wj * _one_minus_cos_angle(thetas[j], phis[j],
-                                         thetas[last], phis[last])
-        for l in range(j + 1, last):
-            num += wj * omegas_free[l] * _one_minus_cos_angle(
-                thetas[j], phis[j], thetas[l], phis[l])
-
+    num, dots = _leave(setup, thetas, phis, omegas_free)
+    den = dots[-1]
     scale = setup.e_i_mev + setup.omega0_mev
     degenerate = np.abs(den) < 1e-12 * scale
-    safe_den = np.where(degenerate, 1.0, den)
-    w_last = np.where(degenerate, -1.0, num / safe_den)
+    w_last = np.divide(num, den, out=np.full(n_pts, -1.0), where=~degenerate)
 
     omegas = np.vstack([omegas_free, w_last[None, :]])
     st, ct = np.sin(thetas), np.cos(thetas)
@@ -226,13 +232,8 @@ def _close_arrays(setup, thetas, phis, omegas_free):
     p_f[:, 2] = -k[..., 2].sum(axis=0)
 
     e_f = p_f[:, 0]
-    n_last = np.stack([st[last] * np.cos(phis[last]),
-                       st[last] * np.sin(phis[last]), ct[last]], axis=-1)
-    # n.(sum k_j - k_0 - p_i) + w_last reduces to -n.p_f by conservation
-    with np.errstate(divide='ignore', invalid='ignore'):
-        kfac = 1.0 - np.einsum('ni,ni->n', p_f[:, 1:], n_last) / e_f
     physical = (~degenerate) & (w_last > 0.0) & (e_f >= setup.mass)
-    kfac = np.where(physical, kfac, 1.0)
+    kfac = np.divide(den, e_f, out=np.ones(n_pts), where=physical)
     return w_last, k, p_f, kfac, physical, degenerate
 
 
@@ -241,3 +242,39 @@ def close_batch(setup, thetas, phis, omega1, omega2):
     return _close_arrays(setup, thetas, phis,
                          np.stack([np.asarray(omega1, float),
                                    np.asarray(omega2, float)]))
+
+
+def threshold_boundary(setup, thetas, phis, omega1_grid,
+                       threshold_eps: float):
+    """Points (omega1, omega2) where the derived photon energy falls through
+    the threshold on the physical branch.
+
+    At fixed angles and omega1 the closure is linear-fractional in omega2.
+    Once photon 1 has left (:func:`_leave`), with a the closure numerator,
+    b = n2.Q, c = n3.Q and d = 1 - n2.n3,
+
+        w3 = (a - b w2) / (c - d w2),
+
+    so w3 = eps has the single root w2* = (a - eps c) / (b - eps d), and
+    dw3/dw2 has the sign of a d - b c.  A row keeps (omega1, w2*) when
+    0 < w2* < setup.omega_max, w3 falls through eps there (a d - b c < 0)
+    and the closed point is physical; the last test drops the unphysical
+    continuation (E_f < m) on which w3 turns positive again.  Rows without
+    such a root are left out.  A non-finite angle, omega1 or threshold
+    raises ValueError.
+    """
+    th = np.asarray(thetas, float)
+    ph = np.asarray(phis, float)
+    w1 = np.asarray(omega1_grid, float)
+    if not all(np.isfinite(v).all() for v in (th, ph, w1, threshold_eps)):
+        raise ValueError("angles, omega1 and threshold must be finite")
+    a, (_, b, c) = _leave(setup, th, ph, [w1])
+    d = _one_minus_cos_angle(th[1], ph[1], th[2], ph[2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w2 = (a - threshold_eps * c) / (b - threshold_eps * d)
+    rows = np.nonzero((w2 > 0.0) & (w2 < setup.omega_max)
+                      & (a * d - b * c < 0.0))[0]
+    _, _, _, _, physical, _ = close_batch(
+        setup, np.repeat(th[:, None], rows.size, axis=1),
+        np.repeat(ph[:, None], rows.size, axis=1), w1[rows], w2[rows])
+    return [(float(w1[i]), float(w2[i])) for i in rows[physical]]

@@ -10,12 +10,12 @@ from triplecompton.cross_section import (PANEL_ORDER, Sigma5Point,
                                          _tensor_for_points,
                                          sigma5, sigma5_panel_grids,
                                          spin_summed_sigma5,
-                                         threshold_boundary,
                                          unpolarized_differential_batch,
                                          unpolarized_sigma5,
                                          unpolarized_sigma5_batch)
 from triplecompton.kinematics import (CollisionSetup, FinalStateConfig,
-                                      close_batch, close_final_state)
+                                      close_batch, close_final_state,
+                                      threshold_boundary)
 from conftest import MGBR_PHIS, MGBR_THETAS, XFEL_PHIS, XFEL_THETAS
 
 
@@ -327,6 +327,21 @@ def test_non_finite_phase_space_input_raises(rest_setup, xfel_setup):
                 lambda: unpolarized_sigma5(rest_setup, *bad),
                 lambda: sigma5_panel_grids(rest_setup, bad[0], bad[1],
                                            [0.05, bad[2]], [bad[3], 0.2])):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate()
+    # a NaN threshold kept no row (sigma5 0.0 at a physical point) and -inf
+    # read as no threshold
+    for eps in (nan, inf, -inf):
+        for evaluate in (
+                lambda: sigma5(rest_setup, FinalStateConfig(
+                    thetas, phis, 0.1, 0.15), threshold_eps=eps),
+                lambda: spin_summed_sigma5(rest_setup, thetas, phis, 0.1,
+                                           0.15, threshold_eps=eps),
+                lambda: unpolarized_sigma5(rest_setup, thetas, phis, 0.1,
+                                           0.15, threshold_eps=eps),
+                lambda: sigma5_panel_grids(rest_setup, thetas, phis,
+                                           [0.05, 0.1], [0.15, 0.2],
+                                           threshold_eps=eps)):
             with pytest.raises(ValueError, match="finite"):
                 evaluate()
     # the boundary solves for omega2 in closed form and never closes a row

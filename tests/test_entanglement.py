@@ -336,6 +336,10 @@ def test_non_finite_phase_space_input_raises(rest_setup):
             density_from_amplitudes(rest_setup, th, ph, w1, w2)
         with pytest.raises(ValueError, match="finite"):
             tau_grid(rest_setup, th, ph, [0.05, w1], [w2])
+    for eps in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            tau_grid(rest_setup, thetas, phis, [0.05, 0.1], [0.15],
+                     threshold_eps=eps)
 
 
 def test_density_export_import_roundtrip(tmp_path, rest_setup):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,8 @@ from triplecompton.cross_section import spin_summed_sigma5
 from triplecompton.kinematics import (CollisionSetup, FinalStateConfig,
                                       _close_arrays, close_batch,
                                       close_final_state)
-from conftest import (MGBR_PHIS, MGBR_THETAS, random_physical_configs,
-                      unit_direction)
+from conftest import (MGBR_PHIS, MGBR_THETAS, XFEL_PHIS, XFEL_THETAS,
+                      random_physical_configs, unit_direction)
 
 
 def compton_line(omega0, theta):
@@ -192,14 +193,20 @@ def test_setup_validation():
 
 
 def test_final_state_labels_validated():
-    for labels in (dict(pols=(1, 3, 1)), dict(r_i=0), dict(r_f=2.5)):
+    # a fractional label such as 1.0 equals 1 but used to reach sigma5 and
+    # fail there with a bare IndexError
+    for labels in (dict(pols=(1, 3, 1)), dict(r_i=0), dict(r_f=2.5),
+                   dict(pols=(1.0, 1, 1)), dict(r_i=2.0)):
         with pytest.raises(ValueError):
             FinalStateConfig((1.0, 2.0, 3.0), (0.0, 1.0, 2.0), 0.1, 0.1,
                              **labels)
+    cfg = FinalStateConfig((1.0, 2.0, 3.0), (0.0, 1.0, 2.0), 0.1, 0.1,
+                           pols=(np.int64(2), 1, 1), r_f=np.int32(2))
+    assert cfg.pols[0] == 2
     # the spin-summed entry point takes its labels outside a config; label
     # 0 would otherwise index the last basis vector
     setup = CollisionSetup.rest_frame(0.662)
-    for final_pols in ((0, 1, 1), (1, 3, 1)):
+    for final_pols in ((0, 1, 1), (1, 3, 1), (1.0, 1, 1)):
         with pytest.raises(ValueError):
             spin_summed_sigma5(setup, (1.2, 2.0, 0.9), (0.4, 2.5, 4.4),
                                0.1, 0.15, final_pols=final_pols)
@@ -208,3 +215,74 @@ def test_final_state_labels_validated():
 def test_omega_max_rest_frame(rest_setup):
     # forward-emitted photon keeps the full beam energy in the rest frame
     assert rest_setup.omega_max == pytest.approx(0.662, rel=1e-12)
+
+
+def _mp_closure(setup, thetas, phis, omegas_free):
+    """(w_last, K, E_f) at one point in 40-digit arithmetic, straight from
+    conservation: Q = p_i + k_0 - sum k_j, w_last = (Q^2 - m^2)/(2 n.Q),
+    K = n.p_f / E_f with p_f = Q - w_last n."""
+    with mp.workdps(40):
+        m, e_i, w0 = (mp.mpf(x) for x in (setup.mass, setup.e_i_mev,
+                                          setup.omega0_mev))
+        q = [e_i + w0, mp.mpf(0), mp.mpf(0),
+             w0 - mp.sqrt((e_i - m) * (e_i + m))]
+        ns = [[mp.mpf(1), mp.sin(t) * mp.cos(f), mp.sin(t) * mp.sin(f),
+               mp.cos(t)] for t, f in zip(map(mp.mpf, thetas),
+                                          map(mp.mpf, phis))]
+        for w, n in zip(omegas_free, ns):
+            q = [a - mp.mpf(w) * b for a, b in zip(q, n)]
+        n = ns[-1]
+        dot = al.minkowski_dot
+        w_last = (dot(q, q) - m * m) / (2 * dot(n, q))
+        p_f = [a - w_last * b for a, b in zip(q, n)]
+        return w_last, dot(n, p_f) / p_f[0], p_f[0]
+
+
+def _closure_points(setup, n_out, seed):
+    """24 sampled physical points (at the collider, angles in the
+    backscatter cone); the collider's triple closure adds 20 physical cells
+    of criterion 10's grid."""
+    rng = np.random.default_rng(seed)
+    count = 200
+    if setup.e_i_mev > setup.mass:
+        thetas = math.pi - (setup.mass / setup.e_i_mev) * rng.uniform(
+            0.3, 20.0, (n_out, count))
+    else:
+        thetas = np.arccos(rng.uniform(-1, 1, (n_out, count)))
+    phis = rng.uniform(0, 2 * math.pi, (n_out, count))
+    omegas = rng.uniform(0.02, 0.45, (n_out - 1, count)) * setup.omega_max
+    _, _, _, _, physical, _ = _close_arrays(setup, thetas, phis, omegas)
+    rows = np.nonzero(physical)[0][:24]
+    assert rows.size == 24
+    points = [(thetas[:, i], phis[:, i], omegas[:, i]) for i in rows]
+    if n_out == 3 and setup.e_i_mev > setup.mass:
+        grid = np.linspace(55.0, 1350.0, 48)
+        w1m, w2m = np.meshgrid(grid, grid, indexing="ij")
+        th = np.repeat(np.array(XFEL_THETAS)[:, None], w1m.size, axis=1)
+        ph = np.repeat(np.array(XFEL_PHIS)[:, None], w1m.size, axis=1)
+        _, _, _, _, physical, _ = close_batch(setup, th, ph, w1m.ravel(),
+                                              w2m.ravel())
+        cells = np.nonzero(physical)[0]
+        points += [(th[:, i], ph[:, i], (w1m.flat[i], w2m.flat[i]))
+                   for i in cells[::cells.size // 20][:20]]
+    return points
+
+
+@pytest.mark.parametrize("n_out", [1, 2, 3])
+@pytest.mark.parametrize("e_i", [M, 5000.0])
+def test_closure_matches_high_precision(n_out, e_i):
+    setup = CollisionSetup(e_i, 0.662 if e_i == M else 0.001)
+    scale = setup.e_i_mev + setup.omega0_mev
+    for thetas, phis, omegas in _closure_points(setup, n_out, 7 + n_out):
+        w, _, _, kfac, physical, _ = _close_arrays(
+            setup, thetas[:, None], phis[:, None],
+            np.reshape(omegas, (n_out - 1, 1)))
+        w_mp, k_mp, e_f_mp = _mp_closure(setup, thetas, phis, omegas)
+        assert physical[0]
+        assert abs(w[0] / w_mp - 1) <= 1e-13
+        # K = n.p_f / E_f.  The numerator is the closure denominator, built
+        # without cancellation; E_f = E_i + omega0 - sum w is a difference,
+        # good to a few ulps of the beam energy only, so K inherits
+        # scale / E_f ulps where the electron keeps little energy.  At the
+        # collider 1 - p_f.n / E_f is ~1e-10 off.
+        assert abs(kfac[0] / k_mp - 1) <= 1e-14 * max(1.0, scale / e_f_mp)
