@@ -137,12 +137,14 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
         _write(out_dir / "tau_grid.dat", _grid_table(rows, taus, "tau"))
         prefixes, suffixes = rows
         lines = ["omega1_mev\tomega2_mev\titerations\tcertificate_gap"
-                 "\twitness_residual\tprimal_residual\tdual_residual\tmasked"]
+                 "\twitness_residual\tprimal_residual\tdual_residual"
+                 "\tfeasibility_shift\tmasked"]
         for prefix, res, suffix in zip(prefixes, results.ravel(), suffixes):
-            iterations, values = (0, (0.0,) * 4) if res is None else (
+            iterations, values = (0, (0.0,) * 5) if res is None else (
                 res.iterations,
                 (res.upper_bound - res.tau, res.witness.max_residual,
-                 res.primal_residual, res.dual_residual))
+                 res.primal_residual, res.dual_residual,
+                 res.feasibility_shift))
             lines.append(f"{prefix}{iterations:d}"
                          + "".join(f"\t{v:.10e}" for v in values) + suffix)
         _write(out_dir / "tau_diagnostics.dat", "\n".join(lines) + "\n")

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import check_labels
 from .cross_section import grid_tensor
 from .kinematics import CollisionSetup
 
@@ -47,7 +48,9 @@ class SolverError(RuntimeError):
 
 
 def basis_index(l1: int, l2: int, l3: int) -> int:
-    """Index of |l1 l2 l3> (labels in {1, 2}, l3 fastest)."""
+    """Index of |l1 l2 l3> (labels in {1, 2}, l3 fastest); ValueError for
+    any other label."""
+    check_labels(l1, l2, l3)
     return 4 * (l1 - 1) + 2 * (l2 - 1) + (l3 - 1)
 
 
@@ -96,6 +99,21 @@ def partial_transpose(rho: np.ndarray, subsystem) -> np.ndarray:
 _PT_INDEX = np.stack([partial_transpose(np.arange(64).reshape(8, 8), s)
                       .ravel() for s in BIPARTITIONS])
 _PT_ROWS = np.arange(len(BIPARTITIONS))[:, None]
+
+
+def _svec_basis() -> np.ndarray:
+    """svec, the orthonormal basis E_ii, (E_ij + E_ji)/sqrt(2) (i < j) of the
+    real symmetric 8x8 matrices, as (36, 64) rows over raveled entries (M.
+    J. Todd, K. C. Toh, R. H. Tutuncu, SIAM J. Optim. 8 (1998) 769)."""
+    rows, cols = np.triu_indices(8)
+    weight = np.where(rows == cols, 1.0, math.sqrt(0.5))
+    basis = np.zeros((rows.size, 64))
+    basis[np.arange(rows.size), 8 * rows + cols] = weight
+    basis[np.arange(rows.size), 8 * cols + rows] = weight
+    return basis
+
+
+_SVEC = _svec_basis()
 
 
 def density_from_amplitudes(setup: CollisionSetup, thetas, phis, omega1,
@@ -195,6 +213,7 @@ class TauResult:
     primal_residual: float
     dual_residual: float
     upper_bound: float
+    feasibility_shift: float
 
 
 # The witness program's slack cones, each an 8x8 block held positive
@@ -257,7 +276,8 @@ def _pair_operators(u: np.ndarray) -> np.ndarray:
 
 
 def _newton_system(x: np.ndarray, sinv: np.ndarray):
-    """The HKM Newton system in y, factored by block Cholesky.
+    """The HKM Newton system in y, in the basis of the state's dtype,
+    factored by block Cholesky.
 
     On raveled blocks the HKM operator of cone k, D -> sym(X_k D S_k^{-1}),
     is (X_k (x) S_k^{-T} + S_k^{-1} (x) X_k^T) / 2.  Summed over each pair
@@ -270,11 +290,16 @@ def _newton_system(x: np.ndarray, sinv: np.ndarray):
 
     and with F_s + G_s = L_s L_s^H the dP_s are eliminated through
     Y_s = L_s^{-1} G_s, leaving the Schur complement sum_s (G_s - Y_s^H Y_s)
-    of W.  Near the optimum of a rank-deficient state the system's condition
-    number passes 1e14; eliminating through (F_s + G_s)^{-1} or an explicit
-    L_s^{-1} instead of triangular solves then leaves residuals up to 1e-3
-    in the step, and the dual certificate stalls above the tolerance.
-    Returns (L, Y, Schur complement).
+    of W.  A real state's steps are real symmetric (the partial transpose
+    keeps them so), so F_s and G_s are moved to the svec basis B, as B F_s
+    B^T and B G_s B^T, and every block is 36x36.  A complex state's steps
+    are Hermitian and span all 64 real dimensions, so its blocks stay 64x64
+    in the basis of unit matrices.  Near the optimum of a rank-deficient
+    state the system's condition number passes 1e14; eliminating through
+    (F_s + G_s)^{-1} or an explicit L_s^{-1} instead of triangular solves
+    then leaves residuals up to 1e-3 in the step, and the dual certificate
+    stalls above the tolerance.  Returns (basis, L, Y, Schur complement),
+    with basis B for a real state and None for the unit matrices.
     """
     # the cone pairs' X_ij (S^{-1})_ba summed, rows (i, j), columns (b, a)
     xp = x.reshape(2, 6, 64).transpose(1, 2, 0)
@@ -282,23 +307,32 @@ def _newton_system(x: np.ndarray, sinv: np.ndarray):
     f, g = (_pair_operators(xp[k::2] @ sp[k::2]) for k in (0, 1))
     # conjugate G_s by the partial transpose of photon s
     g = g[_PT_ROWS[:, :, None], _PT_INDEX[:, :, None], _PT_INDEX[:, None, :]]
+    basis = _SVEC if x.dtype.kind == "f" else None
+    if basis is not None:
+        f, g = (basis @ op @ basis.T for op in (f, g))
     f += g
     chol = np.linalg.cholesky(f)
     y = np.linalg.solve(chol, g)
     g -= y.conj().swapaxes(-1, -2) @ y
-    return chol, y, g.sum(axis=0)
+    return basis, chol, y, g.sum(axis=0)
 
 
 def _direction(system, rhs: np.ndarray) -> np.ndarray:
-    """The step in y = [W, P_1, P_2, P_3] for right-hand-side rows r_W, r_s;
-    the exact step is Hermitian, so the computed one is projected there."""
-    chol, y, schur = system
+    """The step in y = [W, P_1, P_2, P_3] for right-hand-side rows r_W, r_s,
+    solved in the system's basis; the exact step is Hermitian, so the
+    computed one is projected there (a step mapped back from svec already
+    is, exactly)."""
+    basis, chol, y, schur = system
+    if basis is not None:
+        rhs = rhs @ basis.T
     t = np.linalg.solve(chol, rhs[1:, :, None])
-    dy = np.empty((4, 64), dtype=rhs.dtype)
+    dy = np.empty_like(rhs)
     dy[0] = np.linalg.solve(
         schur, rhs[0] + (y.conj().swapaxes(-1, -2) @ t).sum(axis=0)[:, 0])
     dy[1:] = np.linalg.solve(chol.conj().swapaxes(-1, -2),
                              t + y @ dy[0, :, None])[..., 0]
+    if basis is not None:
+        dy = dy @ basis
     return _hermitize(dy.reshape(4, 8, 8))
 
 
@@ -357,12 +391,15 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7) -> TauResult:
     step is a Mehrotra predictor-corrector step (Mehrotra, SIAM J. Optim. 2
     (1992) 575) along the HKM direction (Helmberg, Rendl, Vanderbei &
     Wolkowicz, SIAM J. Optim. 6 (1996) 342), its Newton system solved by
-    block Cholesky over 64x64 blocks (:func:`_newton_system`); y and X each
-    move ``STEP_FRACTION`` of the way to their cone boundary, at most a
-    full step.  ``iterations`` counts Newton steps, ``primal_residual`` is
-    the norm of the residual of the multiplier equations and
-    ``dual_residual`` the duality measure sum_k tr(X_k S_k) / 96, both at
-    the returned iterate.
+    block Cholesky (:func:`_newton_system`): over 36x36 blocks in the svec
+    basis of the real symmetric matrices for a real state, and over 64x64
+    blocks for a complex one, whose Hermitian steps span all 64 real
+    dimensions (36 symmetric real parts, 28 antisymmetric imaginary ones).
+    y and X each move ``STEP_FRACTION`` of the way to their cone boundary,
+    at most a full step.  ``iterations`` counts Newton steps,
+    ``primal_residual`` is the norm of the residual of the multiplier
+    equations and ``dual_residual`` the duality measure sum_k tr(X_k S_k) /
+    96, both at the returned iterate.
 
     The witness is certified outside the solver.  The coupling holds by
     construction: Q_s is the partial transpose of the rounded W - P_s, so
@@ -374,7 +411,9 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7) -> TauResult:
 
     preserves the shared decomposition for every bipartition, so the
     reported tau = max(0, -tr(W rho)) is a certified lower bound on the
-    optimum rather than a solver estimate.
+    optimum rather than a solver estimate.  ``feasibility_shift`` is the
+    delta that made the returned witness feasible (0 when the iterate
+    already was).
 
     ``upper_bound`` certifies tau from the other side.  The Lagrange dual of
     the witness program is
@@ -412,14 +451,15 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7) -> TauResult:
         x += dx
         s, mu, primal = _measure(y, x, eye, target)
         # both certificates, from the iterate as it stands
-        polished = _feasibilize(_witness_stack(y))
+        polished, delta = _feasibilize(_witness_stack(y))
         lower = -float(np.trace(polished.matrix @ rho).real)
         if lower > tau or step == 1:
-            tau, witness = max(0.0, lower), polished
+            tau, witness, shift = max(0.0, lower), polished, delta
         upper_bound = min(upper_bound,
                           _dual_bound(rho, (x[:6] - x[6:])[0:4:2]))
         if upper_bound - tau <= tolerance:
-            return TauResult(tau, witness, step, primal, mu, upper_bound)
+            return TauResult(tau, witness, step, primal, mu, upper_bound,
+                             shift)
     else:
         failure = f"no convergence in {MAX_NEWTON_STEPS} Newton steps"
     raise SolverError(f"{failure}: primal={primal:.3e} dual={mu:.3e} "
@@ -450,9 +490,10 @@ def _dual_bound(rho: np.ndarray, lam: np.ndarray) -> float:
         np.concatenate([split, transposed]).reshape(6, 8, 8)).sum())
 
 
-def _feasibilize(x: np.ndarray) -> Witness:
+def _feasibilize(x: np.ndarray):
     """Shift-and-scale an affine-exact iterate into an exactly feasible
-    witness (identity shifts commute with every partial transpose)."""
+    witness (identity shifts commute with every partial transpose); returns
+    the witness and the shift delta."""
     herm = _hermitize(x)
     ev = np.linalg.eigvalsh(herm[1:])
     delta = max(-float(ev.min()), float(ev.max()) - 1.0, 0.0)
@@ -462,7 +503,7 @@ def _feasibilize(x: np.ndarray) -> Witness:
     for i, s in enumerate(BIPARTITIONS):
         parts[s] = ((herm[1 + 2 * i] + delta * eye) / scale,
                     (herm[2 + 2 * i] + delta * eye) / scale)
-    return Witness((herm[0] + 2.0 * delta * eye) / scale, parts)
+    return Witness((herm[0] + 2.0 * delta * eye) / scale, parts), delta
 
 
 def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,

@@ -240,8 +240,8 @@ grid.n_omega2 = 1
     assert header.split("\t") == ["omega1_mev", "omega2_mev", "iterations",
                                    "certificate_gap", "witness_residual",
                                    "primal_residual", "dual_residual",
-                                   "masked"]
-    (w1, w2, iterations, gap, residual, primal, dual,
+                                   "feasibility_shift", "masked"]
+    (w1, w2, iterations, gap, residual, primal, dual, shift,
      masked) = line.split("\t")
     assert float(w1) == 700.0 and float(w2) == 400.0 and masked == "0"
     assert int(iterations) == res.iterations
@@ -250,6 +250,8 @@ grid.n_omega2 = 1
                                             rel=1e-9, abs=1e-300)
     assert float(primal) == pytest.approx(res.primal_residual, rel=1e-9)
     assert float(dual) == pytest.approx(res.dual_residual, rel=1e-9)
+    assert float(shift) == pytest.approx(res.feasibility_shift, rel=1e-9,
+                                         abs=1e-300)
 
 
 def test_cli_tau_diagnostics_match_benchmark_iterations(tmp_path,
@@ -280,10 +282,10 @@ grid.n_omega2 = 3
                      "--out", str(out)]) == cli.EXIT_OK
     rows = [line.split("\t") for line in
             (out / "tau_diagnostics.dat").read_text().splitlines()[1:]]
-    assert [int(r[7]) for r in rows] == [m for row in place["masked"]
-                                         for m in row]
+    assert [int(r[-1]) for r in rows] == [m for row in place["masked"]
+                                          for m in row]
     for r in rows:
-        expected = 0 if r[7] == "1" else gme_tau(density_from_amplitudes(
+        expected = 0 if r[-1] == "1" else gme_tau(density_from_amplitudes(
             xfel_setup, XFEL_THETAS, XFEL_PHIS, float(r[0]), float(r[1]),
             1)).iterations
         assert int(r[2]) == expected

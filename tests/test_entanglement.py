@@ -9,13 +9,16 @@ from triplecompton import amplitude, cross_section, entanglement
 from triplecompton.cross_section import _tensor_for_points, sigma5_panel_grids
 from triplecompton.entanglement import (BIPARTITIONS, DegenerateStateError,
                                         InvalidDensityMatrix, SolverError,
-                                        _max_steps, _witness_stack,
+                                        _SVEC, _direction, _feasibilize,
+                                        _max_steps, _newton_system,
+                                        _witness_stack,
                                         basis_index, density_from_amplitudes,
                                         ghz_state, gme_tau,
                                         load_density_matrix, negativity,
                                         partial_transpose, product_state,
                                         save_density_matrix, tau_grid,
                                         w_state)
+from triplecompton.kinematics import CollisionSetup
 from conftest import (MGBR_PHIS, MGBR_THETAS, XFEL_PHIS, XFEL_THETAS,
                       random_physical_configs)
 
@@ -39,6 +42,13 @@ def test_basis_index_ordering():
     assert basis_index(1, 2, 1) == 2
     assert basis_index(2, 1, 1) == 4
     assert basis_index(2, 2, 2) == 7
+    # a label outside {1, 2} raises instead of wrapping to another state
+    for labels in ((0, 1, 1), (1.5, 1, 1), (3, 1, 1), (1, 2, -1)):
+        with pytest.raises(ValueError, match="labels must be 1 or 2"):
+            basis_index(*labels)
+    for labels in ((0, 1, 1), (3, 1, 1)):
+        with pytest.raises(ValueError, match="labels must be 1 or 2"):
+            product_state(*labels)
 
 
 def test_partial_transpose_identity_and_involution():
@@ -88,6 +98,20 @@ def test_witness_stack_meets_coupling_exactly(kind):
             assert not resid.any()
 
 
+def test_feasibilize_reports_its_shift():
+    # an iterate inside every box needs no shift; one outside is shifted by
+    # its worst violation, which the result reports
+    eye = np.eye(8)
+    y = np.stack([eye] + 3 * [0.5 * eye])
+    witness, delta = _feasibilize(_witness_stack(y))
+    assert delta == 0.0
+    assert np.array_equal(witness.matrix, eye)
+    y[1, 0, 0] = -0.01      # P_1 below 0, so Q_1 = (W - P_1)^{T_1} above 1
+    witness, delta = _feasibilize(_witness_stack(y))
+    assert delta == pytest.approx(0.01, rel=1e-12)
+    assert witness.max_residual <= 1e-12
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_max_steps_matches_bisection(seed):
     # the largest a keeping mat + a * direction positive semidefinite,
@@ -113,10 +137,20 @@ def test_max_steps_matches_bisection(seed):
         assert steps[k] == pytest.approx(lo, rel=1e-10)
 
 
+def _xfel_state(omega1, omega2):
+    return density_from_amplitudes(CollisionSetup(5000.0, 0.001),
+                                   XFEL_THETAS, XFEL_PHIS, omega1, omega2, 1)
+
+
 @pytest.mark.parametrize("state, iterations, tau", [
     (ghz_state(), 7, 0.4999999365180704),
     (w_state(), 8, 0.442808961347266),
     (product_state(), 1, 0.0),
+    # real production states, solved in the 36-dimensional svec basis: the
+    # criterion 8 ridge state and the first cell of the benchmark's xfel_tau
+    # map at placement 3
+    (_xfel_state(693.0, 413.0), 11, 0.42780877877594414),
+    (_xfel_state(540.6, 260.36), 11, 0.11817071523871722),
 ])
 def test_solver_trajectory_pinned(state, iterations, tau):
     # the interior-point iteration itself, not only its limit: any change
@@ -125,6 +159,37 @@ def test_solver_trajectory_pinned(state, iterations, tau):
     res = gme_tau(state)
     assert res.iterations == iterations
     assert res.tau == pytest.approx(tau, abs=1e-12)
+
+
+def test_svec_newton_system_matches_full_basis():
+    # svec is orthonormal, and every partial transpose permutes the svec
+    # coordinates of a symmetric matrix, so the real Newton system closes
+    # on the 36-dimensional symmetric matrices
+    assert _SVEC.shape == (36, 64)
+    assert np.allclose(_SVEC @ _SVEC.T, np.eye(36), rtol=0.0, atol=1e-15)
+    rng = np.random.default_rng(11)
+    sym = rng.normal(size=(8, 8))
+    sym += sym.T
+    coords = _SVEC @ sym.ravel()
+    for s in BIPARTITIONS:
+        moved = _SVEC @ partial_transpose(sym, s).ravel()
+        assert np.array_equal(np.sort(moved), np.sort(coords))
+        assert not np.array_equal(moved, coords)
+    # the step from the 36-dimensional system against the 64-dimensional
+    # one, which the same inputs take when cast to complex
+    for _ in range(3):
+        blocks = rng.normal(size=(24, 8, 8))
+        blocks = blocks @ blocks.swapaxes(-1, -2) + 0.1 * np.eye(8)
+        linv = np.linalg.inv(np.linalg.cholesky(blocks[:12]))
+        sinv = linv.swapaxes(-1, -2) @ linv
+        x = blocks[12:]
+        rhs = rng.normal(size=(4, 8, 8))
+        rhs = (rhs + rhs.swapaxes(-1, -2)).reshape(4, 64)
+        step = _direction(_newton_system(x, sinv), rhs)
+        full = _direction(_newton_system(x + 0j, sinv + 0j), rhs + 0j)
+        assert step.dtype == float
+        assert np.array_equal(step, step.swapaxes(-1, -2))
+        assert np.abs(step - full).max() <= 1e-10 * np.abs(full).max()
 
 
 def test_tau_ghz_calibration():
