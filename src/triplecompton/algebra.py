@@ -74,9 +74,12 @@ def slash_batch(a: np.ndarray) -> np.ndarray:
 
 def check_labels(*labels) -> None:
     """Raise ValueError unless every polarization or spin label is the
-    integer 1 or 2 (any integral type; 1.0 is not a label)."""
+    integer 1 or 2 (any integral type; 1.0 is not a label, and neither is
+    True, although True == 1)."""
     for label in labels:
-        if not isinstance(label, numbers.Integral) or label not in (1, 2):
+        if (not isinstance(label, numbers.Integral)
+                or isinstance(label, bool)
+                or label not in (1, 2)):
             raise ValueError(
                 f"polarization and spin labels must be 1 or 2, got {label}")
 

@@ -265,11 +265,15 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
                 before *= n_pols[j]
         return total
 
-    currents = {0: u_cols}          # J(S) by bit mask of S, (4, M, N)
-    for col, subset in enumerate(subsets):
-        mask = sum(1 << j for j in subset)
-        currents[mask] = _apply(props[col], vertex_sum(
+    # J(S) by bit mask of S, (4, M, N).  J(S) is read only while the
+    # currents one photon larger are built, so each size's currents replace
+    # the last; the exits read the largest, J(all - {j}).
+    masks = [sum(1 << j for j in subset) for subset in subsets]
+    currents = {0: u_cols}
+    for size in range(1, n):
+        currents = {mask: _apply(props[col], vertex_sum(
             _vertex, vertices, mask)).reshape(4, -1, n_pts)
+            for col, mask in enumerate(masks) if mask.bit_count() == size}
     total = vertex_sum(_apply, exits, (1 << n) - 1).reshape(
         (2,) + tuple(n_pols) + (2, n_pts))
     total *= mass ** (n - 1)

@@ -61,6 +61,13 @@ def _metadata(cfg: ScenarioConfig, command: str, extra=()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sampler_line(label: str, res) -> str:
+    """How the sampler did on one estimate, on a line of its own."""
+    return (f"  {label}: n_nonzero = {res.n_nonzero} of {res.n_samples}, "
+            f"ess = {res.ess:.6g}, worst_stratum_var_share = "
+            f"{res.worst_stratum_var_share:.4f}")
+
+
 def run_mgbr1968(cfg: ScenarioConfig, out_dir: Path) -> str:
     setup = _setup_from_config(cfg)
     res = detector_average(setup, cfg.theta_rad, cfg.phi_rad,
@@ -75,6 +82,7 @@ def run_mgbr1968(cfg: ScenarioConfig, out_dir: Path) -> str:
         f"threshold = {cfg.threshold_mev * 1e3:.6g} keV",
         f"  <sigma> = {res.value:.6e} +- {res.statistical_error:.2e} b/sr^3"
         f"   (n = {res.n_samples}, seed = {res.seed})",
+        _sampler_line("sampler", res),
         f"  reference theory:     {REFERENCE_THEORY_B_SR3:.1e} b/sr^3",
         f"  reference experiment: ({exp_val * 1e9:.1f} +- {exp_err * 1e9:.1f})"
         "e-09 b/sr^3",
@@ -173,6 +181,7 @@ def run_totals(cfg: ScenarioConfig, processes, out_dir: Path) -> str:
         lines.append(
             f"  sigma_{process:<6s} = {res.value:.6e} +- "
             f"{res.statistical_error:.2e} b   rate = {rate:.3e} /s")
+        lines.append(_sampler_line(f"sampler {process:<6s}", res))
     lines.append(
         f"  beams: {beams.photons_per_pulse:.3g} photons/pulse, "
         f"{beams.electrons_per_bunch:.3g} electrons/bunch, "

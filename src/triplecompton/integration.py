@@ -11,14 +11,21 @@ Reproducibility: every stratum owns a Philox counter-based substream with
 key = (master_seed << 64) | stratum_index, and each stratum's weights and
 squared weights are summed with correctly rounded summation (math.fsum) over
 all of its samples, so results are bit-identical for a given (seed, budget,
-config) regardless of batching; the per-stratum means are combined with
-math.fsum as well.
+config) regardless of batching, including batches that span strata; the
+per-stratum means are combined with math.fsum as well.
+
+The integrand sees fixed batches of at most BATCH_ROWS rows, filled stratum
+after stratum, so one batch may hold the tail of one stratum and the head of
+the next.  Only one batch of points is alive at a time, so memory does not
+grow with the budget, and a small budget costs one call rather than one per
+stratum.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +35,9 @@ from .constants import BARN_TO_CM2
 from .kinematics import CollisionSetup
 
 _MASK64 = (1 << 64) - 1
-# rows per integrand call; the per-stratum sums do not depend on it
-BATCH_ROWS = 8192
+# rows per integrand call, across stratum boundaries; the per-stratum sums do
+# not depend on it
+BATCH_ROWS = 256
 
 PROCESS_PHOTONS = {"single": 1, "double": 2, "triple": 3}
 # Above the Lorentz factor E/m = BOOST_THRESHOLD, PhaseSpaceMap draws each
@@ -49,12 +57,38 @@ class WindowError(ValueError):
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """Monte Carlo estimate with its statistical error (same unit)."""
+    """Monte Carlo estimate with its statistical error (same unit), and how
+    well the sampler did: the number of non-zero weights, the effective
+    sample size (sum w)^2 / sum w^2 and the largest stratum's share of the
+    estimate's variance."""
 
     value: float
     statistical_error: float
     n_samples: int
     seed: int
+    n_nonzero: int
+    ess: float
+    worst_stratum_var_share: float
+
+    @classmethod
+    def scaled(cls, estimate: "StratifiedEstimate", scale: float,
+               seed: int) -> "IntegrationResult":
+        """The estimate and its error divided by scale; the sampler figures
+        do not depend on it."""
+        return cls(estimate.value / scale, estimate.error / scale,
+                   estimate.n_samples, seed, estimate.n_nonzero,
+                   estimate.ess, estimate.worst_stratum_var_share)
+
+
+class StratifiedEstimate(NamedTuple):
+    """What ``stratified_monte_carlo`` returns, in the integrand's unit."""
+
+    value: float
+    error: float
+    n_samples: int
+    n_nonzero: int
+    ess: float
+    worst_stratum_var_share: float
 
 
 @dataclass(frozen=True)
@@ -86,13 +120,16 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def stratified_monte_carlo(integrand, dim, strata, budget, seed):
+def stratified_monte_carlo(integrand, dim, strata, budget,
+                           seed) -> StratifiedEstimate:
     """Stratified mean of ``integrand`` over the unit cube [0,1)^dim.
 
     strata: tuple of cell counts applied to the leading dims (equal
     probability cells).  integrand maps (n, dim) -> (n,) weights already
-    including all map Jacobians.  budget and seed must be integral (4096.0
-    is, 4096.5 raises ValueError).  Returns (value, error, n_samples).
+    including all map Jacobians; it is called on batches of at most
+    BATCH_ROWS rows that may span strata, so each row's weight must not
+    depend on the other rows.  budget and seed must be integral (4096.0
+    is, 4096.5 raises ValueError).
     """
     for name, value in (("budget", budget), ("seed", seed)):
         if not (isinstance(value, numbers.Integral)
@@ -105,31 +142,41 @@ def stratified_monte_carlo(integrand, dim, strata, budget, seed):
         raise BudgetError(
             f"budget {budget} gives {n_per} samples per stratum "
             f"({n_cells} strata); need at least 2")
-    means, mean_vars = [], []
+    rows = BATCH_ROWS
+    batch = np.empty((rows, dim))
+    weights = np.empty(n_cells * n_per)
+    done = filled = 0          # weights written, rows waiting in batch
     for cell in range(n_cells):
         idx = np.unravel_index(cell, counts)
         rng = substream(seed, cell)
-        parts = []
         remaining = n_per
         while remaining > 0:
-            nb = min(BATCH_ROWS, remaining)
-            x = rng.random((nb, dim))
+            nb = min(rows - filled, remaining)
+            x = batch[filled:filled + nb]
+            rng.random(out=x)
             for axis, (i, c) in enumerate(zip(idx, counts)):
                 x[:, axis] = (i + x[:, axis]) / c
-            parts.append(np.asarray(integrand(x), float))
+            filled += nb
             remaining -= nb
-        # correctly rounded sums over the whole stratum, so the batch
-        # boundaries cannot change a bit of the result
-        w = np.concatenate(parts)
-        s1 = math.fsum(w)
-        s2 = math.fsum(w * w)
-        mean = s1 / n_per
-        var = max(s2 / n_per - mean * mean, 0.0)
-        means.append(mean)
-        mean_vars.append(var / (n_per - 1))
-    value = math.fsum(means) / n_cells
-    error = math.sqrt(math.fsum(mean_vars)) / n_cells
-    return value, error, n_per * n_cells
+            if filled == rows or done + filled == weights.size:
+                weights[done:done + filled] = integrand(batch[:filled])
+                done += filled
+                filled = 0
+    # correctly rounded sums over each whole stratum, so the batch
+    # boundaries cannot change a bit of the result
+    cells = weights.reshape(n_cells, n_per)
+    s1s = [math.fsum(w) for w in cells]
+    s2s = [math.fsum(w * w) for w in cells]
+    means = [s1 / n_per for s1 in s1s]
+    mean_vars = [max(s2 / n_per - mean * mean, 0.0) / (n_per - 1)
+                 for s2, mean in zip(s2s, means)]
+    var_sum = math.fsum(mean_vars)
+    s1, s2 = math.fsum(s1s), math.fsum(s2s)
+    return StratifiedEstimate(
+        math.fsum(means) / n_cells, math.sqrt(var_sum) / n_cells,
+        weights.size, int(np.count_nonzero(weights)),
+        s1 * s1 / s2 if s2 > 0 else 0.0,
+        max(mean_vars) / var_sum if var_sum > 0 else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +274,9 @@ def total_cross_section(setup: CollisionSetup, threshold_eps: float,
         strata = (64,)
     else:
         strata = (8, 8)
-    value, error, n = stratified_monte_carlo(integrand, ps.dim, strata,
-                                             budget, seed)
-    sym = math.factorial(n_out)
-    return IntegrationResult(value / sym, error / sym, n, seed)
+    return IntegrationResult.scaled(
+        stratified_monte_carlo(integrand, ps.dim, strata, budget, seed),
+        math.factorial(n_out), seed)
 
 
 def detector_average(setup: CollisionSetup, thetas, phis,
@@ -280,10 +326,9 @@ def detector_average(setup: CollisionSetup, thetas, phis,
         f = unpolarized_sigma5_batch(setup, th, ph, w1, w2, threshold_eps)
         return f * weight
 
-    value, error, n = stratified_monte_carlo(integrand, 8, (8, 8), budget,
-                                             seed)
-    norm = solid_angle_sr ** 3
-    return IntegrationResult(value / norm, error / norm, n, seed)
+    return IntegrationResult.scaled(
+        stratified_monte_carlo(integrand, 8, (8, 8), budget, seed),
+        solid_angle_sr ** 3, seed)
 
 
 def event_rate(sigma_barn: float, beams: BeamParameters) -> float:

@@ -239,8 +239,10 @@ def test_scalar_api_typed_errors(rest_setup, sample_point):
     with pytest.raises(al.PropagatorPoleError):
         am.point_amplitude(setup, (np.zeros(4), k2, k3), p_f2, eps, r_i,
                            r_f)
-    with pytest.raises(ValueError):
-        am.point_amplitude(rest_setup, (k1,), p_f, (eps_in, eps_out), r_i=3)
+    for r_i in (3, True):
+        with pytest.raises(ValueError, match="labels must be 1 or 2"):
+            am.point_amplitude(rest_setup, (k1,), p_f, (eps_in, eps_out),
+                               r_i=r_i)
 
 
 def test_beam_vector_linearity(rest_setup, sample_point):
@@ -275,6 +277,9 @@ def test_beam_polarization_validated(rest_setup):
         spin_summed_sigma5(*args, beam_pol=2)
     with pytest.raises(ValueError, match="labels must be 1 or 2"):
         spin_summed_sigma5(*args, beam_pol=np.int64(3))
+    # True == 1 used to select the x vector
+    with pytest.raises(ValueError, match="labels must be 1 or 2"):
+        am.beam_basis_arrays(1, True)
     # a non-finite vector has no direction; it used to give sigma5 = nan.
     # A third component used to be dropped silently, one component raised
     # IndexError and a float label TypeError

@@ -354,6 +354,14 @@ def test_cli_totals_report(tmp_path):
     assert code == cli.EXIT_OK
     text = (out / "totals.txt").read_text()
     assert "sigma_single" in text and "rate" in text
+    # the sampler figures follow their estimate on a line of their own
+    lines = text.splitlines()
+    row = next(k for k, line in enumerate(lines)
+               if line.startswith("  sigma_single"))
+    assert lines[row + 1].startswith(
+        "  sampler single: n_nonzero = ")
+    assert "ess = " in lines[row + 1]
+    assert "worst_stratum_var_share = " in lines[row + 1]
     meta = (out / "metadata.txt").read_text()
     assert "n_samples_single = 4096" in meta
 

@@ -43,10 +43,13 @@ def test_basis_index_ordering():
     assert basis_index(2, 1, 1) == 4
     assert basis_index(2, 2, 2) == 7
     # a label outside {1, 2} raises instead of wrapping to another state
-    for labels in ((0, 1, 1), (1.5, 1, 1), (3, 1, 1), (1, 2, -1)):
+    # True == 1, so a bool used to pass for label 1: basis_index(True, 1, 1)
+    # returned 0 and product_state(True, True, True) built |111>
+    for labels in ((0, 1, 1), (1.5, 1, 1), (3, 1, 1), (1, 2, -1),
+                   (True, 1, 1)):
         with pytest.raises(ValueError, match="labels must be 1 or 2"):
             basis_index(*labels)
-    for labels in ((0, 1, 1), (3, 1, 1)):
+    for labels in ((0, 1, 1), (3, 1, 1), (True, True, True)):
         with pytest.raises(ValueError, match="labels must be 1 or 2"):
             product_state(*labels)
 

@@ -47,16 +47,99 @@ def test_total_cross_section_deterministic(rest_setup):
     assert r1 == r2  # bit-identical dataclasses
 
 
+# 7 and 100 divide no stratum's count below, so batches span strata; 256 is
+# one stratum at 2^14 over 64 strata, and 8192 holds 32 of them
+BATCH_SIZES = (7, 100, 256, 8192)
+
+
+def _batched_results(monkeypatch, estimate):
+    results = []
+    for rows in BATCH_SIZES:
+        monkeypatch.setattr(integration, "BATCH_ROWS", rows)
+        results.append(estimate())
+    return results
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_batching_does_not_change_result(monkeypatch, rest_setup, seed):
-    results = []
-    for rows in (7, 100, 8192):
-        monkeypatch.setattr(integration, "BATCH_ROWS", rows)
-        results.append(total_cross_section(rest_setup, 0.0, "single",
-                                           budget=1 << 14, seed=seed))
+    results = _batched_results(monkeypatch, lambda: total_cross_section(
+        rest_setup, 0.0, "single", budget=1 << 14, seed=seed))
     for res in results[1:]:
         assert res.value == results[0].value
         assert res.statistical_error == results[0].statistical_error
+        assert res == results[0]
+
+
+@pytest.mark.parametrize("case, budget", [
+    ("single", 1000), ("triple", 1000), ("triple", 1 << 12),
+    ("detector_average", 1000), ("detector_average", 1 << 12)])
+def test_cross_strata_batching_does_not_change_result(
+        monkeypatch, rest_setup, xfel_setup, case, budget):
+    # budget 1000 over 64 strata is 15 samples per stratum, a multiple of
+    # none of the batch sizes
+    if case == "detector_average":
+        def estimate():
+            return detector_average(rest_setup, MGBR_THETAS, MGBR_PHIS,
+                                    0.378, 0.013, budget=budget, seed=4)
+    else:
+        def estimate():
+            return total_cross_section(xfel_setup, 50.0, case,
+                                       budget=budget, seed=4)
+    results = _batched_results(monkeypatch, estimate)
+    assert results[0].n_samples == budget // 64 * 64
+    for res in results[1:]:
+        assert res.value == results[0].value
+        assert res.statistical_error == results[0].statistical_error
+        assert res == results[0]
+
+
+def test_integrand_calls_are_bounded_batches(monkeypatch):
+    calls = []
+
+    def integrand(x):
+        calls.append(x.copy())
+        return x[:, 0]
+
+    # the smallest budget over 64 strata is one call, not one per stratum
+    stratified_monte_carlo(integrand, 3, (8, 8), 128, seed=0)
+    assert [len(x) for x in calls] == [128]
+    for rows in BATCH_SIZES:
+        monkeypatch.setattr(integration, "BATCH_ROWS", rows)
+        calls.clear()
+        stratified_monte_carlo(integrand, 3, (8, 8), 1000, seed=0)
+        sizes = [len(x) for x in calls]
+        assert max(sizes) <= rows
+        assert sum(sizes) == 960
+        assert len(sizes) == -(-960 // rows)
+        # rows arrive stratum after stratum, 15 per stratum, whatever the
+        # batch boundaries
+        cells = (np.concatenate(calls)[:, :2] * 8).astype(int)
+        assert np.array_equal(cells[:, 0] * 8 + cells[:, 1],
+                              np.repeat(np.arange(64), 15))
+
+
+def test_sampler_telemetry():
+    # half the strata see weight 1 and half 0: no variance at all
+    est = stratified_monte_carlo(lambda x: (x[:, 0] < 0.5) * 1.0, 2, (8,),
+                                 1 << 10, seed=3)
+    assert est.n_samples == 1 << 10
+    assert est.n_nonzero == 1 << 9
+    assert est.ess == 1 << 9
+    assert est.worst_stratum_var_share == 0.0
+    # only the first stratum varies, so it carries all of the variance
+    w = []
+
+    def integrand(x):
+        out = np.where(x[:, 0] < 1 / 8, x[:, 1], 0.5)
+        w.append(out)
+        return out
+
+    est = stratified_monte_carlo(integrand, 2, (8,), 1 << 10, seed=3)
+    w = np.concatenate(w)
+    assert est.n_nonzero == 1 << 10
+    assert est.ess == pytest.approx(math.fsum(w) ** 2 / math.fsum(w * w),
+                                    rel=1e-14)
+    assert est.worst_stratum_var_share == 1.0
 
 
 def test_thomson_limit():
@@ -105,8 +188,8 @@ def test_importance_sampling_unbiased_rest(rest_setup):
         thetas, phis, omegas, weight = ps.map_points(x)
         return weight / (omegas[0] * omegas[1])
 
-    value, error, _ = stratified_monte_carlo(integrand, ps.dim, (8, 8),
-                                             1 << 12, seed=1)
+    value, error = stratified_monte_carlo(integrand, ps.dim, (8, 8),
+                                             1 << 12, seed=1)[:2]
     assert value == pytest.approx(expected, abs=3 * error + 1e-9 * expected)
 
 
@@ -127,8 +210,8 @@ def test_importance_sampling_unbiased_backscatter(xfel_setup):
         inside = ((math.pi - thetas) < delta_c).all(axis=0)
         return np.where(inside, weight / omegas[0], 0.0)
 
-    value, error, _ = stratified_monte_carlo(integrand, ps.dim, (8, 8),
-                                             1 << 16, seed=6)
+    value, error = stratified_monte_carlo(integrand, ps.dim, (8, 8),
+                                             1 << 16, seed=6)[:2]
     assert error > 0
     assert value == pytest.approx(expected, abs=3 * error)
 
@@ -264,3 +347,7 @@ def test_integration_result_fields(rest_setup):
     assert res.statistical_error >= 0
     assert res.n_samples == (1 << 12) // 64 * 64
     assert res.seed == 21
+    # every one-photon weight at rest is non-zero
+    assert res.n_nonzero == res.n_samples
+    assert 0 < res.ess < res.n_samples
+    assert 0 < res.worst_stratum_var_share < 1

@@ -196,7 +196,8 @@ def test_final_state_labels_validated():
     # a fractional label such as 1.0 equals 1 but used to reach sigma5 and
     # fail there with a bare IndexError
     for labels in (dict(pols=(1, 3, 1)), dict(r_i=0), dict(r_f=2.5),
-                   dict(pols=(1.0, 1, 1)), dict(r_i=2.0)):
+                   dict(pols=(1.0, 1, 1)), dict(r_i=2.0),
+                   dict(pols=(True, 1, 1)), dict(r_f=np.True_)):
         with pytest.raises(ValueError):
             FinalStateConfig((1.0, 2.0, 3.0), (0.0, 1.0, 2.0), 0.1, 0.1,
                              **labels)
@@ -206,7 +207,7 @@ def test_final_state_labels_validated():
     # the spin-summed entry point takes its labels outside a config; label
     # 0 would otherwise index the last basis vector
     setup = CollisionSetup.rest_frame(0.662)
-    for final_pols in ((0, 1, 1), (1, 3, 1), (1.0, 1, 1)):
+    for final_pols in ((0, 1, 1), (1, 3, 1), (1.0, 1, 1), (True, 1, 1)):
         with pytest.raises(ValueError):
             spin_summed_sigma5(setup, (1.2, 2.0, 0.9), (0.4, 2.5, 4.4),
                                0.1, 0.15, final_pols=final_pols)
