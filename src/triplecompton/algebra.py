@@ -72,14 +72,18 @@ def slash_batch(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def is_label(value, allowed) -> bool:
+    """Whether value is an integer in allowed (any integral type; 1.0 is
+    not, and neither is True, although True == 1)."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value in allowed)
+
+
 def check_labels(*labels) -> None:
     """Raise ValueError unless every polarization or spin label is the
-    integer 1 or 2 (any integral type; 1.0 is not a label, and neither is
-    True, although True == 1)."""
+    integer 1 or 2, as :func:`is_label` reads it."""
     for label in labels:
-        if (not isinstance(label, numbers.Integral)
-                or isinstance(label, bool)
-                or label not in (1, 2)):
+        if not is_label(label, (1, 2)):
             raise ValueError(
                 f"polarization and spin labels must be 1 or 2, got {label}")
 

@@ -125,7 +125,12 @@ def grid_tensor(setup, thetas, phis, omega1_grid, omega2_grid, beam_pol,
                 threshold_eps: float = 0.0):
     """:func:`_tensor_for_points` for three photons at fixed angles on an
     (omega1, omega2) grid, every cell in one evaluation.  Cell (i, j), at
-    (omega1_grid[i], omega2_grid[j]), is row i * len(omega2_grid) + j."""
+    (omega1_grid[i], omega2_grid[j]), is row i * len(omega2_grid) + j.
+    Every caller reads one beam polarization, so beam_pol None, which
+    would evaluate both basis vectors, raises ValueError."""
+    if beam_pol is None:
+        raise ValueError("beam_pol must be 1, 2 or a transverse vector, "
+                         "not None")
     w1m, w2m = np.meshgrid(np.asarray(omega1_grid, float),
                            np.asarray(omega2_grid, float), indexing="ij")
     th = np.repeat(np.asarray(thetas, float)[:, None], w1m.size, axis=1)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import check_labels
+from .algebra import check_labels, is_label
 from .cross_section import grid_tensor
 from .kinematics import CollisionSetup
 
@@ -78,17 +78,11 @@ def product_state(l1: int = 1, l2: int = 1, l3: int = 1) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def partial_transpose(rho: np.ndarray, subsystem) -> np.ndarray:
-    """Transpose the indices of one photon slot (1, 2 or 3).
-
-    Accepts the bipartition labels "1|23", "2|13", "3|12" as synonyms for the
-    transposed singleton side; transposing the complement instead gives the
-    complex conjugate, which has the same spectrum.
-    """
-    if isinstance(subsystem, str):
-        subsystem = int(subsystem.split("|")[0])
-    if subsystem not in (1, 2, 3):
-        raise ValueError("bipartition label must name photon 1, 2 or 3")
+def partial_transpose(rho: np.ndarray, subsystem: int) -> np.ndarray:
+    """Transpose the indices of photon ``subsystem``, the integer 1, 2 or 3
+    (not True, although True == 1); anything else raises ValueError."""
+    if not is_label(subsystem, BIPARTITIONS):
+        raise ValueError(f"subsystem must be 1, 2 or 3, got {subsystem!r}")
     t = np.asarray(rho).reshape(2, 2, 2, 2, 2, 2)
     t = t.swapaxes(subsystem - 1, subsystem + 2)
     return t.reshape(8, 8).copy()
@@ -101,19 +95,25 @@ _PT_INDEX = np.stack([partial_transpose(np.arange(64).reshape(8, 8), s)
 _PT_ROWS = np.arange(len(BIPARTITIONS))[:, None]
 
 
-def _svec_basis() -> np.ndarray:
-    """svec, the orthonormal basis E_ii, (E_ij + E_ji)/sqrt(2) (i < j) of the
-    real symmetric 8x8 matrices, as (36, 64) rows over raveled entries (M.
-    J. Todd, K. C. Toh, R. H. Tutuncu, SIAM J. Optim. 8 (1998) 769)."""
+def _bases():
+    """svec, E_ii and (E_ij + E_ji)/sqrt(2) (i < j) as (36, 64) rows over
+    raveled entries (M. J. Todd, K. C. Toh, R. H. Tutuncu, SIAM J. Optim. 8
+    (1998) 769), and its completion by i(E_ij - E_ji)/sqrt(2) (i < j), (64,
+    64) complex: bases of the real symmetric and of the Hermitian 8x8
+    matrices over the reals, orthonormal under Re tr(A^H B)."""
     rows, cols = np.triu_indices(8)
     weight = np.where(rows == cols, 1.0, math.sqrt(0.5))
-    basis = np.zeros((rows.size, 64))
-    basis[np.arange(rows.size), 8 * rows + cols] = weight
-    basis[np.arange(rows.size), 8 * cols + rows] = weight
-    return basis
+    svec = np.zeros((rows.size, 64))
+    svec[np.arange(rows.size), 8 * rows + cols] = weight
+    svec[np.arange(rows.size), 8 * cols + rows] = weight
+    rows, cols = np.triu_indices(8, 1)
+    imag = np.zeros((rows.size, 64), dtype=complex)
+    imag[np.arange(rows.size), 8 * rows + cols] = 1j * math.sqrt(0.5)
+    imag[np.arange(rows.size), 8 * cols + rows] = -1j * math.sqrt(0.5)
+    return svec, np.concatenate([svec, imag])
 
 
-_SVEC = _svec_basis()
+_SVEC, _HERMITIAN = _bases()
 
 
 def density_from_amplitudes(setup: CollisionSetup, thetas, phis, omega1,
@@ -275,9 +275,9 @@ def _pair_operators(u: np.ndarray) -> np.ndarray:
     return op.reshape(3, 64, 64)
 
 
-def _newton_system(x: np.ndarray, sinv: np.ndarray):
-    """The HKM Newton system in y, in the basis of the state's dtype,
-    factored by block Cholesky.
+def _newton_system(x: np.ndarray, sinv: np.ndarray, basis: np.ndarray):
+    """The HKM Newton system in y, in the coordinates of ``basis``, factored
+    by block Cholesky.
 
     On raveled blocks the HKM operator of cone k, D -> sym(X_k D S_k^{-1}),
     is (X_k (x) S_k^{-T} + S_k^{-1} (x) X_k^T) / 2.  Summed over each pair
@@ -288,18 +288,17 @@ def _newton_system(x: np.ndarray, sinv: np.ndarray):
         [sum G_s   -G_s     ] [dW  ]   [r_W]
         [-G_s      F_s + G_s] [dP_s] = [r_s],
 
-    and with F_s + G_s = L_s L_s^H the dP_s are eliminated through
-    Y_s = L_s^{-1} G_s, leaving the Schur complement sum_s (G_s - Y_s^H Y_s)
-    of W.  A real state's steps are real symmetric (the partial transpose
-    keeps them so), so F_s and G_s are moved to the svec basis B, as B F_s
-    B^T and B G_s B^T, and every block is 36x36.  A complex state's steps
-    are Hermitian and span all 64 real dimensions, so its blocks stay 64x64
-    in the basis of unit matrices.  Near the optimum of a rank-deficient
-    state the system's condition number passes 1e14; eliminating through
-    (F_s + G_s)^{-1} or an explicit L_s^{-1} instead of triangular solves
-    then leaves residuals up to 1e-3 in the step, and the dual certificate
-    stalls above the tolerance.  Returns (basis, L, Y, Schur complement),
-    with basis B for a real state and None for the unit matrices.
+    and with F_s + G_s = L_s L_s^T the dP_s are eliminated through
+    Y_s = L_s^{-1} G_s, leaving the Schur complement sum_s (G_s - Y_s^T Y_s)
+    of W.  The steps lie in the real span of the rows B of ``basis`` (real
+    symmetric for a real state, which the partial transpose keeps so, and
+    Hermitian for a complex one), so F_s and G_s move there as Re(conj(B)
+    F_s B^T): real blocks, 36x36 in svec, 64x64 in its Hermitian completion.
+    Near the optimum of a rank-deficient state the system's condition number
+    passes 1e14; eliminating through (F_s + G_s)^{-1} or an explicit
+    L_s^{-1} instead of triangular solves then leaves residuals up to 1e-3
+    in the step, and the dual certificate stalls above the tolerance.
+    Returns (basis, L, Y, Schur complement).
     """
     # the cone pairs' X_ij (S^{-1})_ba summed, rows (i, j), columns (b, a)
     xp = x.reshape(2, 6, 64).transpose(1, 2, 0)
@@ -307,33 +306,27 @@ def _newton_system(x: np.ndarray, sinv: np.ndarray):
     f, g = (_pair_operators(xp[k::2] @ sp[k::2]) for k in (0, 1))
     # conjugate G_s by the partial transpose of photon s
     g = g[_PT_ROWS[:, :, None], _PT_INDEX[:, :, None], _PT_INDEX[:, None, :]]
-    basis = _SVEC if x.dtype.kind == "f" else None
-    if basis is not None:
-        f, g = (basis @ op @ basis.T for op in (f, g))
+    f, g = ((basis.conj() @ op @ basis.T).real for op in (f, g))
     f += g
     chol = np.linalg.cholesky(f)
     y = np.linalg.solve(chol, g)
-    g -= y.conj().swapaxes(-1, -2) @ y
+    g -= y.swapaxes(-1, -2) @ y
     return basis, chol, y, g.sum(axis=0)
 
 
 def _direction(system, rhs: np.ndarray) -> np.ndarray:
     """The step in y = [W, P_1, P_2, P_3] for right-hand-side rows r_W, r_s,
-    solved in the system's basis; the exact step is Hermitian, so the
-    computed one is projected there (a step mapped back from svec already
-    is, exactly)."""
+    solved in the system's basis; mapped back, it is exactly real symmetric
+    or Hermitian."""
     basis, chol, y, schur = system
-    if basis is not None:
-        rhs = rhs @ basis.T
+    rhs = (rhs @ basis.conj().T).real
     t = np.linalg.solve(chol, rhs[1:, :, None])
     dy = np.empty_like(rhs)
     dy[0] = np.linalg.solve(
-        schur, rhs[0] + (y.conj().swapaxes(-1, -2) @ t).sum(axis=0)[:, 0])
-    dy[1:] = np.linalg.solve(chol.conj().swapaxes(-1, -2),
+        schur, rhs[0] + (y.swapaxes(-1, -2) @ t).sum(axis=0)[:, 0])
+    dy[1:] = np.linalg.solve(chol.swapaxes(-1, -2),
                              t + y @ dy[0, :, None])[..., 0]
-    if basis is not None:
-        dy = dy @ basis
-    return _hermitize(dy.reshape(4, 8, 8))
+    return (dy @ basis).reshape(4, 8, 8)
 
 
 def _measure(y: np.ndarray, x: np.ndarray, eye: np.ndarray,
@@ -346,13 +339,14 @@ def _measure(y: np.ndarray, x: np.ndarray, eye: np.ndarray,
 
 
 def _newton_step(s: np.ndarray, x: np.ndarray, mu: float,
-                 target: np.ndarray):
-    """One Mehrotra predictor-corrector step (dy, dx) from the cone blocks
-    s and their multipliers x, lengths included; ``mu`` is the duality
-    measure and ``target`` the multiplier equations' right-hand side."""
+                 target: np.ndarray, basis: np.ndarray):
+    """One Mehrotra predictor-corrector step (dy, dx), lengths included,
+    from the cone blocks s, their multipliers x, the duality measure ``mu``,
+    the multiplier equations' right-hand side ``target`` and the Newton
+    system's ``basis``."""
     linv = np.linalg.inv(np.linalg.cholesky(np.concatenate([s, x])))
     sinv = linv[:CONES].conj().swapaxes(-1, -2) @ linv[:CONES]
-    system = _newton_system(x, sinv)
+    system = _newton_system(x, sinv, basis)
     # predictor: the affine-scaling step (mu = 0)
     ds = _slacks(_direction(system, -target), 0.0)
     dx = -x - _hermitize(x @ ds @ sinv)
@@ -380,8 +374,7 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7) -> TauResult:
     last iterate's residuals and gap if ``MAX_NEWTON_STEPS`` Newton steps
     pass first or rounding breaks the Newton system down (a gap far below
     what double precision can certify), and ``ValueError`` for a
-    ``tolerance`` that is not a positive number.  A real state is solved in
-    real arithmetic.
+    ``tolerance`` that is not a positive number.
 
     The iterate is y = [W, P_1, P_2, P_3] with Q_s = (W - P_s)^{T_s}, so it
     meets every coupling exactly, and its 12 cone blocks S_k (P_s, Q_s,
@@ -391,12 +384,10 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7) -> TauResult:
     step is a Mehrotra predictor-corrector step (Mehrotra, SIAM J. Optim. 2
     (1992) 575) along the HKM direction (Helmberg, Rendl, Vanderbei &
     Wolkowicz, SIAM J. Optim. 6 (1996) 342), its Newton system solved by
-    block Cholesky (:func:`_newton_system`): over 36x36 blocks in the svec
-    basis of the real symmetric matrices for a real state, and over 64x64
-    blocks for a complex one, whose Hermitian steps span all 64 real
-    dimensions (36 symmetric real parts, 28 antisymmetric imaginary ones).
-    y and X each move ``STEP_FRACTION`` of the way to their cone boundary,
-    at most a full step.  ``iterations`` counts Newton steps,
+    block Cholesky in real arithmetic (:func:`_newton_system`), in a basis
+    the state's dtype picks: 36x36 blocks for a real state, 64x64 for a
+    complex one.  y and X each move ``STEP_FRACTION`` of the way to their
+    cone boundary, at most a full step.  ``iterations`` counts Newton steps,
     ``primal_residual`` is the norm of the residual of the multiplier
     equations and ``dual_residual`` the duality measure sum_k tr(X_k S_k) /
     96, both at the returned iterate.
@@ -433,6 +424,7 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7) -> TauResult:
         raise ValueError(f"tolerance must be a positive number, "
                          f"got {tolerance!r}")
     rho = _validate_density(rho)
+    basis = _SVEC if rho.dtype.kind == "f" else _HERMITIAN
     eye = np.eye(8, dtype=rho.dtype)
     # the centre of every box: W = 1, P_s = Q_s = 1/2, X_k = 1
     y = np.stack([eye] + 3 * [0.5 * eye])
@@ -443,7 +435,7 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7) -> TauResult:
     tau, upper_bound = 0.0, math.inf
     for step in range(1, MAX_NEWTON_STEPS + 1):
         try:
-            dy, dx = _newton_step(s, x, mu, target)
+            dy, dx = _newton_step(s, x, mu, target, basis)
         except np.linalg.LinAlgError:
             failure = f"Newton system broke down after {step - 1} steps"
             break
@@ -497,13 +489,11 @@ def _feasibilize(x: np.ndarray):
     herm = _hermitize(x)
     ev = np.linalg.eigvalsh(herm[1:])
     delta = max(-float(ev.min()), float(ev.max()) - 1.0, 0.0)
-    scale = 1.0 + 2.0 * delta
-    eye = np.eye(8)
-    parts = {}
-    for i, s in enumerate(BIPARTITIONS):
-        parts[s] = ((herm[1 + 2 * i] + delta * eye) / scale,
-                    (herm[2 + 2 * i] + delta * eye) / scale)
-    return Witness((herm[0] + 2.0 * delta * eye) / scale, parts), delta
+    # W moves by 2 delta, each P_s and Q_s by delta
+    shifts = delta * np.array([2.0] + 6 * [1.0])
+    out = (herm + shifts[:, None, None] * np.eye(8)) / (1.0 + 2.0 * delta)
+    return Witness(out[0], {s: (out[1 + 2 * i], out[2 + 2 * i])
+                            for i, s in enumerate(BIPARTITIONS)}), delta
 
 
 def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
@@ -542,11 +532,20 @@ def save_density_matrix(path, rho: np.ndarray) -> None:
 
 
 def load_density_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`save_density_matrix`."""
-    rows = []
+    """Read a matrix written by :func:`save_density_matrix`; a file that is
+    not 8 lines of 8 're im' pairs raises :class:`InvalidDensityMatrix`
+    naming the first bad line."""
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            nums = [float(tok) for tok in line.split()]
-            rows.append([complex(nums[i], nums[i + 1])
-                         for i in range(0, len(nums), 2)])
-    return np.asarray(rows, dtype=complex)
+        lines = fh.read().splitlines()
+    lines += [""] * (8 - len(lines))    # a short file fails on its end
+    rows = []
+    for number, line in enumerate(lines, 1):
+        try:
+            row = np.array(line.split(), dtype=float)
+        except ValueError:
+            row = np.empty(0)
+        if number > 8 or row.shape != (16,):
+            raise InvalidDensityMatrix(
+                f"{path} line {number}: expected 8 lines of 8 're im' pairs")
+        rows.append(row.view(complex))
+    return np.array(rows)

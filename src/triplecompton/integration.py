@@ -55,8 +55,7 @@ class WindowError(ValueError):
     """Angular averaging window leaves the sphere."""
 
 
-@dataclass(frozen=True)
-class IntegrationResult:
+class IntegrationResult(NamedTuple):
     """Monte Carlo estimate with its statistical error (same unit), and how
     well the sampler did: the number of non-zero weights, the effective
     sample size (sum w)^2 / sum w^2 and the largest stratum's share of the
@@ -66,26 +65,6 @@ class IntegrationResult:
     statistical_error: float
     n_samples: int
     seed: int
-    n_nonzero: int
-    ess: float
-    worst_stratum_var_share: float
-
-    @classmethod
-    def scaled(cls, estimate: "StratifiedEstimate", scale: float,
-               seed: int) -> "IntegrationResult":
-        """The estimate and its error divided by scale; the sampler figures
-        do not depend on it."""
-        return cls(estimate.value / scale, estimate.error / scale,
-                   estimate.n_samples, seed, estimate.n_nonzero,
-                   estimate.ess, estimate.worst_stratum_var_share)
-
-
-class StratifiedEstimate(NamedTuple):
-    """What ``stratified_monte_carlo`` returns, in the integrand's unit."""
-
-    value: float
-    error: float
-    n_samples: int
     n_nonzero: int
     ess: float
     worst_stratum_var_share: float
@@ -121,7 +100,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 
 def stratified_monte_carlo(integrand, dim, strata, budget,
-                           seed) -> StratifiedEstimate:
+                           seed) -> IntegrationResult:
     """Stratified mean of ``integrand`` over the unit cube [0,1)^dim.
 
     strata: tuple of cell counts applied to the leading dims (equal
@@ -172,9 +151,9 @@ def stratified_monte_carlo(integrand, dim, strata, budget,
                  for s2, mean in zip(s2s, means)]
     var_sum = math.fsum(mean_vars)
     s1, s2 = math.fsum(s1s), math.fsum(s2s)
-    return StratifiedEstimate(
+    return IntegrationResult(
         math.fsum(means) / n_cells, math.sqrt(var_sum) / n_cells,
-        weights.size, int(np.count_nonzero(weights)),
+        weights.size, int(seed), int(np.count_nonzero(weights)),
         s1 * s1 / s2 if s2 > 0 else 0.0,
         max(mean_vars) / var_sum if var_sum > 0 else 0.0)
 
@@ -274,9 +253,10 @@ def total_cross_section(setup: CollisionSetup, threshold_eps: float,
         strata = (64,)
     else:
         strata = (8, 8)
-    return IntegrationResult.scaled(
-        stratified_monte_carlo(integrand, ps.dim, strata, budget, seed),
-        math.factorial(n_out), seed)
+    est = stratified_monte_carlo(integrand, ps.dim, strata, budget, seed)
+    scale = math.factorial(n_out)
+    return est._replace(value=est.value / scale,
+                        statistical_error=est.statistical_error / scale)
 
 
 def detector_average(setup: CollisionSetup, thetas, phis,
@@ -326,9 +306,10 @@ def detector_average(setup: CollisionSetup, thetas, phis,
         f = unpolarized_sigma5_batch(setup, th, ph, w1, w2, threshold_eps)
         return f * weight
 
-    return IntegrationResult.scaled(
-        stratified_monte_carlo(integrand, 8, (8, 8), budget, seed),
-        solid_angle_sr ** 3, seed)
+    est = stratified_monte_carlo(integrand, 8, (8, 8), budget, seed)
+    scale = solid_angle_sr ** 3
+    return est._replace(value=est.value / scale,
+                        statistical_error=est.statistical_error / scale)
 
 
 def event_rate(sigma_barn: float, beams: BeamParameters) -> float:

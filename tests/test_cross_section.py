@@ -185,6 +185,29 @@ def test_polarized_beam_bit_for_bit(rest_setup, xfel_setup, frame):
                 assert value == panels[pols][i, j]
 
 
+def test_polarized_entry_points_reject_unset_beam(rest_setup):
+    # beam_pol=None used to evaluate both beam basis vectors, and every
+    # polarized entry point then read the x slice: sigma5, the spin sums,
+    # the panels and the states all returned the beam_pol=1 answer
+    from triplecompton.entanglement import density_from_amplitudes, tau_grid
+
+    thetas, phis = (1.2, 2.0, 0.9), (0.4, 2.5, 4.4)
+    cfg = FinalStateConfig(thetas, phis, 0.1, 0.15, (1, 2, 1), 1, 2)
+    calls = (
+        lambda: sigma5(rest_setup, cfg, 0.0, beam_pol=None),
+        lambda: spin_summed_sigma5(rest_setup, thetas, phis, 0.1, 0.15,
+                                   beam_pol=None),
+        lambda: sigma5_panel_grids(rest_setup, thetas, phis, [0.1], [0.15],
+                                   beam_pol=None),
+        lambda: density_from_amplitudes(rest_setup, thetas, phis, 0.1, 0.15,
+                                        beam_pol=None),
+        lambda: tau_grid(rest_setup, thetas, phis, [0.1], [0.15],
+                         beam_pol=None))
+    for call in calls:
+        with pytest.raises(ValueError, match="not None"):
+            call()
+
+
 def test_sigma5_nonnegative_everywhere(rest_setup):
     rng = np.random.default_rng(17)
     thetas = np.arccos(rng.uniform(-1, 1, (3, 64)))

@@ -9,7 +9,8 @@ from triplecompton import amplitude, cross_section, entanglement
 from triplecompton.cross_section import _tensor_for_points, sigma5_panel_grids
 from triplecompton.entanglement import (BIPARTITIONS, DegenerateStateError,
                                         InvalidDensityMatrix, SolverError,
-                                        _SVEC, _direction, _feasibilize,
+                                        _HERMITIAN, _SVEC, _direction,
+                                        _feasibilize,
                                         _max_steps, _newton_system,
                                         _witness_stack,
                                         basis_index, density_from_amplitudes,
@@ -64,10 +65,15 @@ def test_partial_transpose_identity_and_involution():
     for s in (1, 2, 3):
         twice = partial_transpose(partial_transpose(herm, s), s)
         assert np.allclose(twice, herm)
-    assert np.allclose(partial_transpose(herm, "2|13"),
-                       partial_transpose(herm, 2))
-    with pytest.raises(ValueError):
-        partial_transpose(herm, 4)
+    # photons are named by the integers 1-3 alone: the "2|13" synonym is
+    # gone, True used to act as photon 1 and 1.0 raised TypeError
+    for bad in (4, 0, "2|13", True, np.True_, 1.0, None):
+        with pytest.raises(ValueError, match="subsystem must be 1, 2 or 3"):
+            partial_transpose(herm, bad)
+        with pytest.raises(ValueError, match="subsystem must be 1, 2 or 3"):
+            negativity(ghz_state(), bad)
+    assert np.array_equal(partial_transpose(herm, np.int64(2)),
+                          partial_transpose(herm, 2))
 
 
 def test_ghz_partial_transpose_spectrum():
@@ -164,6 +170,22 @@ def test_solver_trajectory_pinned(state, iterations, tau):
     assert res.tau == pytest.approx(tau, abs=1e-12)
 
 
+def _cone_blocks(rng, dtype):
+    """Random positive definite cone blocks, their multipliers and a
+    Hermitian right-hand side, as the Newton system takes them."""
+    shape = (24, 8, 8)
+    blocks = rng.normal(size=shape)
+    rhs = rng.normal(size=(4, 8, 8))
+    if dtype == complex:
+        blocks = blocks + 1j * rng.normal(size=shape)
+        rhs = rhs + 1j * rng.normal(size=(4, 8, 8))
+    blocks = blocks @ blocks.conj().swapaxes(-1, -2) + 0.1 * np.eye(8)
+    linv = np.linalg.inv(np.linalg.cholesky(blocks[:12]))
+    sinv = linv.conj().swapaxes(-1, -2) @ linv
+    rhs = (rhs + rhs.conj().swapaxes(-1, -2)).reshape(4, 64)
+    return blocks[12:], sinv, rhs
+
+
 def test_svec_newton_system_matches_full_basis():
     # svec is orthonormal, and every partial transpose permutes the svec
     # coordinates of a symmetric matrix, so the real Newton system closes
@@ -179,20 +201,38 @@ def test_svec_newton_system_matches_full_basis():
         assert np.array_equal(np.sort(moved), np.sort(coords))
         assert not np.array_equal(moved, coords)
     # the step from the 36-dimensional system against the 64-dimensional
-    # one, which the same inputs take when cast to complex
+    # one of the Hermitian basis, which the same inputs take when cast to
+    # complex
     for _ in range(3):
-        blocks = rng.normal(size=(24, 8, 8))
-        blocks = blocks @ blocks.swapaxes(-1, -2) + 0.1 * np.eye(8)
-        linv = np.linalg.inv(np.linalg.cholesky(blocks[:12]))
-        sinv = linv.swapaxes(-1, -2) @ linv
-        x = blocks[12:]
-        rhs = rng.normal(size=(4, 8, 8))
-        rhs = (rhs + rhs.swapaxes(-1, -2)).reshape(4, 64)
-        step = _direction(_newton_system(x, sinv), rhs)
-        full = _direction(_newton_system(x + 0j, sinv + 0j), rhs + 0j)
+        x, sinv, rhs = _cone_blocks(rng, float)
+        step = _direction(_newton_system(x, sinv, _SVEC), rhs)
+        full = _direction(_newton_system(x + 0j, sinv + 0j, _HERMITIAN),
+                          rhs + 0j)
         assert step.dtype == float
+        assert full.dtype == complex
         assert np.array_equal(step, step.swapaxes(-1, -2))
         assert np.abs(step - full).max() <= 1e-10 * np.abs(full).max()
+
+
+def test_hermitian_basis_gives_exactly_hermitian_steps():
+    # svec's 36 rows, then i(E_ij - E_ji)/sqrt(2) for i < j: orthonormal
+    # under Re tr(A^H B), and a complex step mapped back from the real
+    # 64-dimensional system is Hermitian to the bit, with no projection
+    assert _HERMITIAN.shape == (64, 64)
+    assert np.array_equal(_HERMITIAN[:36], _SVEC)
+    gram = (_HERMITIAN.conj() @ _HERMITIAN.T).real
+    assert np.allclose(gram, np.eye(64), rtol=0.0, atol=1e-15)
+    for row in _HERMITIAN.reshape(64, 8, 8):
+        assert np.array_equal(row, row.conj().T)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        x, sinv, rhs = _cone_blocks(rng, complex)
+        system = _newton_system(x, sinv, _HERMITIAN)
+        assert all(block.dtype == float for block in system[1:])
+        step = _direction(system, rhs)
+        assert step.dtype == complex
+        assert np.abs(step.imag).max() > 1e-3 * np.abs(step).max()
+        assert np.array_equal(step, step.conj().swapaxes(-1, -2))
 
 
 def test_tau_ghz_calibration():
@@ -419,6 +459,26 @@ def test_density_export_import_roundtrip(tmp_path, rest_setup):
     assert np.array_equal(loaded, rho)
     save_density_matrix(tmp_path / "rho2.txt", loaded)
     assert (tmp_path / "rho2.txt").read_bytes() == path.read_bytes()
+
+
+def test_load_density_matrix_rejects_malformed_files(tmp_path):
+    row = " ".join(["0.125 0.0"] + 7 * ["0.0 0.0"])
+    good = "\n".join(8 * [row]) + "\n"
+    path = tmp_path / "rho.txt"
+    path.write_text(good)
+    assert load_density_matrix(path).shape == (8, 8)
+    # an odd token count used to raise IndexError, ragged rows numpy's
+    # shape error, and a 1x1 file loaded silently
+    for text, line in ((good.replace(row, row + " 0.5", 1), 1),
+                       ("\n".join(4 * [row] + [row[:-8]] + 3 * [row]), 5),
+                       ("0.5 0.0\n", 1),
+                       ("\n".join(7 * [row]) + "\n", 8),
+                       (good + row + "\n", 9),
+                       (good.replace("0.125", "x", 1), 1),
+                       ("", 1)):
+        path.write_text(text)
+        with pytest.raises(InvalidDensityMatrix, match=f"line {line}:"):
+            load_density_matrix(path)
 
 
 def test_tau_grid_masking_and_symmetry(rest_setup):

@@ -121,8 +121,12 @@ def test_integrand_calls_are_bounded_batches(monkeypatch):
 def test_sampler_telemetry():
     # half the strata see weight 1 and half 0: no variance at all
     est = stratified_monte_carlo(lambda x: (x[:, 0] < 0.5) * 1.0, 2, (8,),
-                                 1 << 10, seed=3)
-    assert est.n_samples == 1 << 10
+                                 1 << 10, seed=3.0)
+    # the sampler returns the callers' result type: n_samples at index 2,
+    # and the seed as the integer it names
+    assert isinstance(est, IntegrationResult)
+    assert est[2] == est.n_samples == 1 << 10
+    assert type(est.seed) is int and est.seed == 3
     assert est.n_nonzero == 1 << 9
     assert est.ess == 1 << 9
     assert est.worst_stratum_var_share == 0.0
