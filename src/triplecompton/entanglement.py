@@ -17,7 +17,7 @@ exactly by construction and no projection step is needed; each P_s, Q_s
 stays strictly inside [0, 1].  A returned witness is re-verified outside
 the solver by explicit eigendecompositions, and a dual certificate built
 from the solver's multipliers bounds tau from above; the solver stops once
-the two bounds are within its tolerance.
+the two bounds are within CERTIFICATE_GAP.
 
 tau = 0 for biseparable states; the GHZ state reaches the maximum 1/2.
 """
@@ -54,28 +54,29 @@ def basis_index(l1: int, l2: int, l3: int) -> int:
     return 4 * (l1 - 1) + 2 * (l2 - 1) + (l3 - 1)
 
 
+def _pure_state(*kets) -> np.ndarray:
+    """Equal-weight superposition of the basis kets |l1 l2 l3> as a real
+    density matrix."""
+    psi = np.zeros(8)
+    for labels in kets:
+        psi[basis_index(*labels)] = 1.0
+    psi /= math.sqrt(len(kets))
+    return np.outer(psi, psi)
+
+
 def ghz_state() -> np.ndarray:
     """(|111> + |222>)/sqrt(2) as a density matrix."""
-    psi = np.zeros(8, dtype=complex)
-    psi[basis_index(1, 1, 1)] = 1.0
-    psi[basis_index(2, 2, 2)] = 1.0
-    psi /= math.sqrt(2.0)
-    return np.outer(psi, psi.conj())
+    return _pure_state((1, 1, 1), (2, 2, 2))
 
 
 def w_state() -> np.ndarray:
     """(|112> + |121> + |211>)/sqrt(3) as a density matrix."""
-    psi = np.zeros(8, dtype=complex)
-    for labels in ((1, 1, 2), (1, 2, 1), (2, 1, 1)):
-        psi[basis_index(*labels)] = 1.0
-    psi /= math.sqrt(3.0)
-    return np.outer(psi, psi.conj())
+    return _pure_state((1, 1, 2), (1, 2, 1), (2, 1, 1))
 
 
 def product_state(l1: int = 1, l2: int = 1, l3: int = 1) -> np.ndarray:
-    psi = np.zeros(8, dtype=complex)
-    psi[basis_index(l1, l2, l3)] = 1.0
-    return np.outer(psi, psi.conj())
+    """|l1 l2 l3> as a density matrix."""
+    return _pure_state((l1, l2, l3))
 
 
 def partial_transpose(rho: np.ndarray, subsystem: int) -> np.ndarray:
@@ -223,6 +224,8 @@ CONES = 12
 STEP_FRACTION = 0.95
 # Newton steps gme_tau takes before it gives up with SolverError
 MAX_NEWTON_STEPS = 100
+# gme_tau stops once its certificate gap upper_bound - tau is at most this
+CERTIFICATE_GAP = 5e-7
 
 
 def _witness_stack(y: np.ndarray) -> np.ndarray:
@@ -364,17 +367,16 @@ def _newton_step(s: np.ndarray, x: np.ndarray, mu: float,
     return reach[:CONES].min() * dy, reach[CONES:].min() * dx
 
 
-def gme_tau(rho: np.ndarray, tolerance: float = 5e-7) -> TauResult:
+def gme_tau(rho: np.ndarray) -> TauResult:
     """Genuine-multipartite-entanglement measure tau of an 8x8 state.
 
     Runs a primal-dual interior-point method on the witness program and
     stops once the certificate gap ``upper_bound - tau`` is at most
-    ``tolerance``; both bounds are valid at every iterate, and the gap is
-    checked after every Newton step.  Raises :class:`SolverError` with the
-    last iterate's residuals and gap if ``MAX_NEWTON_STEPS`` Newton steps
-    pass first or rounding breaks the Newton system down (a gap far below
-    what double precision can certify), and ``ValueError`` for a
-    ``tolerance`` that is not a positive number.
+    ``CERTIFICATE_GAP``; both bounds are valid at every iterate, and the gap
+    is checked after every Newton step.  Raises :class:`SolverError` with
+    the last iterate's residuals and gap if ``MAX_NEWTON_STEPS`` Newton
+    steps pass first or rounding breaks the Newton system down (a gap far
+    below what double precision can certify).
 
     The iterate is y = [W, P_1, P_2, P_3] with Q_s = (W - P_s)^{T_s}, so it
     meets every coupling exactly, and its 12 cone blocks S_k (P_s, Q_s,
@@ -420,9 +422,6 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7) -> TauResult:
     rho gives the bipartite negativity n(rho^{T_s}), hence tau <= min_s
     negativity(rho, s) for every state.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError(f"tolerance must be a positive number, "
-                         f"got {tolerance!r}")
     rho = _validate_density(rho)
     basis = _SVEC if rho.dtype.kind == "f" else _HERMITIAN
     eye = np.eye(8, dtype=rho.dtype)
@@ -449,7 +448,7 @@ def gme_tau(rho: np.ndarray, tolerance: float = 5e-7) -> TauResult:
             tau, witness, shift = max(0.0, lower), polished, delta
         upper_bound = min(upper_bound,
                           _dual_bound(rho, (x[:6] - x[6:])[0:4:2]))
-        if upper_bound - tau <= tolerance:
+        if upper_bound - tau <= CERTIFICATE_GAP:
             return TauResult(tau, witness, step, primal, mu, upper_bound,
                              shift)
     else:

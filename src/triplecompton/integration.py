@@ -1,11 +1,13 @@
 """Phase-space Monte Carlo: detector-averaged cross sections, totals with an
 infrared cutoff, and beam-collision event rates.
 
-Sampling maps flatten the known structure of the integrand: photon energies
-are drawn log-uniformly on [eps, w_max] (the soft divergence goes like 1/w),
-and for a relativistic incoming electron the emission angles are drawn in the
-backscatter cone theta = pi - (m/E_i) u with a heavy-tailed (Cauchy-like)
-radial density in u that still covers the full sphere.
+Both estimators run one sampler, _estimate, over the unit cube [free
+energies, then (radial, azimuth) per photon].  Its one energy map draws the
+free energies log-uniformly on [eps, omega_max] (the soft divergence goes
+like 1/w).  Its angle map is one per geometry: the full sphere for totals,
+drawn for a relativistic electron in the backscatter cone theta = pi -
+(m/E_i) u with a heavy-tailed (Cauchy-like) density in u, or the three
+detector windows.
 
 Reproducibility: every stratum owns a Philox counter-based substream with
 key = (master_seed << 64) | stratum_index, and each stratum's weights and
@@ -29,6 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+# unpolarized_sigma5_batch is not called here: perfbench/tracing.py patches
+# it by this module's name
 from .cross_section import (unpolarized_differential_batch,
                             unpolarized_sigma5_batch)
 from .constants import BARN_TO_CM2
@@ -40,7 +44,7 @@ _MASK64 = (1 << 64) - 1
 BATCH_ROWS = 256
 
 PROCESS_PHOTONS = {"single": 1, "double": 2, "triple": 3}
-# Above the Lorentz factor E/m = BOOST_THRESHOLD, PhaseSpaceMap draws each
+# Above the Lorentz factor E/m = BOOST_THRESHOLD, _sphere_angles draws each
 # photon in the backscatter cone: pi - theta = (m/E) CONE_SCALE tan(psi),
 # psi uniform.
 BOOST_THRESHOLD = 100.0
@@ -159,54 +163,38 @@ def stratified_monte_carlo(integrand, dim, strata, budget,
 
 
 # ---------------------------------------------------------------------------
-# coordinate maps
+# one sampler: log-uniform free energies, one angle map per geometry
 
-@dataclass(frozen=True)
-class PhaseSpaceMap:
-    """Unit-cube parameterization of the final-photon phase space.
-
-    Coordinates are [energies (n_out - 1), then (radial, azimuth) per
-    photon].  ``map_points`` returns detector angles, free energies and the
-    product Jacobian so that mean(f * weight) over the cube estimates
-    integral f dw_1..dw_{n-1} dOmega_1..dOmega_n.
-    """
-
-    setup: CollisionSetup
-    n_out: int
-    eps_mev: float
-
-    @property
-    def dim(self) -> int:
-        return (self.n_out - 1) + 2 * self.n_out
-
-    @property
-    def backscatter(self) -> bool:
-        return self.setup.e_i_mev / self.setup.mass > BOOST_THRESHOLD
-
-    @property
-    def log_range(self) -> float:
-        return math.log(self.setup.omega_max / self.eps_mev)
-
-    def map_points(self, x: np.ndarray):
-        n_out = self.n_out
-        n_free = n_out - 1
-        weight = np.ones(x.shape[0])
-        omegas = np.empty((n_free, x.shape[0]))
-        span = self.log_range if n_free else 0.0
-        for j in range(n_free):
-            omegas[j] = self.eps_mev * np.exp(span * x[:, j])
+def _log_energies(x, eps, w_max):
+    """Free photon energies (n_free, N), log-uniform on [eps, w_max], from
+    the n_free columns of x, and their Jacobian prod_j w_j log(w_max/eps)."""
+    weight = np.ones(x.shape[0])
+    omegas = np.empty((x.shape[1], x.shape[0]))
+    # the one-photon total has no free energy and may run at eps = 0
+    if x.shape[1]:
+        span = math.log(w_max / eps)
+        for j in range(x.shape[1]):
+            omegas[j] = eps * np.exp(span * x[:, j])
             weight *= omegas[j] * span
-        thetas = np.empty((n_out, x.shape[0]))
-        phis = np.empty((n_out, x.shape[0]))
-        for j in range(n_out):
-            r = x[:, n_free + 2 * j]
-            phis[j] = 2.0 * math.pi * x[:, n_free + 2 * j + 1]
-            if self.backscatter:
-                ratio = self.setup.mass / self.setup.e_i_mev
-                u_max = math.pi / ratio
-                psi_max = math.atan(u_max / CONE_SCALE)
-                psi = r * psi_max
-                u = CONE_SCALE * np.tan(psi)
+    return omegas, weight
+
+
+def _sphere_angles(setup: CollisionSetup):
+    """Angle map (x, weight) -> (thetas, phis) over the full sphere, one
+    (radial, azimuth) column pair per photon: cos(theta) uniform, or the
+    backscatter cone above the Lorentz factor BOOST_THRESHOLD."""
+    backscatter = setup.e_i_mev / setup.mass > BOOST_THRESHOLD
+    ratio = setup.mass / setup.e_i_mev
+    psi_max = math.atan(math.pi / ratio / CONE_SCALE)
+
+    def angles(x, weight):
+        thetas = np.empty((x.shape[1] // 2, x.shape[0]))
+        phis = np.empty_like(thetas)
+        for j in range(len(thetas)):
+            r = x[:, 2 * j]
+            phis[j] = 2.0 * math.pi * x[:, 2 * j + 1]
+            if backscatter:
+                u = CONE_SCALE * np.tan(r * psi_max)
                 delta = ratio * u
                 thetas[j] = math.pi - delta
                 dtheta_dpsi = (ratio * CONE_SCALE
@@ -214,10 +202,50 @@ class PhaseSpaceMap:
                 weight *= (np.sin(delta) * dtheta_dpsi * psi_max
                            * 2.0 * math.pi)
             else:
-                cos_t = 2.0 * r - 1.0
-                thetas[j] = np.arccos(np.clip(cos_t, -1.0, 1.0))
+                thetas[j] = np.arccos(np.clip(2.0 * r - 1.0, -1.0, 1.0))
                 weight *= 2.0 * 2.0 * math.pi
-        return thetas, phis, omegas, weight
+        return thetas, phis
+    return angles
+
+
+def _window_angles(thetas, phis, root, half_theta):
+    """Angle map over detector windows: photon j uniform in cos(theta') over
+    theta_j +- half_theta and in phi' over phi_j +- root/2."""
+    cos_hi = [math.cos(t - half_theta) for t in thetas]
+    cos_lo = [math.cos(t + half_theta) for t in thetas]
+
+    def angles(x, weight):
+        th = np.empty((len(thetas), x.shape[0]))
+        ph = np.empty_like(th)
+        for j in range(len(thetas)):
+            c = cos_lo[j] + (cos_hi[j] - cos_lo[j]) * x[:, 2 * j]
+            th[j] = np.arccos(np.clip(c, -1.0, 1.0))
+            ph[j] = phis[j] + root * (x[:, 2 * j + 1] - 0.5)
+            weight *= cos_hi[j] - cos_lo[j]
+            weight *= root
+        return th, ph
+    return angles
+
+
+def _estimate(setup, n_out, eps, angles, strata, budget, seed, scale):
+    """Stratified integral of the n_out-photon unpolarized differential cross
+    section over the free energies above eps and the directions ``angles``
+    maps, divided by ``scale``.  The cross section and the sampler are read
+    from this module's globals at call time, where perfbench/tracing.py
+    patches them."""
+    n_free = n_out - 1
+    w_max = setup.omega_max
+
+    def integrand(x):
+        omegas, weight = _log_energies(x[:, :n_free], eps, w_max)
+        thetas, phis = angles(x[:, n_free:], weight)
+        f = unpolarized_differential_batch(setup, thetas, phis, omegas, eps)
+        return f * weight
+
+    est = stratified_monte_carlo(integrand, 3 * n_out - 1, strata, budget,
+                                 seed)
+    return est._replace(value=est.value / scale,
+                        statistical_error=est.statistical_error / scale)
 
 
 def total_cross_section(setup: CollisionSetup, threshold_eps: float,
@@ -241,22 +269,9 @@ def total_cross_section(setup: CollisionSetup, threshold_eps: float,
         raise ValueError(
             f"threshold {threshold_eps} MeV is not below the kinematic "
             f"maximum {setup.omega_max:.6g} MeV")
-    ps = PhaseSpaceMap(setup, n_out, max(threshold_eps, 0.0))
-
-    def integrand(x):
-        thetas, phis, omegas, weight = ps.map_points(x)
-        f = unpolarized_differential_batch(setup, thetas, phis, omegas,
-                                           threshold_eps)
-        return f * weight
-
-    if n_out == 1:
-        strata = (64,)
-    else:
-        strata = (8, 8)
-    est = stratified_monte_carlo(integrand, ps.dim, strata, budget, seed)
-    scale = math.factorial(n_out)
-    return est._replace(value=est.value / scale,
-                        statistical_error=est.statistical_error / scale)
+    strata = (64,) if n_out == 1 else (8, 8)
+    return _estimate(setup, n_out, threshold_eps, _sphere_angles(setup),
+                     strata, budget, seed, math.factorial(n_out))
 
 
 def detector_average(setup: CollisionSetup, thetas, phis,
@@ -288,28 +303,9 @@ def detector_average(setup: CollisionSetup, thetas, phis,
     if not 0.0 < threshold_eps < setup.omega_max:
         raise ValueError(
             f"threshold must lie in (0, {setup.omega_max:.6g}) MeV")
-    span = math.log(setup.omega_max / threshold_eps)
-    cos_hi = [math.cos(t - half_theta) for t in thetas]
-    cos_lo = [math.cos(t + half_theta) for t in thetas]
-
-    def integrand(x):
-        w1 = threshold_eps * np.exp(span * x[:, 0])
-        w2 = threshold_eps * np.exp(span * x[:, 1])
-        weight = w1 * span * w2 * span
-        th = np.empty((3, x.shape[0]))
-        ph = np.empty((3, x.shape[0]))
-        for j in range(3):
-            c = cos_lo[j] + (cos_hi[j] - cos_lo[j]) * x[:, 2 + 2 * j]
-            th[j] = np.arccos(np.clip(c, -1.0, 1.0))
-            ph[j] = phis[j] + root * (x[:, 3 + 2 * j] - 0.5)
-            weight = weight * (cos_hi[j] - cos_lo[j]) * root
-        f = unpolarized_sigma5_batch(setup, th, ph, w1, w2, threshold_eps)
-        return f * weight
-
-    est = stratified_monte_carlo(integrand, 8, (8, 8), budget, seed)
-    scale = solid_angle_sr ** 3
-    return est._replace(value=est.value / scale,
-                        statistical_error=est.statistical_error / scale)
+    return _estimate(setup, 3, threshold_eps,
+                     _window_angles(thetas, phis, root, half_theta), (8, 8),
+                     budget, seed, solid_angle_sr ** 3)
 
 
 def event_rate(sigma_barn: float, beams: BeamParameters) -> float:

@@ -85,9 +85,10 @@ class CollisionSetup:
     @property
     def omega_max(self) -> float:
         """Kinematic ceiling on any single emitted photon energy."""
-        # smallest closure denominator over directions: n along p_i + k_0
-        den = self.e_minus_p + 2.0 * self.omega0_mev if self.p_abs > 0 \
-            else self.mass
+        # smallest closure denominator E + w0 + (|p| - w0) cos(theta) over
+        # directions: at theta = pi (along p_i) when |p| > w0, else at 0
+        den = self.e_minus_p + 2.0 * self.omega0_mev \
+            if self.p_abs > self.omega0_mev else self.e_i_mev + self.p_abs
         return self.flux / den
 
 

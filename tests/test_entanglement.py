@@ -160,6 +160,9 @@ def _xfel_state(omega1, omega2):
     # map at placement 3
     (_xfel_state(693.0, 413.0), 11, 0.42780877877594414),
     (_xfel_state(540.6, 260.36), 11, 0.11817071523871722),
+    # the GHZ state cast to complex, solved in the 64-dimensional Hermitian
+    # basis: the same steps and tau as the real state
+    (ghz_state().astype(complex), 7, 0.4999999365180704),
 ])
 def test_solver_trajectory_pinned(state, iterations, tau):
     # the interior-point iteration itself, not only its limit: any change
@@ -329,8 +332,9 @@ def test_solver_error_reports_residuals(monkeypatch):
     # a gap below what double precision can certify ends in the same
     # typed error, never in a linear-algebra exception
     monkeypatch.undo()
+    monkeypatch.setattr(entanglement, "CERTIFICATE_GAP", 1e-15)
     with pytest.raises(SolverError, match="primal="):
-        gme_tau(w_state(), tolerance=1e-15)
+        gme_tau(w_state())
 
 
 def test_solver_error_before_first_check_is_finite(monkeypatch):
@@ -369,16 +373,6 @@ def test_gme_tau_degenerate_states():
         assert res.witness.max_residual <= 1e-12
         assert res.tau <= min(negativity(rho, s) for s in (1, 2, 3)) + 1e-9
     assert results[-1].tau == pytest.approx(0.00125, abs=1e-6)
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"tolerance": math.nan}, {"tolerance": math.inf}, {"tolerance": 0.0},
-    {"tolerance": -1e-7},
-])
-def test_gme_tau_rejects_unmeetable_settings(kwargs):
-    # an unmeetable tolerance would spin through the whole budget
-    with pytest.raises(ValueError):
-        gme_tau(ghz_state(), **kwargs)
 
 
 def test_non_finite_states_rejected():

@@ -7,8 +7,8 @@ from triplecompton.constants import ALPHA, ELECTRON_MASS_MEV as M, \
     HBARC2_MEV2_BARN
 from triplecompton import integration
 from triplecompton.integration import (BeamParameters, BudgetError,
-                                       IntegrationResult, PhaseSpaceMap,
-                                       WindowError, detector_average,
+                                       IntegrationResult, WindowError,
+                                       detector_average,
                                        event_rate, stratified_monte_carlo,
                                        substream, total_cross_section)
 from triplecompton.kinematics import CollisionSetup
@@ -180,44 +180,67 @@ def test_monte_carlo_error_scaling(rest_setup):
     assert ratio == pytest.approx(math.sqrt(2.0), rel=0.20)
 
 
-def test_importance_sampling_unbiased_rest(rest_setup):
+def _separable(monkeypatch, f):
+    """Replace the cross section the estimators integrate by f(thetas,
+    omegas_free)."""
+    monkeypatch.setattr(
+        integration, "unpolarized_differential_batch",
+        lambda setup, thetas, phis, omegas, eps: f(thetas, omegas))
+
+
+def _inverse_energies(thetas, omegas):
+    return 1.0 / (omegas[0] * omegas[1])
+
+
+def test_importance_sampling_unbiased_rest(monkeypatch, rest_setup):
     # separable 1/(w1 w2) over the mapped domain has the closed form
-    # (4 pi)^3 log(wmax/eps)^2; the log-uniform map makes it exactly flat
+    # (4 pi)^3 log(wmax/eps)^2 / 3!; the log-uniform map makes it exactly
+    # flat
     eps = 0.013
-    ps = PhaseSpaceMap(rest_setup, 3, eps)
     span = math.log(rest_setup.omega_max / eps)
-    expected = (4 * math.pi) ** 3 * span ** 2
-
-    def integrand(x):
-        thetas, phis, omegas, weight = ps.map_points(x)
-        return weight / (omegas[0] * omegas[1])
-
-    value, error = stratified_monte_carlo(integrand, ps.dim, (8, 8),
-                                             1 << 12, seed=1)[:2]
+    expected = (4 * math.pi) ** 3 * span ** 2 / 6
+    _separable(monkeypatch, _inverse_energies)
+    value, error = total_cross_section(rest_setup, eps, "triple",
+                                       budget=1 << 12, seed=1)[:2]
     assert value == pytest.approx(expected, abs=3 * error + 1e-9 * expected)
 
 
-def test_importance_sampling_unbiased_backscatter(xfel_setup):
+def test_importance_sampling_unbiased_backscatter(monkeypatch, xfel_setup):
     # the cone map deliberately starves the near-forward hemisphere (where
     # the physical integrand vanishes), so the separable test integrand is
     # restricted to the well-sampled backscatter cone delta < delta_c whose
     # angular volume 2 pi (1 - cos delta_c) is exact
     eps = 50.0
-    ps = PhaseSpaceMap(xfel_setup, 2, eps)
     span = math.log(xfel_setup.omega_max / eps)
     delta_c = 20.0 * M / xfel_setup.e_i_mev
     cone = 2 * math.pi * (1 - math.cos(delta_c))
-    expected = cone ** 2 * span
+    expected = cone ** 2 * span / 2
 
-    def integrand(x):
-        thetas, phis, omegas, weight = ps.map_points(x)
+    def integrand(thetas, omegas):
         inside = ((math.pi - thetas) < delta_c).all(axis=0)
-        return np.where(inside, weight / omegas[0], 0.0)
+        return np.where(inside, 1.0 / omegas[0], 0.0)
 
-    value, error = stratified_monte_carlo(integrand, ps.dim, (8, 8),
-                                             1 << 16, seed=6)[:2]
+    _separable(monkeypatch, integrand)
+    value, error = total_cross_section(xfel_setup, eps, "double",
+                                       budget=1 << 16, seed=6)[:2]
     assert error > 0
     assert value == pytest.approx(expected, abs=3 * error)
+
+
+def test_window_jacobian_exact(monkeypatch, rest_setup):
+    # 1/(w1 w2) makes every weight the same constant: the energy span
+    # squared times each window's (cos theta, phi) area, over Omega^3
+    thetas, phis, omega, eps = (1.2, 2.0, 0.9), (0.4, 2.5, 4.4), 0.378, 0.013
+    root = math.sqrt(omega)
+    half = math.asin(root / 2)
+    span = math.log(rest_setup.omega_max / eps)
+    expected = span ** 2 * math.prod(
+        (math.cos(t - half) - math.cos(t + half)) * root
+        for t in thetas) / omega ** 3
+    _separable(monkeypatch, _inverse_energies)
+    res = detector_average(rest_setup, thetas, phis, omega, eps,
+                           budget=1 << 10, seed=2)
+    assert res.value == pytest.approx(expected, rel=1e-14)
 
 
 def test_budget_error():

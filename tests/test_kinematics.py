@@ -218,6 +218,22 @@ def test_omega_max_rest_frame(rest_setup):
     assert rest_setup.omega_max == pytest.approx(0.662, rel=1e-12)
 
 
+@pytest.mark.parametrize("setup", [
+    CollisionSetup.rest_frame(0.662),
+    # a slow electron, |p_i| < omega0: the ceiling is at theta = 0, where
+    # omega_max used to take the theta = pi denominator (0.2335 MeV)
+    CollisionSetup(0.52, 0.662),
+    CollisionSetup(0.6, 0.2),
+    CollisionSetup(5000.0, 0.001),
+], ids=["rest", "slow", "moving", "collider"])
+def test_omega_max_is_closure_maximum(setup):
+    # the largest one-photon closure energy over a fine theta scan
+    theta = np.linspace(0.0, math.pi, 200_001)[None, :]
+    w, _, _, _, _, _ = _close_arrays(setup, theta, np.zeros_like(theta),
+                                     np.zeros((0, theta.shape[1])))
+    assert setup.omega_max == pytest.approx(w.max(), rel=1e-12)
+
+
 def _mp_closure(setup, thetas, phis, omegas_free):
     """(w_last, K, E_f) at one point in 40-digit arithmetic, straight from
     conservation: Q = p_i + k_0 - sum k_j, w_last = (Q^2 - m^2)/(2 n.Q),
