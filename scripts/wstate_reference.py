@@ -3,7 +3,7 @@
 solvers (requires cvxpy, which is not a package dependency).
 
 The test suite pins tau(W) = 0.442809041; this script reproduces that number
-independently of the package's own first-order solver.
+independently of the package's own interior-point solver.
 """
 import math
 import sys

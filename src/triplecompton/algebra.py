@@ -90,11 +90,13 @@ def check_labels(*labels) -> None:
 
 def check_on_shell(p: np.ndarray, mass: float = ELECTRON_MASS_MEV) -> None:
     """Raise :class:`OffShellError` unless the four-vector p has positive
-    energy and lies within 1e-6 relative of the mass shell."""
+    energy and |p^2 - m^2| is within 1e-6 m^2 plus 8 eps p_0^2, the
+    rounding of p_0^2 - |p|^2 at energy p_0."""
     off = abs(minkowski_dot(p, p) - mass * mass) / (mass * mass)
-    if off > 1e-6:
+    bound = 1e-6 + 8.0 * np.finfo(float).eps * (p[0] / mass) ** 2
+    if not off <= bound:
         raise OffShellError(
-            f"momentum off-shell: |p^2 - m^2|/m^2 = {off:.3e} > 1e-6")
+            f"momentum off-shell: |p^2 - m^2|/m^2 = {off:.3e} > {bound:.3e}")
     if p[0] <= 0:
         raise OffShellError("positive-energy spinor requires E > 0")
 

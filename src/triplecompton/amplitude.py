@@ -24,10 +24,10 @@ small matrix product per point.  A polarization vector with zero time
 component, as every basis vector is, slashes to two off-diagonal 2x2 Pauli
 blocks, so each photon vertex is applied as those blocks alone, without
 the half of the 4x4 product that multiplies exact zeros; the result is the
-same to the bit.  ``point_amplitude`` runs it at one point
-for any number of emitted photons, with each given polarization
-four-vector as a length-1 basis, after checking the spin labels, the
-external momenta and the propagator denominators.
+same to the bit.  It raises on a propagator pole itself.
+``point_amplitude`` runs it at one point for any number of emitted
+photons, with each given polarization four-vector as a length-1 basis,
+after checking the spin labels and the final electron's mass shell.
 Four-vectors are float arrays (t, x, y, z) in MeV.  An independent
 term-by-term reference lives with the tests.
 """
@@ -38,9 +38,9 @@ import numbers
 
 import numpy as np
 
-from .algebra import (IDENTITY4, check_labels, check_on_shell,
-                      dirac_spinor_bar_batch, dirac_spinor_batch,
-                      propagator_denominator, slash_batch)
+from .algebra import (IDENTITY4, POLE_GUARD, PropagatorPoleError,
+                      check_labels, check_on_shell, dirac_spinor_bar_batch,
+                      dirac_spinor_batch, slash_batch)
 from .kinematics import CollisionSetup
 
 
@@ -51,22 +51,11 @@ def point_amplitude(setup: CollisionSetup, photons, p_f, eps, r_i: int = 1,
 
     eps holds one polarization four-vector per photon, the absorbed photon's
     first; any four-vectors are accepted there, so gauge tests can put
-    eps -> k.  This is amplitude_tensor with each eps a length-1
-    polarization axis.  Raises OffShellError for an off-shell external
-    electron and PropagatorPoleError for an internal momentum on the mass
-    shell.
+    eps -> k.  An off-shell p_f raises OffShellError; the rest, the pole
+    check included, is amplitude_tensor with each eps a length-1 axis.
     """
     check_labels(r_i, r_f)
-    for p in (setup.p_i, p_f):
-        check_on_shell(p, setup.mass)
-    lines = (setup.k_0,) + tuple(photons)
-    n = len(lines)
-    for size in range(1, n):
-        for subset in itertools.combinations(range(n), size):
-            q = setup.p_i
-            for j in subset:
-                q = q + lines[j] if j == 0 else q - lines[j]
-            propagator_denominator(q, setup.mass)
+    check_on_shell(p_f, setup.mass)
     tensor = amplitude_tensor(
         setup, np.asarray(photons, float).reshape(-1, 1, 4),
         np.asarray(p_f)[None], [np.asarray(e)[None, None] for e in eps])
@@ -159,7 +148,8 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     p_i and the mass come from setup.  eps_arrays: per photon, the absorbed
     one first, (N, P, 4) polarization four-vectors, normally the P = 2
     basis.  Returns a complex array (N, P, ..., P, 2, 2): one polarization
-    axis per photon (photon order), then r_i, then r_f.
+    axis per photon (photon order), then r_i, then r_f.  Raises
+    PropagatorPoleError if any |q^2 - m^2| is below POLE_GUARD m^2.
 
     The amplitude is linear in each polarization vector, so a polarized
     beam needs no contraction afterwards: ``beam_basis_arrays`` hands the
@@ -225,6 +215,9 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
         qs[:, col] = q
     metric = np.array([1.0, -1.0, -1.0, -1.0])
     denom = np.einsum('nsi,nsi->sn', qs * metric, qs) - mass * mass
+    if (np.abs(denom) < POLE_GUARD * mass * mass).any():
+        raise PropagatorPoleError(f"propagator pole: |q^2 - m^2| = "
+                                  f"{np.abs(denom).min():.6e} MeV^2")
     # one slash for every four-vector: the internal momenta, then each
     # photon's polarizations, moved to (4, 4, vector, N)
     vectors = np.concatenate([qs] + list(eps_arrays), axis=1)

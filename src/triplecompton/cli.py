@@ -202,11 +202,14 @@ def run_scan(cfg: ScenarioConfig, out_dir: Path) -> str:
     rows = ["omega0_mev\tavg_sigma_b_sr3\tstat_error_b_sr3"]
     for w0 in omega0s:
         setup = CollisionSetup(cfg.e_i_mev, float(w0))
-        res = detector_average(setup, cfg.theta_rad, cfg.phi_rad,
-                               cfg.solid_angle_sr, cfg.threshold_mev,
-                               budget=cfg.budget, seed=cfg.seed)
-        rows.append(f"{w0:.10e}\t{res.value:.10e}"
-                    f"\t{res.statistical_error:.10e}")
+        # where no photon can reach the threshold the average is exactly 0
+        value = error = 0.0
+        if cfg.threshold_mev < setup.omega_max:
+            res = detector_average(setup, cfg.theta_rad, cfg.phi_rad,
+                                   cfg.solid_angle_sr, cfg.threshold_mev,
+                                   budget=cfg.budget, seed=cfg.seed)
+            value, error = res.value, res.statistical_error
+        rows.append(f"{w0:.10e}\t{value:.10e}\t{error:.10e}")
     table = "\n".join(rows) + "\n"
     _write(out_dir / "scan.dat", table)
     _write(out_dir / "metadata.txt",

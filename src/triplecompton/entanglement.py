@@ -179,29 +179,24 @@ def _validate_density(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Witness:
-    """Fully decomposable witness with its per-bipartition decompositions."""
+    """Fully decomposable witness: the (7, 8, 8) stack [W, P_1, Q_1, P_2,
+    Q_2, P_3, Q_3] with W = P_s + Q_s^{T_s} for each bipartition s."""
 
-    matrix: np.ndarray
-    parts: dict  # subsystem -> (P, Q)
+    blocks: np.ndarray
 
-    def feasibility_residuals(self) -> dict:
-        """Post-hoc feasibility check by explicit eigendecomposition."""
-        parts = list(self.parts.items())
-        evs = np.linalg.eigvalsh(_hermitize(np.array(
-            [mat for _, pair in parts for mat in pair])))
-        res = {}
-        for k, (s, (p_mat, q_mat)) in enumerate(parts):
-            affine = np.linalg.norm(
-                self.matrix - p_mat - partial_transpose(q_mat, s))
-            ev = evs[2 * k:2 * k + 2]
-            bounds = max(-ev.min(), ev.max() - 1.0, 0.0)
-            res[s] = {"affine": float(affine), "bounds": float(bounds)}
-        return res
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.blocks[0]
 
     @property
     def max_residual(self) -> float:
-        res = self.feasibility_residuals()
-        return max(max(r["affine"], r["bounds"]) for r in res.values())
+        """Worst coupling residual |W - P_s - Q_s^{T_s}| or box violation
+        of any P_s, Q_s, checked by explicit eigendecomposition."""
+        flat = self.blocks.reshape(7, 64)
+        couplings = flat[0] - flat[1::2] - flat[2::2][_PT_ROWS, _PT_INDEX]
+        ev = np.linalg.eigvalsh(_hermitize(self.blocks[1:]))
+        return float(max(max(np.linalg.norm(row) for row in couplings),
+                         -ev.min(), ev.max() - 1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -491,8 +486,7 @@ def _feasibilize(x: np.ndarray):
     # W moves by 2 delta, each P_s and Q_s by delta
     shifts = delta * np.array([2.0] + 6 * [1.0])
     out = (herm + shifts[:, None, None] * np.eye(8)) / (1.0 + 2.0 * delta)
-    return Witness(out[0], {s: (out[1 + 2 * i], out[2 + 2 * i])
-                            for i, s in enumerate(BIPARTITIONS)}), delta
+    return Witness(out), delta
 
 
 def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,

@@ -243,6 +243,30 @@ def test_scalar_api_typed_errors(rest_setup, sample_point):
         with pytest.raises(ValueError, match="labels must be 1 or 2"):
             am.point_amplitude(rest_setup, (k1,), p_f, (eps_in, eps_out),
                                r_i=r_i)
+    # the kernel checks its own denominators, so a batch with one such
+    # point raises too
+    photons = np.stack([state.photons, (np.zeros(4), k2, k3)], axis=1)
+    p_fs = np.stack([state.p_f, p_f2])
+    basis = [am.beam_basis_arrays(2)] + 3 * [np.tile(eps[1], (2, 1, 1))]
+    with pytest.raises(al.PropagatorPoleError):
+        am.amplitude_tensor(setup, photons, p_fs, basis)
+
+
+@pytest.mark.parametrize("e_i", [5e4, 1e6])
+def test_point_amplitude_at_high_energy(e_i):
+    # E^2 - |p|^2 rounds at ~eps E^2, which exceeds 1e-6 m^2 here: the
+    # setup's own p_i reads 2.1e-6 m^2 (50 GeV) and 5.1e-4 m^2 (1 TeV) off
+    # shell, and closed p_f up to 1.1e-6 m^2 (1 TeV)
+    setup = CollisionSetup(e_i, 0.001)
+    rng = np.random.default_rng(1)
+    for cfg, state in random_physical_configs(setup, rng, 3):
+        args = _args(setup, cfg, state)
+        amp = am.point_amplitude(*args)
+        assert np.isfinite(amp) and amp != 0
+    off_shell = state.p_f.copy()
+    off_shell[0] = math.sqrt(state.p_f[0] ** 2 + 0.1 * M * M)
+    with pytest.raises(al.OffShellError):
+        am.point_amplitude(*args[:2], off_shell, *args[3:])
 
 
 def test_beam_vector_linearity(rest_setup, sample_point):

@@ -382,6 +382,20 @@ scan.n_points = 3
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("command", [
+    ["mgbr1968"], ["totals"], ["grid", "--observable", "sigma5"], ["scan"]],
+    ids=["mgbr1968", "totals", "grid-sigma5", "scan"])
+def test_cli_scenario_defaults_run(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert cli.main(command + ["--budget", "128", "--out", str(out)]) \
+        == cli.EXIT_OK
+    if command == ["scan"]:
+        # the default scan starts at omega0 = 0.01 MeV, where no photon can
+        # reach the 0.013 MeV threshold: the average there is exactly 0
+        first = (out / "scan.dat").read_text().splitlines()[1].split("\t")
+        assert [float(v) for v in first] == [0.01, 0.0, 0.0]
+
+
 def test_cli_scan_single_point_degenerates_to_average(tmp_path):
     cfg = tmp_path / "scan1.cfg"
     cfg.write_text("""

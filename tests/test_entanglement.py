@@ -9,7 +9,7 @@ from triplecompton import amplitude, cross_section, entanglement
 from triplecompton.cross_section import _tensor_for_points, sigma5_panel_grids
 from triplecompton.entanglement import (BIPARTITIONS, DegenerateStateError,
                                         InvalidDensityMatrix, SolverError,
-                                        _HERMITIAN, _SVEC, _direction,
+                                        Witness, _HERMITIAN, _SVEC, _direction,
                                         _feasibilize,
                                         _max_steps, _newton_system,
                                         _witness_stack,
@@ -119,6 +119,20 @@ def test_feasibilize_reports_its_shift():
     witness, delta = _feasibilize(_witness_stack(y))
     assert delta == pytest.approx(0.01, rel=1e-12)
     assert witness.max_residual <= 1e-12
+
+
+def test_witness_residual_reads_couplings_and_bounds():
+    centre = np.stack([np.eye(8)] + 6 * [0.5 * np.eye(8)])
+    assert Witness(centre).max_residual == 0.0
+    # each case sets the [0, 0] entries of [W, P_1, Q_1, ..., P_3, Q_3] so
+    # that one kind of residual reads 0.25: a coupling, P_s above 1, Q_s
+    # below 0
+    for entries in ([1.0, 0.75] + 5 * [0.5], [1.5] + 3 * [1.25, 0.25],
+                    [0.5] + 3 * [0.75, -0.25]):
+        blocks = centre.copy()
+        blocks[:, 0, 0] = entries
+        assert Witness(blocks).max_residual == pytest.approx(0.25,
+                                                             rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -282,10 +296,7 @@ def test_tau_bounds_and_witness_feasibility():
         # L_s = rho, whose dual values are the bipartite negativities
         min_negativity = min(negativity(rho, s) for s in (1, 2, 3))
         assert res.tau <= res.upper_bound <= min_negativity + 1e-9
-        residuals = res.witness.feasibility_residuals()
-        for s, r in residuals.items():
-            assert r["affine"] <= 1e-6
-            assert r["bounds"] <= 1e-6
+        assert res.witness.max_residual <= 1e-6
 
 
 def _random_local_unitary(rng):

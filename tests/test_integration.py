@@ -241,6 +241,8 @@ def test_window_jacobian_exact(monkeypatch, rest_setup):
     res = detector_average(rest_setup, thetas, phis, omega, eps,
                            budget=1 << 10, seed=2)
     assert res.value == pytest.approx(expected, rel=1e-14)
+    # the weights differ only by rounding, and so must the error estimate
+    assert res.statistical_error <= 1e-14 * res.value
 
 
 def test_budget_error():
