@@ -127,14 +127,20 @@ def grid_tensor(setup, thetas, phis, omega1_grid, omega2_grid, beam_pol,
     (omega1, omega2) grid, every cell in one evaluation.  Cell (i, j), at
     (omega1_grid[i], omega2_grid[j]), is row i * len(omega2_grid) + j.
     Every caller reads one beam polarization, so beam_pol None, which
-    would evaluate both basis vectors, raises ValueError."""
+    would evaluate both basis vectors, raises ValueError, as do thetas or
+    phis that are not three directions."""
     if beam_pol is None:
         raise ValueError("beam_pol must be 1, 2 or a transverse vector, "
                          "not None")
+    thetas = np.asarray(thetas, float)
+    phis = np.asarray(phis, float)
+    if thetas.shape != (3,) or phis.shape != (3,):
+        raise ValueError(f"need three thetas and three phis, got shapes "
+                         f"{thetas.shape} and {phis.shape}")
     w1m, w2m = np.meshgrid(np.asarray(omega1_grid, float),
                            np.asarray(omega2_grid, float), indexing="ij")
-    th = np.repeat(np.asarray(thetas, float)[:, None], w1m.size, axis=1)
-    ph = np.repeat(np.asarray(phis, float)[:, None], w1m.size, axis=1)
+    th = np.repeat(thetas[:, None], w1m.size, axis=1)
+    ph = np.repeat(phis[:, None], w1m.size, axis=1)
     return _tensor_for_points(setup, th, ph,
                               np.stack([w1m.ravel(), w2m.ravel()]),
                               threshold_eps, beam_pol)

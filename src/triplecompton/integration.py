@@ -4,10 +4,10 @@ infrared cutoff, and beam-collision event rates.
 Both estimators run one sampler, _estimate, over the unit cube [free
 energies, then (radial, azimuth) per photon].  Its one energy map draws the
 free energies log-uniformly on [eps, omega_max] (the soft divergence goes
-like 1/w).  Its angle map is one per geometry: the full sphere for totals,
-drawn for a relativistic electron in the backscatter cone theta = pi -
-(m/E_i) u with a heavy-tailed (Cauchy-like) density in u, or the three
-detector windows.
+like 1/w).  Its angle map is one per geometry: the three detector windows,
+or for totals the full sphere, drawn at every electron energy in the
+backscatter cone theta = pi - (m/E_i) u with a heavy-tailed (Cauchy-like)
+density in u that reaches theta = 0.
 
 Reproducibility: every stratum owns a Philox counter-based substream with
 key = (master_seed << 64) | stratum_index, and each stratum's weights and
@@ -44,10 +44,8 @@ _MASK64 = (1 << 64) - 1
 BATCH_ROWS = 256
 
 PROCESS_PHOTONS = {"single": 1, "double": 2, "triple": 3}
-# Above the Lorentz factor E/m = BOOST_THRESHOLD, _sphere_angles draws each
-# photon in the backscatter cone: pi - theta = (m/E) CONE_SCALE tan(psi),
-# psi uniform.
-BOOST_THRESHOLD = 100.0
+# _sphere_angles draws each photon in the backscatter cone pi - theta =
+# (m/E) CONE_SCALE tan(psi), psi uniform up to the angle where theta = 0.
 CONE_SCALE = 10.0
 
 
@@ -183,9 +181,9 @@ def _log_energies(x, eps, w_max):
 
 def _sphere_angles(setup: CollisionSetup):
     """Angle map (x, weight) -> (thetas, phis) over the full sphere, one
-    (radial, azimuth) column pair per photon: cos(theta) uniform, or the
-    backscatter cone above the Lorentz factor BOOST_THRESHOLD."""
-    backscatter = setup.e_i_mev / setup.mass > BOOST_THRESHOLD
+    (radial, azimuth) column pair per photon: the backscatter cone
+    pi - theta = (m/E) CONE_SCALE tan(psi) with psi uniform on [0, psi_max],
+    where psi_max brings theta to exactly 0 at any E >= m."""
     ratio = setup.mass / setup.e_i_mev
     psi_max = math.atan(math.pi / ratio / CONE_SCALE)
 
@@ -193,19 +191,13 @@ def _sphere_angles(setup: CollisionSetup):
         thetas = np.empty((x.shape[1] // 2, x.shape[0]))
         phis = np.empty_like(thetas)
         for j in range(len(thetas)):
-            r = x[:, 2 * j]
+            u = CONE_SCALE * np.tan(x[:, 2 * j] * psi_max)
+            delta = ratio * u
+            thetas[j] = math.pi - delta
             phis[j] = 2.0 * math.pi * x[:, 2 * j + 1]
-            if backscatter:
-                u = CONE_SCALE * np.tan(r * psi_max)
-                delta = ratio * u
-                thetas[j] = math.pi - delta
-                dtheta_dpsi = (ratio * CONE_SCALE
-                               * (1.0 + (u / CONE_SCALE) ** 2))
-                weight *= (np.sin(delta) * dtheta_dpsi * psi_max
-                           * 2.0 * math.pi)
-            else:
-                thetas[j] = np.arccos(np.clip(2.0 * r - 1.0, -1.0, 1.0))
-                weight *= 2.0 * 2.0 * math.pi
+            dtheta_dpsi = ratio * CONE_SCALE * (1.0 + (u / CONE_SCALE) ** 2)
+            weight *= (np.sin(delta) * dtheta_dpsi * psi_max
+                       * 2.0 * math.pi)
         return thetas, phis
     return angles
 

@@ -201,16 +201,21 @@ def _close_arrays(setup, thetas, phis, omegas_free):
     physical (N,), degenerate (N,)).  K = den/E_f on physical points and
     1.0 elsewhere.  degenerate flags points whose closure denominator
     vanishes (a physically unreachable direction); they read w_last = -1
-    and physical False.  A non-finite angle or free energy raises
-    ValueError.
+    and physical False.  A non-finite angle or free energy, a negative free
+    energy, or phis not shaped like thetas raises ValueError.
     """
     thetas = np.atleast_2d(np.asarray(thetas, float))
     phis = np.atleast_2d(np.asarray(phis, float))
+    if phis.shape != thetas.shape:
+        raise ValueError(f"phis shape {phis.shape} does not match thetas "
+                         f"shape {thetas.shape}")
     n_out = thetas.shape[0]
     n_pts = thetas.shape[1]
     omegas_free = np.asarray(omegas_free, float).reshape(n_out - 1, n_pts)
     if not all(np.isfinite(v).all() for v in (thetas, phis, omegas_free)):
         raise ValueError("angles and free photon energies must be finite")
+    if (omegas_free < 0.0).any():
+        raise ValueError("free photon energies must not be negative")
 
     num, dots = _leave(setup, thetas, phis, omegas_free)
     den = dots[-1]

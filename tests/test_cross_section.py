@@ -377,3 +377,44 @@ def test_non_finite_phase_space_input_raises(rest_setup, xfel_setup):
             (XFEL_THETAS, XFEL_PHIS, [500.0], nan)):
         with pytest.raises(ValueError, match="finite"):
             threshold_boundary(xfel_setup, thetas, phis, w1s, eps)
+
+
+def test_negative_free_energy_raises(rest_setup):
+    # a negative free energy used to close as a physical point, and sigma5
+    # read Sigma5Point(0.0, physical=True)
+    cfg = FinalStateConfig((1.2, 2.0, 0.9), (0.4, 2.5, 4.4), -0.05, 0.15)
+    for evaluate in (lambda: close_final_state(rest_setup, cfg),
+                     lambda: sigma5(rest_setup, cfg)):
+        with pytest.raises(ValueError, match="negative"):
+            evaluate()
+
+
+@pytest.mark.parametrize("entry", [
+    "close_batch", "sigma5_panel_grids", "spin_summed_sigma5",
+    "density_from_amplitudes", "tau_grid"])
+def test_wrong_direction_count_raises(rest_setup, entry):
+    # 3 thetas with 2 phis raised IndexError in the closure, and 2 or 4
+    # directions a numpy reshape error from the grid entry points
+    from triplecompton.entanglement import density_from_amplitudes, tau_grid
+
+    calls = {
+        "close_batch": lambda th, ph: close_batch(
+            rest_setup, np.array(th)[:, None], np.array(ph)[:, None],
+            [0.1], [0.15]),
+        "sigma5_panel_grids": lambda th, ph: sigma5_panel_grids(
+            rest_setup, th, ph, [0.1], [0.15]),
+        "spin_summed_sigma5": lambda th, ph: spin_summed_sigma5(
+            rest_setup, th, ph, 0.1, 0.15),
+        "density_from_amplitudes": lambda th, ph: density_from_amplitudes(
+            rest_setup, th, ph, 0.1, 0.15),
+        "tau_grid": lambda th, ph: tau_grid(rest_setup, th, ph, [0.1],
+                                            [0.15]),
+    }
+    thetas, phis = (1.2, 2.0, 0.9, 0.5), (0.4, 2.5, 4.4, 1.0)
+    if entry == "close_batch":
+        counts, match = ((3, 2), (2, 3)), "does not match"
+    else:
+        counts, match = ((2, 2), (4, 4), (3, 2), (3, 4)), "three thetas"
+    for n_thetas, n_phis in counts:
+        with pytest.raises(ValueError, match=match):
+            calls[entry](thetas[:n_thetas], phis[:n_phis])

@@ -160,6 +160,33 @@ def test_single_total_matches_closed_form(rest_setup):
                                       abs=3 * res.statistical_error)
 
 
+@pytest.mark.parametrize("e_i, omega0", [(5.0, 0.001), (25.0, 0.001),
+                                         (50.0, 0.01)],
+                         ids=["gamma10", "gamma49", "gamma98"])
+def test_single_total_at_intermediate_boost(e_i, omega0):
+    # the photon leaves within ~m/E of the electron's direction; a uniform
+    # cos(theta) map, which the totals used up to a Lorentz factor of 100,
+    # read 5-24% errors here at the same budget
+    setup = CollisionSetup(e_i, omega0)
+    res = total_cross_section(setup, 0.0, "single", budget=1 << 15, seed=5)
+    assert res.statistical_error <= 0.01 * res.value
+    assert res.value == pytest.approx(klein_nishina_total(setup),
+                                      abs=3 * res.statistical_error)
+
+
+@pytest.mark.parametrize("e_i", [M, 25.0], ids=["rest", "gamma49"])
+def test_sphere_jacobian_covers_full_sphere(e_i):
+    # midpoints in the radial coordinate: the weight integrates to the
+    # sphere's 4 pi, and the directions run from theta = pi to theta = 0
+    n = 1 << 16
+    x = np.column_stack([(np.arange(n) + 0.5) / n, np.full(n, 0.5)])
+    weight = np.ones(n)
+    angles = integration._sphere_angles(CollisionSetup(e_i, 0.001))
+    thetas, _ = angles(x, weight)
+    assert weight.mean() == pytest.approx(4 * math.pi, rel=1e-7)
+    assert thetas.max() > math.pi - 1e-3 and thetas.min() < 1e-3
+
+
 def test_frame_consistency():
     # one-photon total at the same invariant s in the rest and collider frames
     collider = CollisionSetup(5000.0, 0.001)
@@ -194,8 +221,8 @@ def _inverse_energies(thetas, omegas):
 
 def test_importance_sampling_unbiased_rest(monkeypatch, rest_setup):
     # separable 1/(w1 w2) over the mapped domain has the closed form
-    # (4 pi)^3 log(wmax/eps)^2 / 3!; the log-uniform map makes it exactly
-    # flat
+    # (4 pi)^3 log(wmax/eps)^2 / 3!; the log-uniform map makes its energy
+    # factor exactly flat, and the cone's angle weights carry the error
     eps = 0.013
     span = math.log(rest_setup.omega_max / eps)
     expected = (4 * math.pi) ** 3 * span ** 2 / 6
