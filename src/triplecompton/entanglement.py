@@ -527,7 +527,9 @@ def save_density_matrix(path, rho: np.ndarray) -> None:
 def load_density_matrix(path) -> np.ndarray:
     """Read a matrix written by :func:`save_density_matrix`; a file that is
     not 8 lines of 8 're im' pairs raises :class:`InvalidDensityMatrix`
-    naming the first bad line."""
+    naming the first bad line.  A file whose imaginary parts are all exactly
+    0 loads as a real float array, so a saved real state is solved by
+    :func:`gme_tau` on the same real path as the state that was saved."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     lines += [""] * (8 - len(lines))    # a short file fails on its end
@@ -541,4 +543,5 @@ def load_density_matrix(path) -> np.ndarray:
             raise InvalidDensityMatrix(
                 f"{path} line {number}: expected 8 lines of 8 're im' pairs")
         rows.append(row.view(complex))
-    return np.array(rows)
+    rho = np.array(rows)
+    return rho.real.copy() if not rho.imag.any() else rho

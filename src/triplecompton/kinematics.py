@@ -202,7 +202,8 @@ def _close_arrays(setup, thetas, phis, omegas_free):
     1.0 elsewhere.  degenerate flags points whose closure denominator
     vanishes (a physically unreachable direction); they read w_last = -1
     and physical False.  A non-finite angle or free energy, a negative free
-    energy, or phis not shaped like thetas raises ValueError.
+    energy, phis not shaped like thetas, or omegas_free not holding
+    (n_out - 1) * N values raises ValueError.
     """
     thetas = np.atleast_2d(np.asarray(thetas, float))
     phis = np.atleast_2d(np.asarray(phis, float))
@@ -211,7 +212,12 @@ def _close_arrays(setup, thetas, phis, omegas_free):
                          f"shape {thetas.shape}")
     n_out = thetas.shape[0]
     n_pts = thetas.shape[1]
-    omegas_free = np.asarray(omegas_free, float).reshape(n_out - 1, n_pts)
+    omegas_free = np.asarray(omegas_free, float)
+    if omegas_free.size != (n_out - 1) * n_pts:
+        raise ValueError(f"expected n_out - 1 = {n_out - 1} free photon "
+                         f"energies per point, {(n_out - 1) * n_pts} values "
+                         f"at {n_pts} point(s), got {omegas_free.size}")
+    omegas_free = omegas_free.reshape(n_out - 1, n_pts)
     if not all(np.isfinite(v).all() for v in (thetas, phis, omegas_free)):
         raise ValueError("angles and free photon energies must be finite")
     if (omegas_free < 0.0).any():

@@ -413,6 +413,12 @@ def test_wrong_direction_count_raises(rest_setup, entry):
     thetas, phis = (1.2, 2.0, 0.9, 0.5), (0.4, 2.5, 4.4, 1.0)
     if entry == "close_batch":
         counts, match = ((3, 2), (2, 3)), "does not match"
+        # two directions take one free energy per point, not omega1 and
+        # omega2; that raised numpy's bare reshape error
+        with pytest.raises(ValueError, match=r"n_out - 1 = 1 free photon "
+                           r"energies per point, 1 values at 1 point\(s\), "
+                           r"got 2"):
+            calls[entry](thetas[:2], phis[:2])
     else:
         counts, match = ((2, 2), (4, 4), (3, 2), (3, 4)), "three thetas"
     for n_thetas, n_phis in counts:

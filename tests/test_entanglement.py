@@ -464,6 +464,20 @@ def test_density_export_import_roundtrip(tmp_path, rest_setup):
     assert np.array_equal(loaded, rho)
     save_density_matrix(tmp_path / "rho2.txt", loaded)
     assert (tmp_path / "rho2.txt").read_bytes() == path.read_bytes()
+    # a real state read back used to load complex and take the 64-dimensional
+    # Hermitian Newton path, moving tau in its last bits
+    for state in (rho, w_state()):
+        save_density_matrix(path, state)
+        loaded = load_density_matrix(path)
+        assert loaded.dtype == np.float64
+        expected, got = gme_tau(state), gme_tau(loaded)
+        assert (got.tau, got.iterations) == (expected.tau, expected.iterations)
+    # (|111> + i|222>)/sqrt(2) keeps its imaginary coherences
+    ghz_i = ghz_state().astype(complex)
+    ghz_i[0, 7], ghz_i[7, 0] = 0.5j, -0.5j
+    save_density_matrix(path, ghz_i)
+    loaded = load_density_matrix(path)
+    assert loaded.dtype == np.complex128 and np.array_equal(loaded, ghz_i)
 
 
 def test_load_density_matrix_rejects_malformed_files(tmp_path):

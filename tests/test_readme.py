@@ -1,12 +1,14 @@
-"""The documented library example runs as written, and the README's names
-and file layouts match the code."""
+"""The documented library example runs as written, the README's names
+and file layouts match the code, and its reproduction commands resolve."""
 import re
+import shlex
 from pathlib import Path
 
 import triplecompton
 from triplecompton import cli
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _section(text, heading):
@@ -53,3 +55,26 @@ def test_readme_tau_diagnostics_columns(tmp_path):
                      "--out", str(out)]) == cli.EXIT_OK
     header = (out / "tau_diagnostics.dat").read_text().splitlines()[0]
     assert match.group(1).split() == header.split("\t")
+
+
+def test_readme_reproduction_commands_resolve(monkeypatch):
+    # each command goes through the real flag and config resolution; the
+    # runners only record what they were given, so nothing is computed
+    section = _section(README.read_text(), "## Reproducing the paper")
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line)[3:] for line in block.splitlines()
+                if line.startswith("python -m triplecompton ")]
+    assert len(commands) == 5
+    calls = []
+    for name in ("run_mgbr1968", "run_grid", "run_totals", "run_scan"):
+        monkeypatch.setattr(cli, name,
+                            lambda cfg, *rest: calls.append((cfg, rest[-1]))
+                            or "")
+    monkeypatch.chdir(ROOT)
+    for words in commands:
+        assert cli.main(words) == cli.EXIT_OK, words
+    assert len(calls) == len(commands)
+    assert len({out for _, out in calls}) == len(commands)
+    named = {Path(words[words.index("--config") + 1])
+             for words in commands if "--config" in words}
+    assert set(Path("configs").glob("*.cfg")) <= named
