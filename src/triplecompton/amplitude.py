@@ -23,8 +23,10 @@ applying an operator takes a few whole-array operations rather than one
 small matrix product per point.  A polarization vector with zero time
 component, as every basis vector is, slashes to two off-diagonal 2x2 Pauli
 blocks, so each photon vertex is applied as those blocks alone, without
-the half of the 4x4 product that multiplies exact zeros; the result is the
-same to the bit.  It raises on a propagator pole itself.
+the half of the 4x4 product that multiplies exact zeros; each propagator
+is applied as its two diagonal scalars and one 2x2 Pauli block, built once
+per call.  Both give the same amplitudes to the bit as the 4x4 products.
+It raises on a propagator pole itself.
 ``point_amplitude`` runs it at one point for any number of emitted
 photons, with each given polarization four-vector as a length-1 basis,
 after checking the spin labels and the final electron's mass shell.
@@ -38,8 +40,8 @@ import numbers
 
 import numpy as np
 
-from .algebra import (IDENTITY4, POLE_GUARD, PropagatorPoleError,
-                      check_labels, check_on_shell, dirac_spinor_bar_batch,
+from .algebra import (POLE_GUARD, PropagatorPoleError, check_labels,
+                      check_on_shell, dirac_spinor_bar_batch,
                       dirac_spinor_batch, slash_batch)
 from .kinematics import CollisionSetup
 
@@ -106,14 +108,16 @@ def outgoing_basis_arrays(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
 
 
 def _apply(op: np.ndarray, state: np.ndarray, before: int = 1) -> np.ndarray:
-    """op (r, 4, P, N) on state (4, M, N) -> (r, A, P, M / A, N), A = before.
+    """op (r, 4, P, N) on state (4, M, N) -> (r, A P M / A, N), A = before.
 
     The operator's P axis lands after the first ``before`` entries of the
-    state's flattened M axis, which keeps polarization axes in photon order.
+    state's M axis, which keeps polarization axes in photon order.
     """
-    state = state.reshape(4, before, -1, state.shape[-1])
-    return np.add.reduce(op[:, :, None, :, None] * state[None, :, :, None],
-                         axis=1)
+    _, m_in, n_pts = state.shape
+    state = state.reshape(4, before, m_in // before, n_pts)
+    out = np.add.reduce(op[:, :, None, :, None] * state[None, :, :, None],
+                        axis=1)
+    return out.reshape(op.shape[0], m_in * op.shape[2], n_pts)
 
 
 # eslash's two off-diagonal 2x2 blocks by column c, upper rows first: entry
@@ -122,8 +126,17 @@ _BLOCK_ROWS = np.array([[[0, 1], [2, 3]], [[0, 1], [2, 3]]])
 _BLOCK_COLS = np.array([[[2, 2], [0, 0]], [[3, 3], [1, 1]]])
 
 
+def _vertex_op(eslash: np.ndarray, timelike: bool) -> tuple:
+    """One photon's slashed polarizations (4, 4, P, N) as _vertex's
+    (blocks, diag); diag is kept only if timelike, when some t is non-zero.
+    """
+    blocks = eslash[_BLOCK_ROWS, _BLOCK_COLS][:, :, :, None, :, None]
+    diag = eslash[[0, 2], [0, 2], None, None, :, None] if timelike else None
+    return blocks, diag
+
+
 def _vertex(vertex: tuple, state: np.ndarray, before: int) -> np.ndarray:
-    """eslash on state (4, M, N) -> (2, 2, A, P, M / A, N), A = before.
+    """eslash on state (4, M, N) -> (4, A P M / A, N), A = before.
 
     vertex is (blocks, diag).  blocks[c], (2, 2, 1, P, 1, N), holds column
     c of eslash's two off-diagonal 2x2 blocks, the upper rows' block first;
@@ -131,12 +144,49 @@ def _vertex(vertex: tuple, state: np.ndarray, before: int) -> np.ndarray:
     swapped.  diag, (2, 1, 1, P, 1, N), holds eslash's diagonal (t, -t) and
     is None where t is zero at every point.
     """
-    halves = state.reshape(2, 2, before, 1, -1, state.shape[-1])
+    _, m_in, n_pts = state.shape
+    halves = state.reshape(2, 2, before, 1, m_in // before, n_pts)
     blocks, diag = vertex
     out = blocks[0] * halves[::-1, None, 0]
     out += blocks[1] * halves[::-1, None, 1]
     if diag is not None:
         out += diag * halves
+    return out.reshape(4, m_in * blocks.shape[4], n_pts)
+
+
+def _propagators(qs: np.ndarray, denom: np.ndarray, mass: float) -> list:
+    """S(q) = (qslash + m)/denom for internal momenta qs (N, S, 4) and their
+    denom = q^2 - m^2 (S, N) as _propagate's 2x2 blocks, one per column.
+
+    With r = 1/denom, which is what numpy's complex-by-real division
+    multiplies by, every entry is the same double as the 4x4 matrix's.
+    """
+    r = 1.0 / denom
+    t, x, y, z = np.ascontiguousarray(qs.transpose(2, 1, 0))
+    x, y, z = x * r, y * r, z * r
+    sigma = np.empty((qs.shape[1], 2, 2, 1, qs.shape[0]), complex)
+    sigma[:, 0, 0, 0], sigma[:, 0, 1, 0] = z, x + 1j * y
+    sigma[:, 1, 0, 0], sigma[:, 1, 1, 0] = x - 1j * y, -z
+    return list(zip((t + mass) * r, (mass - t) * r, sigma))
+
+
+def _propagate(prop: tuple, state: np.ndarray) -> np.ndarray:
+    """S(q) on state (4, M, N) -> (4, M, N).
+
+    prop is (d_up, d_lo, sigma): the diagonals (t + m) r and (m - t) r,
+    (N,), and sigma.q r by column, (c, row, 1, N), with r = 1/(q^2 - m^2),
+    so that S(q) = [[d_up, -sigma.q r], [sigma.q r, d_lo]].  Each row sums
+    its non-zero terms in the column order of the 4x4 product.
+    """
+    d_up, d_lo, sigma = prop
+    out = np.empty(state.shape, complex)
+    upper, lower = out[:2], out[2:]
+    np.multiply(d_up, state[:2], out=upper)
+    upper -= sigma[0] * state[2]
+    upper -= sigma[1] * state[3]
+    np.multiply(sigma[0], state[0], out=lower)
+    lower += sigma[1] * state[1]
+    lower += d_lo * state[2:]
     return out
 
 
@@ -159,9 +209,11 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     to the bit, as its slice of the P = 2 tensor.
 
     Inside, the point axis is last and contiguous: spinors, slashed
-    polarizations and propagators are (4, 4, ..., N) stacks, and applying
-    an operator is a broadcast multiply and a sum over the contracted
-    spinor index for all points at once.
+    polarizations and propagator blocks are (..., N) stacks, and applying
+    an operator is a few broadcast multiplies and sums for all points at
+    once.  u(p_i) is the same at every point, so it is built once and
+    broadcast along the point axis.  A batch of N = 0 points gives an
+    empty (0, P, ..., 2, 2) tensor.
 
     Photon vertices use the Dirac representation's block form.  With
     eps = (t, e) and sigma.e the 2x2 Pauli combination,
@@ -171,15 +223,29 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     so the upper half of eslash J is -sigma.e times J's lower half and the
     lower half is sigma.e times its upper half: ``_vertex`` swaps the
     halves and applies one 2x2 block to each.  Each row sums the same two
-    non-zero terms in the same order as the full 4x4 product, whose other
-    two terms are exact zeros, so the term order is kept on purpose: every
-    amplitude with t = 0 equals the 4x4 product's to the bit, and results
-    recorded from it are reproduced exactly.  The basis vectors all have
+    non-zero terms as the full 4x4 product, whose other two terms are exact
+    zeros, so every amplitude with t = 0 equals the 4x4 product's to the
+    bit, and results recorded from it are reproduced exactly (a sum of two
+    terms does not depend on their order).  The basis vectors all have
     t = 0 exactly.  The diagonal term is added, after the blocks, only for
     a photon whose t is non-zero at some point of the batch, which happens
     only in gauge tests (eps -> k); at the rows where t = 0 it adds exact
-    zeros.  Propagators and the exit contraction ubar eslash_j stay full
-    4x4 products: they have no zero blocks.
+    zeros.
+
+    Propagators take the same block form.  With q = (t, q) and r = 1/(q^2
+    - m^2),
+
+        S(q) = [[(t + m) r, -sigma.q r], [sigma.q r, (m - t) r]],
+
+    so ``_propagators`` builds, once per call, two diagonal scalars and one
+    2x2 block per internal momentum instead of a 4x4 matrix, and
+    ``_propagate`` writes the upper half (t + m) r J_up - sigma.q r J_lo and
+    the lower half sigma.q r J_up + (m - t) r J_lo into one output.  numpy
+    divides a complex number by a real one by multiplying with its
+    reciprocal, so every entry is the same double as (qslash + m)/(q^2 -
+    m^2), and each row sums its three non-zero terms in the column order of
+    the 4x4 product: the amplitudes are the same to the bit.  Only the
+    exit contraction ubar eslash_j stays a full 4x4 product.
 
     The sum over insertion orders is built from subset currents (F. A.
     Berends, W. T. Giele, Nucl. Phys. B306 (1988) 759): J(empty) = u(p_i)
@@ -200,7 +266,8 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     n, n_pts = k_out.shape[0] + 1, k_out.shape[1]
     k_0, mass = setup.k_0, setup.mass
     p_i = np.broadcast_to(setup.p_i, (n_pts, 4))
-    u_cols = dirac_spinor_batch(p_i, mass).transpose(1, 2, 0)   # (4, 2, N)
+    u_cols = np.broadcast_to(dirac_spinor_batch(setup.p_i, mass)[..., None],
+                             (4, 2, n_pts))
     ubar = dirac_spinor_bar_batch(np.asarray(p_f), mass).transpose(1, 2, 0)
 
     # every internal momentum p_i + k_0 - ..., one per proper subset
@@ -218,31 +285,25 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     if (np.abs(denom) < POLE_GUARD * mass * mass).any():
         raise PropagatorPoleError(f"propagator pole: |q^2 - m^2| = "
                                   f"{np.abs(denom).min():.6e} MeV^2")
-    # one slash for every four-vector: the internal momenta, then each
-    # photon's polarizations, moved to (4, 4, vector, N)
-    vectors = np.concatenate([qs] + list(eps_arrays), axis=1)
-    slashed = np.ascontiguousarray(slash_batch(vectors).transpose(2, 3, 1, 0))
-    props = ((slashed[:, :, :n_sub] + mass * IDENTITY4[..., None, None])
-             / denom).transpose(2, 0, 1, 3)[:, :, :, None]     # (S, 4, 4, 1, N)
-    eslash = slashed[:, :, n_sub:]
-    # the exit vertices ubar eslash, (2, 4, vector, N), and each eslash as
-    # its off-diagonal blocks by column, (c, upper/lower, row, 1, P, 1, N)
-    exit_ops = _apply(ubar[:, :, None], eslash.reshape(4, -1, n_pts)).reshape(
-        (2,) + eslash.shape[1:])
-    timelike = vectors[:, n_sub:, 0].any(axis=0).tolist()
+    props = _propagators(qs, denom, mass)
+    # each photon's slashed polarizations, (4, 4, vector, N), and the exit
+    # vertices ubar eslash, (2, 4, vector, N)
+    vectors = np.concatenate(eps_arrays, axis=1)
+    n_vec = vectors.shape[1]
+    eslash = np.ascontiguousarray(slash_batch(vectors).transpose(2, 3, 1, 0))
+    exit_ops = _apply(ubar[:, :, None], eslash.reshape(4, 4 * n_vec, n_pts)
+                      ).reshape(2, 4, n_vec, n_pts)
+    timelike = vectors[..., 0].any(axis=0).tolist()
     n_pols = [e.shape[1] for e in eps_arrays]
     vertices, exits, lo = [], [], 0
     for n_pol in n_pols:
         pols = slice(lo, lo + n_pol)
-        blocks = eslash[_BLOCK_ROWS, _BLOCK_COLS, pols]
-        diag = (eslash[[0, 2], [0, 2], None, None, pols, None]
-                if any(timelike[pols]) else None)
-        vertices.append((blocks[:, :, :, None, :, None], diag))
+        vertices.append(_vertex_op(eslash[:, :, pols], any(timelike[pols])))
         exits.append(exit_ops[:, :, pols])
         lo += n_pol
-    # every operator above is a copy: free the slab of all slashed vectors
-    # before the currents grow
-    del slashed, eslash
+    # every operator above is a copy: free the slashed vectors before the
+    # currents grow
+    del eslash
 
     def vertex_sum(apply, ops, mask):
         """sum over photons j in mask of ops[j] J(mask - {j}), (r M, N)."""
@@ -250,7 +311,6 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
         for j in range(n):
             if mask >> j & 1:
                 term = apply(ops[j], currents[mask ^ 1 << j], before)
-                term = term.reshape(-1, n_pts)
                 if total is None:
                     total = term
                 else:
@@ -264,8 +324,8 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     masks = [sum(1 << j for j in subset) for subset in subsets]
     currents = {0: u_cols}
     for size in range(1, n):
-        currents = {mask: _apply(props[col], vertex_sum(
-            _vertex, vertices, mask)).reshape(4, -1, n_pts)
+        currents = {mask: _propagate(props[col], vertex_sum(
+            _vertex, vertices, mask))
             for col, mask in enumerate(masks) if mask.bit_count() == size}
     total = vertex_sum(_apply, exits, (1 << n) - 1).reshape(
         (2,) + tuple(n_pols) + (2, n_pts))

@@ -146,13 +146,15 @@ def stratified_monte_carlo(integrand, dim, strata, budget,
     # correctly rounded sums over each whole stratum, so the batch
     # boundaries cannot change a bit of the result; each variance sums the
     # squared deviations from the stratum's mean, which does not cancel
-    # when the weights vary little against that mean
+    # when the weights vary little against that mean; fsum reads Python
+    # float lists faster than numpy rows
     cells = weights.reshape(n_cells, n_per)
-    s1s = [math.fsum(w) for w in cells]
-    s2s = [math.fsum(w * w) for w in cells]
+    s1s = [math.fsum(w) for w in cells.tolist()]
+    s2s = [math.fsum(w) for w in (cells * cells).tolist()]
     means = [s1 / n_per for s1 in s1s]
-    mean_vars = [math.fsum((w - mean) ** 2) / n_per / (n_per - 1)
-                 for w, mean in zip(cells, means)]
+    deviations = (cells - np.array(means)[:, None]) ** 2
+    mean_vars = [math.fsum(d) / n_per / (n_per - 1)
+                 for d in deviations.tolist()]
     var_sum = math.fsum(mean_vars)
     s1, s2 = math.fsum(s1s), math.fsum(s2s)
     return IntegrationResult(

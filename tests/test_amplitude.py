@@ -394,3 +394,63 @@ def test_five_photon_lines_against_oracle_and_ward(rest_setup):
             pols[j] = ks[j]
             amp = am.point_amplitude(rest_setup, photons, p_f, tuple(pols))
             assert abs(amp) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n_out,beam_pol", [(1, None), (2, None), (3, None),
+                                            (3, 1)])
+def test_empty_batch_gives_empty_tensor(rest_setup, n_out, beam_pol):
+    # rows are independent, so no rows is a valid batch; it used to raise
+    # numpy's "cannot reshape array of size 0" at three emitted photons
+    empty = np.empty(0)
+    eps = [am.beam_basis_arrays(0, beam_pol)] + [
+        am.outgoing_basis_arrays(empty, empty)] * n_out
+    tensor = am.amplitude_tensor(rest_setup, np.empty((n_out, 0, 4)),
+                                 np.empty((0, 4)), eps)
+    n_beam = 2 if beam_pol is None else 1
+    assert tensor.shape == (0, n_beam) + (2,) * n_out + (2, 2)
+
+
+def _currents(setup, n_pts, rng):
+    """Random complex currents (4, 6, N) with exact zeros: u(p_i) (at rest
+    its lower half is zero), three random columns and a zero column."""
+    u = al.dirac_spinor_batch(setup.p_i, setup.mass)[..., None]
+    noise = rng.normal(size=(2, 4, 3, n_pts)) * 10.0 ** rng.integers(
+        -3, 4, (4, 3, n_pts))
+    state = np.concatenate([np.broadcast_to(u, (4, 2, n_pts)),
+                            noise[0] + 1j * noise[1],
+                            np.zeros((4, 1, n_pts), complex)], axis=1)
+    state[:, 2, ::3] = 0.0
+    return state
+
+
+@pytest.mark.parametrize("frame", ["rest", "xfel"])
+def test_block_operators_equal_full_products_bit_for_bit(
+        rest_setup, xfel_setup, frame):
+    # the kernel applies each photon vertex and each propagator as 2x2
+    # blocks; every row must sum its non-zero terms in the order of the full
+    # 4x4 product, so that amplitudes stay the same to the bit
+    setup = rest_setup if frame == "rest" else xfel_setup
+    rng = np.random.default_rng(61)
+    n_pts, mass = 50, setup.mass
+    state = _currents(setup, n_pts, rng)
+    # polarization bases (t = 0) and internal momenta p_i + k_0 - k
+    th = np.arccos(rng.uniform(-1, 1, n_pts))
+    ph = rng.uniform(0, 2 * math.pi, n_pts)
+    eps = am.outgoing_basis_arrays(th, ph)
+    eslash = np.ascontiguousarray(al.slash_batch(eps).transpose(2, 3, 1, 0))
+    for before in (1, 2, 3):
+        assert np.array_equal(
+            am._vertex(am._vertex_op(eslash, False), state, before),
+            am._apply(eslash, state, before))
+    k = rng.uniform(0.0, 0.5, (n_pts, 3, 1)) * setup.omega_max * np.stack(
+        [np.ones(n_pts), np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+         np.cos(th)], axis=-1)[:, None]
+    qs = setup.p_i + setup.k_0 - k
+    qs[:, 2] = setup.p_i - k[:, 2]
+    denom = al.minkowski_dot(qs, qs).T - mass * mass
+    for col, prop in enumerate(am._propagators(qs, denom, mass)):
+        full = (al.slash_batch(qs[:, col]) + mass * al.IDENTITY4) / denom[
+            col, :, None, None]
+        assert np.array_equal(am._propagate(prop, state),
+                              am._apply(full.transpose(1, 2, 0)[:, :, None],
+                                        state))
