@@ -111,13 +111,14 @@ def _apply(op: np.ndarray, state: np.ndarray, before: int = 1) -> np.ndarray:
     """op (r, 4, P, N) on state (4, M, N) -> (r, A P M / A, N), A = before.
 
     The operator's P axis lands after the first ``before`` entries of the
-    state's M axis, which keeps polarization axes in photon order.
+    state's M axis, which keeps polarization axes in photon order.  Either
+    point axis may be 1, broadcast against the other's N.
     """
     _, m_in, n_pts = state.shape
     state = state.reshape(4, before, m_in // before, n_pts)
     out = np.add.reduce(op[:, :, None, :, None] * state[None, :, :, None],
                         axis=1)
-    return out.reshape(op.shape[0], m_in * op.shape[2], n_pts)
+    return out.reshape(op.shape[0], m_in * op.shape[2], -1)
 
 
 # eslash's two off-diagonal 2x2 blocks by column c, upper rows first: entry
@@ -127,7 +128,7 @@ _BLOCK_COLS = np.array([[[2, 2], [0, 0]], [[3, 3], [1, 1]]])
 
 
 def _vertex_op(eslash: np.ndarray, timelike: bool) -> tuple:
-    """One photon's slashed polarizations (4, 4, P, N) as _vertex's
+    """One photon's slashed polarizations (4, 4, P, N or 1) as _vertex's
     (blocks, diag); diag is kept only if timelike, when some t is non-zero.
     """
     blocks = eslash[_BLOCK_ROWS, _BLOCK_COLS][:, :, :, None, :, None]
@@ -138,11 +139,11 @@ def _vertex_op(eslash: np.ndarray, timelike: bool) -> tuple:
 def _vertex(vertex: tuple, state: np.ndarray, before: int) -> np.ndarray:
     """eslash on state (4, M, N) -> (4, A P M / A, N), A = before.
 
-    vertex is (blocks, diag).  blocks[c], (2, 2, 1, P, 1, N), holds column
-    c of eslash's two off-diagonal 2x2 blocks, the upper rows' block first;
-    each block acts on the other half of the state, so the halves are
-    swapped.  diag, (2, 1, 1, P, 1, N), holds eslash's diagonal (t, -t) and
-    is None where t is zero at every point.
+    vertex is (blocks, diag).  blocks[c], (2, 2, 1, P, 1, N or 1), holds
+    column c of eslash's two off-diagonal 2x2 blocks, the upper rows' block
+    first; each block acts on the other half of the state, so the halves
+    are swapped.  diag, (2, 1, 1, P, 1, N or 1), holds eslash's diagonal
+    (t, -t) and is None where t is zero at every point.
     """
     _, m_in, n_pts = state.shape
     halves = state.reshape(2, 2, before, 1, m_in // before, n_pts)
@@ -197,9 +198,13 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     k_out: (n_out, N, 4) emitted photon four-momenta; the absorbed photon's,
     p_i and the mass come from setup.  eps_arrays: per photon, the absorbed
     one first, (N, P, 4) polarization four-vectors, normally the P = 2
-    basis.  Returns a complex array (N, P, ..., P, 2, 2): one polarization
-    axis per photon (photon order), then r_i, then r_f.  Raises
-    PropagatorPoleError if any |q^2 - m^2| is below POLE_GUARD m^2.
+    basis.  Their point axis may instead be 1 for every photon, (1, P, 4):
+    each photon's vectors are then shared by all N points, as at fixed
+    detector directions, and give the same amplitudes, to the bit, as the
+    vectors repeated at every point.  Returns a complex array (N, P, ...,
+    P, 2, 2): one polarization axis per photon (photon order), then r_i,
+    then r_f.  Raises PropagatorPoleError if any |q^2 - m^2| is below
+    POLE_GUARD m^2.
 
     The amplitude is linear in each polarization vector, so a polarized
     beam needs no contraction afterwards: ``beam_basis_arrays`` hands the
@@ -212,8 +217,10 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     polarizations and propagator blocks are (..., N) stacks, and applying
     an operator is a few broadcast multiplies and sums for all points at
     once.  u(p_i) is the same at every point, so it is built once and
-    broadcast along the point axis.  A batch of N = 0 points gives an
-    empty (0, P, ..., 2, 2) tensor.
+    broadcast along the point axis; shared polarization vectors are
+    slashed once and their vertex blocks, with a point axis of 1, are
+    broadcast the same way, each product the same double either way.  A
+    batch of N = 0 points gives an empty (0, P, ..., 2, 2) tensor.
 
     Photon vertices use the Dirac representation's block form.  With
     eps = (t, e) and sigma.e the 2x2 Pauli combination,
@@ -286,13 +293,13 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
         raise PropagatorPoleError(f"propagator pole: |q^2 - m^2| = "
                                   f"{np.abs(denom).min():.6e} MeV^2")
     props = _propagators(qs, denom, mass)
-    # each photon's slashed polarizations, (4, 4, vector, N), and the exit
-    # vertices ubar eslash, (2, 4, vector, N)
+    # each photon's slashed polarizations, (4, 4, vector, N or 1), and the
+    # exit vertices ubar eslash, (2, 4, vector, N)
     vectors = np.concatenate(eps_arrays, axis=1)
     n_vec = vectors.shape[1]
     eslash = np.ascontiguousarray(slash_batch(vectors).transpose(2, 3, 1, 0))
-    exit_ops = _apply(ubar[:, :, None], eslash.reshape(4, 4 * n_vec, n_pts)
-                      ).reshape(2, 4, n_vec, n_pts)
+    exit_ops = _apply(ubar[:, :, None], eslash.reshape(4, 4 * n_vec, -1)
+                      ).reshape(2, 4, n_vec, -1)
     timelike = vectors[..., 0].any(axis=0).tolist()
     n_pols = [e.shape[1] for e in eps_arrays]
     vertices, exits, lo = [], [], 0

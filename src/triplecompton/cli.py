@@ -19,6 +19,7 @@ non-convergence or insufficient sampling budget.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -96,21 +97,28 @@ def run_mgbr1968(cfg: ScenarioConfig, out_dir: Path) -> str:
     return report
 
 
-def _grid_rows(w1s, w2s, masked) -> tuple:
-    """The text every table on one grid shares, row by row (omega1 major):
-    the "omega1\tomega2\t" prefixes and the "\tmasked" suffixes."""
-    w2_text = [f"{w2:.10e}" for w2 in w2s.tolist()]
-    prefixes = [f"{w1:.10e}\t{w2}\t" for w1 in w1s.tolist() for w2 in w2_text]
-    suffixes = ["\t1" if m else "\t0" for m in masked.ravel().tolist()]
-    return prefixes, suffixes
+def _grid_template(w1s, w2s, masked, columns, slot: str) -> str:
+    """One grid's table as a %-format template, filled per table by
+    ``template % tuple(values.ravel().tolist())``.
 
-
-def _grid_table(rows: tuple, values, value_name: str) -> str:
-    prefixes, suffixes = rows
-    lines = [f"omega1_mev\tomega2_mev\t{value_name}\tmasked"]
-    lines += [f"{p}{v:.10e}{s}" for p, v, s in
-              zip(prefixes, values.ravel().tolist(), suffixes)]
+    The header names the value columns between the coordinates and the mask
+    flag.  Each row, omega1 major, holds its fixed "omega1\tomega2\t" text,
+    the slot, one format per value column ("%.10e", or for the tau
+    diagnostics "%d" and five "\t%.10e"), and its fixed "\t1" or "\t0"
+    mask flag.  So the values are the only text formatted per table, each
+    cell's values alike, masked or not.
+    """
+    w1_text = [f"{w1:.10e}\t" for w1 in w1s.tolist()]
+    w2_text = [f"{w2:.10e}\t{slot}\t" for w2 in w2s.tolist()]
+    lines = ["\t".join(("omega1_mev", "omega2_mev") + columns + ("masked",))]
+    lines += [f"{w1}{w2}{int(m)}" for (w1, w2), m in zip(
+        itertools.product(w1_text, w2_text), masked.ravel().tolist())]
     return "\n".join(lines) + "\n"
+
+
+# the tau map's solver diagnostics, one row per cell; masked cells read zero
+_DIAGNOSTICS = ("iterations", "certificate_gap", "witness_residual",
+               "primal_residual", "dual_residual", "feasibility_shift")
 
 
 def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
@@ -125,11 +133,12 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
         panels, masked = sigma5_panel_grids(
             setup, cfg.theta_rad, cfg.phi_rad, w1s, w2s, beam,
             cfg.threshold_mev)
-        rows = _grid_rows(w1s, w2s, masked)
+        template = _grid_template(w1s, w2s, masked, ("sigma5_b_mev2_sr3",),
+                                  "%.10e")
         for letter, label in zip(PANEL_LETTERS, PANEL_ORDER):
             name = f"sigma5_panel_{letter}_{label}.dat"
             _write(out_dir / name,
-                   _grid_table(rows, panels[label], "sigma5_b_mev2_sr3"))
+                   template % tuple(panels[label].ravel().tolist()))
             written.append(name)
         boundary = threshold_boundary(setup, cfg.theta_rad, cfg.phi_rad,
                                       w1s, cfg.threshold_mev)
@@ -141,21 +150,20 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
         taus, masked, results = tau_grid(
             setup, cfg.theta_rad, cfg.phi_rad, w1s, w2s, beam,
             cfg.threshold_mev)
-        rows = _grid_rows(w1s, w2s, masked)
-        _write(out_dir / "tau_grid.dat", _grid_table(rows, taus, "tau"))
-        prefixes, suffixes = rows
-        lines = ["omega1_mev\tomega2_mev\titerations\tcertificate_gap"
-                 "\twitness_residual\tprimal_residual\tdual_residual"
-                 "\tfeasibility_shift\tmasked"]
-        for prefix, res, suffix in zip(prefixes, results.ravel(), suffixes):
-            iterations, values = (0, (0.0,) * 5) if res is None else (
-                res.iterations,
-                (res.upper_bound - res.tau, res.witness.max_residual,
-                 res.primal_residual, res.dual_residual,
-                 res.feasibility_shift))
-            lines.append(f"{prefix}{iterations:d}"
-                         + "".join(f"\t{v:.10e}" for v in values) + suffix)
-        _write(out_dir / "tau_diagnostics.dat", "\n".join(lines) + "\n")
+        template = _grid_template(w1s, w2s, masked, ("tau",), "%.10e")
+        _write(out_dir / "tau_grid.dat",
+               template % tuple(taus.ravel().tolist()))
+        diagnostics = np.zeros(results.shape + (len(_DIAGNOSTICS),))
+        for cell, res in np.ndenumerate(results):
+            if res is not None:
+                diagnostics[cell] = (
+                    res.iterations, res.upper_bound - res.tau,
+                    res.witness.max_residual, res.primal_residual,
+                    res.dual_residual, res.feasibility_shift)
+        template = _grid_template(w1s, w2s, masked, _DIAGNOSTICS,
+                                  "%d" + "\t%.10e" * (len(_DIAGNOSTICS) - 1))
+        _write(out_dir / "tau_diagnostics.dat",
+               template % tuple(diagnostics.ravel().tolist()))
         written += ["tau_grid.dat", "tau_diagnostics.dat"]
     _write(out_dir / "metadata.txt",
            _metadata(cfg, f"grid {observable}",
@@ -164,6 +172,8 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
 
 
 def run_totals(cfg: ScenarioConfig, processes, out_dir: Path) -> str:
+    # each named process runs once, in the order first named
+    processes = list(dict.fromkeys(processes))
     setup = _setup_from_config(cfg)
     beams = BeamParameters(cfg.beams_photons_per_pulse,
                            cfg.beams_electrons_per_bunch,
@@ -251,8 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves the parser unchanged, so every call shares one
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         file_values = parse_config_file(args.config) if args.config else {}
         overrides = {"seed": args.seed, "budget": args.budget}

@@ -287,6 +287,6 @@ def threshold_boundary(setup, thetas, phis, omega1_grid,
     rows = np.nonzero((w2 > 0.0) & (w2 < setup.omega_max)
                       & (a * d - b * c < 0.0))[0]
     _, _, _, _, physical, _ = close_batch(
-        setup, np.repeat(th[:, None], rows.size, axis=1),
-        np.repeat(ph[:, None], rows.size, axis=1), w1[rows], w2[rows])
+        setup, np.broadcast_to(th[:, None], (3, rows.size)),
+        np.broadcast_to(ph[:, None], (3, rows.size)), w1[rows], w2[rows])
     return [(float(w1[i]), float(w2[i])) for i in rows[physical]]

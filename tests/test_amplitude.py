@@ -10,7 +10,8 @@ from triplecompton import amplitude as am
 from triplecompton.constants import ELECTRON_MASS_MEV as M
 from triplecompton.kinematics import (CollisionSetup, FinalStateConfig,
                                       _close_arrays, close_final_state)
-from conftest import MGBR_PHIS, MGBR_THETAS, random_physical_configs
+from conftest import (MGBR_PHIS, MGBR_THETAS, XFEL_PHIS, XFEL_THETAS,
+                      random_physical_configs)
 from _oracle import PERMUTATIONS4, naive_total_amplitude, propagator_momenta
 
 
@@ -408,6 +409,39 @@ def test_empty_batch_gives_empty_tensor(rest_setup, n_out, beam_pol):
                                  np.empty((0, 4)), eps)
     n_beam = 2 if beam_pol is None else 1
     assert tensor.shape == (0, n_beam) + (2,) * n_out + (2, 2)
+
+
+@pytest.mark.parametrize("n_out", [1, 2, 3])
+@pytest.mark.parametrize("frame", ["rest", "xfel"])
+def test_shared_polarizations_equal_repeated_bit_for_bit(
+        rest_setup, xfel_setup, frame, n_out):
+    # at fixed detector directions each photon's basis is the same at every
+    # point and goes in once, with a point axis of 1; the kernel broadcasts
+    # it and must give the same bits as the basis repeated at every point
+    setup, thetas, phis = ((rest_setup, MGBR_THETAS, MGBR_PHIS)
+                           if frame == "rest" else
+                           (xfel_setup, XFEL_THETAS, XFEL_PHIS))
+    th, ph = (np.array(a[:n_out])[:, None] for a in (thetas, phis))
+    rng = np.random.default_rng(83)
+    n_pts = 40 if n_out > 1 else 1
+    w = rng.uniform(0.02, 0.4, (n_out - 1, n_pts)) * setup.omega_max
+    _, k_out, p_f, _, physical, _ = _close_arrays(
+        setup, np.broadcast_to(th, (n_out, n_pts)),
+        np.broadcast_to(ph, (n_out, n_pts)), w)
+    k_out, p_f = k_out[:, physical], p_f[physical]
+    if n_out == 1:
+        k_out, p_f = np.repeat(k_out, 7, axis=1), np.repeat(p_f, 7, axis=0)
+    assert p_f.shape[0] >= 7
+    for beam_pol in (None, 1, (0.6, 0.8)):
+        shared = [am.beam_basis_arrays(1, beam_pol)] + [
+            am.outgoing_basis_arrays(t, p) for t, p in zip(th, ph)]
+        for n in (p_f.shape[0], 0):
+            repeated = [np.repeat(e, n, axis=0) for e in shared]
+            got = am.amplitude_tensor(setup, k_out[:, :n], p_f[:n], shared)
+            want = am.amplitude_tensor(setup, k_out[:, :n], p_f[:n],
+                                       repeated)
+            assert got.shape == (n, shared[0].shape[1]) + (2,) * (n_out + 2)
+            assert np.array_equal(got, want)
 
 
 def _currents(setup, n_pts, rng):

@@ -347,6 +347,84 @@ grid.omega2_max_mev = 1300
                              str(int(masked[i, j]))]
 
 
+def test_cli_tau_tables_exact_text(tmp_path, rest_setup):
+    # both tau tables, line by line, against a per-cell rendering of what
+    # tau_grid returns; the grid has masked and unmasked cells, and a masked
+    # cell's diagnostics read 0 and five zeros
+    from triplecompton.entanglement import tau_grid
+    cfg = tmp_path / "tau.cfg"
+    cfg.write_text("""
+scenario = mgbr1968
+theta_rad = 0.5707963267948966, 0.5707963267948966, 0.5707963267948966
+grid.n_omega1 = 3
+grid.n_omega2 = 4
+grid.omega1_min_mev = 0.013
+grid.omega1_max_mev = 0.60
+grid.omega2_min_mev = 0.013
+grid.omega2_max_mev = 0.60
+""")
+    out = tmp_path / "out"
+    assert cli.main(["grid", "--observable", "tau", "--config", str(cfg),
+                     "--out", str(out)]) == cli.EXIT_OK
+    conf = resolve_config(None, parse_config_file(cfg))
+    w1s = np.linspace(0.013, 0.60, 3)
+    w2s = np.linspace(0.013, 0.60, 4)
+    taus, masked, results = tau_grid(
+        rest_setup, conf.theta_rad, conf.phi_rad, w1s, w2s,
+        conf.beam_pol_value(), conf.threshold_mev)
+    assert masked.any() and not masked.all()
+    grid_lines = ["omega1_mev\tomega2_mev\ttau\tmasked"]
+    diag_lines = ["omega1_mev\tomega2_mev\titerations\tcertificate_gap"
+                  "\twitness_residual\tprimal_residual\tdual_residual"
+                  "\tfeasibility_shift\tmasked"]
+    for i, w1 in enumerate(w1s):
+        for j, w2 in enumerate(w2s):
+            res, flag = results[i, j], int(masked[i, j])
+            coords = f"{w1:.10e}\t{w2:.10e}"
+            grid_lines.append(f"{coords}\t{taus[i, j]:.10e}\t{flag}")
+            if res is None:
+                diag = "0" + "\t0.0000000000e+00" * 5
+            else:
+                diag = f"{res.iterations:d}" + "".join(
+                    f"\t{v:.10e}" for v in (
+                        res.upper_bound - res.tau, res.witness.max_residual,
+                        res.primal_residual, res.dual_residual,
+                        res.feasibility_shift))
+            diag_lines.append(f"{coords}\t{diag}\t{flag}")
+    assert (out / "tau_grid.dat").read_text().splitlines() == grid_lines
+    assert (out / "tau_diagnostics.dat").read_text().splitlines() \
+        == diag_lines
+    assert (out / "tau_diagnostics.dat").read_text().endswith("\n")
+
+
+def test_cli_totals_repeated_process_runs_once(tmp_path):
+    out = tmp_path / "totals"
+    assert cli.main(["totals", "--process", "single", "--process", "single",
+                     "--budget", "128", "--seed", "2",
+                     "--out", str(out)]) == cli.EXIT_OK
+    lines = (out / "totals.txt").read_text().splitlines()
+    assert sum(line.startswith("  sigma_single") for line in lines) == 1
+    assert sum(line.startswith("  sampler single") for line in lines) == 1
+    meta = (out / "metadata.txt").read_text().splitlines()
+    assert "command = totals single" in meta
+    assert sum(line.startswith("n_samples_") for line in meta) == 1
+
+
+def test_cli_parser_calls_do_not_share_state(tmp_path, monkeypatch):
+    # main parses with one parser built at import: the process list of one
+    # call must not carry over into the next
+    seen = []
+    monkeypatch.setattr(cli, "run_totals",
+                        lambda cfg, processes, out: seen.append(processes)
+                        or "")
+    for words in (["--process", "triple", "--process", "double"],
+                  ["--process", "single"], []):
+        assert cli.main(["totals", "--out", str(tmp_path)] + words) \
+            == cli.EXIT_OK
+    assert seen == [["triple", "double"], ["single"],
+                    ["single", "double", "triple"]]
+
+
 def test_cli_totals_report(tmp_path):
     out = tmp_path / "totals"
     code = cli.main(["totals", "--process", "single", "--budget", "4096",

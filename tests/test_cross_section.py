@@ -7,7 +7,7 @@ import pytest
 from triplecompton.constants import (ALPHA, ELECTRON_MASS_MEV as M,
                                      HBARC2_MEV2_BARN)
 from triplecompton.cross_section import (PANEL_ORDER, Sigma5Point,
-                                         _tensor_for_points,
+                                         _tensor_for_points, grid_tensor,
                                          sigma5, sigma5_panel_grids,
                                          spin_summed_sigma5,
                                          unpolarized_differential_batch,
@@ -387,6 +387,30 @@ def test_negative_free_energy_raises(rest_setup):
                      lambda: sigma5(rest_setup, cfg)):
         with pytest.raises(ValueError, match="negative"):
             evaluate()
+
+
+@pytest.mark.parametrize("frame", ["rest", "xfel"])
+def test_grid_tensor_equals_repeated_directions_bit_for_bit(
+        rest_setup, xfel_setup, frame):
+    # grid_tensor passes its three directions once, as (3, 1) arrays; the
+    # closure, the kept rows and every amplitude must equal the per-point
+    # evaluation with the directions repeated at every cell
+    if frame == "rest":
+        setup, thetas, phis = rest_setup, MGBR_THETAS, MGBR_PHIS
+        w1s, w2s = np.linspace(0.013, 0.4, 7), np.linspace(0.013, 0.4, 6)
+    else:
+        setup, thetas, phis = xfel_setup, XFEL_THETAS, XFEL_PHIS
+        w1s, w2s = np.linspace(50.0, 1400.0, 7), np.linspace(50.0, 1400.0, 6)
+    n = w1s.size * w2s.size
+    w = np.stack([a.ravel() for a in np.meshgrid(w1s, w2s, indexing="ij")])
+    th = np.repeat(np.array(thetas)[:, None], n, axis=1)
+    ph = np.repeat(np.array(phis)[:, None], n, axis=1)
+    for beam_pol in (1, 2, (0.6, 0.8)):
+        got = grid_tensor(setup, thetas, phis, w1s, w2s, beam_pol, 0.013)
+        want = _tensor_for_points(setup, th, ph, w, 0.013, beam_pol)
+        assert 0 < got[2].sum() < n
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("entry", [
