@@ -124,18 +124,3 @@ def dirac_spinor_bar_batch(p: np.ndarray, mass: float = ELECTRON_MASS_MEV) -> np
     """Rows ubar_1, ubar_2 for momenta (..., 4) -> (..., 2, 4)."""
     cols = dirac_spinor_batch(p, mass)
     return np.einsum('...ar,ab->...rb', cols.conj(), GAMMA0)
-
-
-def propagator_denominator(q: np.ndarray, mass: float = ELECTRON_MASS_MEV
-                           ) -> float:
-    """q^2 - m^2 for one four-vector q, raising :class:`PropagatorPoleError`
-    when its magnitude is below POLE_GUARD * m^2.
-
-    The physical phase space of the photon-splitting processes never
-    reaches the pole, so this only traps malformed input.
-    """
-    denom = minkowski_dot(q, q) - mass * mass
-    if abs(denom) < POLE_GUARD * mass * mass:
-        raise PropagatorPoleError(
-            f"propagator pole: q^2 - m^2 = {denom:.6e} MeV^2")
-    return denom

@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ScenarioConfig, config_lines, \
-    parse_config_file, resolve_config
+from .config import SCENARIO_DEFAULTS, ConfigError, ScenarioConfig, \
+    config_lines, parse_config_file, resolve_config
 from .cross_section import PANEL_LETTERS, PANEL_ORDER, sigma5_panel_grids
 from .entanglement import SolverError, tau_grid
 from .integration import (BeamParameters, BudgetError, detector_average,
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", type=Path, default=None,
                        help="key = value config file")
-        p.add_argument("--scenario", choices=("mgbr1968", "xfel", "custom"),
+        p.add_argument("--scenario", choices=tuple(SCENARIO_DEFAULTS),
                        default=None, help="named defaults to start from")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--budget", type=int, default=None,

@@ -7,7 +7,7 @@ flags override file values, which override the named scenario's defaults.
 
 Schema (all keys optional once a scenario is chosen):
 
-    scenario = mgbr1968 | xfel | custom
+    scenario = mgbr1968 | xfel
     e_i_mev, omega0_mev                 -- beam energies
     theta_rad, phi_rad                  -- three detector angles each
     solid_angle_sr                      -- averaging window per detector
@@ -84,7 +84,6 @@ class ScenarioConfig:
 # which are the mgbr1968 scenario.
 SCENARIO_DEFAULTS = {
     "mgbr1968": {},
-    "custom": {},
     "xfel": dict(
         e_i_mev=5000.0,
         omega0_mev=0.001,

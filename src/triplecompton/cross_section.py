@@ -19,23 +19,13 @@ integrators always see an already-regularized integrand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import amplitude as amp
 from .algebra import check_labels
 from .constants import ALPHA, HBARC2_MEV2_BARN
-from .kinematics import CollisionSetup, FinalStateConfig, _close_arrays
-
-
-@dataclass(frozen=True)
-class Sigma5Point:
-    """sigma5 at one fully resolved phase-space point, in b MeV^-2 sr^-3."""
-
-    value: float
-    physical: bool
-    cfg: FinalStateConfig
+from .kinematics import CollisionSetup, _close_arrays
 
 
 def prefactor(n_out: int, mass: float) -> float:
@@ -45,15 +35,17 @@ def prefactor(n_out: int, mass: float) -> float:
             / mass ** (2 * (n_out - 1)))
 
 
-def sigma5(setup: CollisionSetup, cfg: FinalStateConfig,
-           threshold_eps: float = 0.0, beam_pol=1) -> Sigma5Point:
-    """Five-fold differential cross section at one spin/polarization point."""
-    tensor, kin, _, physical = grid_tensor(
-        setup, cfg.thetas, cfg.phis, [cfg.omega1], [cfg.omega2], beam_pol,
-        threshold_eps)
-    i, j, l = (lab - 1 for lab in cfg.pols)
-    m = tensor[0, 0, i, j, l, cfg.r_i - 1, cfg.r_f - 1]
-    return Sigma5Point(float(abs(m) ** 2 * kin[0]), bool(physical[0]), cfg)
+def sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
+           beam_pol=1, final_pols=(1, 1, 1), r_i: int = 1, r_f: int = 1,
+           threshold_eps: float = 0.0) -> float:
+    """Five-fold differential cross section (b MeV^-2 sr^-3) at one
+    spin/polarization point: the matching cell of a one-point
+    :func:`grid_tensor`."""
+    check_labels(*final_pols, r_i, r_f)
+    tensor, kin, _, _ = grid_tensor(setup, thetas, phis, [omega1], [omega2],
+                                    beam_pol, threshold_eps)
+    i, j, l = (lab - 1 for lab in final_pols)
+    return float(abs(tensor[0, 0, i, j, l, r_i - 1, r_f - 1]) ** 2 * kin[0])
 
 
 def spin_summed_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
@@ -70,9 +62,9 @@ def spin_summed_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
 def unpolarized_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
                        threshold_eps: float = 0.0) -> float:
     """(1/4) sum over electron spins, beam basis and final polarizations."""
-    value = unpolarized_sigma5_batch(
+    value = unpolarized_differential_batch(
         setup, np.array([[t] for t in thetas]), np.array([[p] for p in phis]),
-        np.array([omega1]), np.array([omega2]), threshold_eps)
+        np.array([[omega1], [omega2]], float), threshold_eps)
     return float(value[0])
 
 
@@ -157,6 +149,8 @@ def grid_tensor(setup, thetas, phis, omega1_grid, omega2_grid, beam_pol,
                               threshold_eps, beam_pol)
 
 
+# no caller in the package: kept while perfbench/tracing.py patches it as
+# bound in integration
 def unpolarized_sigma5_batch(setup, thetas, phis, omega1, omega2,
                              threshold_eps: float = 0.0) -> np.ndarray:
     """(1/4) sum_{spins, pols} sigma5 on arrays thetas/phis (3, N), omega (N,)."""

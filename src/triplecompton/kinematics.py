@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import check_labels
 from .constants import ELECTRON_MASS_MEV
 
 
@@ -90,67 +89,6 @@ class CollisionSetup:
         den = self.e_minus_p + 2.0 * self.omega0_mev \
             if self.p_abs > self.omega0_mev else self.e_i_mev + self.p_abs
         return self.flux / den
-
-
-@dataclass(frozen=True)
-class FinalStateConfig:
-    """Angles, free energies, polarization labels and spins for one point.
-
-    Photon 3's energy is always derived from conservation, so only omega1 and
-    omega2 are stored.
-    """
-
-    thetas: tuple
-    phis: tuple
-    omega1: float
-    omega2: float
-    pols: tuple = (1, 1, 1)
-    r_i: int = 1
-    r_f: int = 1
-
-    def __post_init__(self):
-        if len(self.thetas) != 3 or len(self.phis) != 3:
-            raise ValueError("need three detector directions")
-        check_labels(*self.pols, self.r_i, self.r_f)
-
-
-@dataclass(frozen=True)
-class ClosedFinalState:
-    """All final four-momenta ((4,) arrays) plus the recoil Jacobian and
-    physical flag."""
-
-    k1: np.ndarray
-    k2: np.ndarray
-    k3: np.ndarray
-    p_f: np.ndarray
-    omega3: float
-    K: float
-    physical: bool
-
-    @property
-    def e_f(self) -> float:
-        return float(self.p_f[0])
-
-    @property
-    def photons(self) -> tuple:
-        return (self.k1, self.k2, self.k3)
-
-
-def close_final_state(setup: CollisionSetup,
-                      cfg: FinalStateConfig) -> ClosedFinalState:
-    """Construct all final momenta from angles and (omega1, omega2).
-
-    physical = (omega3 > 0) and (E_f >= m), and False where the closure
-    denominator vanishes (a physically unreachable direction).  Conservation
-    holds by construction; p_f lands on-shell to the accuracy of the
-    closure.
-    """
-    th, ph = np.asarray(cfg.thetas, float), np.asarray(cfg.phis, float)
-    w12 = np.array([cfg.omega1, cfg.omega2])
-    w3, kvecs, p_f, kfac, physical, _ = _close_arrays(
-        setup, th[:, None], ph[:, None], w12[:, None])
-    return ClosedFinalState(kvecs[0, 0], kvecs[1, 0], kvecs[2, 0], p_f[0],
-                            float(w3[0]), float(kfac[0]), bool(physical[0]))
 
 
 # ---------------------------------------------------------------------------

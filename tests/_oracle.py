@@ -12,11 +12,28 @@ over orders, so agreement between the two checks the regrouping.
 """
 import itertools
 
-from triplecompton.algebra import (IDENTITY4, dirac_spinor_bar_batch,
-                                   dirac_spinor_batch,
-                                   propagator_denominator, slash_batch)
+from triplecompton.algebra import (IDENTITY4, POLE_GUARD,
+                                   PropagatorPoleError,
+                                   dirac_spinor_bar_batch,
+                                   dirac_spinor_batch, minkowski_dot,
+                                   slash_batch)
+from triplecompton.constants import ELECTRON_MASS_MEV
 
 PERMUTATIONS4 = tuple(itertools.permutations(range(4)))
+
+
+def propagator_denominator(q, mass=ELECTRON_MASS_MEV) -> float:
+    """q^2 - m^2 for one four-vector q, raising :class:`PropagatorPoleError`
+    when its magnitude is below POLE_GUARD * m^2.
+
+    The physical phase space of the photon-splitting processes never
+    reaches the pole, so this only traps malformed input.
+    """
+    denom = minkowski_dot(q, q) - mass * mass
+    if abs(denom) < POLE_GUARD * mass * mass:
+        raise PropagatorPoleError(
+            f"propagator pole: q^2 - m^2 = {denom:.6e} MeV^2")
+    return denom
 
 
 def propagator_momenta(xi, setup, photons) -> tuple:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from triplecompton.kinematics import CollisionSetup
+from triplecompton.kinematics import CollisionSetup, _close_arrays
 
 MGBR_THETAS = (math.pi / 2, math.pi / 2, math.pi / 2)
 MGBR_PHIS = (2 * math.pi / 3, 4 * math.pi / 3, 0.0)
@@ -28,15 +28,25 @@ def xfel_setup():
     return CollisionSetup(5000.0, 0.001)
 
 
+def close_point(setup, thetas, phis, omega1, omega2):
+    """kinematics._close_arrays at one triple-photon point: (photons, p_f,
+    omega3, K, physical), photons a tuple of three (4,) momenta."""
+    w3, k, p_f, kfac, physical, _ = _close_arrays(
+        setup, np.array(thetas, float)[:, None],
+        np.array(phis, float)[:, None], np.array([[omega1], [omega2]], float))
+    return tuple(k[:, 0]), p_f[0], float(w3[0]), float(kfac[0]), \
+        bool(physical[0])
+
+
 def random_physical_configs(setup, rng, n, omega_lo_frac=0.02,
                             omega_hi_frac=0.45):
-    """Rejection-sample physical triple-photon configurations.
+    """Rejection-sample physical triple-photon configurations as pairs
+    ((thetas, phis, omega1, omega2), (photons, p_f, omega3, K)), the second
+    from :func:`close_point`.
 
     For a relativistic incoming electron, hard photons only live in the
     backscatter cone of opening ~ m/E_i, so angles are drawn there.
     """
-    from triplecompton.kinematics import FinalStateConfig, close_final_state
-
     boosted = setup.e_i_mev / setup.mass > 100.0
     out = []
     wmax = setup.omega_max
@@ -48,8 +58,7 @@ def random_physical_configs(setup, rng, n, omega_lo_frac=0.02,
             thetas = tuple(np.arccos(rng.uniform(-1, 1, 3)))
         phis = tuple(rng.uniform(0, 2 * math.pi, 3))
         w1, w2 = rng.uniform(omega_lo_frac * wmax, omega_hi_frac * wmax, 2)
-        cfg = FinalStateConfig(thetas=thetas, phis=phis, omega1=w1, omega2=w2)
-        state = close_final_state(setup, cfg)
-        if state.physical:
-            out.append((cfg, state))
+        *closed, physical = close_point(setup, thetas, phis, w1, w2)
+        if physical:
+            out.append(((thetas, phis, w1, w2), tuple(closed)))
     return out

@@ -28,8 +28,7 @@ from triplecompton.entanglement import (density_from_amplitudes, ghz_state,
                                         tau_grid, w_state)
 from triplecompton.integration import (BeamParameters, detector_average,
                                        event_rate, total_cross_section)
-from triplecompton.kinematics import (CollisionSetup, FinalStateConfig,
-                                      close_batch, close_final_state)
+from triplecompton.kinematics import CollisionSetup, close_batch
 from conftest import (MGBR_PHIS, MGBR_THETAS, XFEL_PHIS, XFEL_THETAS,
                       random_physical_configs)
 from test_entanglement import W_STATE_TAU_REFERENCE, XFEL_RIDGE_TAU_REFERENCE
@@ -87,25 +86,24 @@ def test_criterion_02_klein_nishina_oracle():
     assert diff <= allowance
 
 
-def _ward_ratio(setup, cfg, state):
+def _ward_ratio(setup, point, closed):
+    photons, p_f = closed[:2]
     beam = am.beam_basis_arrays(1)[0]
-    outgoing = am.outgoing_basis_arrays(np.array(cfg.thetas),
-                                        np.array(cfg.phis))
-    eps = [beam[0]] + [outgoing[j, lab - 1] for j, lab in enumerate(cfg.pols)]
+    outgoing = am.outgoing_basis_arrays(np.array(point[0]),
+                                        np.array(point[1]))
+    eps = [beam[0]] + [outgoing[j, 0] for j in range(3)]
     scale = 0.0
     for labels in ((1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1),
                    (1, 1, 1, 2), (2, 2, 2, 2)):
         basis = [beam[labels[0] - 1]]
         basis += [outgoing[j, lab - 1] for j, lab in enumerate(labels[1:])]
-        scale = max(scale, abs(am.point_amplitude(
-            setup, state.photons, state.p_f, tuple(basis), cfg.r_i,
-            cfg.r_f)))
+        scale = max(scale, abs(am.point_amplitude(setup, photons, p_f,
+                                                  tuple(basis))))
     worst = 0.0
-    for j, k in enumerate((setup.k_0,) + state.photons):
+    for j, k in enumerate((setup.k_0,) + photons):
         gauge = list(eps)
         gauge[j] = k
-        amp = am.point_amplitude(setup, state.photons, state.p_f,
-                                 tuple(gauge), cfg.r_i, cfg.r_f)
+        amp = am.point_amplitude(setup, photons, p_f, tuple(gauge))
         worst = max(worst, abs(amp) / scale)
     return worst
 
@@ -113,21 +111,20 @@ def _ward_ratio(setup, cfg, state):
 def test_criterion_03_ward_identity(rest_setup, xfel_setup):
     rng = np.random.default_rng(303)
     worst = 0.0
-    for cfg, state in random_physical_configs(rest_setup, rng, 100):
-        worst = max(worst, _ward_ratio(rest_setup, cfg, state))
+    for point, closed in random_physical_configs(rest_setup, rng, 100):
+        worst = max(worst, _ward_ratio(rest_setup, point, closed))
     # backscatter kinematics amplify double-precision rounding beyond 1e-9,
     # so the gauge cancellation there is verified in software precision
     from _highprec import amplitude_pair
 
     worst_back = 0.0
-    for cfg, state in random_physical_configs(xfel_setup, rng, 5):
+    for point, _ in random_physical_configs(xfel_setup, rng, 5):
         base, _, _, _, _ = amplitude_pair(
-            xfel_setup.e_i_mev, xfel_setup.omega0_mev, cfg.thetas,
-            cfg.phis, cfg.omega1, cfg.omega2, cfg.pols, 1, 1, 1, dps=40)
-        gauge, _, _, _, _ = amplitude_pair(
-            xfel_setup.e_i_mev, xfel_setup.omega0_mev, cfg.thetas,
-            cfg.phis, cfg.omega1, cfg.omega2, cfg.pols, "momentum",
+            xfel_setup.e_i_mev, xfel_setup.omega0_mev, *point, (1, 1, 1), 1,
             1, 1, dps=40)
+        gauge, _, _, _, _ = amplitude_pair(
+            xfel_setup.e_i_mev, xfel_setup.omega0_mev, *point, (1, 1, 1),
+            "momentum", 1, 1, dps=40)
         worst_back = max(worst_back,
                          abs(complex(gauge)) / abs(complex(base)))
     ok = worst <= 1e-9 and worst_back <= 1e-9
@@ -155,14 +152,13 @@ def test_criterion_04_infrared_scaling(rest_setup):
 
 
 def test_criterion_05_collinear_null(rest_setup):
-    collinear = sigma5(rest_setup, FinalStateConfig(
-        (1e-9, 1e-9, 1e-9), (0.0, 2.1, 4.2), omega1=0.12, omega2=0.2))
-    nearby = sigma5(rest_setup, FinalStateConfig(
-        (0.4, 0.4, 0.4), (0.0, 2.1, 4.2), omega1=0.12, omega2=0.2))
-    ratio = collinear.value / nearby.value
-    ok = nearby.value > 0 and ratio <= 1e-12
+    collinear = sigma5(rest_setup, (1e-9, 1e-9, 1e-9), (0.0, 2.1, 4.2),
+                       0.12, 0.2)
+    nearby = sigma5(rest_setup, (0.4, 0.4, 0.4), (0.0, 2.1, 4.2), 0.12, 0.2)
+    ratio = collinear / nearby
+    ok = nearby > 0 and ratio <= 1e-12
     report(5, ok, f"sigma5(collinear)/sigma5(nearby) = {ratio:.1e}")
-    assert nearby.value > 0
+    assert nearby > 0
     assert ratio <= 1e-12
 
 
@@ -204,20 +200,28 @@ def test_criterion_07_entanglement_calibration():
     assert residual <= 1e-6
 
 
-def test_criterion_08_tau_grid_qualitative(xfel_setup):
-    omegas1 = np.linspace(60.0, 1300.0, 12)
-    omegas2 = np.linspace(60.0, 1300.0, 12)
+RIDGE_GRID = np.linspace(60.0, 1300.0, 12)
+
+
+@pytest.fixture(scope="module")
+def ridge_map(xfel_setup):
+    """Criterion 8's 12x12 tau map across the collider ridge, (taus,
+    masked, results), plus the ridge peak's state and its gme_tau result:
+    the coarse grid undersamples the high-entanglement ridge, whose peak a
+    fine minimum-negativity scan located."""
     taus, masked, results = tau_grid(xfel_setup, XFEL_THETAS, XFEL_PHIS,
-                                     omegas1, omegas2, beam_pol=1,
+                                     RIDGE_GRID, RIDGE_GRID, beam_pol=1,
                                      threshold_eps=50.0)
+    ridge = density_from_amplitudes(xfel_setup, XFEL_THETAS, XFEL_PHIS,
+                                    693.0, 413.0, beam_pol=1)
+    return taus, masked, results, ridge, gme_tau(ridge)
+
+
+def test_criterion_08_tau_grid_qualitative(ridge_map):
+    taus, masked, results, ridge, res = ridge_map
     values = taus[~masked]
     grid_gap = max(r.upper_bound - r.tau for r in results[~masked])
     frac_entangled = float((values > 0.01).mean())
-    # the coarse grid undersamples the high-entanglement ridge; include its
-    # peak (located by a fine minimum-negativity scan) in the maximum
-    ridge = density_from_amplitudes(xfel_setup, XFEL_THETAS, XFEL_PHIS,
-                                    693.0, 413.0, beam_pol=1)
-    res = gme_tau(ridge)
     gap = res.upper_bound - res.tau
     residual = res.witness.max_residual
     tau_max = max(float(values.max()), res.tau)
@@ -241,6 +245,32 @@ def test_criterion_08_tau_grid_qualitative(xfel_setup):
     assert residual <= 1e-6
     assert tau_max == pytest.approx(XFEL_RIDGE_TAU_REFERENCE, abs=1e-4)
     assert negativity_bound < 0.45
+
+
+def test_criterion_08_certificates_cross_check(xfel_setup, ridge_map):
+    # the witness program's constraints do not depend on the state, so every
+    # cell's witness W_j is feasible for every state rho_i, and
+    # -tr(W_j rho_i) <= tau_i <= upper_bound_i must hold for each pair
+    _, masked, results, ridge, res = ridge_map
+    cells = np.argwhere(~masked)
+    states = [density_from_amplitudes(xfel_setup, XFEL_THETAS, XFEL_PHIS,
+                                      RIDGE_GRID[i], RIDGE_GRID[j],
+                                      beam_pol=1) for i, j in cells]
+    states.append(ridge)
+    results = list(results[~masked]) + [res]
+    witnesses = np.stack([r.witness.matrix for r in results])
+    upper = np.array([r.upper_bound for r in results])
+    taus = np.array([r.tau for r in results])
+    # lower[i, j] = -tr(W_j rho_i), both real symmetric
+    lower = -np.einsum("jab,iab->ij", witnesses, np.stack(states))
+    excess = lower - upper[:, None]
+    beaten = lower.max(axis=1) - taus
+    report(8, excess.max() <= 1e-12,
+           f"{len(states)}^2 witness/state pairs: worst -tr(W_j rho_i) - "
+           f"upper_bound_i = {excess.max():.1e}, best foreign witness "
+           f"beats a cell's own tau by {beaten.max():.1e}")
+    assert len(states) >= 80
+    assert excess.max() <= 1e-12
 
 
 def test_criterion_09_determinism(tmp_path):

@@ -8,10 +8,9 @@ import pytest
 from triplecompton import algebra as al
 from triplecompton import amplitude as am
 from triplecompton.constants import ELECTRON_MASS_MEV as M
-from triplecompton.kinematics import (CollisionSetup, FinalStateConfig,
-                                      _close_arrays, close_final_state)
+from triplecompton.kinematics import CollisionSetup, _close_arrays
 from conftest import (MGBR_PHIS, MGBR_THETAS, XFEL_PHIS, XFEL_THETAS,
-                      random_physical_configs)
+                      close_point, random_physical_configs)
 from _oracle import PERMUTATIONS4, naive_total_amplitude, propagator_momenta
 
 
@@ -24,18 +23,19 @@ def _eps(theta, phi, label):
                                     np.asarray(phi))[label - 1]
 
 
-def _args(setup, cfg, state, beam_label=1):
-    """point_amplitude's arguments at a closed state with cfg's labels."""
-    eps = [_beam_eps(beam_label)] + [
-        _eps(t, p, lab) for t, p, lab in zip(cfg.thetas, cfg.phis, cfg.pols)]
-    return setup, state.photons, state.p_f, tuple(eps), cfg.r_i, cfg.r_f
+def _args(setup, point, closed, labels=(1, 1, 1, 1), r_i=1, r_f=1):
+    """point_amplitude's arguments at a point and its closure (photons,
+    p_f, ...), polarization labels beam first."""
+    thetas, phis = point[:2]
+    eps = [_beam_eps(labels[0])] + [
+        _eps(t, p, lab) for t, p, lab in zip(thetas, phis, labels[1:])]
+    return setup, closed[0], closed[1], tuple(eps), r_i, r_f
 
 
 @pytest.fixture(scope="module")
 def sample_point(rest_setup):
-    cfg = FinalStateConfig(thetas=(1.2, 2.0, 0.9), phis=(0.4, 2.5, 4.4),
-                           omega1=0.1, omega2=0.15)
-    return cfg, close_final_state(rest_setup, cfg)
+    point = ((1.2, 2.0, 0.9), (0.4, 2.5, 4.4), 0.1, 0.15)
+    return point, close_point(rest_setup, *point)[:4]
 
 
 def test_permutation_count():
@@ -44,47 +44,41 @@ def test_permutation_count():
 
 
 def test_propagator_momenta_identity_order(rest_setup, sample_point):
-    cfg, state = sample_point
-    q1, q2, q3 = propagator_momenta((0, 1, 2, 3), rest_setup, state.photons)
+    _, (photons, _, _, _) = sample_point
+    q1, q2, q3 = propagator_momenta((0, 1, 2, 3), rest_setup, photons)
     p_i, k0 = rest_setup.p_i, rest_setup.k_0
     assert np.allclose(q1, p_i + k0)
-    assert np.allclose(q2, p_i + k0 - state.k1)
-    assert np.allclose(q3, p_i + k0 - state.k1 - state.k2)
+    assert np.allclose(q2, p_i + k0 - photons[0])
+    assert np.allclose(q3, p_i + k0 - photons[0] - photons[1])
 
 
 def test_propagator_momenta_emission_first(rest_setup, sample_point):
-    cfg, state = sample_point
-    q1, _, _ = propagator_momenta((1, 0, 2, 3), rest_setup, state.photons)
-    assert np.allclose(q1, rest_setup.p_i - state.k1)
+    _, (photons, _, _, _) = sample_point
+    q1, _, _ = propagator_momenta((1, 0, 2, 3), rest_setup, photons)
+    assert np.allclose(q1, rest_setup.p_i - photons[0])
 
 
 def test_momentum_closure_every_permutation(rest_setup, sample_point):
-    cfg, state = sample_point
-    ks = (rest_setup.k_0,) + state.photons
+    _, (photons, p_f, _, _) = sample_point
+    ks = (rest_setup.k_0,) + photons
     for xi in PERMUTATIONS4:
-        q3 = propagator_momenta(xi, rest_setup, state.photons)[2]
+        q3 = propagator_momenta(xi, rest_setup, photons)[2]
         last = ks[xi[3]]
         q4 = q3 + last if xi[3] == 0 else q3 - last
-        assert np.abs(q4 - state.p_f).max() < 1e-12
+        assert np.abs(q4 - p_f).max() < 1e-12
 
 
-def _max_basis_amplitude(setup, cfg, state):
-    best = 0.0
-    for labels in itertools.product((1, 2), repeat=4):
-        eps = [_beam_eps(labels[0])] + [
-            _eps(t, p, lab)
-            for t, p, lab in zip(cfg.thetas, cfg.phis, labels[1:])]
-        amp = am.point_amplitude(setup, state.photons, state.p_f,
-                                 tuple(eps), cfg.r_i, cfg.r_f)
-        best = max(best, abs(amp))
-    return best
+def _max_basis_amplitude(setup, point, closed):
+    return max(abs(am.point_amplitude(*_args(setup, point, closed, labels)))
+               for labels in itertools.product((1, 2), repeat=4))
 
 
 def test_ward_identity(rest_setup):
     rng = np.random.default_rng(21)
-    for cfg, state in random_physical_configs(rest_setup, rng, 5):
-        setup, photons, p_f, base, r_i, r_f = _args(rest_setup, cfg, state)
-        scale = _max_basis_amplitude(rest_setup, cfg, state)
+    for point, closed in random_physical_configs(rest_setup, rng, 5):
+        setup, photons, p_f, base, r_i, r_f = _args(rest_setup, point,
+                                                    closed)
+        scale = _max_basis_amplitude(rest_setup, point, closed)
         ks = (rest_setup.k_0,) + photons
         for j in range(4):
             eps = list(base)
@@ -96,18 +90,16 @@ def test_ward_identity(rest_setup):
 
 def test_bose_symmetry_full_permutations(rest_setup):
     rng = np.random.default_rng(22)
-    cfg, state = random_physical_configs(rest_setup, rng, 1)[0]
-    outgoing = [(state.k1, cfg.thetas[0], cfg.phis[0], 1),
-                (state.k2, cfg.thetas[1], cfg.phis[1], 2),
-                (state.k3, cfg.thetas[2], cfg.phis[2], 1)]
+    (thetas, phis, _, _), (photons, p_f, _, _) = random_physical_configs(
+        rest_setup, rng, 1)[0]
+    outgoing = list(zip(photons, thetas, phis, (1, 2, 1)))
     eps0 = _beam_eps(1)
 
     def amp_for(order):
         eps = [eps0] + [_eps(t, p, lab) for _, t, p, lab in order]
         # photons and their polarizations permuted coherently
         ks = tuple(k for k, *_ in order)
-        return am.point_amplitude(rest_setup, ks, state.p_f, tuple(eps),
-                                  cfg.r_i, cfg.r_f)
+        return am.point_amplitude(rest_setup, ks, p_f, tuple(eps))
 
     reference = None
     for order in itertools.permutations(outgoing):
@@ -120,16 +112,16 @@ def test_bose_symmetry_full_permutations(rest_setup):
 def test_dual_path_agreement(rest_setup, xfel_setup):
     rng = np.random.default_rng(23)
     # benign kinematics: the two strategies agree at double precision
-    for cfg, state in random_physical_configs(rest_setup, rng, 4):
-        args = _args(rest_setup, cfg, state)
+    for point, closed in random_physical_configs(rest_setup, rng, 4):
+        args = _args(rest_setup, point, closed)
         fast = am.point_amplitude(*args)
         slow = naive_total_amplitude(*args)
         assert fast == pytest.approx(slow, rel=1e-12)
     # backscatter kinematics amplify rounding by the internal cancellation
     # (up to ~1e9); double precision only supports a loose mutual bound here,
     # the strict 1e-12 comparison runs in software precision below
-    for cfg, state in random_physical_configs(xfel_setup, rng, 3):
-        args = _args(xfel_setup, cfg, state)
+    for point, closed in random_physical_configs(xfel_setup, rng, 3):
+        args = _args(xfel_setup, point, closed)
         fast = am.point_amplitude(*args)
         slow = naive_total_amplitude(*args)
         assert fast == pytest.approx(slow, rel=1e-5)
@@ -139,45 +131,42 @@ def test_dual_path_high_precision_backscatter(xfel_setup):
     from _highprec import amplitude_pair
 
     rng = np.random.default_rng(29)
-    for cfg, state in random_physical_configs(xfel_setup, rng, 2):
+    for point, (_, p_f, omega3, _) in random_physical_configs(xfel_setup,
+                                                              rng, 2):
         fast, slow, w3, e_f, _ = amplitude_pair(
-            xfel_setup.e_i_mev, xfel_setup.omega0_mev, cfg.thetas, cfg.phis,
-            cfg.omega1, cfg.omega2, cfg.pols, 1, cfg.r_i, cfg.r_f)
+            xfel_setup.e_i_mev, xfel_setup.omega0_mev, *point, (1, 1, 1), 1,
+            1, 1)
         assert abs(complex(fast - slow)) <= 1e-12 * abs(complex(fast))
         # the mp closure is an independent oracle for the float64 one
-        assert float(w3) == pytest.approx(state.omega3, rel=1e-9)
-        assert float(e_f) == pytest.approx(state.e_f, rel=1e-12)
+        assert float(w3) == pytest.approx(omega3, rel=1e-9)
+        assert float(e_f) == pytest.approx(p_f[0], rel=1e-12)
 
 
 def test_tensor_path_matches_scalar(rest_setup, sample_point):
-    cfg, state = sample_point
-    th = np.array([[t] for t in cfg.thetas])
-    ph = np.array([[p] for p in cfg.phis])
+    point, closed = sample_point
+    th = np.array([[t] for t in point[0]])
+    ph = np.array([[p] for p in point[1]])
     w3, k_out, p_f, K, phys, _ = _close_arrays(
-        rest_setup, th, ph, np.array([[cfg.omega1], [cfg.omega2]]))
+        rest_setup, th, ph, np.array([[point[2]], [point[3]]]))
     eps_arrays = [am.beam_basis_arrays(1)] + [
         am.outgoing_basis_arrays(th[j], ph[j]) for j in range(3)]
     tensor = am.amplitude_tensor(rest_setup, k_out, p_f, eps_arrays)
     for labels in itertools.product((1, 2), repeat=4):
         for r_i, r_f in itertools.product((1, 2), repeat=2):
-            cfg2 = FinalStateConfig(cfg.thetas, cfg.phis, cfg.omega1,
-                                    cfg.omega2, labels[1:], r_i, r_f)
-            oracle = naive_total_amplitude(*_args(rest_setup, cfg2, state,
-                                                  labels[0]))
+            oracle = naive_total_amplitude(*_args(rest_setup, point, closed,
+                                                  labels, r_i, r_f))
             indexed = tensor[0, labels[0] - 1, labels[1] - 1,
                              labels[2] - 1, labels[3] - 1, r_i - 1, r_f - 1]
             assert indexed == pytest.approx(oracle, rel=1e-12)
 
 
 def test_squared_sum_is_real_nonnegative(rest_setup, sample_point):
-    cfg, state = sample_point
+    point, closed = sample_point
     total = 0.0
     for labels in itertools.product((1, 2), repeat=4):
         for r_i, r_f in itertools.product((1, 2), repeat=2):
-            cfg2 = FinalStateConfig(cfg.thetas, cfg.phis, cfg.omega1,
-                                    cfg.omega2, labels[1:], r_i, r_f)
-            amp = am.point_amplitude(*_args(rest_setup, cfg2, state,
-                                            labels[0]))
+            amp = am.point_amplitude(*_args(rest_setup, point, closed,
+                                            labels, r_i, r_f))
             total += abs(amp) ** 2
     assert total > 0.0
 
@@ -225,14 +214,14 @@ def test_double_compton_gauge_and_bose(rest_setup):
 
 
 def test_scalar_api_typed_errors(rest_setup, sample_point):
-    cfg, state = sample_point
+    point, closed = sample_point
     k1, p_f, _, _ = _single_closure(rest_setup, 1.1, 0.7)
     eps_in = _beam_eps(1)
     eps_out = _eps(1.1, 0.7, 1)
     off_shell = np.array([5.0, 0.0, 0.0, 1.0])
     with pytest.raises(al.OffShellError):
         am.point_amplitude(rest_setup, (k1,), off_shell, (eps_in, eps_out))
-    setup, photons, _, eps, r_i, r_f = _args(rest_setup, cfg, state)
+    setup, photons, p_f3, eps, r_i, r_f = _args(rest_setup, point, closed)
     with pytest.raises(al.OffShellError):
         am.point_amplitude(setup, photons, off_shell, eps, r_i, r_f)
     # a zero-momentum photon puts the internal line p_i - k on the pole
@@ -246,8 +235,8 @@ def test_scalar_api_typed_errors(rest_setup, sample_point):
                                r_i=r_i)
     # the kernel checks its own denominators, so a batch with one such
     # point raises too
-    photons = np.stack([state.photons, (np.zeros(4), k2, k3)], axis=1)
-    p_fs = np.stack([state.p_f, p_f2])
+    photons = np.stack([photons, (np.zeros(4), k2, k3)], axis=1)
+    p_fs = np.stack([p_f3, p_f2])
     basis = [am.beam_basis_arrays(2)] + 3 * [np.tile(eps[1], (2, 1, 1))]
     with pytest.raises(al.PropagatorPoleError):
         am.amplitude_tensor(setup, photons, p_fs, basis)
@@ -260,12 +249,12 @@ def test_point_amplitude_at_high_energy(e_i):
     # shell, and closed p_f up to 1.1e-6 m^2 (1 TeV)
     setup = CollisionSetup(e_i, 0.001)
     rng = np.random.default_rng(1)
-    for cfg, state in random_physical_configs(setup, rng, 3):
-        args = _args(setup, cfg, state)
+    for point, closed in random_physical_configs(setup, rng, 3):
+        args = _args(setup, point, closed)
         amp = am.point_amplitude(*args)
         assert np.isfinite(amp) and amp != 0
-    off_shell = state.p_f.copy()
-    off_shell[0] = math.sqrt(state.p_f[0] ** 2 + 0.1 * M * M)
+    off_shell = args[2].copy()
+    off_shell[0] = math.sqrt(args[2][0] ** 2 + 0.1 * M * M)
     with pytest.raises(al.OffShellError):
         am.point_amplitude(*args[:2], off_shell, *args[3:])
 
@@ -273,11 +262,11 @@ def test_point_amplitude_at_high_energy(e_i):
 def test_beam_vector_linearity(rest_setup, sample_point):
     # the amplitude is linear in the beam polarization vector, so the beam's
     # own vector in the kernel combines the two basis amplitudes
-    cfg, state = sample_point
-    th = np.array([[t] for t in cfg.thetas])
-    ph = np.array([[p] for p in cfg.phis])
+    point, _ = sample_point
+    th = np.array([[t] for t in point[0]])
+    ph = np.array([[p] for p in point[1]])
     _, k_out, p_f, _, _, _ = _close_arrays(
-        rest_setup, th, ph, np.array([[cfg.omega1], [cfg.omega2]]))
+        rest_setup, th, ph, np.array([[point[2]], [point[3]]]))
     outgoing = [am.outgoing_basis_arrays(th[j], ph[j]) for j in range(3)]
     tensor = am.amplitude_tensor(rest_setup, k_out, p_f,
                                  [am.beam_basis_arrays(1)] + outgoing)

@@ -6,17 +6,17 @@ import pytest
 
 from triplecompton.constants import (ALPHA, ELECTRON_MASS_MEV as M,
                                      HBARC2_MEV2_BARN)
-from triplecompton.cross_section import (PANEL_ORDER, Sigma5Point,
-                                         _tensor_for_points, grid_tensor,
+from triplecompton.cross_section import (PANEL_ORDER, _tensor_for_points,
+                                         grid_tensor,
                                          sigma5, sigma5_panel_grids,
                                          spin_summed_sigma5,
                                          unpolarized_differential_batch,
                                          unpolarized_sigma5,
                                          unpolarized_sigma5_batch)
-from triplecompton.kinematics import (CollisionSetup, FinalStateConfig,
-                                      close_batch, close_final_state,
+from triplecompton.kinematics import (CollisionSetup, close_batch,
                                       threshold_boundary)
-from conftest import MGBR_PHIS, MGBR_THETAS, XFEL_PHIS, XFEL_THETAS
+from conftest import (MGBR_PHIS, MGBR_THETAS, XFEL_PHIS, XFEL_THETAS,
+                      close_point)
 
 
 def klein_nishina_dcs(omega0, theta):
@@ -76,23 +76,17 @@ def test_forward_limit_is_classical_radius():
 
 
 def test_collinear_null(rest_setup):
-    tiny = sigma5(rest_setup,
-                  FinalStateConfig((1e-8, 1e-8, 1e-8), (0.0, 2.0, 4.0),
-                                   omega1=0.1, omega2=0.2))
-    nearby = sigma5(rest_setup,
-                    FinalStateConfig((0.3, 0.3, 0.3), (0.0, 2.0, 4.0),
-                                     omega1=0.1, omega2=0.2))
-    assert nearby.value > 0
-    assert tiny.value <= 1e-12 * nearby.value
+    tiny = sigma5(rest_setup, (1e-8, 1e-8, 1e-8), (0.0, 2.0, 4.0), 0.1, 0.2)
+    nearby = sigma5(rest_setup, (0.3, 0.3, 0.3), (0.0, 2.0, 4.0), 0.1, 0.2)
+    assert nearby > 0
+    assert tiny <= 1e-12 * nearby
 
 
 def test_threshold_clamp(rest_setup):
-    cfg = FinalStateConfig(MGBR_THETAS, MGBR_PHIS, omega1=0.01, omega2=0.1)
-    point = sigma5(rest_setup, cfg, threshold_eps=0.013)
-    assert point.value == 0.0
-    assert point.physical
-    free = sigma5(rest_setup, cfg, threshold_eps=0.0)
-    assert free.value > 0.0
+    point = (MGBR_THETAS, MGBR_PHIS, 0.01, 0.1)
+    assert sigma5(rest_setup, *point, threshold_eps=0.013) == 0.0
+    assert close_point(rest_setup, *point)[4]
+    assert sigma5(rest_setup, *point, threshold_eps=0.0) > 0.0
 
 
 def test_infrared_scaling(rest_setup):
@@ -109,14 +103,13 @@ def test_infrared_scaling(rest_setup):
 
 
 def test_spin_summed_unrolls(rest_setup):
-    args = dict(thetas=(1.2, 2.0, 0.9), phis=(0.4, 2.5, 4.4))
+    point = ((1.2, 2.0, 0.9), (0.4, 2.5, 4.4), 0.1, 0.15)
     total = 0.0
     for r_i, r_f in itertools.product((1, 2), repeat=2):
-        cfg = FinalStateConfig(args["thetas"], args["phis"], 0.1, 0.15,
-                               pols=(1, 2, 1), r_i=r_i, r_f=r_f)
-        total += sigma5(rest_setup, cfg, 0.0, beam_pol=1).value
-    summed = spin_summed_sigma5(rest_setup, args["thetas"], args["phis"],
-                                0.1, 0.15, beam_pol=1, final_pols=(1, 2, 1))
+        total += sigma5(rest_setup, *point, beam_pol=1,
+                        final_pols=(1, 2, 1), r_i=r_i, r_f=r_f)
+    summed = spin_summed_sigma5(rest_setup, *point, beam_pol=1,
+                                final_pols=(1, 2, 1))
     assert summed == pytest.approx(0.5 * total, rel=1e-10)
 
 
@@ -126,9 +119,8 @@ def test_unpolarized_unrolls(rest_setup):
     for beam in (1, 2):
         for pols in itertools.product((1, 2), repeat=3):
             for r_i, r_f in itertools.product((1, 2), repeat=2):
-                cfg = FinalStateConfig(thetas, phis, 0.1, 0.15, pols,
-                                       r_i, r_f)
-                total += sigma5(rest_setup, cfg, 0.0, beam_pol=beam).value
+                total += sigma5(rest_setup, thetas, phis, 0.1, 0.15, beam,
+                                pols, r_i, r_f)
     value = unpolarized_sigma5(rest_setup, thetas, phis, 0.1, 0.15)
     assert value == pytest.approx(0.25 * total, rel=1e-10)
 
@@ -186,15 +178,14 @@ def test_polarized_beam_bit_for_bit(rest_setup, xfel_setup, frame):
 
 
 def test_polarized_entry_points_reject_unset_beam(rest_setup):
-    # beam_pol=None used to evaluate both beam basis vectors, and every
-    # polarized entry point then read the x slice: sigma5, the spin sums,
-    # the panels and the states all returned the beam_pol=1 answer
+    # beam_pol=None would evaluate both beam basis vectors, of which every
+    # polarized entry point reads one
     from triplecompton.entanglement import density_from_amplitudes, tau_grid
 
     thetas, phis = (1.2, 2.0, 0.9), (0.4, 2.5, 4.4)
-    cfg = FinalStateConfig(thetas, phis, 0.1, 0.15, (1, 2, 1), 1, 2)
     calls = (
-        lambda: sigma5(rest_setup, cfg, 0.0, beam_pol=None),
+        lambda: sigma5(rest_setup, thetas, phis, 0.1, 0.15, beam_pol=None,
+                       final_pols=(1, 2, 1), r_f=2),
         lambda: spin_summed_sigma5(rest_setup, thetas, phis, 0.1, 0.15,
                                    beam_pol=None),
         lambda: sigma5_panel_grids(rest_setup, thetas, phis, [0.1], [0.15],
@@ -328,11 +319,10 @@ def test_unit_conversion_round_trip(rest_setup):
 
 
 def test_unphysical_point_returns_zero(rest_setup):
-    point = sigma5(rest_setup, FinalStateConfig(MGBR_THETAS, MGBR_PHIS,
-                                                omega1=0.32, omega2=0.32))
-    assert isinstance(point, Sigma5Point)
-    assert point.value == 0.0
-    assert not point.physical
+    value = sigma5(rest_setup, MGBR_THETAS, MGBR_PHIS, 0.32, 0.32)
+    assert type(value) is float
+    assert value == 0.0
+    assert not close_point(rest_setup, MGBR_THETAS, MGBR_PHIS, 0.32, 0.32)[4]
 
 
 def test_non_finite_phase_space_input_raises(rest_setup, xfel_setup):
@@ -344,8 +334,8 @@ def test_non_finite_phase_space_input_raises(rest_setup, xfel_setup):
                 ((1.2, nan, 0.9), phis, 0.1, 0.15),
                 (thetas, (0.4, 2.5, -inf), 0.1, 0.15)):
         for evaluate in (
-                lambda: sigma5(rest_setup, FinalStateConfig(*bad)),
-                lambda: close_final_state(rest_setup, FinalStateConfig(*bad)),
+                lambda: sigma5(rest_setup, *bad),
+                lambda: close_point(rest_setup, *bad),
                 lambda: spin_summed_sigma5(rest_setup, *bad),
                 lambda: unpolarized_sigma5(rest_setup, *bad),
                 lambda: sigma5_panel_grids(rest_setup, bad[0], bad[1],
@@ -356,8 +346,8 @@ def test_non_finite_phase_space_input_raises(rest_setup, xfel_setup):
     # read as no threshold
     for eps in (nan, inf, -inf):
         for evaluate in (
-                lambda: sigma5(rest_setup, FinalStateConfig(
-                    thetas, phis, 0.1, 0.15), threshold_eps=eps),
+                lambda: sigma5(rest_setup, thetas, phis, 0.1, 0.15,
+                               threshold_eps=eps),
                 lambda: spin_summed_sigma5(rest_setup, thetas, phis, 0.1,
                                            0.15, threshold_eps=eps),
                 lambda: unpolarized_sigma5(rest_setup, thetas, phis, 0.1,
@@ -380,11 +370,10 @@ def test_non_finite_phase_space_input_raises(rest_setup, xfel_setup):
 
 
 def test_negative_free_energy_raises(rest_setup):
-    # a negative free energy used to close as a physical point, and sigma5
-    # read Sigma5Point(0.0, physical=True)
-    cfg = FinalStateConfig((1.2, 2.0, 0.9), (0.4, 2.5, 4.4), -0.05, 0.15)
-    for evaluate in (lambda: close_final_state(rest_setup, cfg),
-                     lambda: sigma5(rest_setup, cfg)):
+    # a negative free energy would close as a physical point
+    point = ((1.2, 2.0, 0.9), (0.4, 2.5, 4.4), -0.05, 0.15)
+    for evaluate in (lambda: close_point(rest_setup, *point),
+                     lambda: sigma5(rest_setup, *point)):
         with pytest.raises(ValueError, match="negative"):
             evaluate()
 

@@ -400,9 +400,8 @@ def test_non_finite_states_rejected():
 
 def test_density_from_amplitudes_properties(rest_setup):
     rng = np.random.default_rng(19)
-    for cfg, state in random_physical_configs(rest_setup, rng, 4):
-        rho = density_from_amplitudes(rest_setup, cfg.thetas, cfg.phis,
-                                      cfg.omega1, cfg.omega2, beam_pol=1)
+    for point, _ in random_physical_configs(rest_setup, rng, 4):
+        rho = density_from_amplitudes(rest_setup, *point, beam_pol=1)
         assert np.linalg.norm(rho - rho.conj().T) < 1e-12
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         eigs = np.linalg.eigvalsh(rho)
@@ -416,17 +415,17 @@ def test_density_is_real_symmetric(rest_setup):
     # entry of rho is a real Dirac trace: the imaginary part of the complex
     # Gram matrix is rounding, and the state comes back as a real array
     rng = np.random.default_rng(29)
-    for cfg, _ in random_physical_configs(rest_setup, rng, 40):
+    for point, _ in random_physical_configs(rest_setup, rng, 40):
+        thetas, phis, w1, w2 = point
         for beam_pol in (1, 2, (0.6, 0.8)):
             tensor = _tensor_for_points(
-                rest_setup, np.array(cfg.thetas)[:, None],
-                np.array(cfg.phis)[:, None],
-                np.array([[cfg.omega1], [cfg.omega2]]), 0.0, beam_pol)[0]
+                rest_setup, np.array(thetas)[:, None],
+                np.array(phis)[:, None], np.array([[w1], [w2]]), 0.0,
+                beam_pol)[0]
             vecs = tensor[0, 0].reshape(8, 4)
             gram = vecs @ vecs.conj().T
             assert np.abs(gram.imag).max() <= 1e-13 * np.abs(gram).max()
-            rho = density_from_amplitudes(rest_setup, cfg.thetas, cfg.phis,
-                                          cfg.omega1, cfg.omega2, beam_pol)
+            rho = density_from_amplitudes(rest_setup, *point, beam_pol)
             assert rho.dtype == np.float64
             assert np.abs(rho - gram.real / np.trace(gram).real).max() <= 1e-15
 

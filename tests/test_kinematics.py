@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from triplecompton import algebra as al
 from triplecompton.constants import ELECTRON_MASS_MEV as M
-from triplecompton.cross_section import spin_summed_sigma5
-from triplecompton.kinematics import (CollisionSetup, FinalStateConfig,
-                                      _close_arrays, close_batch,
-                                      close_final_state)
+from triplecompton.cross_section import sigma5, spin_summed_sigma5
+from triplecompton.kinematics import (CollisionSetup, _close_arrays,
+                                      close_batch)
 from conftest import (MGBR_PHIS, MGBR_THETAS, XFEL_PHIS, XFEL_THETAS,
-                      random_physical_configs, unit_direction)
+                      close_point, random_physical_configs, unit_direction)
 
 
 def compton_line(omega0, theta):
@@ -100,81 +99,63 @@ def test_omega3_degenerate_direction():
     assert not physical
 
 
-def test_close_final_state_conservation(rest_setup):
+def test_closure_conservation(rest_setup):
     rng = np.random.default_rng(11)
-    for cfg, state in random_physical_configs(rest_setup, rng, 25):
-        total = (rest_setup.p_i + rest_setup.k_0 - state.p_f
-                 - state.k1 - state.k2 - state.k3)
+    for _, (photons, p_f, _, _) in random_physical_configs(rest_setup, rng,
+                                                           25):
+        total = rest_setup.p_i + rest_setup.k_0 - p_f - sum(photons)
         scale = rest_setup.e_i_mev + rest_setup.omega0_mev
         assert np.abs(total).max() <= 1e-9 * scale
-        p_f2 = al.minkowski_dot(state.p_f, state.p_f)
+        p_f2 = al.minkowski_dot(p_f, p_f)
         assert abs(p_f2 - M * M) <= 1e-9 * M * M
-        assert state.e_f >= M
+        assert p_f[0] >= M
 
 
-def test_close_final_state_xfel_precision(xfel_setup):
+def test_closure_xfel_precision(xfel_setup):
     rng = np.random.default_rng(12)
     cfgs = random_physical_configs(xfel_setup, rng, 10, omega_lo_frac=0.05,
                                    omega_hi_frac=0.3)
-    for cfg, state in cfgs:
+    for _, (photons, p_f, _, _) in cfgs:
         scale = xfel_setup.e_i_mev + xfel_setup.omega0_mev
-        total = (xfel_setup.p_i + xfel_setup.k_0 - state.p_f
-                 - state.k1 - state.k2 - state.k3)
+        total = xfel_setup.p_i + xfel_setup.k_0 - p_f - sum(photons)
         assert np.abs(total).max() <= 1e-9 * scale
         # a float four-vector with GeV components carries ~2 E^2 eps of
         # intrinsic mass-shell ambiguity; allow that measurement floor
-        floor = 64 * np.finfo(float).eps * state.e_f ** 2
-        p_f2 = al.minkowski_dot(state.p_f, state.p_f)
+        floor = 64 * np.finfo(float).eps * p_f[0] ** 2
+        p_f2 = al.minkowski_dot(p_f, p_f)
         assert abs(p_f2 - M * M) <= 1e-9 * M * M + floor
 
 
 def test_overspent_energy_is_unphysical(rest_setup):
     # moderately overspent: the derived energy goes negative
-    cfg = FinalStateConfig(thetas=MGBR_THETAS, phis=MGBR_PHIS,
-                           omega1=0.32, omega2=0.32)
-    state = close_final_state(rest_setup, cfg)
-    assert not state.physical
-    assert state.omega3 <= 0
+    _, _, omega3, _, physical = close_point(rest_setup, MGBR_THETAS,
+                                            MGBR_PHIS, 0.32, 0.32)
+    assert not physical
+    assert omega3 <= 0
     # grossly overspent: the closure lands on the unphysical branch where
     # the derived energy is positive again but the electron is below mass
-    cfg2 = FinalStateConfig(thetas=MGBR_THETAS, phis=MGBR_PHIS,
-                            omega1=0.40, omega2=0.40)
-    state2 = close_final_state(rest_setup, cfg2)
-    assert not state2.physical
-    assert state2.omega3 <= 0 or state2.e_f < M
+    _, p_f, omega3, _, physical = close_point(rest_setup, MGBR_THETAS,
+                                              MGBR_PHIS, 0.40, 0.40)
+    assert not physical
+    assert omega3 <= 0 or p_f[0] < M
 
 
 def test_recoil_factor_is_closure_derivative(rest_setup):
     rng = np.random.default_rng(5)
-    for cfg, state in random_physical_configs(rest_setup, rng, 10):
-        n3 = unit_direction(cfg.thetas[2], cfg.phis[2])[1:]
-        p_vec = (rest_setup.p_i + rest_setup.k_0 - state.k1
-                 - state.k2)[1:]
+    for point, closed in random_physical_configs(rest_setup, rng, 10):
+        (thetas, phis, _, _), (photons, _, omega3, kfac) = point, closed
+        n3 = unit_direction(thetas[2], phis[2])[1:]
+        p_vec = (rest_setup.p_i + rest_setup.k_0 - photons[0]
+                 - photons[1])[1:]
 
         def closure_energy(w):
             pf = p_vec - w * n3
             return math.sqrt(M * M + float(pf @ pf)) + w
 
-        h = 1e-6 * state.omega3
-        derivative = (closure_energy(state.omega3 + h)
-                      - closure_energy(state.omega3 - h)) / (2 * h)
-        assert state.K == pytest.approx(derivative, rel=1e-6)
-
-
-def test_close_batch_matches_scalar(rest_setup):
-    rng = np.random.default_rng(6)
-    pairs = random_physical_configs(rest_setup, rng, 8)
-    thetas = np.array([c.thetas for c, _ in pairs]).T
-    phis = np.array([c.phis for c, _ in pairs]).T
-    w1 = np.array([c.omega1 for c, _ in pairs])
-    w2 = np.array([c.omega2 for c, _ in pairs])
-    w3, k, p_f, kfac, physical, _ = close_batch(rest_setup, thetas, phis,
-                                                w1, w2)
-    for i, (cfg, state) in enumerate(pairs):
-        assert w3[i] == pytest.approx(state.omega3, rel=1e-12)
-        assert kfac[i] == pytest.approx(state.K, rel=1e-12)
-        assert physical[i]
-        assert np.allclose(p_f[i], state.p_f, rtol=1e-12)
+        h = 1e-6 * omega3
+        derivative = (closure_energy(omega3 + h)
+                      - closure_energy(omega3 - h)) / (2 * h)
+        assert kfac == pytest.approx(derivative, rel=1e-6)
 
 
 def test_setup_validation():
@@ -193,20 +174,18 @@ def test_setup_validation():
 
 
 def test_final_state_labels_validated():
-    # a fractional label such as 1.0 equals 1 but used to reach sigma5 and
-    # fail there with a bare IndexError
-    for labels in (dict(pols=(1, 3, 1)), dict(r_i=0), dict(r_f=2.5),
-                   dict(pols=(1.0, 1, 1)), dict(r_i=2.0),
-                   dict(pols=(True, 1, 1)), dict(r_f=np.True_)):
-        with pytest.raises(ValueError):
-            FinalStateConfig((1.0, 2.0, 3.0), (0.0, 1.0, 2.0), 0.1, 0.1,
-                             **labels)
-    cfg = FinalStateConfig((1.0, 2.0, 3.0), (0.0, 1.0, 2.0), 0.1, 0.1,
-                           pols=(np.int64(2), 1, 1), r_f=np.int32(2))
-    assert cfg.pols[0] == 2
-    # the spin-summed entry point takes its labels outside a config; label
-    # 0 would otherwise index the last basis vector
+    # a fractional label such as 1.0 equals 1 but is no index, and label 0
+    # would index the last basis vector
     setup = CollisionSetup.rest_frame(0.662)
+    point = ((1.2, 2.0, 0.9), (0.4, 2.5, 4.4), 0.1, 0.15)
+    for labels in (dict(final_pols=(1, 3, 1)), dict(r_i=0), dict(r_f=2.5),
+                   dict(final_pols=(1.0, 1, 1)), dict(r_i=2.0),
+                   dict(final_pols=(True, 1, 1)), dict(r_f=np.True_)):
+        with pytest.raises(ValueError, match="labels must be 1 or 2"):
+            sigma5(setup, *point, **labels)
+    assert sigma5(setup, *point, final_pols=(np.int64(2), 1, 1),
+                  r_f=np.int32(2)) == sigma5(setup, *point,
+                                             final_pols=(2, 1, 1), r_f=2)
     for final_pols in ((0, 1, 1), (1, 3, 1), (1.0, 1, 1), (True, 1, 1)):
         with pytest.raises(ValueError):
             spin_summed_sigma5(setup, (1.2, 2.0, 0.9), (0.4, 2.5, 4.4),

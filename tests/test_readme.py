@@ -22,7 +22,7 @@ def test_readme_library_example():
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     scope = {}
     exec(compile(block, str(README), "exec"), scope)
-    assert scope["point"].value > 0
+    assert scope["point"] > 0
     assert 0 <= scope["tau"] <= 0.5
 
 
