@@ -35,13 +35,34 @@ def prefactor(n_out: int, mass: float) -> float:
             / mass ** (2 * (n_out - 1)))
 
 
+def _check_final_pols(final_pols) -> None:
+    """Raise ValueError unless final_pols is three photon labels, each 1
+    or 2."""
+    if len(final_pols) != 3:
+        raise ValueError(f"need three photon labels in final_pols, got "
+                         f"{len(final_pols)}: {tuple(final_pols)}")
+    check_labels(*final_pols)
+
+
+def _check_directions(thetas, phis):
+    """thetas and phis as float arrays; ValueError unless each holds three
+    directions."""
+    thetas = np.asarray(thetas, float)
+    phis = np.asarray(phis, float)
+    if thetas.shape != (3,) or phis.shape != (3,):
+        raise ValueError(f"need three thetas and three phis, got shapes "
+                         f"{thetas.shape} and {phis.shape}")
+    return thetas, phis
+
+
 def sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
            beam_pol=1, final_pols=(1, 1, 1), r_i: int = 1, r_f: int = 1,
            threshold_eps: float = 0.0) -> float:
     """Five-fold differential cross section (b MeV^-2 sr^-3) at one
     spin/polarization point: the matching cell of a one-point
     :func:`grid_tensor`."""
-    check_labels(*final_pols, r_i, r_f)
+    _check_final_pols(final_pols)
+    check_labels(r_i, r_f)
     tensor, kin, _, _ = grid_tensor(setup, thetas, phis, [omega1], [omega2],
                                     beam_pol, threshold_eps)
     i, j, l = (lab - 1 for lab in final_pols)
@@ -53,7 +74,7 @@ def spin_summed_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
                        threshold_eps: float = 0.0) -> float:
     """(1/2) sum over both electron spins at fixed photon polarizations:
     the matching cell of a one-point :func:`sigma5_panel_grids`."""
-    check_labels(*final_pols)
+    _check_final_pols(final_pols)
     panels, _ = sigma5_panel_grids(setup, thetas, phis, [omega1], [omega2],
                                    beam_pol, threshold_eps)
     return float(panels["".join(str(int(lab)) for lab in final_pols)][0, 0])
@@ -61,9 +82,11 @@ def spin_summed_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
 
 def unpolarized_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
                        threshold_eps: float = 0.0) -> float:
-    """(1/4) sum over electron spins, beam basis and final polarizations."""
+    """(1/4) sum over electron spins, beam basis and final polarizations;
+    thetas or phis that are not three directions raise ValueError."""
+    thetas, phis = _check_directions(thetas, phis)
     value = unpolarized_differential_batch(
-        setup, np.array([[t] for t in thetas]), np.array([[p] for p in phis]),
+        setup, thetas[:, None], phis[:, None],
         np.array([[omega1], [omega2]], float), threshold_eps)
     return float(value[0])
 
@@ -137,11 +160,7 @@ def grid_tensor(setup, thetas, phis, omega1_grid, omega2_grid, beam_pol,
     if beam_pol is None:
         raise ValueError("beam_pol must be 1, 2 or a transverse vector, "
                          "not None")
-    thetas = np.asarray(thetas, float)
-    phis = np.asarray(phis, float)
-    if thetas.shape != (3,) or phis.shape != (3,):
-        raise ValueError(f"need three thetas and three phis, got shapes "
-                         f"{thetas.shape} and {phis.shape}")
+    thetas, phis = _check_directions(thetas, phis)
     w1m, w2m = np.meshgrid(np.asarray(omega1_grid, float),
                            np.asarray(omega2_grid, float), indexing="ij")
     return _tensor_for_points(setup, thetas[:, None], phis[:, None],

@@ -404,10 +404,12 @@ def test_grid_tensor_equals_repeated_directions_bit_for_bit(
 
 @pytest.mark.parametrize("entry", [
     "close_batch", "sigma5_panel_grids", "spin_summed_sigma5",
-    "density_from_amplitudes", "tau_grid"])
+    "unpolarized_sigma5", "density_from_amplitudes", "tau_grid"])
 def test_wrong_direction_count_raises(rest_setup, entry):
     # 3 thetas with 2 phis raised IndexError in the closure, and 2 or 4
-    # directions a numpy reshape error from the grid entry points
+    # directions a numpy reshape error from the grid entry points;
+    # unpolarized_sigma5 took two directions as the two-photon process,
+    # ignored omega2 and returned 2.2049e-05
     from triplecompton.entanglement import density_from_amplitudes, tau_grid
 
     calls = {
@@ -417,6 +419,8 @@ def test_wrong_direction_count_raises(rest_setup, entry):
         "sigma5_panel_grids": lambda th, ph: sigma5_panel_grids(
             rest_setup, th, ph, [0.1], [0.15]),
         "spin_summed_sigma5": lambda th, ph: spin_summed_sigma5(
+            rest_setup, th, ph, 0.1, 0.15),
+        "unpolarized_sigma5": lambda th, ph: unpolarized_sigma5(
             rest_setup, th, ph, 0.1, 0.15),
         "density_from_amplitudes": lambda th, ph: density_from_amplitudes(
             rest_setup, th, ph, 0.1, 0.15),
@@ -437,3 +441,14 @@ def test_wrong_direction_count_raises(rest_setup, entry):
     for n_thetas, n_phis in counts:
         with pytest.raises(ValueError, match=match):
             calls[entry](thetas[:n_thetas], phis[:n_phis])
+
+
+@pytest.mark.parametrize("entry", [sigma5, spin_summed_sigma5])
+@pytest.mark.parametrize("final_pols", [(1, 1), (1, 2, 1, 2)],
+                         ids=["two", "four"])
+def test_wrong_photon_label_count_raises(rest_setup, entry, final_pols):
+    # two labels raised a bare KeyError ('11') from spin_summed_sigma5 and
+    # "not enough values to unpack" from sigma5
+    with pytest.raises(ValueError, match="need three photon labels"):
+        entry(rest_setup, (1.2, 2.0, 0.9), (0.4, 2.5, 4.4), 0.1, 0.15,
+              final_pols=final_pols)

@@ -333,8 +333,8 @@ def test_invalid_density_matrices():
 
 
 def test_solver_error_reports_residuals(monkeypatch):
-    # the gap is checked after every Newton step, so a budget that ends
-    # early reports the last iterate's residuals and gap, all finite
+    # the last step of the budget is always certified, so a budget that
+    # ends early reports the last iterate's residuals and gap, all finite
     monkeypatch.setattr(entanglement, "MAX_NEWTON_STEPS", 2)
     with pytest.raises(SolverError, match="in 2 Newton steps") as err:
         gme_tau(ghz_state())
@@ -360,6 +360,78 @@ def test_solver_error_before_first_check_is_finite(monkeypatch):
         assert "inf" not in message
         found = re.search(r"primal=(\S+) dual=(\S+) gap=(\S+)$", message)
         assert all(0.0 < float(r) < math.inf for r in found.groups())
+
+
+def _solver_failure(monkeypatch, steps, state):
+    """(primal, dual, gap) from the SolverError of a budget of ``steps``."""
+    monkeypatch.setattr(entanglement, "MAX_NEWTON_STEPS", steps)
+    with pytest.raises(SolverError, match=f"in {steps} Newton steps") as err:
+        gme_tau(state)
+    found = re.search(r"primal=(\S+) dual=(\S+) gap=(\S+)$", str(err.value))
+    return tuple(float(r) for r in found.groups())
+
+
+def test_failure_path_certifies_the_last_step(monkeypatch):
+    # step 2 of W lies far outside the certification gate, yet as the last
+    # step of the budget it is certified: its gap is finite and narrower
+    # than the one step 1 left
+    _, dual, gap = _solver_failure(monkeypatch, 2, w_state())
+    assert (8 * entanglement.CONES * dual
+            > entanglement.CERTIFY_FACTOR * entanglement.CERTIFICATE_GAP)
+    assert 0.0 < gap < math.inf
+    assert gap < _solver_failure(monkeypatch, 1, w_state())[2]
+    # a gap below what double precision can certify keeps the gate shut
+    # until the Newton system breaks down; the iterate before the breakdown
+    # is certified then, so the error reads as with every step certified
+    monkeypatch.undo()
+    monkeypatch.setattr(entanglement, "CERTIFICATE_GAP", 1e-15)
+    messages = []
+    for factor in (entanglement.CERTIFY_FACTOR, math.inf):
+        monkeypatch.setattr(entanglement, "CERTIFY_FACTOR", factor)
+        with pytest.raises(SolverError, match="broke down") as err:
+            gme_tau(w_state())
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_certifying_every_step_changes_no_answer(monkeypatch):
+    # the certificates run only at step 1, near convergence and at the last
+    # step; with the gate always open they run at every step, and every
+    # result is the same to the bit
+    mat = np.random.default_rng(5).normal(size=(8, 2, 2)) @ [1.0, 1j]
+    states = [ghz_state(), w_state(), product_state(),
+              mat @ mat.conj().T / np.linalg.norm(mat) ** 2,
+              _xfel_state(693.0, 413.0)]
+    gated = [gme_tau(rho) for rho in states]
+    monkeypatch.setattr(entanglement, "CERTIFY_FACTOR", math.inf)
+    for rho, res in zip(states, gated):
+        every = gme_tau(rho)
+        for field in ("tau", "iterations", "primal_residual",
+                      "dual_residual", "upper_bound", "feasibility_shift"):
+            assert getattr(every, field) == getattr(res, field), field
+        assert np.array_equal(every.witness.blocks, res.witness.blocks)
+
+
+def test_certificates_built_at_step_one_and_near_convergence(monkeypatch):
+    # on W the certificates run after the first Newton step and then on
+    # fewer steps than the solve takes
+    events = []
+
+    def counted(name):
+        original = getattr(entanglement, name)
+
+        def wrapper(*args):
+            events.append(name)
+            return original(*args)
+        monkeypatch.setattr(entanglement, name, wrapper)
+
+    counted("_newton_step")
+    counted("_dual_bound")
+    res = gme_tau(w_state())
+    assert events[:2] == ["_newton_step", "_dual_bound"]
+    assert events.count("_newton_step") == res.iterations
+    assert 1 < events.count("_dual_bound") < res.iterations
+    assert events[-1] == "_dual_bound"
 
 
 def test_gme_tau_degenerate_states():
@@ -519,7 +591,7 @@ def test_tau_grid_masking_and_symmetry(rest_setup):
     solved = results[~masked]
     assert all(r.tau == t for r, t in zip(solved, taus[~masked]))
     assert all(r.upper_bound - r.tau >= 0.0 for r in solved)
-    # the gap is checked after every Newton step
+    # every solve takes at least one Newton step, and step 1 is certified
     assert all(r.iterations >= 1 for r in solved)
     assert all(r.primal_residual > 0.0 and r.dual_residual > 0.0
                for r in solved)
