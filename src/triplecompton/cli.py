@@ -30,8 +30,8 @@ from .config import SCENARIO_DEFAULTS, ConfigError, ScenarioConfig, \
     config_lines, parse_config_file, resolve_config
 from .cross_section import PANEL_LETTERS, PANEL_ORDER, sigma5_panel_grids
 from .entanglement import SolverError, tau_grid
-from .integration import (BeamParameters, BudgetError, detector_average,
-                          event_rate, total_cross_section)
+from .integration import (PROCESS_PHOTONS, BeamParameters, BudgetError,
+                          detector_average, event_rate, total_cross_section)
 from .kinematics import CollisionSetup, threshold_boundary
 
 EXIT_OK = 0
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="sigma5")
     t = sub.add_parser("totals", help="total cross sections and event rates")
     common(t)
-    t.add_argument("--process", choices=("single", "double", "triple"),
+    t.add_argument("--process", choices=tuple(PROCESS_PHOTONS),
                    action="append", default=None,
                    help="repeatable; default: all three")
     common(sub.add_parser("scan", help="detector average vs omega0"))
@@ -271,8 +271,8 @@ def main(argv=None) -> int:
         file_values = parse_config_file(args.config) if args.config else {}
         overrides = {"seed": args.seed, "budget": args.budget}
         default_scenario = "xfel" if args.command == "totals" else None
-        cfg = resolve_config(args.scenario or (None if file_values.get(
-            "scenario") else default_scenario), file_values, overrides)
+        cfg = resolve_config(args.scenario or file_values.get("scenario")
+                             or default_scenario, file_values, overrides)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
         elif args.command == "grid":
             report = run_grid(cfg, args.observable, args.out)
         elif args.command == "totals":
-            processes = args.process or ["single", "double", "triple"]
+            processes = args.process or list(PROCESS_PHOTONS)
             report = run_totals(cfg, processes, args.out)
         else:
             report = run_scan(cfg, args.out)

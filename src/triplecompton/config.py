@@ -1,24 +1,8 @@
 """Scenario configuration: file format, defaults and validation.
 
-Config files are plain text ``key = value`` lines; dots in keys nest
-(``grid.n_omega1 = 48``), ``#`` starts a comment, lists are comma separated
-and every physical quantity carries its unit in the key name.  Command-line
-flags override file values, which override the named scenario's defaults.
-
-Schema (all keys optional once a scenario is chosen):
-
-    scenario = mgbr1968 | xfel
-    e_i_mev, omega0_mev                 -- beam energies
-    theta_rad, phi_rad                  -- three detector angles each
-    solid_angle_sr                      -- averaging window per detector
-    threshold_mev                       -- detector energy threshold
-    beam_polarization = x | y | <ex,ey>
-    seed, budget                        -- reproducibility and sample count
-    grid.omega1_min_mev, grid.omega1_max_mev, grid.n_omega1
-    grid.omega2_min_mev, grid.omega2_max_mev, grid.n_omega2
-    beams.photons_per_pulse, beams.electrons_per_bunch,
-    beams.transverse_size_um, beams.repetition_rate_hz
-    scan.omega0_min_mev, scan.omega0_max_mev, scan.n_points
+``ScenarioConfig`` is the schema: each field is one file key, parsed as the
+type of its default.  README.md's "Config files" section describes the file
+format and lists the keys.
 """
 from __future__ import annotations
 
@@ -88,27 +72,26 @@ SCENARIO_DEFAULTS = {
         e_i_mev=5000.0,
         omega0_mev=0.001,
         theta_rad=(math.pi - 1.5e-3, math.pi - 1.5e-3, math.pi - 1.5e-3),
-        phi_rad=(2 * math.pi / 3, 4 * math.pi / 3, 0.0),
-        solid_angle_sr=0.378,
         threshold_mev=50.0,
         grid_omega1_min_mev=50.0, grid_omega1_max_mev=1400.0,
-        grid_n_omega1=40,
         grid_omega2_min_mev=50.0, grid_omega2_max_mev=1400.0,
-        grid_n_omega2=40,
     ),
 }
 
-# dotted file keys ("grid.n_omega1") for the prefixed fields
-_KEY_ALIASES = {f.name.replace("_", ".", 1): f.name
-                for f in fields(ScenarioConfig)
-                if f.name.startswith(("grid_", "beams_", "scan_"))}
-
-_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+# the file key of each field: the grid_, beams_ and scan_ fields nest under
+# their prefix ("grid.n_omega1"), the others are keyed by their name
+_FILE_KEYS = {f.name: f.name.replace("_", ".", 1)
+              if f.name.startswith(("grid_", "beams_", "scan_")) else f.name
+              for f in fields(ScenarioConfig)}
+_FIELD_NAMES = {key: name for name, key in _FILE_KEYS.items()}
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 
 
 def parse_config_file(path) -> dict:
-    """Read key = value lines into a flat {field_name: raw_string} dict."""
+    """Read key = value lines into a flat {field_name: raw_string} dict;
+    an unknown key or one set twice is a ConfigError."""
     values = {}
+    set_on = {}                 # field name -> line that set it
     problems = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -120,26 +103,31 @@ def parse_config_file(path) -> dict:
                 continue
             key, _, value = line.partition("=")
             key = key.strip()
-            name = _KEY_ALIASES.get(key, key)
-            if name not in _FIELD_TYPES:
+            if key not in _FIELD_NAMES:
                 problems.append(f"line {lineno}: unknown key {key!r}")
                 continue
+            name = _FIELD_NAMES[key]
+            if name in set_on:
+                problems.append(f"line {lineno}: key {key!r} already set "
+                                f"on line {set_on[name]}")
+                continue
             values[name] = value.strip()
+            set_on[name] = lineno
     if problems:
         raise ConfigError(problems)
     return values
 
 
 def _coerce(name: str, raw, problems: list):
-    """raw as the field's type; integer fields take any integral value,
-    whatever type it arrives as (7, 7.0, "1e6")."""
-    kind = str(_FIELD_TYPES[name])
-    if "int" not in kind and not isinstance(raw, str):
+    """raw as the type of the field's default; integer fields take any
+    integral value, whatever type it arrives as (7, 7.0, "1e6")."""
+    kind = type(_DEFAULTS[name])
+    if kind is not int and not isinstance(raw, str):
         return raw
     try:
-        if name in ("theta_rad", "phi_rad"):
+        if kind is tuple:
             return tuple(float(tok) for tok in raw.split(","))
-        if "int" in kind:
+        if kind is int:
             if isinstance(raw, numbers.Integral):
                 return int(raw)
             value = float(raw)
@@ -147,9 +135,7 @@ def _coerce(name: str, raw, problems: list):
                 problems.append(f"{name}: {raw!r} is not an integer")
                 return None
             return int(value)
-        if "float" in kind:
-            return float(raw)
-        return raw
+        return kind(raw)
     except (TypeError, ValueError, OverflowError):
         problems.append(f"{name}: cannot parse {raw!r}")
         return None
@@ -159,21 +145,17 @@ def resolve_config(scenario=None, file_values=None, overrides=None
                    ) -> ScenarioConfig:
     """Merge scenario defaults, file values and flag overrides; validate."""
     problems = []
-    file_values = dict(file_values or {})
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    name = (scenario or overrides.get("scenario")
-            or file_values.get("scenario") or "mgbr1968")
+    name = scenario or (file_values or {}).get("scenario") or "mgbr1968"
     if name not in SCENARIO_DEFAULTS:
         raise ConfigError([f"scenario: unknown scenario {name!r}"])
     merged = dict(SCENARIO_DEFAULTS[name])
-    merged["scenario"] = name
-    for source in (file_values, overrides):
+    for source in (file_values or {}, overrides or {}):
         for key, value in source.items():
-            if key == "scenario":
-                continue
-            merged[key] = _coerce(key, value, problems)
+            if value is not None:
+                merged[key] = _coerce(key, value, problems)
     if problems:
         raise ConfigError(problems)
+    merged["scenario"] = name
     cfg = ScenarioConfig(**merged)
     validate_config(cfg)
     return cfg
@@ -223,7 +205,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
     for name in ("beams_photons_per_pulse", "beams_electrons_per_bunch",
                  "beams_repetition_rate_hz"):
         if getattr(cfg, name) < 0:
-            problems.append(f"{name.replace('_', '.', 1)}: must be >= 0")
+            problems.append(f"{_FILE_KEYS[name]}: must be >= 0")
     if not cfg.beams_transverse_size_um > 0:
         problems.append("beams.transverse_size_um: must be > 0")
     try:
@@ -236,7 +218,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
 def config_lines(cfg: ScenarioConfig) -> list:
     """Canonical key = value rendering (sorted), for metadata records."""
-    inverse = {v: k for k, v in _KEY_ALIASES.items()}
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -244,5 +225,5 @@ def config_lines(cfg: ScenarioConfig) -> list:
             value = ", ".join(f"{v:.12g}" for v in value)
         elif isinstance(value, float):
             value = f"{value:.12g}"
-        lines.append(f"{inverse.get(f.name, f.name)} = {value}")
+        lines.append(f"{_FILE_KEYS[f.name]} = {value}")
     return sorted(lines)

@@ -25,7 +25,7 @@ import numpy as np
 from . import amplitude as amp
 from .algebra import check_labels
 from .constants import ALPHA, HBARC2_MEV2_BARN
-from .kinematics import CollisionSetup, _close_arrays
+from .kinematics import CollisionSetup, _check_directions, _close_arrays
 
 
 def prefactor(n_out: int, mass: float) -> float:
@@ -42,17 +42,6 @@ def _check_final_pols(final_pols) -> None:
         raise ValueError(f"need three photon labels in final_pols, got "
                          f"{len(final_pols)}: {tuple(final_pols)}")
     check_labels(*final_pols)
-
-
-def _check_directions(thetas, phis):
-    """thetas and phis as float arrays; ValueError unless each holds three
-    directions."""
-    thetas = np.asarray(thetas, float)
-    phis = np.asarray(phis, float)
-    if thetas.shape != (3,) or phis.shape != (3,):
-        raise ValueError(f"need three thetas and three phis, got shapes "
-                         f"{thetas.shape} and {phis.shape}")
-    return thetas, phis
 
 
 def sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,

@@ -91,9 +91,18 @@ class BeamParameters:
             raise ValueError("transverse_size_um must be finite and positive")
 
 
+def _check_integral(name: str, value) -> None:
+    """ValueError unless value is integral (4096.0 is, 4096.5 is not)."""
+    if not (isinstance(value, numbers.Integral)
+            or float(value).is_integer()):
+        raise ValueError(f"{name} {value!r} is not an integer")
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent counter-based stream for one stratum; the master seed
-    must lie in [0, 2^64), the 64 bits of the key it fills."""
+    must be integral and lie in [0, 2^64), the 64 bits of the key it
+    fills."""
+    _check_integral("seed", seed)
     seed = int(seed)
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed {seed} outside [0, 2^64)")
@@ -112,10 +121,8 @@ def stratified_monte_carlo(integrand, dim, strata, budget,
     depend on the other rows.  budget and seed must be integral (4096.0
     is, 4096.5 raises ValueError).
     """
-    for name, value in (("budget", budget), ("seed", seed)):
-        if not (isinstance(value, numbers.Integral)
-                or float(value).is_integer()):
-            raise ValueError(f"{name} {value!r} is not an integer")
+    _check_integral("budget", budget)
+    _check_integral("seed", seed)
     counts = tuple(int(c) for c in strata)
     n_cells = int(np.prod(counts)) if counts else 1
     n_per = int(budget) // n_cells

@@ -194,6 +194,17 @@ def close_batch(setup, thetas, phis, omega1, omega2):
                                    np.asarray(omega2, float)]))
 
 
+def _check_directions(thetas, phis):
+    """thetas and phis as float arrays; ValueError unless each holds three
+    directions."""
+    thetas = np.asarray(thetas, float)
+    phis = np.asarray(phis, float)
+    if thetas.shape != (3,) or phis.shape != (3,):
+        raise ValueError(f"need three thetas and three phis, got shapes "
+                         f"{thetas.shape} and {phis.shape}")
+    return thetas, phis
+
+
 def threshold_boundary(setup, thetas, phis, omega1_grid,
                        threshold_eps: float):
     """Points (omega1, omega2) where the derived photon energy falls through
@@ -210,11 +221,10 @@ def threshold_boundary(setup, thetas, phis, omega1_grid,
     0 < w2* < setup.omega_max, w3 falls through eps there (a d - b c < 0)
     and the closed point is physical; the last test drops the unphysical
     continuation (E_f < m) on which w3 turns positive again.  Rows without
-    such a root are left out.  A non-finite angle, omega1 or threshold
-    raises ValueError.
+    such a root are left out.  Thetas or phis that are not three directions,
+    or a non-finite angle, omega1 or threshold, raise ValueError.
     """
-    th = np.asarray(thetas, float)
-    ph = np.asarray(phis, float)
+    th, ph = _check_directions(thetas, phis)
     w1 = np.asarray(omega1_grid, float)
     if not all(np.isfinite(v).all() for v in (th, ph, w1, threshold_eps)):
         raise ValueError("angles, omega1 and threshold must be finite")

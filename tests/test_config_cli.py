@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -55,10 +56,25 @@ def test_flag_overrides_file(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
+    # each key has one spelling: a grid., beams. or scan. key spelled with
+    # an underscore used to be read as the dotted one
     path = tmp_path / "bad.cfg"
-    path.write_text("omega_zero = 0.5\n")
-    with pytest.raises(ConfigError, match="unknown key"):
+    for line in ("omega_zero = 0.5", "grid_n_omega1 = 7",
+                 "beams_transverse_size_um = 25", "scan_n_points = 3"):
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="line 1: unknown key"):
+            parse_config_file(path)
+
+
+def test_repeated_key_rejected(tmp_path):
+    # the last value used to win silently
+    path = tmp_path / "twice.cfg"
+    path.write_text("omega0_mev = 0.5\n# again\nseed = 3\n"
+                    "omega0_mev = 0.7\n")
+    with pytest.raises(ConfigError) as info:
         parse_config_file(path)
+    assert info.value.problems == [
+        "line 4: key 'omega0_mev' already set on line 1"]
 
 
 def test_validation_messages():
@@ -142,11 +158,21 @@ def test_cli_non_finite_energy_exit_code(tmp_path, capsys, line):
     assert "must be finite" in capsys.readouterr().err
 
 
-def test_config_lines_roundtrip():
-    cfg = resolve_config("xfel")
-    lines = config_lines(cfg)
-    assert any(line.startswith("grid.n_omega1 = ") for line in lines)
-    assert lines == sorted(lines)
+def test_config_lines_roundtrip(tmp_path):
+    # every field of both scenarios is written under its one file key and
+    # reads back as itself, to the 12 significant digits the lines carry
+    path = tmp_path / "metadata.cfg"
+    for scenario in ("mgbr1968", "xfel"):
+        cfg = resolve_config(scenario)
+        lines = config_lines(cfg)
+        assert any(line.startswith("grid.n_omega1 = ") for line in lines)
+        assert lines == sorted(lines)
+        path.write_text("\n".join(lines) + "\n")
+        back = resolve_config(None, parse_config_file(path))
+        assert config_lines(back) == lines
+        for f in fields(ScenarioConfig):
+            assert getattr(back, f.name) == pytest.approx(
+                getattr(cfg, f.name), rel=1e-11), (scenario, f.name)
 
 
 def test_cli_invalid_config_exit_code(tmp_path, capsys):

@@ -404,12 +404,14 @@ def test_grid_tensor_equals_repeated_directions_bit_for_bit(
 
 @pytest.mark.parametrize("entry", [
     "close_batch", "sigma5_panel_grids", "spin_summed_sigma5",
-    "unpolarized_sigma5", "density_from_amplitudes", "tau_grid"])
+    "unpolarized_sigma5", "density_from_amplitudes", "tau_grid",
+    "threshold_boundary"])
 def test_wrong_direction_count_raises(rest_setup, entry):
     # 3 thetas with 2 phis raised IndexError in the closure, and 2 or 4
     # directions a numpy reshape error from the grid entry points;
     # unpolarized_sigma5 took two directions as the two-photon process,
-    # ignored omega2 and returned 2.2049e-05
+    # ignored omega2 and returned 2.2049e-05; threshold_boundary raised
+    # "not enough values to unpack" on two directions
     from triplecompton.entanglement import density_from_amplitudes, tau_grid
 
     calls = {
@@ -426,6 +428,8 @@ def test_wrong_direction_count_raises(rest_setup, entry):
             rest_setup, th, ph, 0.1, 0.15),
         "tau_grid": lambda th, ph: tau_grid(rest_setup, th, ph, [0.1],
                                             [0.15]),
+        "threshold_boundary": lambda th, ph: threshold_boundary(
+            rest_setup, th, ph, [0.1], 0.013),
     }
     thetas, phis = (1.2, 2.0, 0.9, 0.5), (0.4, 2.5, 4.4, 1.0)
     if entry == "close_batch":

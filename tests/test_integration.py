@@ -394,6 +394,11 @@ def test_fractional_seed_and_budget_rejected(rest_setup):
                                 seed=seed)
         with pytest.raises(ValueError, match="not an integer"):
             detector_average(rest_setup, *window, budget=budget, seed=seed)
+    # substream truncated as well: seed 1.5 drew seed 1's numbers
+    for seed in (1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"seed {seed!r} is not an "
+                           "integer"):
+            substream(seed, 0)
 
 
 def test_integration_result_fields(rest_setup):
