@@ -9,9 +9,11 @@ Subcommands
               processes plus beam-collision event rates
     scan      detector average versus incoming photon energy on a log grid
 
-Every run writes a metadata record (resolved config, seed, budget, code
-version) next to its outputs; rerunning with the same seed, budget and config
-reproduces every output file byte for byte.
+Every run writes its files and a ``metadata.txt`` through one function,
+``_record``.  The record holds the command, the code version, every resolved
+config value written exactly, the run's counts and the names of the files
+written; less its command, version, count and files lines it is a config
+that reproduces every file byte for byte.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical
 non-convergence or insufficient sampling budget.
@@ -49,17 +51,17 @@ def _setup_from_config(cfg: ScenarioConfig) -> CollisionSetup:
     return CollisionSetup(cfg.e_i_mev, cfg.omega0_mev)
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-
-
-def _metadata(cfg: ScenarioConfig, command: str, extra=()) -> str:
-    lines = [f"command = {command}", f"version = {__version__}"]
-    lines += config_lines(cfg)
-    lines += list(extra)
-    return "\n".join(lines) + "\n"
+def _record(out_dir: Path, cfg: ScenarioConfig, command: str, files: dict,
+            extra=()) -> None:
+    """Write each ``name: text`` entry of files into out_dir, then the run's
+    metadata.txt: command, version, config lines, extra and the file names."""
+    lines = [f"command = {command}", f"version = {__version__}",
+             *config_lines(cfg), *extra, f"files = {', '.join(files)}"]
+    files = {**files, "metadata.txt": "\n".join(lines) + "\n"}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        with open(out_dir / name, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
 
 
 def _sampler_line(label: str, res) -> str:
@@ -91,9 +93,8 @@ def run_mgbr1968(cfg: ScenarioConfig, out_dir: Path) -> str:
         "deviations",
     ]
     report = "\n".join(lines) + "\n"
-    _write(out_dir / "report.txt", report)
-    _write(out_dir / "metadata.txt",
-           _metadata(cfg, "mgbr1968", [f"n_samples = {res.n_samples}"]))
+    _record(out_dir, cfg, "mgbr1968", {"report.txt": report},
+            [f"n_samples = {res.n_samples}"])
     return report
 
 
@@ -128,31 +129,26 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
     w2s = np.linspace(cfg.grid_omega2_min_mev, cfg.grid_omega2_max_mev,
                       cfg.grid_n_omega2)
     beam = cfg.beam_pol_value()
-    written = []
     if observable == "sigma5":
         panels, masked = sigma5_panel_grids(
             setup, cfg.theta_rad, cfg.phi_rad, w1s, w2s, beam,
             cfg.threshold_mev)
         template = _grid_template(w1s, w2s, masked, ("sigma5_b_mev2_sr3",),
                                   "%.10e")
-        for letter, label in zip(PANEL_LETTERS, PANEL_ORDER):
-            name = f"sigma5_panel_{letter}_{label}.dat"
-            _write(out_dir / name,
-                   template % tuple(panels[label].ravel().tolist()))
-            written.append(name)
+        files = {f"sigma5_panel_{letter}_{label}.dat":
+                 template % tuple(panels[label].ravel().tolist())
+                 for letter, label in zip(PANEL_LETTERS, PANEL_ORDER)}
         boundary = threshold_boundary(setup, cfg.theta_rad, cfg.phi_rad,
                                       w1s, cfg.threshold_mev)
         rows = ["omega1_mev\tomega2_mev"]
         rows += [f"{a:.10e}\t{b:.10e}" for a, b in boundary]
-        _write(out_dir / "threshold_boundary.dat", "\n".join(rows) + "\n")
-        written.append("threshold_boundary.dat")
+        files["threshold_boundary.dat"] = "\n".join(rows) + "\n"
     else:
         taus, masked, results = tau_grid(
             setup, cfg.theta_rad, cfg.phi_rad, w1s, w2s, beam,
             cfg.threshold_mev)
         template = _grid_template(w1s, w2s, masked, ("tau",), "%.10e")
-        _write(out_dir / "tau_grid.dat",
-               template % tuple(taus.ravel().tolist()))
+        files = {"tau_grid.dat": template % tuple(taus.ravel().tolist())}
         diagnostics = np.zeros(results.shape + (len(_DIAGNOSTICS),))
         for cell, res in np.ndenumerate(results):
             if res is not None:
@@ -162,13 +158,10 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
                     res.dual_residual, res.feasibility_shift)
         template = _grid_template(w1s, w2s, masked, _DIAGNOSTICS,
                                   "%d" + "\t%.10e" * (len(_DIAGNOSTICS) - 1))
-        _write(out_dir / "tau_diagnostics.dat",
-               template % tuple(diagnostics.ravel().tolist()))
-        written += ["tau_grid.dat", "tau_diagnostics.dat"]
-    _write(out_dir / "metadata.txt",
-           _metadata(cfg, f"grid {observable}",
-                     [f"files = {', '.join(written)}"]))
-    return f"wrote {len(written)} file(s) to {out_dir}\n"
+        files["tau_diagnostics.dat"] = template % tuple(
+            diagnostics.ravel().tolist())
+    _record(out_dir, cfg, f"grid {observable}", files)
+    return f"wrote {len(files)} file(s) to {out_dir}\n"
 
 
 def run_totals(cfg: ScenarioConfig, processes, out_dir: Path) -> str:
@@ -198,11 +191,9 @@ def run_totals(cfg: ScenarioConfig, processes, out_dir: Path) -> str:
         f"d = {beams.transverse_size_um:.3g} um, "
         f"{beams.repetition_rate_hz:.3g} Hz")
     report = "\n".join(lines) + "\n"
-    _write(out_dir / "totals.txt", report)
-    _write(out_dir / "metadata.txt",
-           _metadata(cfg, "totals " + ",".join(processes),
-                     [f"n_samples_{p} = {r.n_samples}"
-                      for p, r in results.items()]))
+    _record(out_dir, cfg, "totals " + ",".join(processes),
+            {"totals.txt": report},
+            [f"n_samples_{p} = {r.n_samples}" for p, r in results.items()])
     return report
 
 
@@ -221,9 +212,8 @@ def run_scan(cfg: ScenarioConfig, out_dir: Path) -> str:
             value, error = res.value, res.statistical_error
         rows.append(f"{w0:.10e}\t{value:.10e}\t{error:.10e}")
     table = "\n".join(rows) + "\n"
-    _write(out_dir / "scan.dat", table)
-    _write(out_dir / "metadata.txt",
-           _metadata(cfg, "scan", [f"rows = {len(omega0s)}"]))
+    _record(out_dir, cfg, "scan", {"scan.dat": table},
+            [f"rows = {len(omega0s)}"])
     return table
 
 

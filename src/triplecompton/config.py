@@ -217,13 +217,13 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
 
 def config_lines(cfg: ScenarioConfig) -> list:
-    """Canonical key = value rendering (sorted), for metadata records."""
+    """Sorted key = value lines, one per field, for metadata records.  Each
+    value is written exactly (a float as its shortest round-trip repr), so
+    the lines read back as a file give cfg itself."""
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
-            value = ", ".join(f"{v:.12g}" for v in value)
-        elif isinstance(value, float):
-            value = f"{value:.12g}"
+            value = ", ".join(map(str, value))
         lines.append(f"{_FILE_KEYS[f.name]} = {value}")
     return sorted(lines)

@@ -313,7 +313,11 @@ def detector_average(setup: CollisionSetup, thetas, phis,
 
 def event_rate(sigma_barn: float, beams: BeamParameters) -> float:
     """Events per second for colliding pulses with perfect transverse overlap
-    over an effective area pi (d/2)^2."""
+    over an effective area pi (d/2)^2; sigma_barn must be finite and
+    non-negative."""
+    if not 0 <= sigma_barn < math.inf:
+        raise ValueError(
+            f"sigma_barn must be finite and non-negative, got {sigma_barn!r}")
     radius_cm = 0.5 * beams.transverse_size_um * 1e-4
     area_cm2 = math.pi * radius_cm * radius_cm
     return (sigma_barn * BARN_TO_CM2 * beams.photons_per_pulse

@@ -160,19 +160,19 @@ def test_cli_non_finite_energy_exit_code(tmp_path, capsys, line):
 
 def test_config_lines_roundtrip(tmp_path):
     # every field of both scenarios is written under its one file key and
-    # reads back as itself, to the 12 significant digits the lines carry
+    # reads back exactly as itself: the lines used to carry 12 significant
+    # digits, which moved the xfel theta pi - 1.5e-3
     path = tmp_path / "metadata.cfg"
     for scenario in ("mgbr1968", "xfel"):
         cfg = resolve_config(scenario)
         lines = config_lines(cfg)
+        assert len(lines) == len(fields(ScenarioConfig))
         assert any(line.startswith("grid.n_omega1 = ") for line in lines)
         assert lines == sorted(lines)
         path.write_text("\n".join(lines) + "\n")
         back = resolve_config(None, parse_config_file(path))
         assert config_lines(back) == lines
-        for f in fields(ScenarioConfig):
-            assert getattr(back, f.name) == pytest.approx(
-                getattr(cfg, f.name), rel=1e-11), (scenario, f.name)
+        assert back == cfg, scenario
 
 
 def test_cli_invalid_config_exit_code(tmp_path, capsys):
@@ -212,6 +212,17 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def _recorded_files(out):
+    """The names on metadata.txt's one files line, and the names of the
+    other files in out, each sorted."""
+    files = [line[len("files = "):].split(", ") for line in
+             (out / "metadata.txt").read_text().splitlines()
+             if line.startswith("files = ")]
+    assert len(files) == 1, files
+    return sorted(files[0]), sorted(p.name for p in out.iterdir()
+                                    if p.name != "metadata.txt")
+
+
 def test_cli_mgbr_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -220,6 +231,7 @@ def test_cli_mgbr_deterministic(tmp_path, capsys):
         assert code == cli.EXIT_OK
     for name in ("report.txt", "metadata.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert _recorded_files(out1) == (["report.txt"], ["report.txt"])
     report = (out1 / "report.txt").read_text()
     assert "4.1e-09" in report
     assert "8.1" in report and "2.4" in report
@@ -468,6 +480,7 @@ def test_cli_totals_report(tmp_path):
     assert "worst_stratum_var_share = " in lines[row + 1]
     meta = (out / "metadata.txt").read_text()
     assert "n_samples_single = 4096" in meta
+    assert _recorded_files(out) == (["totals.txt"], ["totals.txt"])
 
 
 def test_cli_scan_rows(tmp_path):
@@ -484,6 +497,39 @@ scan.n_points = 3
     rows = (out / "scan.dat").read_text().splitlines()
     assert rows[0] == "omega0_mev\tavg_sigma_b_sr3\tstat_error_b_sr3"
     assert len(rows) == 4
+    assert _recorded_files(out) == (["scan.dat"], ["scan.dat"])
+
+
+def test_cli_reruns_from_its_own_metadata(tmp_path, capsys):
+    # metadata.txt less its command, version, files and count lines is a
+    # config that reproduces its run byte for byte, the record included;
+    # the xfel theta pi - 1.5e-3 used to be recorded to 12 digits, which
+    # moved the panel values
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("scenario = xfel\ngrid.n_omega1 = 4\ngrid.n_omega2 = 4\n"
+                    "grid.omega1_max_mev = 1300\ngrid.omega2_max_mev = 1300\n")
+    runs = {"grid": (["grid", "--observable", "sigma5"],
+                     ["--config", str(grid)]),
+            "totals": (["totals", "--process", "double"],
+                       ["--budget", "1024", "--seed", "3"])}
+    for name, (command, flags) in runs.items():
+        first, again = tmp_path / name, tmp_path / f"{name}_again"
+        assert cli.main(command + flags + ["--out", str(first)]) \
+            == cli.EXIT_OK
+        record = tmp_path / f"{name}_record.cfg"
+        record.write_text("".join(
+            line for line in
+            (first / "metadata.txt").read_text().splitlines(True)
+            if not line.startswith(("command = ", "version = ", "files = ",
+                                    "n_samples"))))
+        assert cli.main(command + ["--config", str(record),
+                                   "--out", str(again)]) == cli.EXIT_OK
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        assert len(names) == (10 if name == "grid" else 2)
+        for file in names:
+            assert (again / file).read_bytes() == (first / file).read_bytes(), \
+                (name, file)
 
 
 @pytest.mark.parametrize("command", [

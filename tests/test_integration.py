@@ -364,6 +364,11 @@ def test_event_rate_examples():
     assert event_rate(2e-5, BeamParameters(2e13, 1e9, 40.0, 0.0)) == 0.0
     doubled = BeamParameters(2e13, 2e9, 40.0, 120.0)
     assert event_rate(2e-5, doubled) == pytest.approx(2 * rate, rel=1e-12)
+    # a cross section that is not finite or is negative used to give a nan
+    # or negative rate
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="sigma_barn"):
+            event_rate(bad, beams)
     for bad in (-1.0, math.nan, math.inf):
         for k in (0, 1, 3):
             values = [2e13, 1e9, 40.0, 120.0]
