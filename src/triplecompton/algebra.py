@@ -15,7 +15,7 @@ import numbers
 
 import numpy as np
 
-from .constants import ELECTRON_MASS_MEV
+from .constants import ELECTRON_MASS_MEV as M
 
 # |q^2 - m^2| below this many m^2 counts as the propagator pole
 POLE_GUARD = 1e-12
@@ -88,12 +88,12 @@ def check_labels(*labels) -> None:
                 f"polarization and spin labels must be 1 or 2, got {label}")
 
 
-def check_on_shell(p: np.ndarray, mass: float = ELECTRON_MASS_MEV) -> None:
+def check_on_shell(p: np.ndarray) -> None:
     """Raise :class:`OffShellError` unless the four-vector p has positive
     energy and |p^2 - m^2| is within 1e-6 m^2 plus 8 eps p_0^2, the
     rounding of p_0^2 - |p|^2 at energy p_0."""
-    off = abs(minkowski_dot(p, p) - mass * mass) / (mass * mass)
-    bound = 1e-6 + 8.0 * np.finfo(float).eps * (p[0] / mass) ** 2
+    off = abs(minkowski_dot(p, p) - M * M) / (M * M)
+    bound = 1e-6 + 8.0 * np.finfo(float).eps * (p[0] / M) ** 2
     if not off <= bound:
         raise OffShellError(
             f"momentum off-shell: |p^2 - m^2|/m^2 = {off:.3e} > {bound:.3e}")
@@ -101,15 +101,15 @@ def check_on_shell(p: np.ndarray, mass: float = ELECTRON_MASS_MEV) -> None:
         raise OffShellError("positive-energy spinor requires E > 0")
 
 
-def dirac_spinor_batch(p: np.ndarray, mass: float = ELECTRON_MASS_MEV) -> np.ndarray:
+def dirac_spinor_batch(p: np.ndarray) -> np.ndarray:
     """Both spin columns u_1, u_2 for momenta (..., 4) -> (..., 4, 2).
 
     Satisfies ubar_r u_s = delta_rs and u^dagger u = E/m for on-shell p;
     the mass shell is not checked here (see :func:`check_on_shell`).
     """
     p = np.asarray(p, dtype=float)
-    e_plus_m = p[..., 0] + mass
-    norm = np.sqrt(e_plus_m / (2.0 * mass))
+    e_plus_m = p[..., 0] + M
+    norm = np.sqrt(e_plus_m / (2.0 * M))
     out = np.zeros(p.shape[:-1] + (4, 2), dtype=complex)
     out[..., 0, 0] = 1.0
     out[..., 2, 0] = p[..., 3] / e_plus_m
@@ -120,7 +120,7 @@ def dirac_spinor_batch(p: np.ndarray, mass: float = ELECTRON_MASS_MEV) -> np.nda
     return norm[..., None, None] * out
 
 
-def dirac_spinor_bar_batch(p: np.ndarray, mass: float = ELECTRON_MASS_MEV) -> np.ndarray:
+def dirac_spinor_bar_batch(p: np.ndarray) -> np.ndarray:
     """Rows ubar_1, ubar_2 for momenta (..., 4) -> (..., 2, 4)."""
-    cols = dirac_spinor_batch(p, mass)
+    cols = dirac_spinor_batch(p)
     return np.einsum('...ar,ab->...rb', cols.conj(), GAMMA0)

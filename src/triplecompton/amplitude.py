@@ -43,6 +43,7 @@ import numpy as np
 from .algebra import (POLE_GUARD, PropagatorPoleError, check_labels,
                       check_on_shell, dirac_spinor_bar_batch,
                       dirac_spinor_batch, slash_batch)
+from .constants import ELECTRON_MASS_MEV
 from .kinematics import CollisionSetup
 
 
@@ -57,7 +58,7 @@ def point_amplitude(setup: CollisionSetup, photons, p_f, eps, r_i: int = 1,
     check included, is amplitude_tensor with each eps a length-1 axis.
     """
     check_labels(r_i, r_f)
-    check_on_shell(p_f, setup.mass)
+    check_on_shell(p_f)
     tensor = amplitude_tensor(
         setup, np.asarray(photons, float).reshape(-1, 1, 4),
         np.asarray(p_f)[None], [np.asarray(e)[None, None] for e in eps])
@@ -155,20 +156,20 @@ def _vertex(vertex: tuple, state: np.ndarray, before: int) -> np.ndarray:
     return out.reshape(4, m_in * blocks.shape[4], n_pts)
 
 
-def _propagators(qs: np.ndarray, denom: np.ndarray, mass: float) -> list:
+def _propagators(qs: np.ndarray, denom: np.ndarray) -> list:
     """S(q) = (qslash + m)/denom for internal momenta qs (N, S, 4) and their
     denom = q^2 - m^2 (S, N) as _propagate's 2x2 blocks, one per column.
 
     With r = 1/denom, which is what numpy's complex-by-real division
     multiplies by, every entry is the same double as the 4x4 matrix's.
     """
-    r = 1.0 / denom
+    r, m = 1.0 / denom, ELECTRON_MASS_MEV
     t, x, y, z = np.ascontiguousarray(qs.transpose(2, 1, 0))
     x, y, z = x * r, y * r, z * r
     sigma = np.empty((qs.shape[1], 2, 2, 1, qs.shape[0]), complex)
     sigma[:, 0, 0, 0], sigma[:, 0, 1, 0] = z, x + 1j * y
     sigma[:, 1, 0, 0], sigma[:, 1, 1, 0] = x - 1j * y, -z
-    return list(zip((t + mass) * r, (mass - t) * r, sigma))
+    return list(zip((t + m) * r, (m - t) * r, sigma))
 
 
 def _propagate(prop: tuple, state: np.ndarray) -> np.ndarray:
@@ -195,16 +196,16 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
                      p_f: np.ndarray, eps_arrays: list) -> np.ndarray:
     """Amplitudes for every polarization label and spin at stacked points.
 
-    k_out: (n_out, N, 4) emitted photon four-momenta; the absorbed photon's,
-    p_i and the mass come from setup.  eps_arrays: per photon, the absorbed
-    one first, (N, P, 4) polarization four-vectors, normally the P = 2
-    basis.  Their point axis may instead be 1 for every photon, (1, P, 4):
-    each photon's vectors are then shared by all N points, as at fixed
-    detector directions, and give the same amplitudes, to the bit, as the
-    vectors repeated at every point.  Returns a complex array (N, P, ...,
-    P, 2, 2): one polarization axis per photon (photon order), then r_i,
-    then r_f.  Raises PropagatorPoleError if any |q^2 - m^2| is below
-    POLE_GUARD m^2.
+    k_out: (n_out, N, 4) emitted photon four-momenta; the absorbed photon's
+    and p_i come from setup, and m is ELECTRON_MASS_MEV.  eps_arrays: per
+    photon, the absorbed one first, (N, P, 4) polarization four-vectors,
+    normally the P = 2 basis.  Their point axis may instead be 1 for every
+    photon, (1, P, 4): each photon's vectors are then shared by all N
+    points, as at fixed detector directions, and give the same amplitudes,
+    to the bit, as the vectors repeated at every point.  Returns a complex
+    array (N, P, ..., P, 2, 2): one polarization axis per photon (photon
+    order), then r_i, then r_f.  Raises PropagatorPoleError if any |q^2 -
+    m^2| is below POLE_GUARD m^2.
 
     The amplitude is linear in each polarization vector, so a polarized
     beam needs no contraction afterwards: ``beam_basis_arrays`` hands the
@@ -271,11 +272,11 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     """
     k_out = np.asarray(k_out, float)
     n, n_pts = k_out.shape[0] + 1, k_out.shape[1]
-    k_0, mass = setup.k_0, setup.mass
+    k_0, m = setup.k_0, ELECTRON_MASS_MEV
     p_i = np.broadcast_to(setup.p_i, (n_pts, 4))
-    u_cols = np.broadcast_to(dirac_spinor_batch(setup.p_i, mass)[..., None],
+    u_cols = np.broadcast_to(dirac_spinor_batch(setup.p_i)[..., None],
                              (4, 2, n_pts))
-    ubar = dirac_spinor_bar_batch(np.asarray(p_f), mass).transpose(1, 2, 0)
+    ubar = dirac_spinor_bar_batch(np.asarray(p_f)).transpose(1, 2, 0)
 
     # every internal momentum p_i + k_0 - ..., one per proper subset
     subsets = [subset for size in range(1, n)
@@ -288,11 +289,11 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
             q = q + k_0 if j == 0 else q - k_out[j - 1]
         qs[:, col] = q
     metric = np.array([1.0, -1.0, -1.0, -1.0])
-    denom = np.einsum('nsi,nsi->sn', qs * metric, qs) - mass * mass
-    if (np.abs(denom) < POLE_GUARD * mass * mass).any():
+    denom = np.einsum('nsi,nsi->sn', qs * metric, qs) - m * m
+    if (np.abs(denom) < POLE_GUARD * m * m).any():
         raise PropagatorPoleError(f"propagator pole: |q^2 - m^2| = "
                                   f"{np.abs(denom).min():.6e} MeV^2")
-    props = _propagators(qs, denom, mass)
+    props = _propagators(qs, denom)
     # each photon's slashed polarizations, (4, 4, vector, N or 1), and the
     # exit vertices ubar eslash, (2, 4, vector, N)
     vectors = np.concatenate(eps_arrays, axis=1)
@@ -336,7 +337,7 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
             for col, mask in enumerate(masks) if mask.bit_count() == size}
     total = vertex_sum(_apply, exits, (1 << n) - 1).reshape(
         (2,) + tuple(n_pols) + (2, n_pts))
-    total *= mass ** (n - 1)
+    total *= m ** (n - 1)
     return np.ascontiguousarray(total.transpose(
         (n + 2,) + tuple(range(1, n + 1)) + (n + 1, 0)))
 

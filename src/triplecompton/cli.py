@@ -15,8 +15,9 @@ config value written exactly, the run's counts and the names of the files
 written; less its command, version, count and files lines it is a config
 that reproduces every file byte for byte.
 
-Exit codes: 0 success, 2 config validation failure, 3 numerical
-non-convergence or insufficient sampling budget.
+Exit codes: 0 success, 2 config validation failure or an --out that
+cannot be made a directory, 3 numerical non-convergence or insufficient
+sampling budget.
 """
 from __future__ import annotations
 
@@ -53,12 +54,12 @@ def _setup_from_config(cfg: ScenarioConfig) -> CollisionSetup:
 
 def _record(out_dir: Path, cfg: ScenarioConfig, command: str, files: dict,
             extra=()) -> None:
-    """Write each ``name: text`` entry of files into out_dir, then the run's
-    metadata.txt: command, version, config lines, extra and the file names."""
+    """Write each ``name: text`` entry of files into out_dir, which main
+    has made, then the run's metadata.txt: command, version, config lines,
+    extra and the file names."""
     lines = [f"command = {command}", f"version = {__version__}",
              *config_lines(cfg), *extra, f"files = {', '.join(files)}"]
     files = {**files, "metadata.txt": "\n".join(lines) + "\n"}
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         with open(out_dir / name, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
@@ -263,6 +264,8 @@ def main(argv=None) -> int:
         default_scenario = "xfel" if args.command == "totals" else None
         cfg = resolve_config(args.scenario or file_values.get("scenario")
                              or default_scenario, file_values, overrides)
+        # an --out that cannot be a directory fails here, before the run
+        args.out.mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -24,15 +24,15 @@ import numpy as np
 
 from . import amplitude as amp
 from .algebra import check_labels
-from .constants import ALPHA, HBARC2_MEV2_BARN
+from .constants import ALPHA, ELECTRON_MASS_MEV, HBARC2_MEV2_BARN
 from .kinematics import CollisionSetup, _check_directions, _close_arrays
 
 
-def prefactor(n_out: int, mass: float) -> float:
+def prefactor(n_out: int) -> float:
     """Process-order prefactor alpha^(n+1)/(2 pi)^(2(n-1))/m^(2(n-1))."""
     return (ALPHA ** (n_out + 1)
             / (2.0 * math.pi) ** (2 * (n_out - 1))
-            / mass ** (2 * (n_out - 1)))
+            / ELECTRON_MASS_MEV ** (2 * (n_out - 1)))
 
 
 def _check_final_pols(final_pols) -> None:
@@ -52,8 +52,8 @@ def sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
     :func:`grid_tensor`."""
     _check_final_pols(final_pols)
     check_labels(r_i, r_f)
-    tensor, kin, _, _ = grid_tensor(setup, thetas, phis, [omega1], [omega2],
-                                    beam_pol, threshold_eps)
+    tensor, kin, _ = grid_tensor(setup, thetas, phis, [omega1], [omega2],
+                                 beam_pol, threshold_eps)
     i, j, l = (lab - 1 for lab in final_pols)
     return float(abs(tensor[0, 0, i, j, l, r_i - 1, r_f - 1]) ** 2 * kin[0])
 
@@ -72,7 +72,8 @@ def spin_summed_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
 def unpolarized_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
                        threshold_eps: float = 0.0) -> float:
     """(1/4) sum over electron spins, beam basis and final polarizations;
-    thetas or phis that are not three directions raise ValueError."""
+    thetas or phis that are not three finite directions raise
+    ValueError."""
     thetas, phis = _check_directions(thetas, phis)
     value = unpolarized_differential_batch(
         setup, thetas[:, None], phis[:, None],
@@ -100,11 +101,11 @@ def _tensor_for_points(setup, thetas, phis, omegas_free,
     physical points with every photon at or above threshold_eps, and reads
     zero elsewhere.  kin is the differential cross section per unit
     squared amplitude (the formula in the module docstring without
-    |M|^2), zero off the kept rows.  Returns (tensor, kin, keep,
-    physical).  A non-finite threshold_eps raises ValueError.
+    |M|^2), zero off the kept rows.  Returns (tensor, kin, keep).  A
+    threshold_eps that is not finite and non-negative raises ValueError.
     """
-    if not math.isfinite(threshold_eps):
-        raise ValueError(f"threshold_eps must be finite, got {threshold_eps}")
+    if not 0.0 <= threshold_eps < math.inf:
+        raise ValueError(f"threshold {threshold_eps} must be finite and >= 0")
     thetas = np.atleast_2d(np.asarray(thetas, float))
     phis = np.atleast_2d(np.asarray(phis, float))
     n_out = len(thetas)
@@ -112,8 +113,8 @@ def _tensor_for_points(setup, thetas, phis, omegas_free,
     if shared and n_out > 1:
         n_dirs = (n_out, np.size(omegas_free) // (n_out - 1))
         thetas, phis = (np.broadcast_to(a, n_dirs) for a in (thetas, phis))
-    _, k_out, p_f, kfac, physical, _ = _close_arrays(setup, thetas, phis,
-                                                     omegas_free)
+    _, k_out, p_f, kfac, physical = _close_arrays(setup, thetas, phis,
+                                                  omegas_free)
     # k_out[..., 0] holds every photon's energy, the derived one included
     keep = physical & (k_out[..., 0] >= threshold_eps).all(axis=0)
     n_pts, n_kept = keep.size, int(np.count_nonzero(keep))
@@ -123,17 +124,17 @@ def _tensor_for_points(setup, thetas, phis, omegas_free,
                       dtype=complex)
     kin = np.zeros(n_pts)
     if not n_kept:
-        return tensor, kin, keep, physical
+        return tensor, kin, keep
     for j in range(n_out):
         eps_arrays.append(amp.outgoing_basis_arrays(thetas[j][rows],
                                                     phis[j][rows]))
     tensor[keep] = amp.amplitude_tensor(setup, k_out[:, keep], p_f[keep],
                                         eps_arrays)
     e_f = p_f[keep, 0]
-    kin[keep] = (prefactor(n_out, setup.mass)
+    kin[keep] = (prefactor(n_out)
                  * k_out[:, keep, 0].prod(axis=0) / (e_f * setup.flux)
                  / np.abs(kfac[keep]) * HBARC2_MEV2_BARN)
-    return tensor, kin, keep, physical
+    return tensor, kin, keep
 
 
 def grid_tensor(setup, thetas, phis, omega1_grid, omega2_grid, beam_pol,
@@ -145,7 +146,7 @@ def grid_tensor(setup, thetas, phis, omega1_grid, omega2_grid, beam_pol,
     each photon's polarization basis is built once for the whole grid.
     Every caller reads one beam polarization, so beam_pol None, which
     would evaluate both basis vectors, raises ValueError, as do thetas or
-    phis that are not three directions."""
+    phis that are not three finite directions."""
     if beam_pol is None:
         raise ValueError("beam_pol must be 1, 2 or a transverse vector, "
                          "not None")
@@ -182,8 +183,8 @@ def sigma5_panel_grids(setup, thetas, phis, omega1_grid, omega2_grid,
     unphysical or have any photon below threshold.  One amplitude tensor
     evaluation covers every panel.
     """
-    tensor, kin, keep, _ = grid_tensor(setup, thetas, phis, omega1_grid,
-                                       omega2_grid, beam_pol, threshold_eps)
+    tensor, kin, keep = grid_tensor(setup, thetas, phis, omega1_grid,
+                                    omega2_grid, beam_pol, threshold_eps)
     shape = (np.size(omega1_grid), np.size(omega2_grid))
     # (N, 2,2,2, r_i, r_f) -> (N, 2,2,2)
     msq = 0.5 * (np.abs(tensor[:, 0]) ** 2).sum(axis=(4, 5))
@@ -202,8 +203,8 @@ def unpolarized_differential_batch(setup, thetas, phis, omegas_free,
     Units: b sr^-n_out MeV^-(n_out-1).  Used by the total-cross-section
     integrators for the one-, two- and three-photon processes.
     """
-    tensor, kin, _, _ = _tensor_for_points(setup, thetas, phis, omegas_free,
-                                           threshold_eps)
+    tensor, kin, _ = _tensor_for_points(setup, thetas, phis, omegas_free,
+                                        threshold_eps)
     msq = 0.25 * (np.abs(tensor) ** 2).reshape(tensor.shape[0],
                                                -1).sum(axis=1)
     return msq * kin

@@ -128,10 +128,9 @@ def density_from_amplitudes(setup: CollisionSetup, thetas, phis, omega1,
     ~1e-16 relative at rest and up to ~2e-8 at collider kinematics, where
     the amplitude kernel itself loses digits.
     """
-    tensor, _, _, physical = grid_tensor(setup, thetas, phis,
-                                         [float(omega1)], [float(omega2)],
-                                         beam_pol)
-    if not physical[0]:
+    tensor, _, keep = grid_tensor(setup, thetas, phis, [float(omega1)],
+                                  [float(omega2)], beam_pol)
+    if not keep[0]:
         raise DegenerateStateError("phase-space point is unphysical")
     rho, norm, live = _states(tensor[:, 0])
     if not live[0]:
@@ -527,8 +526,8 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
     :func:`grid_tensor` evaluation gives every cell's state, and each
     unmasked cell is one :func:`gme_tau` call.
     """
-    tensor, _, keep, _ = grid_tensor(setup, thetas, phis, omega1_grid,
-                                     omega2_grid, beam_pol, threshold_eps)
+    tensor, _, keep = grid_tensor(setup, thetas, phis, omega1_grid,
+                                  omega2_grid, beam_pol, threshold_eps)
     cells = np.nonzero(keep)[0]
     states, _, live = _states(tensor[cells, 0])
     masked = ~keep

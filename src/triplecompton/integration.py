@@ -35,8 +35,8 @@ import numpy as np
 # it by this module's name
 from .cross_section import (unpolarized_differential_batch,
                             unpolarized_sigma5_batch)
-from .constants import BARN_TO_CM2
-from .kinematics import CollisionSetup
+from .constants import BARN_TO_CM2, ELECTRON_MASS_MEV
+from .kinematics import CollisionSetup, _check_directions
 
 _MASK64 = (1 << 64) - 1
 # rows per integrand call, across stratum boundaries; the per-stratum sums do
@@ -193,7 +193,7 @@ def _sphere_angles(setup: CollisionSetup):
     (radial, azimuth) column pair per photon: the backscatter cone
     pi - theta = (m/E) CONE_SCALE tan(psi) with psi uniform on [0, psi_max],
     where psi_max brings theta to exactly 0 at any E >= m."""
-    ratio = setup.mass / setup.e_i_mev
+    ratio = ELECTRON_MASS_MEV / setup.e_i_mev
     psi_max = math.atan(math.pi / ratio / CONE_SCALE)
 
     def angles(x, weight):
@@ -230,12 +230,13 @@ def _window_angles(thetas, phis, root, half_theta):
     return angles
 
 
-def _estimate(setup, n_out, eps, angles, strata, budget, seed, scale):
+def _estimate(setup, n_out, eps, angles, budget, seed, scale):
     """Stratified integral of the n_out-photon unpolarized differential cross
     section over the free energies above eps and the directions ``angles``
-    maps, divided by ``scale``.  The cross section and the sampler are read
-    from this module's globals at call time, where perfbench/tracing.py
-    patches them."""
+    maps, divided by ``scale``.  One photon is stratified in 64 cells of its
+    radial angle, more photons in 8 x 8 cells of the first two columns.
+    The cross section and the sampler are read from this module's globals
+    at call time, where perfbench/tracing.py patches them."""
     n_free = n_out - 1
     w_max = setup.omega_max
 
@@ -245,6 +246,7 @@ def _estimate(setup, n_out, eps, angles, strata, budget, seed, scale):
         f = unpolarized_differential_batch(setup, thetas, phis, omegas, eps)
         return f * weight
 
+    strata = (64,) if n_out == 1 else (8, 8)
     est = stratified_monte_carlo(integrand, 3 * n_out - 1, strata, budget,
                                  seed)
     return est._replace(value=est.value / scale,
@@ -268,13 +270,12 @@ def total_cross_section(setup: CollisionSetup, threshold_eps: float,
         raise ValueError(
             "infrared cutoff threshold_eps > 0 is mandatory for the "
             "double and triple processes")
-    if not threshold_eps < setup.omega_max:
+    if not 0.0 <= threshold_eps < setup.omega_max:
         raise ValueError(
-            f"threshold {threshold_eps} MeV is not below the kinematic "
-            f"maximum {setup.omega_max:.6g} MeV")
-    strata = (64,) if n_out == 1 else (8, 8)
+            f"threshold {threshold_eps} MeV is not in [0, "
+            f"{setup.omega_max:.6g}) MeV, the kinematic maximum")
     return _estimate(setup, n_out, threshold_eps, _sphere_angles(setup),
-                     strata, budget, seed, math.factorial(n_out))
+                     budget, seed, math.factorial(n_out))
 
 
 def detector_average(setup: CollisionSetup, thetas, phis,
@@ -288,11 +289,7 @@ def detector_average(setup: CollisionSetup, thetas, phis,
     arcsin(sqrt(Omega)/2), the rectangle in (cos theta', phi') whose measure
     equals Omega at theta_j = pi/2; the result is normalized by Omega^3.
     """
-    thetas = [float(t) for t in thetas]
-    phis = [float(p) for p in phis]
-    if len(thetas) != 3 or len(phis) != 3 \
-            or not all(map(math.isfinite, thetas + phis)):
-        raise ValueError("need three finite detector angles theta and phi")
+    thetas, phis = _check_directions(thetas, phis)
     if not solid_angle_sr > 0:
         raise WindowError("solid angle must be positive")
     root = math.sqrt(solid_angle_sr)
@@ -307,8 +304,8 @@ def detector_average(setup: CollisionSetup, thetas, phis,
         raise ValueError(
             f"threshold must lie in (0, {setup.omega_max:.6g}) MeV")
     return _estimate(setup, 3, threshold_eps,
-                     _window_angles(thetas, phis, root, half_theta), (8, 8),
-                     budget, seed, solid_angle_sr ** 3)
+                     _window_angles(thetas, phis, root, half_theta), budget,
+                     seed, solid_angle_sr ** 3)
 
 
 def event_rate(sigma_barn: float, beams: BeamParameters) -> float:

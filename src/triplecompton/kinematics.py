@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ELECTRON_MASS_MEV
+from .constants import ELECTRON_MASS_MEV as M
 
 
 @dataclass(frozen=True)
@@ -36,26 +36,22 @@ class CollisionSetup:
 
     e_i_mev: float
     omega0_mev: float
-    mass: float = ELECTRON_MASS_MEV
 
     def __post_init__(self):
-        if not all(map(math.isfinite,
-                       (self.e_i_mev, self.omega0_mev, self.mass))):
+        if not all(map(math.isfinite, (self.e_i_mev, self.omega0_mev))):
             raise ValueError("energies must be finite")
-        if not self.mass > 0:
-            raise ValueError(f"mass {self.mass} must be positive")
-        if self.e_i_mev < self.mass:
+        if self.e_i_mev < M:
             raise ValueError(f"electron energy {self.e_i_mev} below mass")
         if self.omega0_mev <= 0:
             raise ValueError("incoming photon energy must be positive")
 
     @classmethod
-    def rest_frame(cls, omega0_mev: float, mass: float = ELECTRON_MASS_MEV):
-        return cls(mass, omega0_mev, mass)
+    def rest_frame(cls, omega0_mev: float):
+        return cls(M, omega0_mev)
 
     @property
     def p_abs(self) -> float:
-        return math.sqrt((self.e_i_mev - self.mass) * (self.e_i_mev + self.mass))
+        return math.sqrt((self.e_i_mev - M) * (self.e_i_mev + M))
 
     @property
     def p_i(self) -> np.ndarray:
@@ -70,7 +66,7 @@ class CollisionSetup:
     @property
     def e_minus_p(self) -> float:
         """E_i - |p_i| evaluated without cancellation."""
-        return self.mass * self.mass / (self.e_i_mev + self.p_abs)
+        return M * M / (self.e_i_mev + self.p_abs)
 
     @property
     def flux(self) -> float:
@@ -79,7 +75,7 @@ class CollisionSetup:
 
     @property
     def s_invariant(self) -> float:
-        return self.mass * self.mass + 2.0 * self.flux
+        return M * M + 2.0 * self.flux
 
     @property
     def omega_max(self) -> float:
@@ -136,12 +132,11 @@ def _close_arrays(setup, thetas, phis, omegas_free):
 
     thetas, phis: (n_out, N); omegas_free: (n_out - 1, N).
     Returns (w_last (N,), k (n_out, N, 4), p_f (N, 4), K (N,),
-    physical (N,), degenerate (N,)).  K = den/E_f on physical points and
-    1.0 elsewhere.  degenerate flags points whose closure denominator
-    vanishes (a physically unreachable direction); they read w_last = -1
-    and physical False.  A non-finite angle or free energy, a negative free
-    energy, phis not shaped like thetas, or omegas_free not holding
-    (n_out - 1) * N values raises ValueError.
+    physical (N,)).  K = den/E_f on physical points and 1.0 elsewhere.
+    Points whose closure denominator vanishes (a physically unreachable
+    direction) read w_last = -1 and physical False.  A non-finite angle or
+    free energy, a negative free energy, phis not shaped like thetas, or
+    omegas_free not holding (n_out - 1) * N values raises ValueError.
     """
     thetas = np.atleast_2d(np.asarray(thetas, float))
     phis = np.atleast_2d(np.asarray(phis, float))
@@ -182,9 +177,9 @@ def _close_arrays(setup, thetas, phis, omegas_free):
     p_f[:, 2] = -k[..., 2].sum(axis=0)
 
     e_f = p_f[:, 0]
-    physical = (~degenerate) & (w_last > 0.0) & (e_f >= setup.mass)
+    physical = (~degenerate) & (w_last > 0.0) & (e_f >= M)
     kfac = np.divide(den, e_f, out=np.ones(n_pts), where=physical)
-    return w_last, k, p_f, kfac, physical, degenerate
+    return w_last, k, p_f, kfac, physical
 
 
 def close_batch(setup, thetas, phis, omega1, omega2):
@@ -196,12 +191,14 @@ def close_batch(setup, thetas, phis, omega1, omega2):
 
 def _check_directions(thetas, phis):
     """thetas and phis as float arrays; ValueError unless each holds three
-    directions."""
+    finite directions."""
     thetas = np.asarray(thetas, float)
     phis = np.asarray(phis, float)
     if thetas.shape != (3,) or phis.shape != (3,):
         raise ValueError(f"need three thetas and three phis, got shapes "
                          f"{thetas.shape} and {phis.shape}")
+    if not (np.isfinite(thetas).all() and np.isfinite(phis).all()):
+        raise ValueError("angles must be finite")
     return thetas, phis
 
 
@@ -221,20 +218,22 @@ def threshold_boundary(setup, thetas, phis, omega1_grid,
     0 < w2* < setup.omega_max, w3 falls through eps there (a d - b c < 0)
     and the closed point is physical; the last test drops the unphysical
     continuation (E_f < m) on which w3 turns positive again.  Rows without
-    such a root are left out.  Thetas or phis that are not three directions,
-    or a non-finite angle, omega1 or threshold, raise ValueError.
+    such a root are left out.  Thetas or phis that are not three finite
+    directions, a non-finite omega1 or a threshold that is not finite and
+    non-negative raise ValueError.
     """
     th, ph = _check_directions(thetas, phis)
     w1 = np.asarray(omega1_grid, float)
-    if not all(np.isfinite(v).all() for v in (th, ph, w1, threshold_eps)):
-        raise ValueError("angles, omega1 and threshold must be finite")
+    if not (np.isfinite(w1).all() and 0.0 <= threshold_eps < math.inf):
+        raise ValueError("omega1 must be finite, and the threshold finite "
+                         "and non-negative")
     a, (_, b, c) = _leave(setup, th, ph, [w1])
     d = _one_minus_cos_angle(th[1], ph[1], th[2], ph[2])
     with np.errstate(divide="ignore", invalid="ignore"):
         w2 = (a - threshold_eps * c) / (b - threshold_eps * d)
     rows = np.nonzero((w2 > 0.0) & (w2 < setup.omega_max)
                       & (a * d - b * c < 0.0))[0]
-    _, _, _, _, physical, _ = close_batch(
+    _, _, _, _, physical = close_batch(
         setup, np.broadcast_to(th[:, None], (3, rows.size)),
         np.broadcast_to(ph[:, None], (3, rows.size)), w1[rows], w2[rows])
     return [(float(w1[i]), float(w2[i])) for i in rows[physical]]

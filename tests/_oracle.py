@@ -17,20 +17,20 @@ from triplecompton.algebra import (IDENTITY4, POLE_GUARD,
                                    dirac_spinor_bar_batch,
                                    dirac_spinor_batch, minkowski_dot,
                                    slash_batch)
-from triplecompton.constants import ELECTRON_MASS_MEV
+from triplecompton.constants import ELECTRON_MASS_MEV as M
 
 PERMUTATIONS4 = tuple(itertools.permutations(range(4)))
 
 
-def propagator_denominator(q, mass=ELECTRON_MASS_MEV) -> float:
+def propagator_denominator(q) -> float:
     """q^2 - m^2 for one four-vector q, raising :class:`PropagatorPoleError`
     when its magnitude is below POLE_GUARD * m^2.
 
     The physical phase space of the photon-splitting processes never
     reaches the pole, so this only traps malformed input.
     """
-    denom = minkowski_dot(q, q) - mass * mass
-    if abs(denom) < POLE_GUARD * mass * mass:
+    denom = minkowski_dot(q, q) - M * M
+    if abs(denom) < POLE_GUARD * M * M:
         raise PropagatorPoleError(
             f"propagator pole: q^2 - m^2 = {denom:.6e} MeV^2")
     return denom
@@ -51,22 +51,21 @@ def propagator_momenta(xi, setup, photons) -> tuple:
 def naive_total_amplitude(setup, photons, p_f, eps, r_i=1,
                           r_f=1) -> complex:
     """Explicit matrix products, one permutation at a time."""
-    mass = setup.mass
     n = len(photons) + 1
-    u_i = dirac_spinor_batch(setup.p_i, mass)[:, r_i - 1]
-    ubar_f = dirac_spinor_bar_batch(p_f, mass)[r_f - 1]
+    u_i = dirac_spinor_batch(setup.p_i)[:, r_i - 1]
+    ubar_f = dirac_spinor_bar_batch(p_f)[r_f - 1]
     slashed = [slash_batch(e) for e in eps]
     total = 0.0 + 0.0j
     for xi in itertools.permutations(range(n)):
         # application order: eps_xi(0), S(q_1), eps_xi(1), ..., eps_xi(n-1)
         mats = [slashed[xi[0]]]
         for q, j in zip(propagator_momenta(xi, setup, photons), xi[1:]):
-            mats.append((slash_batch(q) + mass * IDENTITY4)
-                        / propagator_denominator(q, mass))
+            mats.append((slash_batch(q) + M * IDENTITY4)
+                        / propagator_denominator(q))
             mats.append(slashed[j])
         chain = IDENTITY4
         for mat in mats:
             chain = mat @ chain
         total += ubar_f @ chain @ u_i
-    return mass ** (n - 1) * total
+    return M ** (n - 1) * total
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from triplecompton.constants import ELECTRON_MASS_MEV as M
 from triplecompton.kinematics import CollisionSetup, _close_arrays
 
 MGBR_THETAS = (math.pi / 2, math.pi / 2, math.pi / 2)
@@ -31,7 +32,7 @@ def xfel_setup():
 def close_point(setup, thetas, phis, omega1, omega2):
     """kinematics._close_arrays at one triple-photon point: (photons, p_f,
     omega3, K, physical), photons a tuple of three (4,) momenta."""
-    w3, k, p_f, kfac, physical, _ = _close_arrays(
+    w3, k, p_f, kfac, physical = _close_arrays(
         setup, np.array(thetas, float)[:, None],
         np.array(phis, float)[:, None], np.array([[omega1], [omega2]], float))
     return tuple(k[:, 0]), p_f[0], float(w3[0]), float(kfac[0]), \
@@ -47,12 +48,12 @@ def random_physical_configs(setup, rng, n, omega_lo_frac=0.02,
     For a relativistic incoming electron, hard photons only live in the
     backscatter cone of opening ~ m/E_i, so angles are drawn there.
     """
-    boosted = setup.e_i_mev / setup.mass > 100.0
+    boosted = setup.e_i_mev / M > 100.0
     out = []
     wmax = setup.omega_max
     while len(out) < n:
         if boosted:
-            deltas = (setup.mass / setup.e_i_mev) * rng.uniform(0.3, 20.0, 3)
+            deltas = (M / setup.e_i_mev) * rng.uniform(0.3, 20.0, 3)
             thetas = tuple(math.pi - deltas)
         else:
             thetas = tuple(np.arccos(rng.uniform(-1, 1, 3)))

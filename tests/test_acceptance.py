@@ -321,8 +321,8 @@ def test_criterion_10_panel_properties(xfel_setup):
     w1m, w2m = np.meshgrid(w1, w2, indexing="ij")
     th = np.repeat(np.array(XFEL_THETAS)[:, None], w1m.size, axis=1)
     ph = np.repeat(np.array(XFEL_PHIS)[:, None], w1m.size, axis=1)
-    w3, _, _, _, physical, _ = close_batch(xfel_setup, th, ph, w1m.ravel(),
-                                           w2m.ravel())
+    w3, _, _, _, physical = close_batch(xfel_setup, th, ph, w1m.ravel(),
+                                        w2m.ravel())
     expected_mask = ~(physical & (w3 >= 50.0) & (w1m.ravel() >= 50.0)
                       & (w2m.ravel() >= 50.0))
     mask_ok = (masked.ravel() == expected_mask).all()

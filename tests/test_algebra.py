@@ -177,7 +177,7 @@ def test_polarization_orthonormal_triad(theta, phi):
 @given(st.floats(1e-3, 1e4), st.floats(0, math.pi), st.floats(0, 2 * math.pi))
 def test_photon_momentum_null_and_transverse(omega, theta, phi):
     # the closure builds the momentum of a photon whose energy is given
-    _, k, _, _, _, _ = _close_arrays(
+    _, k, _, _, _ = _close_arrays(
         CollisionSetup.rest_frame(0.662), np.array([[theta], [1.0]]),
         np.array([[phi], [0.0]]), np.array([[omega]]))
     k = k[0, 0]

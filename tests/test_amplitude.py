@@ -146,7 +146,7 @@ def test_tensor_path_matches_scalar(rest_setup, sample_point):
     point, closed = sample_point
     th = np.array([[t] for t in point[0]])
     ph = np.array([[p] for p in point[1]])
-    w3, k_out, p_f, K, phys, _ = _close_arrays(
+    w3, k_out, p_f, K, phys = _close_arrays(
         rest_setup, th, ph, np.array([[point[2]], [point[3]]]))
     eps_arrays = [am.beam_basis_arrays(1)] + [
         am.outgoing_basis_arrays(th[j], ph[j]) for j in range(3)]
@@ -172,7 +172,7 @@ def test_squared_sum_is_real_nonnegative(rest_setup, sample_point):
 
 
 def _single_closure(setup, theta, phi):
-    w3, k_out, p_f, kfac, phys, _ = _close_arrays(
+    w3, k_out, p_f, kfac, phys = _close_arrays(
         setup, np.array([[theta]]), np.array([[phi]]), np.zeros((0, 1)))
     return k_out[0, 0], p_f[0], float(w3[0]), float(kfac[0])
 
@@ -191,7 +191,7 @@ def test_single_compton_gauge(rest_setup):
 
 
 def _double_closure(setup, t1, p1, w1, t2, p2):
-    w_last, k_out, p_f, kfac, phys, _ = _close_arrays(
+    w_last, k_out, p_f, kfac, phys = _close_arrays(
         setup, np.array([[t1], [t2]]), np.array([[p1], [p2]]),
         np.array([[w1]]))
     assert phys[0]
@@ -265,7 +265,7 @@ def test_beam_vector_linearity(rest_setup, sample_point):
     point, _ = sample_point
     th = np.array([[t] for t in point[0]])
     ph = np.array([[p] for p in point[1]])
-    _, k_out, p_f, _, _, _ = _close_arrays(
+    _, k_out, p_f, _, _ = _close_arrays(
         rest_setup, th, ph, np.array([[point[2]], [point[3]]]))
     outgoing = [am.outgoing_basis_arrays(th[j], ph[j]) for j in range(3)]
     tensor = am.amplitude_tensor(rest_setup, k_out, p_f,
@@ -312,7 +312,7 @@ def _stacked_points(setup, n_out, n_pts, seed):
     th = np.arccos(rng.uniform(-1, 1, (n_out, 8 * n_pts)))
     ph = rng.uniform(0, 2 * math.pi, (n_out, 8 * n_pts))
     w = rng.uniform(0.02, 0.3, (n_out - 1, 8 * n_pts)) * setup.omega_max
-    w_last, k_out, p_f, _, phys, _ = _close_arrays(setup, th, ph, w)
+    w_last, k_out, p_f, _, phys = _close_arrays(setup, th, ph, w)
     rows = np.flatnonzero(phys & (w_last > 0))[:n_pts]
     assert rows.size == n_pts
     ks = np.concatenate([np.broadcast_to(setup.k_0, (1, n_pts, 4)),
@@ -414,7 +414,7 @@ def test_shared_polarizations_equal_repeated_bit_for_bit(
     rng = np.random.default_rng(83)
     n_pts = 40 if n_out > 1 else 1
     w = rng.uniform(0.02, 0.4, (n_out - 1, n_pts)) * setup.omega_max
-    _, k_out, p_f, _, physical, _ = _close_arrays(
+    _, k_out, p_f, _, physical = _close_arrays(
         setup, np.broadcast_to(th, (n_out, n_pts)),
         np.broadcast_to(ph, (n_out, n_pts)), w)
     k_out, p_f = k_out[:, physical], p_f[physical]
@@ -436,7 +436,7 @@ def test_shared_polarizations_equal_repeated_bit_for_bit(
 def _currents(setup, n_pts, rng):
     """Random complex currents (4, 6, N) with exact zeros: u(p_i) (at rest
     its lower half is zero), three random columns and a zero column."""
-    u = al.dirac_spinor_batch(setup.p_i, setup.mass)[..., None]
+    u = al.dirac_spinor_batch(setup.p_i)[..., None]
     noise = rng.normal(size=(2, 4, 3, n_pts)) * 10.0 ** rng.integers(
         -3, 4, (4, 3, n_pts))
     state = np.concatenate([np.broadcast_to(u, (4, 2, n_pts)),
@@ -454,7 +454,7 @@ def test_block_operators_equal_full_products_bit_for_bit(
     # 4x4 product, so that amplitudes stay the same to the bit
     setup = rest_setup if frame == "rest" else xfel_setup
     rng = np.random.default_rng(61)
-    n_pts, mass = 50, setup.mass
+    n_pts, mass = 50, M
     state = _currents(setup, n_pts, rng)
     # polarization bases (t = 0) and internal momenta p_i + k_0 - k
     th = np.arccos(rng.uniform(-1, 1, n_pts))
@@ -471,7 +471,7 @@ def test_block_operators_equal_full_products_bit_for_bit(
     qs = setup.p_i + setup.k_0 - k
     qs[:, 2] = setup.p_i - k[:, 2]
     denom = al.minkowski_dot(qs, qs).T - mass * mass
-    for col, prop in enumerate(am._propagators(qs, denom, mass)):
+    for col, prop in enumerate(am._propagators(qs, denom)):
         full = (al.slash_batch(qs[:, col]) + mass * al.IDENTITY4) / denom[
             col, :, None, None]
         assert np.array_equal(am._propagate(prop, state),

@@ -212,6 +212,25 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_cli_unusable_out_exit_code(tmp_path, monkeypatch, capsys, under):
+    # an --out naming a file, or a path under one, used to fail only after
+    # the whole computation, with a FileExistsError or NotADirectoryError
+    # traceback and exit 1
+    def estimator(*args, **kwargs):
+        raise AssertionError("the estimator ran before --out was made")
+
+    monkeypatch.setattr(cli, "detector_average", estimator)
+    occupied = tmp_path / "occupied"
+    occupied.write_text("kept\n")
+    out = occupied / "out" if under else occupied
+    assert cli.main(["mgbr1968", "--out", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert "Traceback" not in captured.err + captured.out
+    assert occupied.read_text() == "kept\n"
+
+
 def _recorded_files(out):
     """The names on metadata.txt's one files line, and the names of the
     other files in out, each sorted."""
@@ -536,7 +555,13 @@ def test_cli_reruns_from_its_own_metadata(tmp_path, capsys):
     ["mgbr1968"], ["totals"], ["grid", "--observable", "sigma5"], ["scan"]],
     ids=["mgbr1968", "totals", "grid-sigma5", "scan"])
 def test_cli_scenario_defaults_run(tmp_path, capsys, command):
+    # the config's budget floor, 128, is the sampler's least: two samples in
+    # each of its 64 strata (64 for one photon, 8 x 8 for more), for every
+    # totals process; 127 is refused before anything runs
     out = tmp_path / "out"
+    assert cli.main(command + ["--budget", "127", "--out", str(out)]) \
+        == cli.EXIT_CONFIG
+    assert "budget: 127 too small" in capsys.readouterr().err
     assert cli.main(command + ["--budget", "128", "--out", str(out)]) \
         == cli.EXIT_OK
     if command == ["scan"]:

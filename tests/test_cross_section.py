@@ -52,7 +52,7 @@ def test_polarized_klein_nishina():
 
     setup = CollisionSetup.rest_frame(0.662)
     for theta, phi in ((0.7, 0.0), (1.3, 0.9), (2.2, 4.0)):
-        w_out, k_out, p_f, kfac, _, _ = _close_arrays(
+        w_out, k_out, p_f, kfac, _ = _close_arrays(
             setup, np.array([[theta]]), np.array([[phi]]), np.zeros((0, 1)))
         eps = [am.beam_basis_arrays(1),
                am.outgoing_basis_arrays(np.array([theta]), np.array([phi]))]
@@ -160,7 +160,7 @@ def test_polarized_beam_bit_for_bit(rest_setup, xfel_setup, frame):
         grid = np.linspace(200.0, 1200.0, 4)
     ph = rng.uniform(0, 2 * math.pi, (3, 400))
     w = rng.uniform(0.02, 0.4, (2, 400)) * setup.omega_max
-    both, _, keep, _ = _tensor_for_points(setup, th, ph, w)
+    both, _, keep = _tensor_for_points(setup, th, ph, w)
     assert keep.sum() >= 100
     for label in (1, 2):
         tensor = _tensor_for_points(setup, th, ph, w, 0.0, label)[0]
@@ -208,7 +208,7 @@ def test_sigma5_nonnegative_everywhere(rest_setup):
     values = unpolarized_sigma5_batch(rest_setup, thetas, phis, w1, w2,
                                       0.013)
     assert (values >= 0.0).all()
-    _, _, _, _, physical, _ = close_batch(rest_setup, thetas, phis, w1, w2)
+    _, _, _, _, physical = close_batch(rest_setup, thetas, phis, w1, w2)
     assert (values[~physical] == 0.0).all()
 
 
@@ -245,8 +245,8 @@ def test_panels_nonnegative_and_masked(xfel_setup, xfel_panels):
     w1m, w2m = np.meshgrid(w1, w2, indexing="ij")
     th = np.repeat(np.array(XFEL_THETAS)[:, None], w1m.size, axis=1)
     ph = np.repeat(np.array(XFEL_PHIS)[:, None], w1m.size, axis=1)
-    w3, _, _, _, physical, _ = close_batch(xfel_setup, th, ph, w1m.ravel(),
-                                           w2m.ravel())
+    w3, _, _, _, physical = close_batch(xfel_setup, th, ph, w1m.ravel(),
+                                        w2m.ravel())
     expected = ~(physical & (w3 >= 50.0)
                  & (w1m.ravel() >= 50.0) & (w2m.ravel() >= 50.0))
     assert (masked.ravel() == expected).all()
@@ -270,8 +270,8 @@ def test_panel_exchange_symmetry(xfel_panels):
 def _closed_w3(setup, thetas, phis, w1, w2):
     th = np.array(thetas)[:, None]
     ph = np.array(phis)[:, None]
-    w3, _, _, _, physical, _ = close_batch(setup, th, ph, np.array([w1]),
-                                           np.array([w2]))
+    w3, _, _, _, physical = close_batch(setup, th, ph, np.array([w1]),
+                                        np.array([w2]))
     return w3[0], physical[0]
 
 
@@ -342,9 +342,9 @@ def test_non_finite_phase_space_input_raises(rest_setup, xfel_setup):
                                            [0.05, bad[2]], [bad[3], 0.2])):
             with pytest.raises(ValueError, match="finite"):
                 evaluate()
-    # a NaN threshold kept no row (sigma5 0.0 at a physical point) and -inf
-    # read as no threshold
-    for eps in (nan, inf, -inf):
+    # a NaN threshold kept no row (sigma5 0.0 at a physical point), and -inf
+    # and -1.0 read as no threshold
+    for eps in (nan, inf, -inf, -1.0):
         for evaluate in (
                 lambda: sigma5(rest_setup, thetas, phis, 0.1, 0.15,
                                threshold_eps=eps),
@@ -358,13 +358,14 @@ def test_non_finite_phase_space_input_raises(rest_setup, xfel_setup):
             with pytest.raises(ValueError, match="finite"):
                 evaluate()
     # the boundary solves for omega2 in closed form and never closes a row
-    # with a bad entry: a NaN angle or threshold used to give [], and a NaN
-    # omega1 entry was dropped from the rows
+    # with a bad entry: a NaN angle or threshold or a threshold of -1.0
+    # used to give [], and a NaN omega1 entry was dropped from the rows
     for thetas, phis, w1s, eps in (
             ((nan,) + XFEL_THETAS[1:], XFEL_PHIS, [500.0], 50.0),
             (XFEL_THETAS, XFEL_PHIS[:2] + (inf,), [500.0], 50.0),
             (XFEL_THETAS, XFEL_PHIS, [100.0, nan, 1000.0], 50.0),
-            (XFEL_THETAS, XFEL_PHIS, [500.0], nan)):
+            (XFEL_THETAS, XFEL_PHIS, [500.0], nan),
+            (XFEL_THETAS, XFEL_PHIS, [500.0], -1.0)):
         with pytest.raises(ValueError, match="finite"):
             threshold_boundary(xfel_setup, thetas, phis, w1s, eps)
 
@@ -405,7 +406,7 @@ def test_grid_tensor_equals_repeated_directions_bit_for_bit(
 @pytest.mark.parametrize("entry", [
     "close_batch", "sigma5_panel_grids", "spin_summed_sigma5",
     "unpolarized_sigma5", "density_from_amplitudes", "tau_grid",
-    "threshold_boundary"])
+    "threshold_boundary", "detector_average"])
 def test_wrong_direction_count_raises(rest_setup, entry):
     # 3 thetas with 2 phis raised IndexError in the closure, and 2 or 4
     # directions a numpy reshape error from the grid entry points;
@@ -413,6 +414,7 @@ def test_wrong_direction_count_raises(rest_setup, entry):
     # ignored omega2 and returned 2.2049e-05; threshold_boundary raised
     # "not enough values to unpack" on two directions
     from triplecompton.entanglement import density_from_amplitudes, tau_grid
+    from triplecompton.integration import detector_average
 
     calls = {
         "close_batch": lambda th, ph: close_batch(
@@ -430,6 +432,8 @@ def test_wrong_direction_count_raises(rest_setup, entry):
                                             [0.15]),
         "threshold_boundary": lambda th, ph: threshold_boundary(
             rest_setup, th, ph, [0.1], 0.013),
+        "detector_average": lambda th, ph: detector_average(
+            rest_setup, th, ph, 0.378, 0.013, budget=128),
     }
     thetas, phis = (1.2, 2.0, 0.9, 0.5), (0.4, 2.5, 4.4, 1.0)
     if entry == "close_batch":

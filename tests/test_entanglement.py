@@ -520,7 +520,7 @@ def test_non_finite_phase_space_input_raises(rest_setup):
             density_from_amplitudes(rest_setup, th, ph, w1, w2)
         with pytest.raises(ValueError, match="finite"):
             tau_grid(rest_setup, th, ph, [0.05, w1], [w2])
-    for eps in (math.nan, math.inf, -math.inf):
+    for eps in (math.nan, math.inf, -math.inf, -1.0):
         with pytest.raises(ValueError, match="finite"):
             tau_grid(rest_setup, thetas, phis, [0.05, 0.1], [0.15],
                      threshold_eps=eps)
@@ -581,8 +581,8 @@ def test_tau_grid_masking_and_symmetry(rest_setup):
     w1m, w2m = np.meshgrid(omegas, omegas, indexing="ij")
     th = np.repeat(np.array(MGBR_THETAS)[:, None], w1m.size, axis=1)
     ph = np.repeat(np.array(MGBR_PHIS)[:, None], w1m.size, axis=1)
-    w3, _, _, _, physical, _ = close_batch(rest_setup, th, ph, w1m.ravel(),
-                                           w2m.ravel())
+    w3, _, _, _, physical = close_batch(rest_setup, th, ph, w1m.ravel(),
+                                        w2m.ravel())
     expected_mask = ~(physical & (w3 >= 0.013) & (w1m.ravel() >= 0.013)
                       & (w2m.ravel() >= 0.013))
     assert (masked.ravel() == expected_mask).all()

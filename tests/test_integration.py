@@ -285,10 +285,13 @@ def test_total_requires_cutoff(rest_setup):
         total_cross_section(rest_setup, 1.0, "triple", budget=1 << 12)
     with pytest.raises(ValueError):
         total_cross_section(rest_setup, 0.0, "septuple", budget=1 << 12)
-    # a NaN threshold used to return nan (triple) or 0.0 (single)
+    # a NaN threshold used to return nan (triple) or 0.0 (single), and
+    # -1.0 the single total at threshold 0
     for process in ("single", "double", "triple"):
-        with pytest.raises(ValueError, match="threshold"):
-            total_cross_section(rest_setup, math.nan, process, budget=1 << 12)
+        for eps in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="threshold"):
+                total_cross_section(rest_setup, eps, process,
+                                    budget=1 << 12)
 
 
 def test_detector_average_window_validation(rest_setup):

@@ -20,17 +20,17 @@ def compton_line(omega0, theta):
 
 def _compton_omega(setup, theta, phi):
     """Closure with one emitted photon (n_out = 1): its energy."""
-    w, _, _, _, _, _ = _close_arrays(setup, np.array([[theta]]),
-                                     np.array([[phi]]), np.zeros((0, 1)))
+    w, _, _, _, _ = _close_arrays(setup, np.array([[theta]]),
+                                  np.array([[phi]]), np.zeros((0, 1)))
     return w[0]
 
 
 def _omega3(setup, thetas, phis, w1, w2):
-    """Derived third-photon energy with the physical and degenerate flags."""
-    w3, _, _, _, physical, degenerate = close_batch(
+    """Derived third-photon energy with the physical flag."""
+    w3, _, _, _, physical = close_batch(
         setup, np.array(thetas, float)[:, None],
         np.array(phis, float)[:, None], np.array([w1]), np.array([w2]))
-    return w3[0], physical[0], degenerate[0]
+    return w3[0], physical[0]
 
 
 def test_omega3_single_compton_line(rest_setup):
@@ -52,7 +52,7 @@ def _solve_omega3_bisect(setup, k1, k2, n3):
     """Independent oracle: root of (p_i + k_0 - k1 - k2 - w n3)^2 - m^2."""
     def resid(w):
         p_f = setup.p_i + setup.k_0 - k1 - k2 - w * n3
-        return al.minkowski_dot(p_f, p_f) - setup.mass ** 2
+        return al.minkowski_dot(p_f, p_f) - M ** 2
 
     lo, hi = 0.0, 2.0 * setup.omega_max
     f_lo = resid(lo)
@@ -70,7 +70,7 @@ def test_omega3_against_root_finder(rest_setup):
     k1 = 0.1 * unit_direction(MGBR_THETAS[0], MGBR_PHIS[0])
     k2 = 0.1 * unit_direction(MGBR_THETAS[1], MGBR_PHIS[1])
     n3 = unit_direction(MGBR_THETAS[2], MGBR_PHIS[2])
-    direct, _, _ = _omega3(rest_setup, MGBR_THETAS, MGBR_PHIS, 0.1, 0.1)
+    direct, _ = _omega3(rest_setup, MGBR_THETAS, MGBR_PHIS, 0.1, 0.1)
     assert direct == pytest.approx(
         _solve_omega3_bisect(rest_setup, k1, k2, n3), rel=1e-10)
 
@@ -80,8 +80,8 @@ def test_omega3_against_root_finder(rest_setup):
        st.floats(0, 6.28), st.floats(0.01, 0.2), st.floats(0.01, 0.2))
 def test_omega3_symmetric_in_first_two_photons(t1, p1, t2, p2, w1, w2):
     setup = CollisionSetup.rest_frame(0.662)
-    w3, _, _ = _omega3(setup, (t1, t2, 1.234), (p1, p2, 0.777), w1, w2)
-    swapped, _, _ = _omega3(setup, (t2, t1, 1.234), (p2, p1, 0.777), w2, w1)
+    w3, _ = _omega3(setup, (t1, t2, 1.234), (p1, p2, 0.777), w1, w2)
+    swapped, _ = _omega3(setup, (t2, t1, 1.234), (p2, p1, 0.777), w2, w1)
     # the two summation orders agree to ~1 ulp of the beam energy, which is
     # far more than 1e-13 relative where w3 nearly vanishes
     assert w3 == pytest.approx(swapped, rel=1e-13, abs=1e-14 * 0.662)
@@ -90,12 +90,12 @@ def test_omega3_symmetric_in_first_two_photons(t1, p1, t2, p2, w1, w2):
 def test_omega3_degenerate_direction():
     # the denominator m + 2 omega0 - 2(w1 + w2) vanishes for forward prior
     # photons against a backward n_3; physically unreachable, so the closure
-    # flags it degenerate and unphysical
+    # reads the degenerate marker w3 = -1 and flags it unphysical
     setup = CollisionSetup.rest_frame(0.662)
-    w_half = 0.5 * (setup.mass / 2 + 0.662)
-    _, physical, degenerate = _omega3(setup, (0.0, 0.0, math.pi),
-                                      (0.0, 0.0, 0.0), w_half, w_half)
-    assert degenerate
+    w_half = 0.5 * (M / 2 + 0.662)
+    w3, physical = _omega3(setup, (0.0, 0.0, math.pi), (0.0, 0.0, 0.0),
+                           w_half, w_half)
+    assert w3 == -1.0
     assert not physical
 
 
@@ -164,13 +164,9 @@ def test_setup_validation():
     with pytest.raises(ValueError):
         CollisionSetup(M, -1.0)
     for bad in (math.nan, math.inf):
-        for energies in ((bad, 0.662), (M, bad), (5000.0, 0.001, bad)):
+        for energies in ((bad, 0.662), (M, bad)):
             with pytest.raises(ValueError, match="finite"):
                 CollisionSetup(*energies)
-    # a zero or negative mass used to be accepted
-    for mass in (0.0, -M):
-        with pytest.raises(ValueError, match="mass"):
-            CollisionSetup(1.0, 1.0, mass)
 
 
 def test_final_state_labels_validated():
@@ -208,8 +204,8 @@ def test_omega_max_rest_frame(rest_setup):
 def test_omega_max_is_closure_maximum(setup):
     # the largest one-photon closure energy over a fine theta scan
     theta = np.linspace(0.0, math.pi, 200_001)[None, :]
-    w, _, _, _, _, _ = _close_arrays(setup, theta, np.zeros_like(theta),
-                                     np.zeros((0, theta.shape[1])))
+    w, _, _, _, _ = _close_arrays(setup, theta, np.zeros_like(theta),
+                                  np.zeros((0, theta.shape[1])))
     assert setup.omega_max == pytest.approx(w.max(), rel=1e-12)
 
 
@@ -218,7 +214,7 @@ def _mp_closure(setup, thetas, phis, omegas_free):
     conservation: Q = p_i + k_0 - sum k_j, w_last = (Q^2 - m^2)/(2 n.Q),
     K = n.p_f / E_f with p_f = Q - w_last n."""
     with mp.workdps(40):
-        m, e_i, w0 = (mp.mpf(x) for x in (setup.mass, setup.e_i_mev,
+        m, e_i, w0 = (mp.mpf(x) for x in (M, setup.e_i_mev,
                                           setup.omega0_mev))
         q = [e_i + w0, mp.mpf(0), mp.mpf(0),
              w0 - mp.sqrt((e_i - m) * (e_i + m))]
@@ -240,24 +236,24 @@ def _closure_points(setup, n_out, seed):
     of criterion 10's grid."""
     rng = np.random.default_rng(seed)
     count = 200
-    if setup.e_i_mev > setup.mass:
-        thetas = math.pi - (setup.mass / setup.e_i_mev) * rng.uniform(
+    if setup.e_i_mev > M:
+        thetas = math.pi - (M / setup.e_i_mev) * rng.uniform(
             0.3, 20.0, (n_out, count))
     else:
         thetas = np.arccos(rng.uniform(-1, 1, (n_out, count)))
     phis = rng.uniform(0, 2 * math.pi, (n_out, count))
     omegas = rng.uniform(0.02, 0.45, (n_out - 1, count)) * setup.omega_max
-    _, _, _, _, physical, _ = _close_arrays(setup, thetas, phis, omegas)
+    _, _, _, _, physical = _close_arrays(setup, thetas, phis, omegas)
     rows = np.nonzero(physical)[0][:24]
     assert rows.size == 24
     points = [(thetas[:, i], phis[:, i], omegas[:, i]) for i in rows]
-    if n_out == 3 and setup.e_i_mev > setup.mass:
+    if n_out == 3 and setup.e_i_mev > M:
         grid = np.linspace(55.0, 1350.0, 48)
         w1m, w2m = np.meshgrid(grid, grid, indexing="ij")
         th = np.repeat(np.array(XFEL_THETAS)[:, None], w1m.size, axis=1)
         ph = np.repeat(np.array(XFEL_PHIS)[:, None], w1m.size, axis=1)
-        _, _, _, _, physical, _ = close_batch(setup, th, ph, w1m.ravel(),
-                                              w2m.ravel())
+        _, _, _, _, physical = close_batch(setup, th, ph, w1m.ravel(),
+                                           w2m.ravel())
         cells = np.nonzero(physical)[0]
         points += [(th[:, i], ph[:, i], (w1m.flat[i], w2m.flat[i]))
                    for i in cells[::cells.size // 20][:20]]
@@ -270,7 +266,7 @@ def test_closure_matches_high_precision(n_out, e_i):
     setup = CollisionSetup(e_i, 0.662 if e_i == M else 0.001)
     scale = setup.e_i_mev + setup.omega0_mev
     for thetas, phis, omegas in _closure_points(setup, n_out, 7 + n_out):
-        w, _, _, kfac, physical, _ = _close_arrays(
+        w, _, _, kfac, physical = _close_arrays(
             setup, thetas[:, None], phis[:, None],
             np.reshape(omegas, (n_out - 1, 1)))
         w_mp, k_mp, e_f_mp = _mp_closure(setup, thetas, phis, omegas)

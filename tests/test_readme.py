@@ -57,7 +57,7 @@ def test_readme_tau_diagnostics_columns(tmp_path):
     assert match.group(1).split() == header.split("\t")
 
 
-def test_readme_reproduction_commands_resolve(monkeypatch):
+def test_readme_reproduction_commands_resolve(monkeypatch, tmp_path):
     # each command goes through the real flag and config resolution; the
     # runners only record what they were given, so nothing is computed
     section = _section(README.read_text(), "## Reproducing the paper")
@@ -72,6 +72,10 @@ def test_readme_reproduction_commands_resolve(monkeypatch):
                             or "")
     monkeypatch.chdir(ROOT)
     for words in commands:
+        # main makes the --out directory before the run: keep it out of
+        # the checkout
+        at = words.index("--out") + 1
+        words[at] = str(tmp_path / words[at])
         assert cli.main(words) == cli.EXIT_OK, words
     assert len(calls) == len(commands)
     assert len({out for _, out in calls}) == len(commands)
