@@ -65,8 +65,9 @@ def point_amplitude(setup: CollisionSetup, photons, p_f, eps, r_i: int = 1,
     return complex(tensor.reshape(2, 2)[r_i - 1, r_f - 1])
 
 
-def beam_basis_arrays(n_pts: int, beam_pol=None) -> np.ndarray:
-    """Polarization vectors of the +z beam photon as an (N, P, 4) array.
+def beam_basis_arrays(beam_pol=None) -> np.ndarray:
+    """Polarization vectors of the +z beam photon as a (1, P, 4) array,
+    the same at every point.
 
     beam_pol None gives the basis, x then y (P = 2), for sums over the beam
     polarization.  A label 1 or 2 (any integral type) gives that basis
@@ -90,7 +91,7 @@ def beam_basis_arrays(n_pts: int, beam_pol=None) -> np.ndarray:
             raise ValueError("beam polarization vector must be two finite "
                              f"components, not both zero: got {beam_pol!r}")
         vectors = [vec / norm]
-    out = np.zeros((n_pts, len(vectors), 4))
+    out = np.zeros((1, len(vectors), 4))
     out[:, :, 1:3] = vectors
     return out
 
@@ -199,10 +200,11 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     k_out: (n_out, N, 4) emitted photon four-momenta; the absorbed photon's
     and p_i come from setup, and m is ELECTRON_MASS_MEV.  eps_arrays: per
     photon, the absorbed one first, (N, P, 4) polarization four-vectors,
-    normally the P = 2 basis.  Their point axis may instead be 1 for every
-    photon, (1, P, 4): each photon's vectors are then shared by all N
-    points, as at fixed detector directions, and give the same amplitudes,
-    to the bit, as the vectors repeated at every point.  Returns a complex
+    normally the P = 2 basis.  Each photon's point axis may instead be 1,
+    (1, P, 4), independently of the others: a point axis of 1 means the
+    same vectors at every point, as for the beam photon and at fixed
+    detector directions, and gives the same amplitudes, to the bit, as the
+    vectors repeated at every point.  Returns a complex
     array (N, P, ..., P, 2, 2): one polarization axis per photon (photon
     order), then r_i, then r_f.  Raises PropagatorPoleError if any |q^2 -
     m^2| is below POLE_GUARD m^2.
@@ -217,11 +219,11 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     Inside, the point axis is last and contiguous: spinors, slashed
     polarizations and propagator blocks are (..., N) stacks, and applying
     an operator is a few broadcast multiplies and sums for all points at
-    once.  u(p_i) is the same at every point, so it is built once and
-    broadcast along the point axis; shared polarization vectors are
-    slashed once and their vertex blocks, with a point axis of 1, are
-    broadcast the same way, each product the same double either way.  A
-    batch of N = 0 points gives an empty (0, P, ..., 2, 2) tensor.
+    once.  p_i and u(p_i) are built once and broadcast along the point
+    axis.  The photons' vectors are slashed together at one point axis, 1
+    only if every photon's is 1, so shared vectors are slashed once and
+    their vertex blocks broadcast too, each product the same double either
+    way.  A batch of N = 0 points gives an empty (0, P, ..., 2, 2) tensor.
 
     Photon vertices use the Dirac representation's block form.  With
     eps = (t, e) and sigma.e the 2x2 Pauli combination,
@@ -272,9 +274,8 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     """
     k_out = np.asarray(k_out, float)
     n, n_pts = k_out.shape[0] + 1, k_out.shape[1]
-    k_0, m = setup.k_0, ELECTRON_MASS_MEV
-    p_i = np.broadcast_to(setup.p_i, (n_pts, 4))
-    u_cols = np.broadcast_to(dirac_spinor_batch(setup.p_i)[..., None],
+    p_i, k_0, m = setup.p_i, setup.k_0, ELECTRON_MASS_MEV
+    u_cols = np.broadcast_to(dirac_spinor_batch(p_i)[..., None],
                              (4, 2, n_pts))
     ubar = dirac_spinor_bar_batch(np.asarray(p_f)).transpose(1, 2, 0)
 
@@ -284,7 +285,7 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     n_sub = len(subsets)
     qs = np.empty((n_pts, n_sub, 4))
     for col, subset in enumerate(subsets):
-        q = p_i.copy()
+        q = p_i
         for j in subset:
             q = q + k_0 if j == 0 else q - k_out[j - 1]
         qs[:, col] = q
@@ -296,7 +297,9 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     props = _propagators(qs, denom)
     # each photon's slashed polarizations, (4, 4, vector, N or 1), and the
     # exit vertices ubar eslash, (2, 4, vector, N)
-    vectors = np.concatenate(eps_arrays, axis=1)
+    lead = np.broadcast_shapes(*(e.shape[:1] for e in eps_arrays))
+    vectors = np.concatenate(
+        [np.broadcast_to(e, lead + e.shape[1:]) for e in eps_arrays], axis=1)
     n_vec = vectors.shape[1]
     eslash = np.ascontiguousarray(slash_batch(vectors).transpose(2, 3, 1, 0))
     exit_ops = _apply(ubar[:, :, None], eslash.reshape(4, 4 * n_vec, -1)

@@ -90,46 +90,40 @@ def _tensor_for_points(setup, thetas, phis, omegas_free,
 
     thetas, phis: (n_out, N) photon directions, one per point, or
     (n_out, 1), one direction per photon shared by every point;
-    omegas_free: (n_out - 1) * N free photon energies.  The closure sees
-    shared directions as a broadcast view at every point, and each
-    polarization basis is then built once and handed to the kernel with a
-    point axis of 1, which gives the same tensor, to the bit, as the
-    directions repeated at every point.  The beam photon's polarization
-    axis holds the vectors of ``amp.beam_basis_arrays(n, beam_pol)``: both
-    basis vectors for None, the beam's own polarization (one entry)
-    otherwise.  The tensor is evaluated on the kept rows only, the
-    physical points with every photon at or above threshold_eps, and reads
-    zero elsewhere.  kin is the differential cross section per unit
-    squared amplitude (the formula in the module docstring without
-    |M|^2), zero off the kept rows.  Returns (tensor, kin, keep).  A
-    threshold_eps that is not finite and non-negative raises ValueError.
+    omegas_free: (n_out - 1, N) free photon energies.  A point axis of 1
+    means the same value at every point, and numpy broadcasting applies it
+    where it is used: shared directions reach the closure, and their bases
+    and the beam's ``amp.beam_basis_arrays(beam_pol)`` the kernel, as they
+    are, with the same bits as values repeated at every point.  The beam
+    photon's polarization axis holds both basis vectors for None, the
+    beam's own polarization (one entry) otherwise.  The tensor is evaluated
+    on the kept rows only, the physical points with every photon at or
+    above threshold_eps, and reads zero elsewhere.  kin is the differential
+    cross section per unit squared amplitude (the formula in the module
+    docstring without |M|^2), zero off the kept rows.  Returns (tensor,
+    kin, keep).  A threshold_eps that is not finite and non-negative raises
+    ValueError.
     """
     if not 0.0 <= threshold_eps < math.inf:
         raise ValueError(f"threshold {threshold_eps} must be finite and >= 0")
     thetas = np.atleast_2d(np.asarray(thetas, float))
     phis = np.atleast_2d(np.asarray(phis, float))
     n_out = len(thetas)
-    shared = thetas.shape[1] == phis.shape[1] == 1
-    if shared and n_out > 1:
-        n_dirs = (n_out, np.size(omegas_free) // (n_out - 1))
-        thetas, phis = (np.broadcast_to(a, n_dirs) for a in (thetas, phis))
     _, k_out, p_f, kfac, physical = _close_arrays(setup, thetas, phis,
                                                   omegas_free)
     # k_out[..., 0] holds every photon's energy, the derived one included
     keep = physical & (k_out[..., 0] >= threshold_eps).all(axis=0)
     n_pts, n_kept = keep.size, int(np.count_nonzero(keep))
-    rows = slice(0, 1) if shared else keep
-    eps_arrays = [amp.beam_basis_arrays(1 if shared else n_kept, beam_pol)]
-    tensor = np.zeros((n_pts, eps_arrays[0].shape[1]) + (2,) * (n_out + 2),
+    beam = amp.beam_basis_arrays(beam_pol)
+    tensor = np.zeros((n_pts, beam.shape[1]) + (2,) * (n_out + 2),
                       dtype=complex)
     kin = np.zeros(n_pts)
     if not n_kept:
         return tensor, kin, keep
-    for j in range(n_out):
-        eps_arrays.append(amp.outgoing_basis_arrays(thetas[j][rows],
-                                                    phis[j][rows]))
-    tensor[keep] = amp.amplitude_tensor(setup, k_out[:, keep], p_f[keep],
-                                        eps_arrays)
+    rows = slice(None) if thetas.shape[1] == 1 else keep
+    tensor[keep] = amp.amplitude_tensor(
+        setup, k_out[:, keep], p_f[keep],
+        [beam, *amp.outgoing_basis_arrays(thetas[:, rows], phis[:, rows])])
     e_f = p_f[keep, 0]
     kin[keep] = (prefactor(n_out)
                  * k_out[:, keep, 0].prod(axis=0) / (e_f * setup.flux)
@@ -142,8 +136,8 @@ def grid_tensor(setup, thetas, phis, omega1_grid, omega2_grid, beam_pol,
     """:func:`_tensor_for_points` for three photons at fixed angles on an
     (omega1, omega2) grid, every cell in one evaluation.  Cell (i, j), at
     (omega1_grid[i], omega2_grid[j]), is row i * len(omega2_grid) + j.
-    The three directions go in as shared (3, 1) arrays, so the beam's and
-    each photon's polarization basis is built once for the whole grid.
+    The three directions go in as shared (3, 1) arrays, so the closure
+    and each photon's polarization basis see them once for the whole grid.
     Every caller reads one beam polarization, so beam_pol None, which
     would evaluate both basis vectors, raises ValueError, as do thetas or
     phis that are not three finite directions."""

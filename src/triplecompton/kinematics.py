@@ -130,7 +130,10 @@ def _leave(setup, thetas, phis, omegas):
 def _close_arrays(setup, thetas, phis, omegas_free):
     """Vectorized closure for n_out photons, the last energy derived.
 
-    thetas, phis: (n_out, N); omegas_free: (n_out - 1, N).
+    thetas, phis: (n_out, N), or (n_out, 1) for one direction per photon
+    shared by every point; omegas_free: (n_out - 1, N).  With shared
+    directions and n_out > 1, N is the last axis of omegas_free, and each
+    point gives the same bits as the directions repeated at every point.
     Returns (w_last (N,), k (n_out, N, 4), p_f (N, 4), K (N,),
     physical (N,)).  K = den/E_f on physical points and 1.0 elsewhere.
     Points whose closure denominator vanishes (a physically unreachable
@@ -146,6 +149,8 @@ def _close_arrays(setup, thetas, phis, omegas_free):
     n_out = thetas.shape[0]
     n_pts = thetas.shape[1]
     omegas_free = np.asarray(omegas_free, float)
+    if n_pts == 1 and n_out > 1:
+        n_pts = np.atleast_1d(omegas_free).shape[-1]
     if omegas_free.size != (n_out - 1) * n_pts:
         raise ValueError(f"expected n_out - 1 = {n_out - 1} free photon "
                          f"energies per point, {(n_out - 1) * n_pts} values "
@@ -183,7 +188,8 @@ def _close_arrays(setup, thetas, phis, omegas_free):
 
 
 def close_batch(setup, thetas, phis, omega1, omega2):
-    """Triple-photon closure on arrays: thetas, phis (3, N); omega1/2 (N,)."""
+    """Triple-photon closure on arrays: thetas, phis (3, N) or shared
+    (3, 1); omega1/2 (N,)."""
     return _close_arrays(setup, thetas, phis,
                          np.stack([np.asarray(omega1, float),
                                    np.asarray(omega2, float)]))
@@ -233,7 +239,6 @@ def threshold_boundary(setup, thetas, phis, omega1_grid,
         w2 = (a - threshold_eps * c) / (b - threshold_eps * d)
     rows = np.nonzero((w2 > 0.0) & (w2 < setup.omega_max)
                       & (a * d - b * c < 0.0))[0]
-    _, _, _, _, physical = close_batch(
-        setup, np.broadcast_to(th[:, None], (3, rows.size)),
-        np.broadcast_to(ph[:, None], (3, rows.size)), w1[rows], w2[rows])
+    _, _, _, _, physical = close_batch(setup, th[:, None], ph[:, None],
+                                       w1[rows], w2[rows])
     return [(float(w1[i]), float(w2[i])) for i in rows[physical]]

@@ -88,7 +88,7 @@ def test_criterion_02_klein_nishina_oracle():
 
 def _ward_ratio(setup, point, closed):
     photons, p_f = closed[:2]
-    beam = am.beam_basis_arrays(1)[0]
+    beam = am.beam_basis_arrays()[0]
     outgoing = am.outgoing_basis_arrays(np.array(point[0]),
                                         np.array(point[1]))
     eps = [beam[0]] + [outgoing[j, 0] for j in range(3)]

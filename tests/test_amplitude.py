@@ -15,7 +15,7 @@ from _oracle import PERMUTATIONS4, naive_total_amplitude, propagator_momenta
 
 
 def _beam_eps(label):
-    return am.beam_basis_arrays(1)[0, label - 1]
+    return am.beam_basis_arrays()[0, label - 1]
 
 
 def _eps(theta, phi, label):
@@ -148,7 +148,7 @@ def test_tensor_path_matches_scalar(rest_setup, sample_point):
     ph = np.array([[p] for p in point[1]])
     w3, k_out, p_f, K, phys = _close_arrays(
         rest_setup, th, ph, np.array([[point[2]], [point[3]]]))
-    eps_arrays = [am.beam_basis_arrays(1)] + [
+    eps_arrays = [am.beam_basis_arrays()] + [
         am.outgoing_basis_arrays(th[j], ph[j]) for j in range(3)]
     tensor = am.amplitude_tensor(rest_setup, k_out, p_f, eps_arrays)
     for labels in itertools.product((1, 2), repeat=4):
@@ -237,7 +237,7 @@ def test_scalar_api_typed_errors(rest_setup, sample_point):
     # point raises too
     photons = np.stack([photons, (np.zeros(4), k2, k3)], axis=1)
     p_fs = np.stack([p_f3, p_f2])
-    basis = [am.beam_basis_arrays(2)] + 3 * [np.tile(eps[1], (2, 1, 1))]
+    basis = [am.beam_basis_arrays()] + 3 * [np.tile(eps[1], (2, 1, 1))]
     with pytest.raises(al.PropagatorPoleError):
         am.amplitude_tensor(setup, photons, p_fs, basis)
 
@@ -269,16 +269,16 @@ def test_beam_vector_linearity(rest_setup, sample_point):
         rest_setup, th, ph, np.array([[point[2]], [point[3]]]))
     outgoing = [am.outgoing_basis_arrays(th[j], ph[j]) for j in range(3)]
     tensor = am.amplitude_tensor(rest_setup, k_out, p_f,
-                                 [am.beam_basis_arrays(1)] + outgoing)
-    beam = am.beam_basis_arrays(1, (0.6, 0.8))
+                                 [am.beam_basis_arrays()] + outgoing)
+    beam = am.beam_basis_arrays((0.6, 0.8))
     assert np.array_equal(beam, [[[0.0, 0.6, 0.8, 0.0]]])
     mixed = am.amplitude_tensor(rest_setup, k_out, p_f, [beam] + outgoing)
     expected = 0.6 * tensor[:, 0] + 0.8 * tensor[:, 1]
     assert np.allclose(mixed[:, 0], expected, rtol=1e-12)
     with pytest.raises(ValueError):
-        am.beam_basis_arrays(1, (0.0, 0.0))
+        am.beam_basis_arrays((0.0, 0.0))
     with pytest.raises(ValueError):
-        am.beam_basis_arrays(1, 3)
+        am.beam_basis_arrays(3)
 
 
 def test_beam_polarization_validated(rest_setup):
@@ -293,7 +293,7 @@ def test_beam_polarization_validated(rest_setup):
         spin_summed_sigma5(*args, beam_pol=np.int64(3))
     # True == 1 used to select the x vector
     with pytest.raises(ValueError, match="labels must be 1 or 2"):
-        am.beam_basis_arrays(1, True)
+        am.beam_basis_arrays(True)
     # a non-finite vector has no direction; it used to give sigma5 = nan.
     # A third component used to be dropped silently, one component raised
     # IndexError and a float label TypeError
@@ -317,7 +317,7 @@ def _stacked_points(setup, n_out, n_pts, seed):
     assert rows.size == n_pts
     ks = np.concatenate([np.broadcast_to(setup.k_0, (1, n_pts, 4)),
                          k_out[:, rows]])
-    eps = [am.beam_basis_arrays(n_pts)] + [
+    eps = [am.beam_basis_arrays()] + [
         am.outgoing_basis_arrays(th[j, rows], ph[j, rows])
         for j in range(n_out)]
     return ks, p_f[rows], eps
@@ -344,8 +344,10 @@ def test_tensor_rows_independent_bit_for_bit(rest_setup, n_out, gauge):
     assert tensor.shape == ((37,) + tuple(e.shape[1] for e in eps)
                             + (2, 2))
     for i in range(37):
-        alone = am.amplitude_tensor(rest_setup, ks[1:, i:i + 1],
-                                    p_f[i:i + 1], [e[i:i + 1] for e in eps])
+        # the beam basis, (1, P, 4), is the same at every row
+        alone = am.amplitude_tensor(
+            rest_setup, ks[1:, i:i + 1], p_f[i:i + 1],
+            [e[i:i + 1] if len(e) > 1 else e for e in eps])
         assert np.array_equal(tensor[i], alone[0])
 
 
@@ -392,7 +394,7 @@ def test_empty_batch_gives_empty_tensor(rest_setup, n_out, beam_pol):
     # rows are independent, so no rows is a valid batch; it used to raise
     # numpy's "cannot reshape array of size 0" at three emitted photons
     empty = np.empty(0)
-    eps = [am.beam_basis_arrays(0, beam_pol)] + [
+    eps = [am.beam_basis_arrays(beam_pol)] + [
         am.outgoing_basis_arrays(empty, empty)] * n_out
     tensor = am.amplitude_tensor(rest_setup, np.empty((n_out, 0, 4)),
                                  np.empty((0, 4)), eps)
@@ -422,15 +424,18 @@ def test_shared_polarizations_equal_repeated_bit_for_bit(
         k_out, p_f = np.repeat(k_out, 7, axis=1), np.repeat(p_f, 7, axis=0)
     assert p_f.shape[0] >= 7
     for beam_pol in (None, 1, (0.6, 0.8)):
-        shared = [am.beam_basis_arrays(1, beam_pol)] + [
+        shared = [am.beam_basis_arrays(beam_pol)] + [
             am.outgoing_basis_arrays(t, p) for t, p in zip(th, ph)]
         for n in (p_f.shape[0], 0):
             repeated = [np.repeat(e, n, axis=0) for e in shared]
-            got = am.amplitude_tensor(setup, k_out[:, :n], p_f[:n], shared)
             want = am.amplitude_tensor(setup, k_out[:, :n], p_f[:n],
                                        repeated)
-            assert got.shape == (n, shared[0].shape[1]) + (2,) * (n_out + 2)
-            assert np.array_equal(got, want)
+            # every photon shared, and the beam alone shared
+            for eps in (shared, shared[:1] + repeated[1:]):
+                got = am.amplitude_tensor(setup, k_out[:, :n], p_f[:n], eps)
+                assert got.shape == ((n, shared[0].shape[1])
+                                     + (2,) * (n_out + 2))
+                assert np.array_equal(got, want)
 
 
 def _currents(setup, n_pts, rng):

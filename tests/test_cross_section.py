@@ -13,8 +13,8 @@ from triplecompton.cross_section import (PANEL_ORDER, _tensor_for_points,
                                          unpolarized_differential_batch,
                                          unpolarized_sigma5,
                                          unpolarized_sigma5_batch)
-from triplecompton.kinematics import (CollisionSetup, close_batch,
-                                      threshold_boundary)
+from triplecompton.kinematics import (CollisionSetup, _close_arrays,
+                                      close_batch, threshold_boundary)
 from conftest import (MGBR_PHIS, MGBR_THETAS, XFEL_PHIS, XFEL_THETAS,
                       close_point)
 
@@ -48,13 +48,12 @@ def test_klein_nishina_oracle_20x3():
 
 def test_polarized_klein_nishina():
     from triplecompton import amplitude as am
-    from triplecompton.kinematics import _close_arrays
 
     setup = CollisionSetup.rest_frame(0.662)
     for theta, phi in ((0.7, 0.0), (1.3, 0.9), (2.2, 4.0)):
         w_out, k_out, p_f, kfac, _ = _close_arrays(
             setup, np.array([[theta]]), np.array([[phi]]), np.zeros((0, 1)))
-        eps = [am.beam_basis_arrays(1),
+        eps = [am.beam_basis_arrays(),
                am.outgoing_basis_arrays(np.array([theta]), np.array([phi]))]
         tensor = am.amplitude_tensor(setup, k_out, p_f, eps)
         pref = (ALPHA ** 2 * w_out[0] / (p_f[0, 0] * setup.flux
@@ -100,6 +99,59 @@ def test_infrared_scaling(rest_setup):
     assert products[0] > 0
     assert abs(products[1] / products[0] - 1.0) < 0.01
     assert abs(products[2] / products[1] - 1.0) < 0.01
+
+
+def _null(theta, phi):
+    return np.array([1.0, math.sin(theta) * math.cos(phi),
+                     math.sin(theta) * math.sin(phi), math.cos(theta)])
+
+
+def soft_photon_factor(setup, theta, phi, omega, p_f):
+    """Soft-photon theorem (F. E. Low, Phys. Rev. 110 (1958) 974): emitting
+    one more photon of energy omega -> 0 at (theta, phi) multiplies a cross
+    section by (alpha/4 pi^2) S/omega per MeV sr, S = sum_eps (eps.J)^2 over
+    both transverse polarizations and J = p_f/(n.p_f) - p_i/(n.p_i), with
+    p_f the final electron without the soft photon (closed form)."""
+    n = _null(theta, phi)
+    j = np.subtract(*(p[1:] / (p[0] - p[1:] @ n[1:])
+                      for p in (p_f, setup.p_i)))
+    return ALPHA / (4.0 * math.pi ** 2) * (j @ j - (n[1:] @ j) ** 2) / omega
+
+
+@pytest.mark.parametrize("process", ["double", "triple"])
+def test_soft_photon_limit_pins_normalization(process):
+    # r(x) = dsigma_{n+1} / (soft factor * dsigma_n) - 1 must fall to 0
+    # linearly in x, the soft photon's energy over a hard scale: this ties
+    # the two-photon normalization to Klein-Nishina and the three-photon one
+    # to the two-photon engine.  At x = 1e-4, 1e-5 r reads -1.570e-4,
+    # -1.570e-5 (double) and -9.303e-5, -9.303e-6 (triple); the Richardson
+    # limit (10 r(x/10) - r(x))/9 reads 2.2e-9 and -4.6e-10
+    setup = CollisionSetup.rest_frame(0.662)
+    if process == "double":
+        # soft photon at (1.1, 0.7), the Klein-Nishina photon at (2.3, 3.9)
+        thetas, phis, scale = np.array([1.1, 2.3]), np.array([0.7, 3.9]), 0.662
+        w_kn = scale / (1.0 + scale / M * (1.0 - math.cos(thetas[1])))
+        p_f = setup.p_i + setup.k_0 - w_kn * _null(thetas[1], phis[1])
+        hard = klein_nishina_dcs(scale, thetas[1])
+    else:
+        # soft photon 1 beside a double at omega2 = 0.1 MeV
+        thetas, phis, scale = (np.array([1.2, 1.9, 2.6]),
+                               np.array([0.4, 2.5, 4.4]), 0.1)
+        p_f = _close_arrays(setup, thetas[1:, None], phis[1:, None],
+                            [[scale]])[2][0]
+        hard = unpolarized_differential_batch(
+            setup, thetas[1:, None], phis[1:, None], [[scale]])[0]
+
+    def r(x):
+        omegas = [[x * scale]] + [[scale]] * (len(thetas) - 2)
+        soft = unpolarized_differential_batch(
+            setup, thetas[:, None], phis[:, None], omegas)[0]
+        return soft / (soft_photon_factor(setup, thetas[0], phis[0],
+                                          x * scale, p_f) * hard) - 1.0
+
+    r4, r5 = r(1e-4), r(1e-5)
+    assert abs(r4 / r5 - 10.0) < 0.01
+    assert abs((10.0 * r5 - r4) / 9.0) < 1e-8
 
 
 def test_spin_summed_unrolls(rest_setup):

@@ -284,6 +284,30 @@ def test_tau_mixing_monotonic():
     assert gme_tau(0.2 * ghz_state() + 0.8 * np.eye(8) / 8.0).tau == 0.0
 
 
+@pytest.mark.parametrize("p", list(np.linspace(0.40, 1.0, 11))
+                         + [3 / 7 - 1e-3, 3 / 7 + 1e-3],
+                         ids=lambda p: f"{p:.5f}")
+def test_tau_ghz_white_noise_closed_form(p):
+    # p GHZ + (1 - p) I/8 is genuinely multipartite entangled exactly above
+    # p = 3/7, where the PPT-mixer witness reaches tau = (7p - 3)/8 (O.
+    # Guhne, M. Seevinck, New J. Phys. 12 (2010) 053002); the solver's
+    # bracket [tau, upper_bound] must hold the closed form
+    res = gme_tau(p * ghz_state() + (1 - p) * np.eye(8) / 8.0)
+    exact = max(0.0, (7 * p - 3) / 8)
+    assert res.tau - 1e-12 <= exact <= res.upper_bound + 1e-12
+
+
+def test_tau_w_white_noise_threshold():
+    # the PPT mixer finds p W + (1 - p) I/8 entangled from just below
+    # p = 0.479 (B. Jungnitsch, T. Moroder, O. Guhne, Phys. Rev. Lett. 106
+    # (2011) 190502)
+    def mixed(p):
+        return gme_tau(p * w_state() + (1 - p) * np.eye(8) / 8.0)
+    below = mixed(0.45)
+    assert below.tau == 0.0 and below.upper_bound <= 1e-12
+    assert mixed(0.48).tau > 0.0
+
+
 def test_tau_bounds_and_witness_feasibility():
     rng = np.random.default_rng(7)
     mats = rng.normal(size=(3, 8, 4)) + 1j * rng.normal(size=(3, 8, 4))

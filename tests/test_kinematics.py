@@ -278,3 +278,24 @@ def test_closure_matches_high_precision(n_out, e_i):
         # scale / E_f ulps where the electron keeps little energy.  At the
         # collider 1 - p_f.n / E_f is ~1e-10 off.
         assert abs(kfac[0] / k_mp - 1) <= 1e-14 * max(1.0, scale / e_f_mp)
+
+
+@pytest.mark.parametrize("n_out", [2, 3])
+@pytest.mark.parametrize("frame", ["rest", "xfel"])
+def test_shared_directions_equal_repeated_bit_for_bit(rest_setup, xfel_setup,
+                                                      frame, n_out):
+    # a point axis of 1 on the angles means one direction per photon shared
+    # by every point; the closure must give the same bits as those
+    # directions repeated at every point
+    setup, thetas, phis = ((rest_setup, MGBR_THETAS, MGBR_PHIS)
+                           if frame == "rest" else
+                           (xfel_setup, XFEL_THETAS, XFEL_PHIS))
+    th, ph = (np.array(a[:n_out])[:, None] for a in (thetas, phis))
+    rng = np.random.default_rng(31)
+    omegas = rng.uniform(0.0, 0.5, (n_out - 1, 50)) * setup.omega_max
+    shared = _close_arrays(setup, th, ph, omegas)
+    repeated = _close_arrays(setup, np.repeat(th, 50, axis=1),
+                             np.repeat(ph, 50, axis=1), omegas)
+    assert 0 < np.count_nonzero(shared[4]) < 50
+    for a, b in zip(shared, repeated):
+        assert a.shape == b.shape and np.array_equal(a, b)
