@@ -1,16 +1,19 @@
 """Scenario configuration: file format, defaults and validation.
 
 ``ScenarioConfig`` is the schema: each field is one file key, parsed as the
-type of its default.  README.md's "Config files" section describes the file
-format and lists the keys.
+type of its default, an integer exactly.  README.md's "Config files" section
+describes the file format and lists the keys.  ``validate_config`` asks the
+engine's own checks for every rule the engine states.
 """
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
+from .amplitude import beam_basis_arrays
 from .constants import ELECTRON_MASS_MEV
+from .integration import BeamParameters, _integer, _window_width
+from .kinematics import CollisionSetup, _check_directions
 
 
 class ConfigError(ValueError):
@@ -48,20 +51,17 @@ class ScenarioConfig:
     scan_n_points: int = 9
 
     def beam_pol_value(self):
-        """Polarization label or transverse vector for the amplitude layer."""
+        """Label 1 (x) or 2 (y), or the (ex, ey) components, which the
+        amplitude layer checks; ValueError for other text."""
         text = str(self.beam_polarization).strip()
-        if text in ("x", "1"):
-            return 1
-        if text in ("y", "2"):
-            return 2
+        labels = {"x": 1, "1": 1, "y": 2, "2": 2}
+        if text in labels:
+            return labels[text]
         try:
-            parts = [float(tok) for tok in text.split(",")]
+            return tuple(float(tok) for tok in text.split(","))
         except ValueError:
-            parts = []
-        if len(parts) != 2 or not 0.0 < math.hypot(*parts) < math.inf:
-            raise ConfigError(
-                [f"beam_polarization: expected x, y or 'ex,ey', got {text!r}"])
-        return tuple(parts)
+            raise ValueError(
+                f"expected x, y or 'ex,ey', got {text!r}") from None
 
 
 # Field overrides per named scenario on top of the ScenarioConfig defaults,
@@ -118,32 +118,26 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _coerce(name: str, raw, problems: list):
-    """raw as the type of the field's default; integer fields take any
-    integral value, whatever type it arrives as (7, 7.0, "1e6")."""
+def _coerce(name: str, raw):
+    """raw as the type of the field's default, an integer read exactly
+    (see integration._integer); ValueError if it does not parse."""
     kind = type(_DEFAULTS[name])
-    if kind is not int and not isinstance(raw, str):
+    if kind is int:
+        return _integer(name, raw)
+    if not isinstance(raw, str):
         return raw
     try:
         if kind is tuple:
             return tuple(float(tok) for tok in raw.split(","))
-        if kind is int:
-            if isinstance(raw, numbers.Integral):
-                return int(raw)
-            value = float(raw)
-            if not value.is_integer():
-                problems.append(f"{name}: {raw!r} is not an integer")
-                return None
-            return int(value)
         return kind(raw)
-    except (TypeError, ValueError, OverflowError):
-        problems.append(f"{name}: cannot parse {raw!r}")
-        return None
+    except ValueError:
+        raise ValueError(f"cannot parse {raw!r}") from None
 
 
 def resolve_config(scenario=None, file_values=None, overrides=None
                    ) -> ScenarioConfig:
-    """Merge scenario defaults, file values and flag overrides; validate."""
+    """Merge scenario defaults, file values and flag overrides; validate.
+    A value that does not parse is reported with every other problem."""
     problems = []
     name = scenario or (file_values or {}).get("scenario") or "mgbr1968"
     if name not in SCENARIO_DEFAULTS:
@@ -152,43 +146,59 @@ def resolve_config(scenario=None, file_values=None, overrides=None
     for source in (file_values or {}, overrides or {}):
         for key, value in source.items():
             if value is not None:
-                merged[key] = _coerce(key, value, problems)
-    if problems:
-        raise ConfigError(problems)
+                try:
+                    merged[key] = _coerce(key, value)
+                except ValueError as exc:
+                    problems.append(f"{key}: {exc}")
     merged["scenario"] = name
     cfg = ScenarioConfig(**merged)
-    validate_config(cfg)
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        problems += exc.problems
+    if problems:
+        raise ConfigError(problems)
     return cfg
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    problems = []
+    """ConfigError listing every problem with cfg.  Each engine check is
+    asked of each finite field alone, its other fields at their defaults;
+    the config states only what the engine cannot know."""
+    non_finite = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         entries = value if isinstance(value, tuple) else (value,)
         if not all(math.isfinite(v) for v in entries
                    if isinstance(v, float)):
-            problems.append(f"{f.name}: must be finite")
-    if cfg.e_i_mev < ELECTRON_MASS_MEV:
-        problems.append(f"e_i_mev: {cfg.e_i_mev} below the electron mass")
-    if cfg.omega0_mev <= 0:
-        problems.append("omega0_mev: must be positive")
-    if len(cfg.theta_rad) != 3:
-        problems.append("theta_rad: need exactly three angles")
-    if len(cfg.phi_rad) != 3:
-        problems.append("phi_rad: need exactly three angles")
+            non_finite.append(f.name)
+    problems = [f"{name}: must be finite" for name in non_finite]
+    # the engine's own checks of config fields, each with the fields it takes
+    checks = ((CollisionSetup, ("e_i_mev", "omega0_mev")),
+              (_check_directions, ("theta_rad", "phi_rad")),
+              (_window_width, ("solid_angle_sr",)),
+              (BeamParameters, tuple("beams_" + f.name
+                                     for f in fields(BeamParameters))))
+    for check, names in checks:
+        for name in [n for n in names if n not in non_finite]:
+            try:
+                check(*(getattr(cfg, n) if n == name else _DEFAULTS[n]
+                        for n in names))
+            except ValueError as exc:
+                problems.append(f"{_FILE_KEYS[name]}: {exc}")
+    try:
+        beam_basis_arrays(cfg.beam_pol_value())
+    except ValueError as exc:
+        problems.append(f"beam_polarization: {exc}")
+    # the config's own rules; a budget of 128 is 2 samples in each of the
+    # sampler's 64 strata
     for t in cfg.theta_rad:
         if not 0.0 < t < math.pi:
             problems.append(f"theta_rad: {t} outside (0, pi)")
-    if cfg.solid_angle_sr <= 0 or math.sqrt(cfg.solid_angle_sr) / 2 > 1:
-        problems.append(
-            f"solid_angle_sr: {cfg.solid_angle_sr} outside (0, 4]")
     if cfg.threshold_mev <= 0:
         problems.append("threshold_mev: must be positive")
     if cfg.budget < 128:
         problems.append(f"budget: {cfg.budget} too small (need >= 128)")
-    if not 0 <= cfg.seed < 1 << 64:
-        problems.append(f"seed: {cfg.seed} outside [0, 2^64)")
     for axis in ("omega1", "omega2"):
         lo = getattr(cfg, f"grid_{axis}_min_mev")
         hi = getattr(cfg, f"grid_{axis}_max_mev")
@@ -197,21 +207,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
             problems.append(f"grid.{axis}: need 0 < min <= max, got [{lo}, {hi}]")
         if n < 1:
             problems.append(f"grid.n_{axis}: need at least 1 point")
-    if cfg.scan_omega0_min_mev <= 0 \
-            or cfg.scan_omega0_max_mev < cfg.scan_omega0_min_mev:
+    if not 0 < cfg.scan_omega0_min_mev <= cfg.scan_omega0_max_mev:
         problems.append("scan: need 0 < omega0_min_mev <= omega0_max_mev")
     if cfg.scan_n_points < 1:
         problems.append("scan.n_points: need at least 1 point")
-    for name in ("beams_photons_per_pulse", "beams_electrons_per_bunch",
-                 "beams_repetition_rate_hz"):
-        if getattr(cfg, name) < 0:
-            problems.append(f"{_FILE_KEYS[name]}: must be >= 0")
-    if not cfg.beams_transverse_size_um > 0:
-        problems.append("beams.transverse_size_um: must be > 0")
-    try:
-        cfg.beam_pol_value()
-    except ConfigError as exc:
-        problems.extend(exc.problems)
     if problems:
         raise ConfigError(problems)
 

@@ -25,8 +25,8 @@ stratum.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -91,22 +91,24 @@ class BeamParameters:
             raise ValueError("transverse_size_um must be finite and positive")
 
 
-def _check_integral(name: str, value) -> None:
-    """ValueError unless value is integral (4096.0 is, 4096.5 is not)."""
-    if not (isinstance(value, numbers.Integral)
-            or float(value).is_integer()):
-        raise ValueError(f"{name} {value!r} is not an integer")
+def _integer(name: str, value) -> int:
+    """value as an exact int: an integral value of any type or its text, not
+    read through a float (7, 4096.0, "1e6", "9007199254740993").  A seed
+    must lie in [0, 2^64), the Philox key's 64 bits; else ValueError."""
+    try:
+        number = Fraction(value)
+        if number.denominator != 1:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+    if name == "seed" and not 0 <= number <= _MASK64:
+        raise ValueError(f"seed {number} outside [0, 2^64)")
+    return int(number)
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for one stratum; the master seed
-    must be integral and lie in [0, 2^64), the 64 bits of the key it
-    fills."""
-    _check_integral("seed", seed)
-    seed = int(seed)
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed {seed} outside [0, 2^64)")
-    key = (seed << 64) | (int(index) & _MASK64)
+    """Counter-based stream for one stratum; seed as in _integer."""
+    key = (_integer("seed", seed) << 64) | (int(index) & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -118,14 +120,14 @@ def stratified_monte_carlo(integrand, dim, strata, budget,
     probability cells).  integrand maps (n, dim) -> (n,) weights already
     including all map Jacobians; it is called on batches of at most
     BATCH_ROWS rows that may span strata, so each row's weight must not
-    depend on the other rows.  budget and seed must be integral (4096.0
-    is, 4096.5 raises ValueError).
+    depend on the other rows.  budget and seed must be integers (see
+    _integer: 4096.0 is one, 4096.5 raises ValueError).
     """
-    _check_integral("budget", budget)
-    _check_integral("seed", seed)
+    budget = _integer("budget", budget)
+    seed = _integer("seed", seed)
     counts = tuple(int(c) for c in strata)
     n_cells = int(np.prod(counts)) if counts else 1
-    n_per = int(budget) // n_cells
+    n_per = budget // n_cells
     if n_per < 2:
         raise BudgetError(
             f"budget {budget} gives {n_per} samples per stratum "
@@ -166,7 +168,7 @@ def stratified_monte_carlo(integrand, dim, strata, budget,
     s1, s2 = math.fsum(s1s), math.fsum(s2s)
     return IntegrationResult(
         math.fsum(means) / n_cells, math.sqrt(var_sum) / n_cells,
-        weights.size, int(seed), int(np.count_nonzero(weights)),
+        weights.size, seed, int(np.count_nonzero(weights)),
         s1 * s1 / s2 if s2 > 0 else 0.0,
         max(mean_vars) / var_sum if var_sum > 0 else 0.0)
 
@@ -211,6 +213,14 @@ def _sphere_angles(setup: CollisionSetup):
     return angles
 
 
+def _window_width(solid_angle_sr: float) -> float:
+    """sqrt(Omega), a detector window's width in phi; WindowError unless
+    sqrt(Omega)/2, the sine of its half-width in theta, is in (0, 1]."""
+    if not (solid_angle_sr > 0 and math.sqrt(solid_angle_sr) / 2.0 <= 1.0):
+        raise WindowError(f"solid angle {solid_angle_sr} sr outside (0, 4]")
+    return math.sqrt(solid_angle_sr)
+
+
 def _window_angles(thetas, phis, root, half_theta):
     """Angle map over detector windows: photon j uniform in cos(theta') over
     theta_j +- half_theta and in phi' over phi_j +- root/2."""
@@ -235,10 +245,14 @@ def _estimate(setup, n_out, eps, angles, budget, seed, scale):
     section over the free energies above eps and the directions ``angles``
     maps, divided by ``scale``.  One photon is stratified in 64 cells of its
     radial angle, more photons in 8 x 8 cells of the first two columns.
+    eps is below setup.omega_max, and above 0 if there are free energies.
     The cross section and the sampler are read from this module's globals
     at call time, where perfbench/tracing.py patches them."""
     n_free = n_out - 1
     w_max = setup.omega_max
+    if not ((eps > 0.0 or (eps == 0.0 and not n_free)) and eps < w_max):
+        raise ValueError(f"threshold {eps} MeV is not in "
+                         f"{'(' if n_free else '['}0, {w_max:.6g}) MeV")
 
     def integrand(x):
         omegas, weight = _log_energies(x[:, :n_free], eps, w_max)
@@ -266,14 +280,6 @@ def total_cross_section(setup: CollisionSetup, threshold_eps: float,
     if process not in PROCESS_PHOTONS:
         raise ValueError(f"unknown process {process!r}")
     n_out = PROCESS_PHOTONS[process]
-    if n_out > 1 and not threshold_eps > 0.0:
-        raise ValueError(
-            "infrared cutoff threshold_eps > 0 is mandatory for the "
-            "double and triple processes")
-    if not 0.0 <= threshold_eps < setup.omega_max:
-        raise ValueError(
-            f"threshold {threshold_eps} MeV is not in [0, "
-            f"{setup.omega_max:.6g}) MeV, the kinematic maximum")
     return _estimate(setup, n_out, threshold_eps, _sphere_angles(setup),
                      budget, seed, math.factorial(n_out))
 
@@ -290,19 +296,12 @@ def detector_average(setup: CollisionSetup, thetas, phis,
     equals Omega at theta_j = pi/2; the result is normalized by Omega^3.
     """
     thetas, phis = _check_directions(thetas, phis)
-    if not solid_angle_sr > 0:
-        raise WindowError("solid angle must be positive")
-    root = math.sqrt(solid_angle_sr)
-    if not root / 2.0 <= 1.0:
-        raise WindowError(f"solid angle {solid_angle_sr} sr too large")
+    root = _window_width(solid_angle_sr)
     half_theta = math.asin(root / 2.0)
     for t in thetas:
         if not (t - half_theta > 0.0 and t + half_theta < math.pi):
             raise WindowError(
                 f"theta window {t} +- {half_theta:.4f} leaves (0, pi)")
-    if not 0.0 < threshold_eps < setup.omega_max:
-        raise ValueError(
-            f"threshold must lie in (0, {setup.omega_max:.6g}) MeV")
     return _estimate(setup, 3, threshold_eps,
                      _window_angles(thetas, phis, root, half_theta), budget,
                      seed, solid_angle_sr ** 3)

@@ -136,6 +136,37 @@ def test_integral_spellings_accepted(tmp_path):
                                         cfg.grid_n_omega1))
 
 
+def test_config_integers_parse_exactly(tmp_path):
+    # integer keys used to be read through a float: seed = 9007199254740993
+    # ran as 9007199254740992, and 2^64 - 1 was refused as outside [0, 2^64)
+    path = tmp_path / "run.cfg"
+    for seed in (9007199254740993, (1 << 64) - 1):
+        path.write_text(f"seed = {seed}\n")
+        cfg = resolve_config("mgbr1968", parse_config_file(path), {})
+        assert cfg.seed == seed and type(cfg.seed) is int
+    path.write_text("seed = 18446744073709551616\n")
+    with pytest.raises(ConfigError, match=r"seed 18446744073709551616 "
+                       r"outside \[0, 2\^64\)"):
+        resolve_config("mgbr1968", parse_config_file(path), {})
+
+
+def test_engine_rules_reported_under_file_keys():
+    # the config asks the engine's own checks: each bad value is reported
+    # under its file key, all of them together, with the values that do
+    # not parse (a fractional budget used to hide every other problem)
+    values = {"seed": "-1", "budget": "1.5", "e_i_mev": "0.3",
+              "omega0_mev": "-1", "phi_rad": "1, 2", "solid_angle_sr": "5",
+              "beam_polarization": "0, 0", "beams_photons_per_pulse": "-1",
+              "beams_transverse_size_um": "0"}
+    with pytest.raises(ConfigError) as info:
+        resolve_config("mgbr1968", values, {})
+    keys = [problem.split(": ", 1)[0] for problem in info.value.problems]
+    assert sorted(keys) == sorted(
+        ["seed", "budget", "e_i_mev", "omega0_mev", "phi_rad",
+         "solid_angle_sr", "beam_polarization", "beams.photons_per_pulse",
+         "beams.transverse_size_um"])
+
+
 def test_cli_zero_beam_size_exit_code(tmp_path, capsys):
     # event_rate divides by the beam area; a zero size used to run the
     # whole Monte Carlo and then die with ZeroDivisionError
@@ -527,10 +558,16 @@ def test_cli_reruns_from_its_own_metadata(tmp_path, capsys):
     grid = tmp_path / "grid.cfg"
     grid.write_text("scenario = xfel\ngrid.n_omega1 = 4\ngrid.n_omega2 = 4\n"
                     "grid.omega1_max_mev = 1300\ngrid.omega2_max_mev = 1300\n")
+    # 2^53 + 1, which a float cannot hold
+    scan = tmp_path / "scan.cfg"
+    scan.write_text("seed = 9007199254740993\nscan.omega0_min_mev = 0.4\n"
+                    "scan.omega0_max_mev = 1.0\nscan.n_points = 2\n")
     runs = {"grid": (["grid", "--observable", "sigma5"],
                      ["--config", str(grid)]),
             "totals": (["totals", "--process", "double"],
-                       ["--budget", "1024", "--seed", "3"])}
+                       ["--budget", "1024", "--seed", "3"]),
+            "mgbr1968": (["mgbr1968"], ["--budget", "256", "--seed", "5"]),
+            "scan": (["scan"], ["--config", str(scan), "--budget", "256"])}
     for name, (command, flags) in runs.items():
         first, again = tmp_path / name, tmp_path / f"{name}_again"
         assert cli.main(command + flags + ["--out", str(first)]) \
@@ -540,7 +577,7 @@ def test_cli_reruns_from_its_own_metadata(tmp_path, capsys):
             line for line in
             (first / "metadata.txt").read_text().splitlines(True)
             if not line.startswith(("command = ", "version = ", "files = ",
-                                    "n_samples"))))
+                                    "n_samples", "rows = "))))
         assert cli.main(command + ["--config", str(record),
                                    "--out", str(again)]) == cli.EXIT_OK
         names = sorted(p.name for p in first.iterdir())
@@ -549,6 +586,9 @@ def test_cli_reruns_from_its_own_metadata(tmp_path, capsys):
         for file in names:
             assert (again / file).read_bytes() == (first / file).read_bytes(), \
                 (name, file)
+    # the config file's seed runs and is recorded as written
+    assert "seed = 9007199254740993" in \
+        (tmp_path / "scan" / "metadata.txt").read_text().splitlines()
 
 
 @pytest.mark.parametrize("command", [

@@ -29,11 +29,15 @@ W_STATE_TAU_REFERENCE = 0.442809041
 
 # tau of the collider ridge state: XFEL geometry (5 GeV electron on 1 keV
 # photons, conftest XFEL_THETAS/XFEL_PHIS), omega1 = 693 MeV, omega2 = 413 MeV,
-# beam_pol=1 (x).  gme_tau brackets it between its certified witness,
-# 0.4278088, and its dual-split bound, 0.4278093 (gap 4.8e-7); the same
+# beam_pol=1 (x).  gme_tau brackets it between its certified witness and its
+# dual-split bound: [0.4278087843, 0.4278092520] for the state built from
+# the 40-digit oracle's amplitudes (tests/_highprec._fast_chain, 8 channels
+# x 4 spin pairs), [0.4278087788, 0.4278092465] for density_from_amplitudes'
+# state, which differs from it by at most 8.7e-9 per entry.  The reference
+# is read from the oracle state's bracket, and lies inside both.  The same
 # bracket reproduces W_STATE_TAU_REFERENCE to 2e-9.  The state's minimum
 # bipartite negativity, which bounds tau from above, is 0.44909.
-XFEL_RIDGE_TAU_REFERENCE = 0.427809
+XFEL_RIDGE_TAU_REFERENCE = 0.4278090
 
 
 def test_basis_index_ordering():

@@ -25,6 +25,29 @@ def klein_nishina_total(setup):
         + 0.5 / kappa + 8 / kappa ** 2 - 1 / (2 * kappa * (1 + kappa) ** 2))
 
 
+def klein_nishina_above(setup, eps, nodes=32):
+    """One-photon total in barns over lab energies of at least eps, for an
+    electron moving faster than the photon (|p_i| > omega0, omega0 <= eps):
+    Klein-Nishina in the electron's rest frame (oracle).
+
+    With P = omega'/omega0' and kappa = omega0'/m = p_i.k_0/m^2, the rest
+    frame gives 1 - cos(theta') = (1/P - 1)/kappa and dsigma/dP = pi r_e^2
+    (P + 1/P - sin^2 theta')/kappa.  The lab energy is linear in P, omega =
+    |p_i| - P (|p_i| - omega0), so eps bounds P from above, and P = 1/(1 +
+    2 kappa) is backscatter.  Gauss-Legendre in ln P.
+    """
+    kappa = setup.flux / (M * M)
+    lo = -math.log1p(2.0 * kappa)
+    hi = math.log((setup.p_abs - eps) / (setup.p_abs - setup.omega0_mev))
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    big_p = np.exp(lo + (hi - lo) * (t + 1.0) / 2.0)
+    one_minus_cos = (1.0 / big_p - 1.0) / kappa
+    sin2 = one_minus_cos * (2.0 - one_minus_cos)
+    re2 = ALPHA ** 2 / (M * M) * HBARC2_MEV2_BARN
+    return (math.pi * re2 / kappa * (hi - lo) / 2.0
+            * float(w @ (big_p * big_p + 1.0 - big_p * sin2)))
+
+
 def test_substream_determinism():
     a = substream(42, 7).random(5)
     b = substream(42, 7).random(5)
@@ -185,6 +208,21 @@ def test_sphere_jacobian_covers_full_sphere(e_i):
     thetas, _ = angles(x, weight)
     assert weight.mean() == pytest.approx(4 * math.pi, rel=1e-7)
     assert thetas.max() > math.pi - 1e-3 and thetas.min() < 1e-3
+
+
+def test_collider_single_total_exact_above_threshold(xfel_setup):
+    # the README totals run's single process, 5 GeV on 1 keV with every
+    # photon above 50 MeV: the quadrature matches a 30-digit mpmath.quad of
+    # the same rest-frame integral, 0.0306335386440682 b, and at the lab
+    # threshold omega0 the closed-form Klein-Nishina total
+    exact = klein_nishina_above(xfel_setup, 50.0)
+    assert exact == pytest.approx(0.0306335386441, rel=1e-9)
+    assert klein_nishina_above(xfel_setup, xfel_setup.omega0_mev) \
+        == pytest.approx(klein_nishina_total(xfel_setup), rel=1e-12)
+    for seed in (1, 2):
+        res = total_cross_section(xfel_setup, 50.0, "single",
+                                  budget=1 << 14, seed=seed)
+        assert abs(res.value - exact) <= 4 * res.statistical_error, seed
 
 
 def test_frame_consistency():
