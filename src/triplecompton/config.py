@@ -123,7 +123,7 @@ def _coerce(name: str, raw):
     (see integration._integer); ValueError if it does not parse."""
     kind = type(_DEFAULTS[name])
     if kind is int:
-        return _integer(name, raw)
+        return _integer(_FILE_KEYS[name], raw)
     if not isinstance(raw, str):
         return raw
     try:
@@ -149,7 +149,7 @@ def resolve_config(scenario=None, file_values=None, overrides=None
                 try:
                     merged[key] = _coerce(key, value)
                 except ValueError as exc:
-                    problems.append(f"{key}: {exc}")
+                    problems.append(f"{_FILE_KEYS[key]}: {exc}")
     merged["scenario"] = name
     cfg = ScenarioConfig(**merged)
     try:
@@ -162,9 +162,11 @@ def resolve_config(scenario=None, file_values=None, overrides=None
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    """ConfigError listing every problem with cfg.  Each engine check is
-    asked of each finite field alone, its other fields at their defaults;
-    the config states only what the engine cannot know."""
+    """ConfigError listing every problem with cfg, each named by its file
+    key and each bad value once: a non-finite field is reported as such
+    and asked of no other rule.  Each engine check is asked of each finite
+    field alone, its other fields at their defaults; the config states only
+    what the engine cannot know."""
     non_finite = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -172,7 +174,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
         if not all(math.isfinite(v) for v in entries
                    if isinstance(v, float)):
             non_finite.append(f.name)
-    problems = [f"{name}: must be finite" for name in non_finite]
+    problems = [f"{_FILE_KEYS[name]}: must be finite" for name in non_finite]
     # the engine's own checks of config fields, each with the fields it takes
     checks = ((CollisionSetup, ("e_i_mev", "omega0_mev")),
               (_check_directions, ("theta_rad", "phi_rad")),
@@ -190,25 +192,33 @@ def validate_config(cfg: ScenarioConfig) -> None:
         beam_basis_arrays(cfg.beam_pol_value())
     except ValueError as exc:
         problems.append(f"beam_polarization: {exc}")
-    # the config's own rules; a budget of 128 is 2 samples in each of the
-    # sampler's 64 strata
-    for t in cfg.theta_rad:
-        if not 0.0 < t < math.pi:
-            problems.append(f"theta_rad: {t} outside (0, pi)")
-    if cfg.threshold_mev <= 0:
+    # the config's own rules, each asked of finite fields only; a budget
+    # of 128 is 2 samples in each of the sampler's 64 strata
+    def finite(*names):
+        return not set(names) & set(non_finite)
+
+    if finite("theta_rad"):
+        for t in cfg.theta_rad:
+            if not 0.0 < t < math.pi:
+                problems.append(f"theta_rad: {t} outside (0, pi)")
+    if finite("threshold_mev") and cfg.threshold_mev <= 0:
         problems.append("threshold_mev: must be positive")
     if cfg.budget < 128:
         problems.append(f"budget: {cfg.budget} too small (need >= 128)")
     for axis in ("omega1", "omega2"):
-        lo = getattr(cfg, f"grid_{axis}_min_mev")
-        hi = getattr(cfg, f"grid_{axis}_max_mev")
+        names = (f"grid_{axis}_min_mev", f"grid_{axis}_max_mev")
+        lo, hi = (getattr(cfg, name) for name in names)
         n = getattr(cfg, f"grid_n_{axis}")
-        if lo <= 0 or hi < lo or (n > 1 and hi == lo):
-            problems.append(f"grid.{axis}: need 0 < min <= max, got [{lo}, {hi}]")
+        if finite(*names) and (lo <= 0 or hi < lo or (n > 1 and hi == lo)):
+            problems.append(f"{', '.join(_FILE_KEYS[name] for name in names)}"
+                            f": need 0 < min <= max, got [{lo}, {hi}]")
         if n < 1:
             problems.append(f"grid.n_{axis}: need at least 1 point")
-    if not 0 < cfg.scan_omega0_min_mev <= cfg.scan_omega0_max_mev:
-        problems.append("scan: need 0 < omega0_min_mev <= omega0_max_mev")
+    names = ("scan_omega0_min_mev", "scan_omega0_max_mev")
+    lo, hi = (getattr(cfg, name) for name in names)
+    if finite(*names) and not 0 < lo <= hi:
+        problems.append(f"{', '.join(_FILE_KEYS[name] for name in names)}"
+                        f": need 0 < min <= max, got [{lo}, {hi}]")
     if cfg.scan_n_points < 1:
         problems.append("scan.n_points: need at least 1 point")
     if problems:

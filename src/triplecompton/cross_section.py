@@ -27,6 +27,11 @@ from .algebra import check_labels
 from .constants import ALPHA, ELECTRON_MASS_MEV, HBARC2_MEV2_BARN
 from .kinematics import CollisionSetup, _check_directions, _close_arrays
 
+# kept rows per amplitude kernel call in unpolarized_differential_batch: the
+# kernel holds about 14-20 KB per row, so a chunk bounds the memory of any
+# batch the sampler passes; the result does not depend on it
+KERNEL_ROWS = 256
+
 
 def prefactor(n_out: int) -> float:
     """Process-order prefactor alpha^(n+1)/(2 pi)^(2(n-1))/m^(2(n-1))."""
@@ -84,9 +89,49 @@ def unpolarized_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
 # ---------------------------------------------------------------------------
 # batched evaluation on arrays of phase-space points
 
+def _kept_points(setup, thetas, phis, omegas_free, threshold_eps):
+    """Closure, keep mask and kinematic factor at stacked points, the part
+    of :func:`_tensor_for_points` before the amplitude kernel.
+
+    Returns (thetas, phis, k_out, p_f, keep, kin): the angles as float
+    arrays of at least two dimensions, the closed momenta of every point,
+    the kept rows (the physical points with every photon at or above
+    threshold_eps) and kin, the differential cross section per unit squared
+    amplitude (the formula in the module docstring without |M|^2), zero off
+    the kept rows.  Each row is computed on its own, so a row's values do
+    not depend on the other rows.  A threshold_eps that is not finite and
+    non-negative raises ValueError.
+    """
+    if not 0.0 <= threshold_eps < math.inf:
+        raise ValueError(f"threshold {threshold_eps} must be finite and >= 0")
+    thetas = np.atleast_2d(np.asarray(thetas, float))
+    phis = np.atleast_2d(np.asarray(phis, float))
+    _, k_out, p_f, kfac, physical = _close_arrays(setup, thetas, phis,
+                                                  omegas_free)
+    # k_out[..., 0] holds every photon's energy, the derived one included
+    keep = physical & (k_out[..., 0] >= threshold_eps).all(axis=0)
+    kin = np.zeros(keep.size)
+    e_f = p_f[keep, 0]
+    kin[keep] = (prefactor(len(thetas))
+                 * k_out[:, keep, 0].prod(axis=0) / (e_f * setup.flux)
+                 / np.abs(kfac[keep]) * HBARC2_MEV2_BARN)
+    return thetas, phis, k_out, p_f, keep, kin
+
+
+def _amplitudes(setup, thetas, phis, k_out, p_f, rows, beam):
+    """amp.amplitude_tensor on the points ``rows`` selects (a mask or
+    indices) of :func:`_kept_points`'s output, with each emitted photon's
+    basis built for those rows, or once when its direction is shared."""
+    cols = slice(None) if thetas.shape[1] == 1 else rows
+    return amp.amplitude_tensor(
+        setup, k_out[:, rows], p_f[rows],
+        [beam, *amp.outgoing_basis_arrays(thetas[:, cols], phis[:, cols])])
+
+
 def _tensor_for_points(setup, thetas, phis, omegas_free,
                        threshold_eps: float = 0.0, beam_pol=None):
-    """Amplitude tensor and kinematic factor at stacked points.
+    """Amplitude tensor and kinematic factor at stacked points, the kernel
+    run once over every kept row.
 
     thetas, phis: (n_out, N) photon directions, one per point, or
     (n_out, 1), one direction per photon shared by every point;
@@ -97,37 +142,18 @@ def _tensor_for_points(setup, thetas, phis, omegas_free,
     are, with the same bits as values repeated at every point.  The beam
     photon's polarization axis holds both basis vectors for None, the
     beam's own polarization (one entry) otherwise.  The tensor is evaluated
-    on the kept rows only, the physical points with every photon at or
-    above threshold_eps, and reads zero elsewhere.  kin is the differential
-    cross section per unit squared amplitude (the formula in the module
-    docstring without |M|^2), zero off the kept rows.  Returns (tensor,
-    kin, keep).  A threshold_eps that is not finite and non-negative raises
-    ValueError.
+    on the kept rows only and reads zero elsewhere; keep and kin are
+    :func:`_kept_points`'s.  Returns (tensor, kin, keep).  A threshold_eps
+    that is not finite and non-negative raises ValueError.
     """
-    if not 0.0 <= threshold_eps < math.inf:
-        raise ValueError(f"threshold {threshold_eps} must be finite and >= 0")
-    thetas = np.atleast_2d(np.asarray(thetas, float))
-    phis = np.atleast_2d(np.asarray(phis, float))
-    n_out = len(thetas)
-    _, k_out, p_f, kfac, physical = _close_arrays(setup, thetas, phis,
-                                                  omegas_free)
-    # k_out[..., 0] holds every photon's energy, the derived one included
-    keep = physical & (k_out[..., 0] >= threshold_eps).all(axis=0)
-    n_pts, n_kept = keep.size, int(np.count_nonzero(keep))
+    thetas, phis, k_out, p_f, keep, kin = _kept_points(
+        setup, thetas, phis, omegas_free, threshold_eps)
     beam = amp.beam_basis_arrays(beam_pol)
-    tensor = np.zeros((n_pts, beam.shape[1]) + (2,) * (n_out + 2),
+    tensor = np.zeros((keep.size, beam.shape[1]) + (2,) * (len(thetas) + 2),
                       dtype=complex)
-    kin = np.zeros(n_pts)
-    if not n_kept:
-        return tensor, kin, keep
-    rows = slice(None) if thetas.shape[1] == 1 else keep
-    tensor[keep] = amp.amplitude_tensor(
-        setup, k_out[:, keep], p_f[keep],
-        [beam, *amp.outgoing_basis_arrays(thetas[:, rows], phis[:, rows])])
-    e_f = p_f[keep, 0]
-    kin[keep] = (prefactor(n_out)
-                 * k_out[:, keep, 0].prod(axis=0) / (e_f * setup.flux)
-                 / np.abs(kfac[keep]) * HBARC2_MEV2_BARN)
+    if keep.any():
+        tensor[keep] = _amplitudes(setup, thetas, phis, k_out, p_f, keep,
+                                   beam)
     return tensor, kin, keep
 
 
@@ -195,10 +221,21 @@ def unpolarized_differential_batch(setup, thetas, phis, omegas_free,
     emitted photons; thetas, phis (n_out, N), omegas_free (n_out - 1, N).
 
     Units: b sr^-n_out MeV^-(n_out-1).  Used by the total-cross-section
-    integrators for the one-, two- and three-photon processes.
+    integrators for the one-, two- and three-photon processes.  The
+    closure, keep mask and kinematic factor run once on all N points; the
+    amplitude kernel runs on successive chunks of at most KERNEL_ROWS kept
+    rows, each reduced to its 0.25 sum |M|^2 before the next, so no tensor
+    of every point is held.  Each row is computed on its own, so the result
+    does not depend on KERNEL_ROWS.
     """
-    tensor, kin, _ = _tensor_for_points(setup, thetas, phis, omegas_free,
-                                        threshold_eps)
-    msq = 0.25 * (np.abs(tensor) ** 2).reshape(tensor.shape[0],
-                                               -1).sum(axis=1)
+    thetas, phis, k_out, p_f, keep, kin = _kept_points(
+        setup, thetas, phis, omegas_free, threshold_eps)
+    beam = amp.beam_basis_arrays(None)
+    kept = np.flatnonzero(keep)
+    msq = np.zeros(keep.size)
+    for start in range(0, kept.size, KERNEL_ROWS):
+        rows = kept[start:start + KERNEL_ROWS]
+        tensor = _amplitudes(setup, thetas, phis, k_out, p_f, rows, beam)
+        msq[rows] = 0.25 * (np.abs(tensor) ** 2).reshape(rows.size,
+                                                         -1).sum(axis=1)
     return msq * kin

@@ -18,9 +18,12 @@ per-stratum means are combined with math.fsum as well.
 
 The integrand sees fixed batches of at most BATCH_ROWS rows, filled stratum
 after stratum, so one batch may hold the tail of one stratum and the head of
-the next.  Only one batch of points is alive at a time, so memory does not
-grow with the budget, and a small budget costs one call rather than one per
-stratum.
+the next.  Only one batch of points is alive at a time, and the cross
+section runs the amplitude kernel on at most cross_section.KERNEL_ROWS kept
+rows of it at a time, so apart from one float per sample for the weights
+memory does not grow with the budget; the per-stratum sums read one
+stratum's weights at a time.  A small budget costs one call rather than one
+per stratum.
 """
 from __future__ import annotations
 
@@ -40,8 +43,11 @@ from .kinematics import CollisionSetup, _check_directions
 
 _MASK64 = (1 << 64) - 1
 # rows per integrand call, across stratum boundaries; the per-stratum sums do
-# not depend on it
-BATCH_ROWS = 256
+# not depend on it.  The cross section runs the amplitude kernel on at most
+# cross_section.KERNEL_ROWS kept rows of a batch at a time, so a batch this
+# large spreads the per-call cost of the draws, maps and closure without
+# holding a kernel's memory for every row
+BATCH_ROWS = 2048
 
 PROCESS_PHOTONS = {"single": 1, "double": 2, "triple": 3}
 # _sphere_angles draws each photon in the backscatter cone pi - theta =
@@ -156,14 +162,15 @@ def stratified_monte_carlo(integrand, dim, strata, budget,
     # boundaries cannot change a bit of the result; each variance sums the
     # squared deviations from the stratum's mean, which does not cancel
     # when the weights vary little against that mean; fsum reads Python
-    # float lists faster than numpy rows
-    cells = weights.reshape(n_cells, n_per)
-    s1s = [math.fsum(w) for w in cells.tolist()]
-    s2s = [math.fsum(w) for w in (cells * cells).tolist()]
-    means = [s1 / n_per for s1 in s1s]
-    deviations = (cells - np.array(means)[:, None]) ** 2
-    mean_vars = [math.fsum(d) / n_per / (n_per - 1)
-                 for d in deviations.tolist()]
+    # float lists faster than numpy rows, and one stratum's row at a time
+    # keeps those lists from growing with the budget
+    s1s, s2s, means, mean_vars = [], [], [], []
+    for w in weights.reshape(n_cells, n_per):
+        s1s.append(math.fsum(w.tolist()))
+        s2s.append(math.fsum((w * w).tolist()))
+        means.append(s1s[-1] / n_per)
+        mean_vars.append(math.fsum(((w - means[-1]) ** 2).tolist())
+                         / n_per / (n_per - 1))
     var_sum = math.fsum(mean_vars)
     s1, s2 = math.fsum(s1s), math.fsum(s2s)
     return IntegrationResult(

@@ -90,13 +90,27 @@ def test_validation_messages():
         resolve_config("nope")
 
 
+# the file key of each field below whose key is not its name
+FILE_KEYS = {"beams_photons_per_pulse": "beams.photons_per_pulse",
+             "grid_omega1_min_mev": "grid.omega1_min_mev",
+             "scan_omega0_max_mev": "scan.omega0_max_mev",
+             "grid_n_omega1": "grid.n_omega1",
+             "scan_n_points": "scan.n_points"}
+
+
 @pytest.mark.parametrize("key, raw", [
     ("e_i_mev", "nan"), ("omega0_mev", "nan"), ("threshold_mev", "inf"),
     ("phi_rad", "0.5, nan, 1.0"), ("beams_photons_per_pulse", "nan"),
-    ("budget", "inf"), ("beam_polarization", "nan, 1")])
+    ("budget", "inf"), ("beam_polarization", "nan, 1"),
+    ("theta_rad", "nan, 1.0, 1.0"), ("threshold_mev", "-inf"),
+    ("grid_omega1_min_mev", "inf"), ("scan_omega0_max_mev", "nan")])
 def test_non_finite_values_rejected(key, raw):
-    with pytest.raises(ConfigError, match=key):
+    # one problem, named by the file key: a nan theta was also reported as
+    # outside (0, pi), and a non-finite range end as a bad range
+    with pytest.raises(ConfigError) as info:
         resolve_config("xfel", {key: raw}, {})
+    assert len(info.value.problems) == 1, info.value.problems
+    assert info.value.problems[0].startswith(f"{FILE_KEYS.get(key, key)}: ")
 
 
 @pytest.mark.parametrize("key, raw", [
@@ -115,8 +129,11 @@ def test_fractional_integer_values_rejected(tmp_path, key, raw):
     ("scan_n_points", np.float64(2.5)), ("seed", math.inf)])
 def test_fractional_integer_overrides_rejected(key, value):
     # non-string values used to pass through unchecked: seed 1.5 stayed 1.5
-    with pytest.raises(ConfigError, match=f"{key}: .* is not an integer"):
+    file_key = FILE_KEYS.get(key, key)
+    with pytest.raises(ConfigError) as info:
         resolve_config("mgbr1968", {}, {key: value})
+    assert info.value.problems == [
+        f"{file_key}: {file_key} {value!r} is not an integer"]
 
 
 def test_integral_overrides_accepted():

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from triplecompton.constants import ALPHA, ELECTRON_MASS_MEV as M, \
     HBARC2_MEV2_BARN
-from triplecompton import integration
+from triplecompton import amplitude, cross_section, integration
 from triplecompton.integration import (BeamParameters, BudgetError,
                                        IntegrationResult, WindowError,
                                        detector_average,
@@ -71,8 +72,9 @@ def test_total_cross_section_deterministic(rest_setup):
 
 
 # 7 and 100 divide no stratum's count below, so batches span strata; 256 is
-# one stratum at 2^14 over 64 strata, and 8192 holds 32 of them
-BATCH_SIZES = (7, 100, 256, 8192)
+# one stratum at 2^14 over 64 strata, 2048 the default, and 8192 holds 32
+# of them
+BATCH_SIZES = (7, 100, 256, 2048, 8192)
 
 
 def _batched_results(monkeypatch, estimate):
@@ -93,6 +95,14 @@ def test_batching_does_not_change_result(monkeypatch, rest_setup, seed):
         assert res == results[0]
 
 
+def _estimator(case, budget, rest_setup, xfel_setup):
+    if case == "detector_average":
+        return lambda: detector_average(rest_setup, MGBR_THETAS, MGBR_PHIS,
+                                        0.378, 0.013, budget=budget, seed=4)
+    return lambda: total_cross_section(xfel_setup, 50.0, case,
+                                       budget=budget, seed=4)
+
+
 @pytest.mark.parametrize("case, budget", [
     ("single", 1000), ("triple", 1000), ("triple", 1 << 12),
     ("detector_average", 1000), ("detector_average", 1 << 12)])
@@ -100,20 +110,56 @@ def test_cross_strata_batching_does_not_change_result(
         monkeypatch, rest_setup, xfel_setup, case, budget):
     # budget 1000 over 64 strata is 15 samples per stratum, a multiple of
     # none of the batch sizes
-    if case == "detector_average":
-        def estimate():
-            return detector_average(rest_setup, MGBR_THETAS, MGBR_PHIS,
-                                    0.378, 0.013, budget=budget, seed=4)
-    else:
-        def estimate():
-            return total_cross_section(xfel_setup, 50.0, case,
-                                       budget=budget, seed=4)
-    results = _batched_results(monkeypatch, estimate)
+    results = _batched_results(
+        monkeypatch, _estimator(case, budget, rest_setup, xfel_setup))
     assert results[0].n_samples == budget // 64 * 64
     for res in results[1:]:
         assert res.value == results[0].value
         assert res.statistical_error == results[0].statistical_error
         assert res == results[0]
+
+
+@pytest.mark.parametrize("case", ["single", "double", "triple",
+                                  "detector_average"])
+def test_kernel_chunks_do_not_change_result(monkeypatch, rest_setup,
+                                            xfel_setup, case):
+    # the cross section runs the amplitude kernel on at most KERNEL_ROWS
+    # kept rows of each batch: the estimate keeps every bit, and every
+    # estimate sends the kernel the same kept points, whatever the chunk
+    kernel = amplitude.amplitude_tensor
+    estimate = _estimator(case, 1 << 12, rest_setup, xfel_setup)
+    results, points = [], []
+    for rows in (1, 7, 256, 10 ** 6):
+        monkeypatch.setattr(cross_section, "KERNEL_ROWS", rows)
+        sizes = []
+
+        def counted(setup, k_out, *args):
+            sizes.append(k_out.shape[1])
+            return kernel(setup, k_out, *args)
+        monkeypatch.setattr(amplitude, "amplitude_tensor", counted)
+        results.append(estimate())
+        assert 0 < max(sizes) <= rows
+        points.append(sum(sizes))
+        if rows == 10 ** 6:
+            # one call per batch
+            assert len(sizes) == -(-4096 // integration.BATCH_ROWS)
+    for res in results[1:]:
+        assert res == results[0]
+    assert points == [points[0]] * 4
+    assert results[0].n_nonzero <= points[0] < results[0].n_samples
+
+
+def test_sampler_memory_does_not_grow_with_budget():
+    # the per-stratum sums used to read Python float lists of every weight,
+    # about 48 B per sample; the weights themselves are 8 B per sample
+    budget = 1 << 18
+    tracemalloc.start()
+    try:
+        stratified_monte_carlo(lambda x: x[:, 0], 2, (8, 8), budget, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * budget, peak / budget
 
 
 def test_integrand_calls_are_bounded_batches(monkeypatch):
