@@ -27,6 +27,22 @@ the half of the 4x4 product that multiplies exact zeros; each propagator
 is applied as its two diagonal scalars and one 2x2 Pauli block, built once
 per call.  Both give the same amplitudes to the bit as the 4x4 products.
 It raises on a propagator pole itself.
+
+The electron spin sum is paid once.  In the Dirac representation A =
+gamma^0 gamma^1 gamma^3 is real, A gamma^mu* A^-1 = gamma^mu, gamma^0 A^-1
+= A^T gamma^0, and the spinors obey A u_1(p)* = -u_2(p) and A u_2(p)* =
+u_1(p).  So for any chain built from real four-vectors, real momenta and
+real (linear) polarizations,
+
+    M(r_i=2, r_f=2) = conj M(1, 1),    M(2, 1) = -conj M(1, 2),
+
+at every point and for every polarization entry.  The kernel builds the
+r_i = 1 currents alone and writes the r_i = 2 half from this identity;
+a complex polarization array raises ValueError.  The r_i = 1 half is the
+same to the bit as a direct evaluation; the r_i = 2 half differs from one
+by rounding alone, relative to a point's largest amplitude at most 6e-16
+at rest and, at collider kinematics, where the direct evaluation loses
+digits, median 1e-9 and at most 1e-5 over 2955 sampled triple points.
 ``point_amplitude`` runs it at one point for any number of emitted
 photons, with each given polarization four-vector as a length-1 basis,
 after checking the spin labels and the final electron's mass shell.
@@ -53,9 +69,10 @@ def point_amplitude(setup: CollisionSetup, photons, p_f, eps, r_i: int = 1,
     electron momentum p_f and electron spin labels r_i, r_f.
 
     eps holds one polarization four-vector per photon, the absorbed photon's
-    first; any four-vectors are accepted there, so gauge tests can put
-    eps -> k.  An off-shell p_f raises OffShellError; the rest, the pole
-    check included, is amplitude_tensor with each eps a length-1 axis.
+    first; any real four-vectors are accepted there, so gauge tests can put
+    eps -> k, and a complex one raises ValueError.  An off-shell p_f raises
+    OffShellError; the rest, the pole check included, is amplitude_tensor
+    with each eps a length-1 axis.
     """
     check_labels(r_i, r_f)
     check_on_shell(p_f)
@@ -207,7 +224,8 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     vectors repeated at every point.  Returns a complex
     array (N, P, ..., P, 2, 2): one polarization axis per photon (photon
     order), then r_i, then r_f.  Raises PropagatorPoleError if any |q^2 -
-    m^2| is below POLE_GUARD m^2.
+    m^2| is below POLE_GUARD m^2, and ValueError if any eps array is
+    complex: the vectors must be real for the conjugation below.
 
     The amplitude is linear in each polarization vector, so a polarized
     beam needs no contraction afterwards: ``beam_basis_arrays`` hands the
@@ -219,7 +237,7 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     Inside, the point axis is last and contiguous: spinors, slashed
     polarizations and propagator blocks are (..., N) stacks, and applying
     an operator is a few broadcast multiplies and sums for all points at
-    once.  p_i and u(p_i) are built once and broadcast along the point
+    once.  p_i and u_1(p_i) are built once and broadcast along the point
     axis.  The photons' vectors are slashed together at one point axis, 1
     only if every photon's is 1, so shared vectors are slashed once and
     their vertex blocks broadcast too, each product the same double either
@@ -258,25 +276,30 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     exit contraction ubar eslash_j stays a full 4x4 product.
 
     The sum over insertion orders is built from subset currents (F. A.
-    Berends, W. T. Giele, Nucl. Phys. B306 (1988) 759): J(empty) = u(p_i)
-    and, for every proper subset S of the photons,
+    Berends, W. T. Giele, Nucl. Phys. B306 (1988) 759): J(empty) =
+    u_1(p_i) and, for every proper subset S of the photons,
 
         J(S) = S(p_i + k_S) sum_{j in S} eslash_j J(S - {j}),
 
     with k_S the momentum S brings in (k_0 added, emitted photons
-    subtracted), kept as a (4, pol..., r_i, N) stack with S's polarization
-    axes in photon order; then M = m^(n-1) sum_j (ubar eslash_j) J(all -
-    {j}).  Each current is built once and shared by every order whose first
-    |S| vertices are S, so the cost grows as n 2^n in the number n of
-    photon lines rather than as n!.  Every operation is elementwise along
-    the point axis, so a row's result does not depend on the other rows or
-    on N.
+    subtracted), kept as a (4, pol..., N) stack with S's polarization axes
+    in photon order; then M(1, r_f) = m^(n-1) sum_j (ubar_r_f eslash_j)
+    J(all - {j}).  Each current is built once and shared by every order
+    whose first |S| vertices are S, so the cost grows as n 2^n in the
+    number n of photon lines rather than as n!.  The r_i = 2 entries are
+    then M(2, 1) = -conj M(1, 2) and M(2, 2) = conj M(1, 1) (module
+    docstring), so the currents carry one spinor column instead of two.
+    Every operation is elementwise along the point axis, so a row's result
+    does not depend on the other rows or on N.
     """
+    if any(np.iscomplexobj(e) for e in eps_arrays):
+        raise ValueError("polarization four-vectors must be real: the "
+                         "r_i = 2 amplitudes are built by conjugation")
     k_out = np.asarray(k_out, float)
     n, n_pts = k_out.shape[0] + 1, k_out.shape[1]
     p_i, k_0, m = setup.p_i, setup.k_0, ELECTRON_MASS_MEV
-    u_cols = np.broadcast_to(dirac_spinor_batch(p_i)[..., None],
-                             (4, 2, n_pts))
+    u_1 = np.broadcast_to(dirac_spinor_batch(p_i)[:, :1, None],
+                          (4, 1, n_pts))
     ubar = dirac_spinor_bar_batch(np.asarray(p_f)).transpose(1, 2, 0)
 
     # every internal momentum p_i + k_0 - ..., one per proper subset
@@ -333,14 +356,18 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     # currents one photon larger are built, so each size's currents replace
     # the last; the exits read the largest, J(all - {j}).
     masks = [sum(1 << j for j in subset) for subset in subsets]
-    currents = {0: u_cols}
+    currents = {0: u_1}
     for size in range(1, n):
         currents = {mask: _propagate(props[col], vertex_sum(
             _vertex, vertices, mask))
             for col, mask in enumerate(masks) if mask.bit_count() == size}
     total = vertex_sum(_apply, exits, (1 << n) - 1).reshape(
-        (2,) + tuple(n_pols) + (2, n_pts))
+        (2,) + tuple(n_pols) + (n_pts,))
     total *= m ** (n - 1)
-    return np.ascontiguousarray(total.transpose(
-        (n + 2,) + tuple(range(1, n + 1)) + (n + 1, 0)))
+    # the r_i = 2 half by the spin-flip identity (module docstring)
+    out = np.empty((n_pts,) + tuple(n_pols) + (2, 2), complex)
+    out[..., 0, :] = total.transpose((n + 1,) + tuple(range(1, n + 1)) + (0,))
+    out[..., 1, 0] = -out[..., 0, 1].conj()
+    out[..., 1, 1] = out[..., 0, 0].conj()
+    return out
 

@@ -14,6 +14,7 @@ are lists of four rows, multiplied by the hand-written products below; with
 """
 import itertools
 
+import numpy as np
 from mpmath import mp, mpc, mpf
 from mpmath import cos as mcos, sin as msin, sqrt as msqrt
 
@@ -193,3 +194,20 @@ def spin_summed_sigma5(e_i, omega0, thetas, phis, omega1, omega2,
         value = (alpha ** 4 / (2 * mp.pi) ** 4 / m ** 4
                  * w1 * w2 * w3 / (e_f * flux) * msq / abs(recoil) * hbarc2)
         return value
+
+
+def density_matrix(e_i, omega0, thetas, phis, omega1, omega2, beam_label=1,
+                   dps=40):
+    """The point's 8x8 real polarization state, as
+    ``entanglement.density_from_amplitudes`` builds it, from the amplitudes
+    of the 8 final-polarization channels x 4 spin pairs at ``dps`` digits,
+    rounded to doubles once at the end."""
+    with mp.workdps(dps):
+        vecs = [[_fast_chain(e_i, omega0, thetas, phis, omega1, omega2, pols,
+                             beam_label, r_i, r_f)[0]
+                 for r_i in (1, 2) for r_f in (1, 2)]
+                for pols in itertools.product((1, 2), repeat=3)]
+        gram = [[mp.re(sum(a * mp.conj(b) for a, b in zip(row, col)))
+                 for col in vecs] for row in vecs]
+        norm = sum(gram[i][i] for i in range(8))
+        return np.array([[float(g / norm) for g in row] for row in gram])

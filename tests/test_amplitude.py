@@ -142,6 +142,31 @@ def test_dual_path_high_precision_backscatter(xfel_setup):
         assert float(e_f) == pytest.approx(p_f[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("frame", ["rest", "xfel"])
+def test_spin_flip_conjugation_in_the_oracle(rest_setup, xfel_setup, frame):
+    # A = gamma^0 gamma^1 gamma^3 is real, A gamma^mu* A^-1 = gamma^mu and
+    # A u_1(p)* = -u_2(p), A u_2(p)* = u_1(p), so with real momenta and
+    # real polarizations M(2, 2) = conj M(1, 1) and M(2, 1) = -conj M(1, 2):
+    # the identity amplitude_tensor builds its r_i = 2 half from, checked
+    # here in 40-digit arithmetic without the engine
+    from _highprec import _fast_chain
+    from mpmath import mp
+
+    setup = rest_setup if frame == "rest" else xfel_setup
+    rng = np.random.default_rng(67)
+    (point, _), = random_physical_configs(setup, rng, 1)
+    with mp.workdps(40):
+        for beam, pols in ((1, (1, 1, 1)), (1, (1, 2, 1)), (1, (2, 2, 2)),
+                           (2, (2, 1, 2))):
+            amp = {(r_i, r_f): _fast_chain(
+                setup.e_i_mev, setup.omega0_mev, *point, pols, beam, r_i,
+                r_f)[0] for r_i, r_f in itertools.product((1, 2), repeat=2)}
+            scale = max(abs(a) for a in amp.values())
+            assert scale > 0
+            assert abs(amp[2, 2] - mp.conj(amp[1, 1])) <= 1e-30 * scale
+            assert abs(amp[2, 1] + mp.conj(amp[1, 2])) <= 1e-30 * scale
+
+
 def test_tensor_path_matches_scalar(rest_setup, sample_point):
     point, closed = sample_point
     th = np.array([[t] for t in point[0]])
@@ -233,6 +258,16 @@ def test_scalar_api_typed_errors(rest_setup, sample_point):
         with pytest.raises(ValueError, match="labels must be 1 or 2"):
             am.point_amplitude(rest_setup, (k1,), p_f, (eps_in, eps_out),
                                r_i=r_i)
+    # the r_i = 2 amplitudes are conjugates of the r_i = 1 ones only for
+    # real polarization vectors, so a complex one, circular or not, raises
+    circular = (eps_out + 1j * _eps(1.1, 0.7, 2)) / math.sqrt(2)
+    for eps_c in (circular, eps_out + 0j):
+        with pytest.raises(ValueError, match="must be real"):
+            am.point_amplitude(rest_setup, (k1,), p_f, (eps_in, eps_c),
+                               r_i=2)
+        with pytest.raises(ValueError, match="must be real"):
+            am.amplitude_tensor(rest_setup, k1[None, None], p_f[None],
+                                [am.beam_basis_arrays(), eps_c[None, None]])
     # the kernel checks its own denominators, so a batch with one such
     # point raises too
     photons = np.stack([photons, (np.zeros(4), k2, k3)], axis=1)

@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ W_STATE_TAU_REFERENCE = 0.442809041
 # beam_pol=1 (x).  gme_tau brackets it between its certified witness and its
 # dual-split bound: [0.4278087843, 0.4278092520] for the state built from
 # the 40-digit oracle's amplitudes (tests/_highprec._fast_chain, 8 channels
-# x 4 spin pairs), [0.4278087788, 0.4278092465] for density_from_amplitudes'
-# state, which differs from it by at most 8.7e-9 per entry.  The reference
+# x 4 spin pairs), [0.4278087771, 0.4278092448] for density_from_amplitudes'
+# state, which differs from it by at most 1.5e-8 per entry.  The reference
 # is read from the oracle state's bracket, and lies inside both.  The same
 # bracket reproduces W_STATE_TAU_REFERENCE to 2e-9.  The state's minimum
 # bipartite negativity, which bounds tau from above, is 0.44909.
@@ -169,24 +170,33 @@ def _xfel_state(omega1, omega2):
                                    XFEL_THETAS, XFEL_PHIS, omega1, omega2, 1)
 
 
+def _oracle_state(omega1, omega2):
+    from _highprec import density_matrix
+    return density_matrix(5000.0, 0.001, XFEL_THETAS, XFEL_PHIS, omega1,
+                          omega2, 1)
+
+
+# each case's state is built when the case runs; a partial, unlike a bare
+# function, keeps the case ids state0-state5
 @pytest.mark.parametrize("state, iterations, tau", [
-    (ghz_state(), 7, 0.4999999365180704),
-    (w_state(), 8, 0.442808961347266),
-    (product_state(), 1, 0.0),
+    (partial(ghz_state), 7, 0.4999999365180704),
+    (partial(w_state), 8, 0.442808961347266),
+    (partial(product_state), 1, 0.0),
     # real production states, solved in the 36-dimensional svec basis: the
     # criterion 8 ridge state and the first cell of the benchmark's xfel_tau
-    # map at placement 3
-    (_xfel_state(693.0, 413.0), 11, 0.42780877877594414),
-    (_xfel_state(540.6, 260.36), 11, 0.11817071523871722),
+    # map at placement 3, built from the 40-digit oracle's amplitudes so
+    # that a change of the double-precision engine does not move them
+    (partial(_oracle_state, 693.0, 413.0), 11, 0.42780878426873614),
+    (partial(_oracle_state, 540.6, 260.36), 11, 0.11817071188186758),
     # the GHZ state cast to complex, solved in the 64-dimensional Hermitian
     # basis: the same steps and tau as the real state
-    (ghz_state().astype(complex), 7, 0.4999999365180704),
+    (partial(np.asarray, ghz_state(), complex), 7, 0.4999999365180704),
 ])
 def test_solver_trajectory_pinned(state, iterations, tau):
     # the interior-point iteration itself, not only its limit: any change
     # to the starting point, the Newton system, the step control or the
     # stopping rule moves these
-    res = gme_tau(state)
+    res = gme_tau(state())
     assert res.iterations == iterations
     assert res.tau == pytest.approx(tau, abs=1e-12)
 
