@@ -58,6 +58,9 @@ def slash_batch(a: np.ndarray) -> np.ndarray:
 
     The entries are written out (each is one component up to sign and a
     factor i), which is exact and far cheaper than summing over GAMMA.
+    This is the reference form: the amplitude kernel builds its vertex
+    blocks and exit rows from the components instead, and the tests and
+    the term-by-term oracle check them against this matrix.
     """
     a = np.asarray(a)
     t, z = a[..., 0], a[..., 3]
@@ -121,6 +124,12 @@ def dirac_spinor_batch(p: np.ndarray) -> np.ndarray:
 
 
 def dirac_spinor_bar_batch(p: np.ndarray) -> np.ndarray:
-    """Rows ubar_1, ubar_2 for momenta (..., 4) -> (..., 2, 4)."""
+    """Rows ubar_1, ubar_2 for momenta (..., 4) -> (..., 2, 4).
+
+    Together with :func:`dirac_spinor_batch` this is the reference form:
+    the amplitude kernel writes its spinor entries from the components
+    instead, and the tests and the term-by-term oracle check them against
+    these.
+    """
     cols = dirac_spinor_batch(p)
     return np.einsum('...ar,ab->...rb', cols.conj(), GAMMA0)

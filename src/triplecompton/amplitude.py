@@ -20,13 +20,16 @@ that starts with that set.  The cost grows as (n+1) 2^(n+1) vertex
 applications rather than (n+1)! chains: for n = 3, 14 currents and 4 exit
 contractions instead of 24 chains.  Inside it the point axis is last, so
 applying an operator takes a few whole-array operations rather than one
-small matrix product per point.  A polarization vector with zero time
-component, as every basis vector is, slashes to two off-diagonal 2x2 Pauli
-blocks, so each photon vertex is applied as those blocks alone, without
-the half of the 4x4 product that multiplies exact zeros; each propagator
-is applied as its two diagonal scalars and one 2x2 Pauli block, built once
-per call.  Both give the same amplitudes to the bit as the 4x4 products.
-It raises on a propagator pole itself.
+small matrix product per point.  No 4x4 matrix is built: each operator
+is written straight from the components of its four-vectors.  A
+polarization vector with zero time component, as every basis vector is,
+slashes to two off-diagonal 2x2 Pauli blocks, so each photon vertex is
+built and applied as those blocks alone, without the half of the 4x4
+product that multiplies exact zeros; each propagator is applied as its
+two diagonal scalars and one 2x2 Pauli block, built once per call, and
+the spinors and exit rows ubar eslash are written entry by entry.  All
+give the same amplitudes to the bit as the 4x4 products.  It raises on a
+propagator pole itself.
 
 The electron spin sum is paid once.  In the Dirac representation A =
 gamma^0 gamma^1 gamma^3 is real, A gamma^mu* A^-1 = gamma^mu, gamma^0 A^-1
@@ -57,8 +60,10 @@ import numbers
 import numpy as np
 
 from .algebra import (POLE_GUARD, PropagatorPoleError, check_labels,
-                      check_on_shell, dirac_spinor_bar_batch,
-                      dirac_spinor_batch, slash_batch)
+                      check_on_shell)
+# not called here: kept bound while perfbench/tracing.py patches them as
+# names of this module
+from .algebra import dirac_spinor_bar_batch, dirac_spinor_batch, slash_batch
 from .constants import ELECTRON_MASS_MEV
 from .kinematics import CollisionSetup
 
@@ -140,19 +145,80 @@ def _apply(op: np.ndarray, state: np.ndarray, before: int = 1) -> np.ndarray:
     return out.reshape(op.shape[0], m_in * op.shape[2], -1)
 
 
-# eslash's two off-diagonal 2x2 blocks by column c, upper rows first: entry
-# [c, h, i] is eslash[2h + i, 2(1 - h) + c]
-_BLOCK_ROWS = np.array([[[0, 1], [2, 3]], [[0, 1], [2, 3]]])
-_BLOCK_COLS = np.array([[[2, 2], [0, 0]], [[3, 3], [1, 1]]])
+def _spinors(p_i: np.ndarray, p_f: np.ndarray) -> tuple:
+    """u_1(p_i) broadcast along the point axis, (4, 1, N), and the rows
+    ubar_1(p_f), ubar_2(p_f), (2, 4, N), for p_i (4,) and p_f (N, 4), built
+    from their components.
 
+    With norm = sqrt((E + m)/2m) and (a, b, c) = norm (p_x, p_y, p_z)/(E +
+    m),
 
-def _vertex_op(eslash: np.ndarray, timelike: bool) -> tuple:
-    """One photon's slashed polarizations (4, 4, P, N or 1) as _vertex's
-    (blocks, diag); diag is kept only if timelike, when some t is non-zero.
+        u_1 = (norm, 0, c, a + ib),  ubar_1 = (norm, 0, -c, -a + ib),
+        ubar_2 = (0, norm, -a - ib, c).
+
+    numpy divides a complex number by a real one by multiplying with the
+    reciprocal, so a and b are norm (p_x (1/(E + m))) and norm (p_y (1/(E +
+    m))), and c, a real entry, is norm (p_z/(E + m)): every entry is the
+    same double as dirac_spinor_batch's and dirac_spinor_bar_batch's.
     """
-    blocks = eslash[_BLOCK_ROWS, _BLOCK_COLS][:, :, :, None, :, None]
-    diag = eslash[[0, 2], [0, 2], None, None, :, None] if timelike else None
-    return blocks, diag
+    p = np.concatenate([p_i[None], p_f])
+    e = p[:, 0] + ELECTRON_MASS_MEV
+    norm, r = np.sqrt(e / (2.0 * ELECTRON_MASS_MEV)), 1.0 / e
+    a, b, c = norm * (p[:, 1] * r), norm * (p[:, 2] * r), norm * (p[:, 3] / e)
+    u_1 = np.array([norm[0], 0.0, c[0], a[0] + 1j * b[0]])[:, None, None]
+    rows = np.zeros((2, 4, len(p)), complex)
+    rows[0, 0] = rows[1, 1] = norm
+    rows[0, 2], rows[1, 3] = -c, c
+    rows[0, 3], rows[1, 2] = -a + 1j * b, -a - 1j * b
+    return np.broadcast_to(u_1, (4, 1, len(p_f))), rows[:, :, 1:]
+
+
+def _vertex_op(eps: np.ndarray) -> tuple:
+    """One photon's polarization vectors (N or 1, P, 4) as _vertex's
+    (blocks, diag), built from their components t, x, y, z.
+
+    blocks[c, h], (2, 1, P, 1, N or 1), is column c of eslash's
+    off-diagonal block in the upper (h = 0) or lower (h = 1) rows: -sigma.e
+    and sigma.e, with sigma.e = [[z, x - iy], [x + iy, -z]].  diag, (2, 1,
+    1, P, 1, N or 1), is eslash's diagonal (t, -t), kept only if some t is
+    non-zero.  Every entry is the same double as slash_batch's.
+    """
+    t, x, y, z = eps.transpose(2, 1, 0)
+    plus, minus = x + 1j * y, x - 1j * y
+    blocks = np.empty((2, 2, 2) + t.shape, complex)
+    blocks[0, 0, 0] = blocks[1, 1, 1] = -z
+    blocks[1, 0, 1] = blocks[0, 1, 0] = z
+    blocks[0, 0, 1], blocks[0, 1, 1] = -plus, plus
+    blocks[1, 0, 0], blocks[1, 1, 0] = -minus, minus
+    diag = None
+    if t.any():
+        diag = np.stack([t, -t]).astype(complex)[:, None, None, :, None]
+    return blocks[:, :, :, None, :, None], diag
+
+
+def _exit_op(ubar: np.ndarray, vertex: tuple) -> np.ndarray:
+    """ubar eslash for the rows ubar (2, 4, N) and one photon's
+    _vertex_op, (2, 4, P, N).
+
+    The upper half of each row is ubar_lo sigma.e and the lower half
+    -ubar_up sigma.e, read from the vertex blocks; with a diagonal, the
+    t ubar_up term leads the upper entries and the -t ubar_lo term ends
+    the lower ones.  So each entry sums its non-zero terms in the column
+    order of the 4x4 product, and is the same double.
+    """
+    blocks, diag = vertex
+    # half h of a row takes ubar's other half through blocks[:, 1 - h]
+    ops = blocks[:, ::-1, :, 0, :, 0].swapaxes(0, 1)
+    halves = ubar.reshape(2, 2, 2, 1, 1, -1)[:, ::-1]
+    out = halves[:, :, 0] * ops[:, :, 0]
+    if diag is not None:
+        # ubar_c t upper and -ubar_{2+c} t lower, (2, half, c, P, N)
+        terms = ubar.reshape(2, 2, 2, 1, -1) * diag[:, 0, 0, None, :, 0]
+        out[:, 0] += terms[:, 0]
+    out += halves[:, :, 1] * ops[:, :, 1]
+    if diag is not None:
+        out[:, 1] += terms[:, 1]
+    return out.reshape(2, 4, out.shape[3], -1)
 
 
 def _vertex(vertex: tuple, state: np.ndarray, before: int) -> np.ndarray:
@@ -234,21 +300,27 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     computed on its own, so a basis vector alone gives the same amplitudes,
     to the bit, as its slice of the P = 2 tensor.
 
-    Inside, the point axis is last and contiguous: spinors, slashed
-    polarizations and propagator blocks are (..., N) stacks, and applying
-    an operator is a few broadcast multiplies and sums for all points at
-    once.  p_i and u_1(p_i) are built once and broadcast along the point
-    axis.  The photons' vectors are slashed together at one point axis, 1
-    only if every photon's is 1, so shared vectors are slashed once and
-    their vertex blocks broadcast too, each product the same double either
-    way.  A batch of N = 0 points gives an empty (0, P, ..., 2, 2) tensor.
+    Inside, the point axis is last and contiguous: spinors, vertex and
+    propagator blocks are (..., N) stacks, and applying an operator is a
+    few broadcast multiplies and sums for all points at once.  Every
+    operator is built straight from the components of its four-vectors,
+    never as a 4x4 slashed matrix, each entry the same double as the 4x4
+    reference forms' (``algebra.slash_batch``, ``dirac_spinor_batch``,
+    ``dirac_spinor_bar_batch``).  ``_spinors`` builds u_1(p_i) once, from
+    p_i's components, and broadcasts it along the point axis, and builds
+    the ubar(p_f) rows at every point.  Each photon's vertex blocks are
+    built at that photon's own point axis, so a shared photon's are built
+    once and broadcast, each product the same double either way.  A batch
+    of N = 0 points gives an empty (0, P, ..., 2, 2) tensor.
 
     Photon vertices use the Dirac representation's block form.  With
-    eps = (t, e) and sigma.e the 2x2 Pauli combination,
+    eps = (t, e) and sigma.e = [[z, x - iy], [x + iy, -z]],
 
         eslash = [[t, -sigma.e], [sigma.e, -t]],
 
-    so the upper half of eslash J is -sigma.e times J's lower half and the
+    so ``_vertex_op`` writes the blocks -sigma.e and sigma.e from x, y and
+    z, and the diagonal (t, -t) only for a photon with some t non-zero.
+    The upper half of eslash J is -sigma.e times J's lower half and the
     lower half is sigma.e times its upper half: ``_vertex`` swaps the
     halves and applies one 2x2 block to each.  Each row sums the same two
     non-zero terms as the full 4x4 product, whose other two terms are exact
@@ -272,8 +344,12 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     divides a complex number by a real one by multiplying with its
     reciprocal, so every entry is the same double as (qslash + m)/(q^2 -
     m^2), and each row sums its three non-zero terms in the column order of
-    the 4x4 product: the amplitudes are the same to the bit.  Only the
-    exit contraction ubar eslash_j stays a full 4x4 product.
+    the 4x4 product: the amplitudes are the same to the bit.  The exit
+    rows ubar eslash_j = [t ubar_up + ubar_lo sigma.e, -ubar_up sigma.e -
+    t ubar_lo] are built by ``_exit_op`` from the vertex blocks, each entry
+    summing its non-zero terms in the column order of the 4x4 product;
+    only their contraction with the currents is a full 4-term sum
+    (``_apply``).
 
     The sum over insertion orders is built from subset currents (F. A.
     Berends, W. T. Giele, Nucl. Phys. B306 (1988) 759): J(empty) =
@@ -298,46 +374,31 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     k_out = np.asarray(k_out, float)
     n, n_pts = k_out.shape[0] + 1, k_out.shape[1]
     p_i, k_0, m = setup.p_i, setup.k_0, ELECTRON_MASS_MEV
-    u_1 = np.broadcast_to(dirac_spinor_batch(p_i)[:, :1, None],
-                          (4, 1, n_pts))
-    ubar = dirac_spinor_bar_batch(np.asarray(p_f)).transpose(1, 2, 0)
+    u_1, ubar = _spinors(p_i, p_f)
 
-    # every internal momentum p_i + k_0 - ..., one per proper subset
+    # every internal momentum p_i + k_0 - ..., one per proper subset, each
+    # its parent subset's (the subset less its last photon) plus one photon
     subsets = [subset for size in range(1, n)
                for subset in itertools.combinations(range(n), size)]
-    n_sub = len(subsets)
-    qs = np.empty((n_pts, n_sub, 4))
+    qs = np.empty((n_pts, len(subsets), 4))
     for col, subset in enumerate(subsets):
-        q = p_i
-        for j in subset:
-            q = q + k_0 if j == 0 else q - k_out[j - 1]
-        qs[:, col] = q
+        *parent, j = subset
+        q = qs[:, subsets.index(tuple(parent))] if parent else p_i
+        if j == 0:
+            np.add(q, k_0, out=qs[:, col])
+        else:
+            np.subtract(q, k_out[j - 1], out=qs[:, col])
     metric = np.array([1.0, -1.0, -1.0, -1.0])
     denom = np.einsum('nsi,nsi->sn', qs * metric, qs) - m * m
     if (np.abs(denom) < POLE_GUARD * m * m).any():
         raise PropagatorPoleError(f"propagator pole: |q^2 - m^2| = "
                                   f"{np.abs(denom).min():.6e} MeV^2")
     props = _propagators(qs, denom)
-    # each photon's slashed polarizations, (4, 4, vector, N or 1), and the
-    # exit vertices ubar eslash, (2, 4, vector, N)
-    lead = np.broadcast_shapes(*(e.shape[:1] for e in eps_arrays))
-    vectors = np.concatenate(
-        [np.broadcast_to(e, lead + e.shape[1:]) for e in eps_arrays], axis=1)
-    n_vec = vectors.shape[1]
-    eslash = np.ascontiguousarray(slash_batch(vectors).transpose(2, 3, 1, 0))
-    exit_ops = _apply(ubar[:, :, None], eslash.reshape(4, 4 * n_vec, -1)
-                      ).reshape(2, 4, n_vec, -1)
-    timelike = vectors[..., 0].any(axis=0).tolist()
+    # each photon's vertex blocks, at its own point axis, and its exit
+    # vertex ubar eslash, (2, 4, P, N)
+    vertices = [_vertex_op(e) for e in eps_arrays]
+    exits = [_exit_op(ubar, vertex) for vertex in vertices]
     n_pols = [e.shape[1] for e in eps_arrays]
-    vertices, exits, lo = [], [], 0
-    for n_pol in n_pols:
-        pols = slice(lo, lo + n_pol)
-        vertices.append(_vertex_op(eslash[:, :, pols], any(timelike[pols])))
-        exits.append(exit_ops[:, :, pols])
-        lo += n_pol
-    # every operator above is a copy: free the slashed vectors before the
-    # currents grow
-    del eslash
 
     def vertex_sum(apply, ops, mask):
         """sum over photons j in mask of ops[j] J(mask - {j}), (r M, N)."""

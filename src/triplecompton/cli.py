@@ -101,21 +101,37 @@ def run_mgbr1968(cfg: ScenarioConfig, out_dir: Path) -> str:
 
 def _grid_template(w1s, w2s, masked, columns, slot: str) -> str:
     """One grid's table as a %-format template, filled per table by
-    ``template % tuple(values.ravel().tolist())``.
+    :func:`_fill_grid` with the values of its unmasked cells.
 
     The header names the value columns between the coordinates and the mask
     flag.  Each row, omega1 major, holds its fixed "omega1\tomega2\t" text,
-    the slot, one format per value column ("%.10e", or for the tau
-    diagnostics "%d" and five "\t%.10e"), and its fixed "\t1" or "\t0"
-    mask flag.  So the values are the only text formatted per table, each
-    cell's values alike, masked or not.
+    its values and its fixed "\t1" or "\t0" mask flag.  An unmasked row's
+    values are the slot, one format per value column ("%.10e", or for the
+    tau diagnostics "%d" and five "\t%.10e"); a masked row's are the slot
+    formatted at zero, written here once.  So only the unmasked cells'
+    values are formatted per table.
     """
+    zero = slot % ((0,) * slot.count("%"))
     w1_text = [f"{w1:.10e}\t" for w1 in w1s.tolist()]
-    w2_text = [f"{w2:.10e}\t{slot}\t" for w2 in w2s.tolist()]
+    w2_text = [f"{w2:.10e}\t" for w2 in w2s.tolist()]
     lines = ["\t".join(("omega1_mev", "omega2_mev") + columns + ("masked",))]
-    lines += [f"{w1}{w2}{int(m)}" for (w1, w2), m in zip(
-        itertools.product(w1_text, w2_text), masked.ravel().tolist())]
+    lines += [f"{w1}{w2}{zero if m else slot}\t{int(m)}"
+              for (w1, w2), m in zip(itertools.product(w1_text, w2_text),
+                                     masked.ravel().tolist())]
     return "\n".join(lines) + "\n"
+
+
+def _fill_grid(template: str, values: np.ndarray, masked: np.ndarray) -> str:
+    """template % the unmasked cells' values, (n1, n2) or (n1, n2, columns).
+
+    A masked cell's row already reads zero, so its values must be +0.0, as
+    they are by construction; any other value, -0.0 included, raises
+    RuntimeError rather than be dropped from the table.
+    """
+    dropped = values[masked]
+    if ((dropped != 0.0) | np.signbit(dropped)).any():
+        raise RuntimeError("a masked grid cell holds a value other than +0.0")
+    return template % tuple(values[~masked].ravel().tolist())
 
 
 # the tau map's solver diagnostics, one row per cell; masked cells read zero
@@ -137,7 +153,7 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
         template = _grid_template(w1s, w2s, masked, ("sigma5_b_mev2_sr3",),
                                   "%.10e")
         files = {f"sigma5_panel_{letter}_{label}.dat":
-                 template % tuple(panels[label].ravel().tolist())
+                 _fill_grid(template, panels[label], masked)
                  for letter, label in zip(PANEL_LETTERS, PANEL_ORDER)}
         boundary = threshold_boundary(setup, cfg.theta_rad, cfg.phi_rad,
                                       w1s, cfg.threshold_mev)
@@ -149,7 +165,7 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
             setup, cfg.theta_rad, cfg.phi_rad, w1s, w2s, beam,
             cfg.threshold_mev)
         template = _grid_template(w1s, w2s, masked, ("tau",), "%.10e")
-        files = {"tau_grid.dat": template % tuple(taus.ravel().tolist())}
+        files = {"tau_grid.dat": _fill_grid(template, taus, masked)}
         diagnostics = np.zeros(results.shape + (len(_DIAGNOSTICS),))
         for cell, res in np.ndenumerate(results):
             if res is not None:
@@ -159,8 +175,8 @@ def run_grid(cfg: ScenarioConfig, observable: str, out_dir: Path) -> str:
                     res.dual_residual, res.feasibility_shift)
         template = _grid_template(w1s, w2s, masked, _DIAGNOSTICS,
                                   "%d" + "\t%.10e" * (len(_DIAGNOSTICS) - 1))
-        files["tau_diagnostics.dat"] = template % tuple(
-            diagnostics.ravel().tolist())
+        files["tau_diagnostics.dat"] = _fill_grid(template, diagnostics,
+                                                  masked)
     _record(out_dir, cfg, f"grid {observable}", files)
     return f"wrote {len(files)} file(s) to {out_dir}\n"
 

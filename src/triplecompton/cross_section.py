@@ -28,9 +28,9 @@ from .constants import ALPHA, ELECTRON_MASS_MEV, HBARC2_MEV2_BARN
 from .kinematics import CollisionSetup, _check_directions, _close_arrays
 
 # kept rows per amplitude kernel call in unpolarized_differential_batch: the
-# kernel's peak allocation is about 4, 6 and 11 KB per row for one, two and
-# three photons (tracemalloc), so a chunk bounds the memory of any batch the
-# sampler passes; the result does not depend on it
+# kernel's peak allocation is about 3.0, 5.4 and 9.6 KB per row for one, two
+# and three photons (tracemalloc, 256 rows), so a chunk bounds the memory of
+# any batch the sampler passes; the result does not depend on it
 KERNEL_ROWS = 256
 
 
@@ -119,14 +119,12 @@ def _kept_points(setup, thetas, phis, omegas_free, threshold_eps):
     return thetas, phis, k_out, p_f, keep, kin
 
 
-def _amplitudes(setup, thetas, phis, k_out, p_f, rows, beam):
-    """amp.amplitude_tensor on the points ``rows`` selects (a mask or
-    indices) of :func:`_kept_points`'s output, with each emitted photon's
-    basis built for those rows, or once when its direction is shared."""
+def _bases(thetas, phis, rows):
+    """Each emitted photon's polarization basis at the points ``rows``
+    selects (a mask or indices) of :func:`_kept_points`'s angles, (n_out,
+    K, 2, 4), or once, (n_out, 1, 2, 4), when its direction is shared."""
     cols = slice(None) if thetas.shape[1] == 1 else rows
-    return amp.amplitude_tensor(
-        setup, k_out[:, rows], p_f[rows],
-        [beam, *amp.outgoing_basis_arrays(thetas[:, cols], phis[:, cols])])
+    return amp.outgoing_basis_arrays(thetas[:, cols], phis[:, cols])
 
 
 def _tensor_for_points(setup, thetas, phis, omegas_free,
@@ -153,8 +151,9 @@ def _tensor_for_points(setup, thetas, phis, omegas_free,
     tensor = np.zeros((keep.size, beam.shape[1]) + (2,) * (len(thetas) + 2),
                       dtype=complex)
     if keep.any():
-        tensor[keep] = _amplitudes(setup, thetas, phis, k_out, p_f, keep,
-                                   beam)
+        tensor[keep] = amp.amplitude_tensor(
+            setup, k_out[:, keep], p_f[keep],
+            [beam, *_bases(thetas, phis, keep)])
     return tensor, kin, keep
 
 
@@ -223,20 +222,25 @@ def unpolarized_differential_batch(setup, thetas, phis, omegas_free,
 
     Units: b sr^-n_out MeV^-(n_out-1).  Used by the total-cross-section
     integrators for the one-, two- and three-photon processes.  The
-    closure, keep mask and kinematic factor run once on all N points; the
+    closure, keep mask, kinematic factor and emitted photons' polarization
+    bases run once on all N points, the bases on the kept rows; the
     amplitude kernel runs on successive chunks of at most KERNEL_ROWS kept
-    rows, each reduced to its 0.25 sum |M|^2 before the next, so no tensor
-    of every point is held.  Each row is computed on its own, so the result
-    does not depend on KERNEL_ROWS.
+    rows, each handed its slice of the bases and reduced to its 0.25 sum
+    |M|^2 before the next, so no tensor of every point is held.  Each row
+    is computed on its own, so the result does not depend on KERNEL_ROWS.
     """
     thetas, phis, k_out, p_f, keep, kin = _kept_points(
         setup, thetas, phis, omegas_free, threshold_eps)
     beam = amp.beam_basis_arrays(None)
     kept = np.flatnonzero(keep)
+    bases = _bases(thetas, phis, kept)
     msq = np.zeros(keep.size)
     for start in range(0, kept.size, KERNEL_ROWS):
-        rows = kept[start:start + KERNEL_ROWS]
-        tensor = _amplitudes(setup, thetas, phis, k_out, p_f, rows, beam)
+        chunk = slice(start, start + KERNEL_ROWS)
+        rows = kept[chunk]
+        tensor = amp.amplitude_tensor(
+            setup, k_out[:, rows], p_f[rows],
+            [beam, *(bases if bases.shape[1] == 1 else bases[:, chunk])])
         msq[rows] = 0.25 * (np.abs(tensor) ** 2).reshape(rows.size,
                                                          -1).sum(axis=1)
     return msq * kin

@@ -489,9 +489,11 @@ def _currents(setup, n_pts, rng):
 @pytest.mark.parametrize("frame", ["rest", "xfel"])
 def test_block_operators_equal_full_products_bit_for_bit(
         rest_setup, xfel_setup, frame):
-    # the kernel applies each photon vertex and each propagator as 2x2
-    # blocks; every row must sum its non-zero terms in the order of the full
-    # 4x4 product, so that amplitudes stay the same to the bit
+    # the kernel writes each spinor, photon vertex, exit row and propagator
+    # straight from the components of its four-vectors and applies them as
+    # 2x2 blocks; every entry must be the same double as the 4x4 reference
+    # forms' and every row must sum its non-zero terms in the order of the
+    # full 4x4 product, so that amplitudes stay the same to the bit
     setup = rest_setup if frame == "rest" else xfel_setup
     rng = np.random.default_rng(61)
     n_pts, mass = 50, M
@@ -499,17 +501,46 @@ def test_block_operators_equal_full_products_bit_for_bit(
     # polarization bases (t = 0) and internal momenta p_i + k_0 - k
     th = np.arccos(rng.uniform(-1, 1, n_pts))
     ph = rng.uniform(0, 2 * math.pi, n_pts)
-    eps = am.outgoing_basis_arrays(th, ph)
-    eslash = np.ascontiguousarray(al.slash_batch(eps).transpose(2, 3, 1, 0))
-    for before in (1, 2, 3):
-        assert np.array_equal(
-            am._vertex(am._vertex_op(eslash, False), state, before),
-            am._apply(eslash, state, before))
     k = rng.uniform(0.0, 0.5, (n_pts, 3, 1)) * setup.omega_max * np.stack(
         [np.ones(n_pts), np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
          np.cos(th)], axis=-1)[:, None]
     qs = setup.p_i + setup.k_0 - k
     qs[:, 2] = setup.p_i - k[:, 2]
+    # on-shell final momenta near p_i + k_0 - k
+    p3 = qs[:, 0, 1:]
+    e_f = np.sqrt(mass * mass + (p3 * p3).sum(axis=1))
+    p_f = np.concatenate([e_f[:, None], p3], axis=1)
+    # p_i runs along z in both frames; p_f[7] has transverse momentum
+    for p_i in (setup.p_i, p_f[7]):
+        u_1, ubar = am._spinors(p_i, p_f)
+        assert u_1.shape == (4, 1, n_pts)
+        assert np.array_equal(u_1[:, 0, 0], al.dirac_spinor_batch(p_i)[:, 0])
+    assert np.array_equal(ubar,
+                          al.dirac_spinor_bar_batch(p_f).transpose(1, 2, 0))
+    # per-point bases (t = 0), per-point momenta (eps -> k, t != 0), the
+    # beam photon's momentum and its shared (1, P, 4) basis
+    for eps in (am.outgoing_basis_arrays(th, ph), k[:, :2],
+                setup.k_0[None, None], am.beam_basis_arrays()):
+        eslash = np.ascontiguousarray(
+            al.slash_batch(eps).transpose(2, 3, 1, 0))
+        vertex = am._vertex_op(eps)
+        blocks, diag = vertex
+        for c, h, i in itertools.product((0, 1), repeat=3):
+            assert np.array_equal(blocks[c, h, i, 0, :, 0],
+                                  eslash[2 * h + i, 2 * (1 - h) + c])
+        if eps[..., 0].any():
+            assert np.array_equal(diag[:, 0, 0, :, 0],
+                                  eslash[[0, 2], [0, 2]])
+        else:
+            assert diag is None
+            for before in (1, 2, 3):
+                assert np.array_equal(am._vertex(vertex, state, before),
+                                      am._apply(eslash, state, before))
+        n_vec = eslash.shape[2]
+        assert np.array_equal(
+            am._exit_op(ubar, vertex),
+            am._apply(ubar[:, :, None], eslash.reshape(4, 4 * n_vec, -1)
+                      ).reshape(2, 4, n_vec, -1))
     denom = al.minkowski_dot(qs, qs).T - mass * mass
     for col, prop in enumerate(am._propagators(qs, denom)):
         full = (al.slash_batch(qs[:, col]) + mass * al.IDENTITY4) / denom[

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import fields
 from pathlib import Path
@@ -500,6 +501,72 @@ grid.omega2_max_mev = 0.60
     assert (out / "tau_diagnostics.dat").read_text().splitlines() \
         == diag_lines
     assert (out / "tau_diagnostics.dat").read_text().endswith("\n")
+
+
+def _full_format_table(w1s, w2s, masked, columns, slot, values):
+    """A grid table with every cell's values formatted through the slot,
+    masked or not: the reference for the template's zero text."""
+    lines = ["\t".join(("omega1_mev", "omega2_mev") + columns + ("masked",))]
+    rows = values.reshape(masked.size, -1).tolist()
+    for (w1, w2), row, flag in zip(itertools.product(w1s, w2s), rows,
+                                   masked.ravel().tolist()):
+        lines.append(f"{w1:.10e}\t{w2:.10e}\t{slot % tuple(row)}\t"
+                     f"{int(flag)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("scenario", ["mgbr1968", "xfel"])
+def test_grid_tables_format_only_unmasked_cells(scenario):
+    # a masked row's values are written into the template once, as the slot
+    # formatted at zero, and each table formats only its unmasked cells:
+    # the text must equal every cell formatted, on the physics mask and on
+    # random masks, for the panels and for a tau map with its diagnostics;
+    # a masked cell holding anything but +0.0 must raise, never be dropped
+    from triplecompton.entanglement import tau_grid
+    cfg = resolve_config(scenario, {})
+    setup = cli._setup_from_config(cfg)
+    w1s = np.linspace(cfg.grid_omega1_min_mev, cfg.grid_omega1_max_mev, 7)
+    w2s = np.linspace(cfg.grid_omega2_min_mev, cfg.grid_omega2_max_mev, 6)
+    args = (setup, cfg.theta_rad, cfg.phi_rad, w1s, w2s,
+            cfg.beam_pol_value(), cfg.threshold_mev)
+    panels, panel_mask = sigma5_panel_grids(*args)
+    w1s_tau, w2s_tau = w1s[::3], w2s[::2]
+    taus, tau_mask, results = tau_grid(setup, cfg.theta_rad, cfg.phi_rad,
+                                       w1s_tau, w2s_tau,
+                                       cfg.beam_pol_value(),
+                                       cfg.threshold_mev)
+    diagnostics = np.zeros(taus.shape + (len(cli._DIAGNOSTICS),))
+    for cell, res in np.ndenumerate(results):
+        if res is not None:
+            diagnostics[cell] = (res.iterations, res.upper_bound - res.tau,
+                                 res.witness.max_residual,
+                                 res.primal_residual, res.dual_residual,
+                                 res.feasibility_shift)
+    diag_slot = "%d" + "\t%.10e" * (len(cli._DIAGNOSTICS) - 1)
+    cases = [(w1s, w2s, panel_mask, ("sigma5_b_mev2_sr3",), "%.10e",
+              panels[label]) for label in PANEL_ORDER]
+    cases += [(w1s_tau, w2s_tau, tau_mask, ("tau",), "%.10e", taus),
+              (w1s_tau, w2s_tau, tau_mask, cli._DIAGNOSTICS, diag_slot,
+               diagnostics)]
+    assert panel_mask.any() and not panel_mask.all()
+    assert tau_mask.any() and not tau_mask.all()
+    rng = np.random.default_rng(97)
+    for w1, w2, physical, columns, slot, values in cases:
+        for masked in (physical, physical | (rng.random(physical.shape) < 0.4),
+                       np.ones_like(physical), np.zeros_like(physical)):
+            # a masked cell holds +0.0, as the engine's masked cells do
+            values = values.copy()
+            values[masked] = 0.0
+            template = cli._grid_template(w1, w2, masked, columns, slot)
+            assert cli._fill_grid(template, values, masked) == \
+                _full_format_table(w1, w2, masked, columns, slot, values)
+            if masked.any():
+                cell = tuple(np.argwhere(masked)[0])
+                for bad in (1e-300, -0.0, math.nan):
+                    wrong = values.copy()
+                    wrong[cell] = bad
+                    with pytest.raises(RuntimeError, match="masked"):
+                        cli._fill_grid(template, wrong, masked)
 
 
 def test_cli_totals_repeated_process_runs_once(tmp_path):
