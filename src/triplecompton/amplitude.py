@@ -51,11 +51,25 @@ photons, with each given polarization four-vector as a length-1 basis,
 after checking the spin labels and the final electron's mass shell.
 Four-vectors are float arrays (t, x, y, z) in MeV.  An independent
 term-by-term reference lives with the tests.
+
+The kernel keeps its intermediates between calls: the internal momenta
+and q^2 - m^2, the propagator, vertex and exit blocks, each current, each
+vertex term and every product are written, through numpy's ``out=`` with
+the same ufuncs in the same order as fresh arrays would be, into one
+buffer per role and per thread (``threading.local``), grown to the largest
+size asked for and never shrunk.  So a warm call allocates little more
+than the fresh tensor it returns, and every amplitude keeps its bits.  The
+helpers return views on those buffers, which the next call of the same
+role overwrites; roles whose lifetimes do not overlap share a buffer.
+Callers bound what is kept by the rows they pass (``cross_section``
+passes at most ``KERNEL_ROWS``).
 """
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
+import threading
 
 import numpy as np
 
@@ -131,8 +145,47 @@ def outgoing_basis_arrays(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply(op: np.ndarray, state: np.ndarray, before: int = 1) -> np.ndarray:
-    """op (r, 4, P, N) on state (4, M, N) -> (r, A P M / A, N), A = before.
+class _Buffers(threading.local):
+    """This thread's kept intermediates: one flat byte buffer per role,
+    grown to the largest size asked for and never shrunk, and the views
+    handed out on it by (role, shape, dtype), dropped when the buffer
+    grows.  A cached view saves its construction on every call; since
+    callers pass at most KERNEL_ROWS rows, a few thousand views at most
+    are kept."""
+
+    def __init__(self):
+        self.flat, self.views = {}, {}
+
+    def __call__(self, role, shape, dtype=complex) -> np.ndarray:
+        """A (shape, dtype) view on the buffer of ``role``, contents
+        undefined."""
+        key = (role, shape, dtype)
+        view = self.views.get(key)
+        if view is None:
+            dtype = np.dtype(dtype)
+            nbytes = math.prod(shape) * dtype.itemsize
+            flat = self.flat.get(role)
+            if flat is None or flat.size < nbytes:
+                flat = self.flat[role] = np.empty(nbytes, np.uint8)
+                self.views = {k: v for k, v in self.views.items()
+                              if k[0] != role}
+            view = self.views[key] = flat[:nbytes].view(dtype).reshape(shape)
+        return view
+
+
+_buffer = _Buffers()
+
+
+def _product(role, a, b) -> np.ndarray:
+    """a * b, broadcast, written into the buffer of ``role``."""
+    out = _buffer(role, np.broadcast(a, b).shape, np.result_type(a, b))
+    return np.multiply(a, b, out=out)
+
+
+def _apply(op: np.ndarray, state: np.ndarray, before: int = 1,
+           role="sum") -> np.ndarray:
+    """op (r, 4, P, N) on state (4, M, N) -> (r, A P M / A, N), A = before,
+    written into the buffer of ``role``.
 
     The operator's P axis lands after the first ``before`` entries of the
     state's M axis, which keeps polarization axes in photon order.  Either
@@ -140,8 +193,10 @@ def _apply(op: np.ndarray, state: np.ndarray, before: int = 1) -> np.ndarray:
     """
     _, m_in, n_pts = state.shape
     state = state.reshape(4, before, m_in // before, n_pts)
-    out = np.add.reduce(op[:, :, None, :, None] * state[None, :, :, None],
-                        axis=1)
+    product = _product("product", op[:, :, None, :, None],
+                       state[None, :, :, None])
+    out = np.add.reduce(product, axis=1, out=_buffer(
+        role, product.shape[:1] + product.shape[2:]))
     return out.reshape(op.shape[0], m_in * op.shape[2], -1)
 
 
@@ -173,9 +228,10 @@ def _spinors(p_i: np.ndarray, p_f: np.ndarray) -> tuple:
     return np.broadcast_to(u_1, (4, 1, len(p_f))), rows[:, :, 1:]
 
 
-def _vertex_op(eps: np.ndarray) -> tuple:
+def _vertex_op(eps: np.ndarray, photon: int = 0) -> tuple:
     """One photon's polarization vectors (N or 1, P, 4) as _vertex's
-    (blocks, diag), built from their components t, x, y, z.
+    (blocks, diag), built from their components t, x, y, z into the
+    buffers of that ``photon``.
 
     blocks[c, h], (2, 1, P, 1, N or 1), is column c of eslash's
     off-diagonal block in the upper (h = 0) or lower (h = 1) rows: -sigma.e
@@ -184,21 +240,27 @@ def _vertex_op(eps: np.ndarray) -> tuple:
     non-zero.  Every entry is the same double as slash_batch's.
     """
     t, x, y, z = eps.transpose(2, 1, 0)
-    plus, minus = x + 1j * y, x - 1j * y
-    blocks = np.empty((2, 2, 2) + t.shape, complex)
-    blocks[0, 0, 0] = blocks[1, 1, 1] = -z
+    blocks = _buffer(("blocks", photon), (2, 2, 2) + t.shape)
+    plus, minus = blocks[0, 1, 1], blocks[1, 1, 0]
+    np.add(x, _product("i_y", 1j, y), out=plus)
+    np.subtract(x, _product("i_y", 1j, y), out=minus)
+    np.negative(z, out=blocks[0, 0, 0])
+    blocks[1, 1, 1] = blocks[0, 0, 0]
     blocks[1, 0, 1] = blocks[0, 1, 0] = z
-    blocks[0, 0, 1], blocks[0, 1, 1] = -plus, plus
-    blocks[1, 0, 0], blocks[1, 1, 0] = -minus, minus
+    np.negative(plus, out=blocks[0, 0, 1])
+    np.negative(minus, out=blocks[1, 0, 0])
     diag = None
     if t.any():
-        diag = np.stack([t, -t]).astype(complex)[:, None, None, :, None]
+        diag = _buffer(("diag", photon), (2,) + t.shape)
+        diag[0] = t
+        np.negative(t, out=diag[1])
+        diag = diag[:, None, None, :, None]
     return blocks[:, :, :, None, :, None], diag
 
 
-def _exit_op(ubar: np.ndarray, vertex: tuple) -> np.ndarray:
+def _exit_op(ubar: np.ndarray, vertex: tuple, photon: int = 0) -> np.ndarray:
     """ubar eslash for the rows ubar (2, 4, N) and one photon's
-    _vertex_op, (2, 4, P, N).
+    _vertex_op, (2, 4, P, N), in the buffer of that ``photon``.
 
     The upper half of each row is ubar_lo sigma.e and the lower half
     -ubar_up sigma.e, read from the vertex blocks; with a diagonal, the
@@ -210,19 +272,22 @@ def _exit_op(ubar: np.ndarray, vertex: tuple) -> np.ndarray:
     # half h of a row takes ubar's other half through blocks[:, 1 - h]
     ops = blocks[:, ::-1, :, 0, :, 0].swapaxes(0, 1)
     halves = ubar.reshape(2, 2, 2, 1, 1, -1)[:, ::-1]
-    out = halves[:, :, 0] * ops[:, :, 0]
+    out = _product(("exit", photon), halves[:, :, 0], ops[:, :, 0])
     if diag is not None:
         # ubar_c t upper and -ubar_{2+c} t lower, (2, half, c, P, N)
-        terms = ubar.reshape(2, 2, 2, 1, -1) * diag[:, 0, 0, None, :, 0]
+        terms = _product("exit_diag", ubar.reshape(2, 2, 2, 1, -1),
+                         diag[:, 0, 0, None, :, 0])
         out[:, 0] += terms[:, 0]
-    out += halves[:, :, 1] * ops[:, :, 1]
+    out += _product("product", halves[:, :, 1], ops[:, :, 1])
     if diag is not None:
         out[:, 1] += terms[:, 1]
     return out.reshape(2, 4, out.shape[3], -1)
 
 
-def _vertex(vertex: tuple, state: np.ndarray, before: int) -> np.ndarray:
-    """eslash on state (4, M, N) -> (4, A P M / A, N), A = before.
+def _vertex(vertex: tuple, state: np.ndarray, before: int,
+            role="sum") -> np.ndarray:
+    """eslash on state (4, M, N) -> (4, A P M / A, N), A = before, written
+    into the buffer of ``role``.
 
     vertex is (blocks, diag).  blocks[c], (2, 2, 1, P, 1, N or 1), holds
     column c of eslash's two off-diagonal 2x2 blocks, the upper rows' block
@@ -233,10 +298,10 @@ def _vertex(vertex: tuple, state: np.ndarray, before: int) -> np.ndarray:
     _, m_in, n_pts = state.shape
     halves = state.reshape(2, 2, before, 1, m_in // before, n_pts)
     blocks, diag = vertex
-    out = blocks[0] * halves[::-1, None, 0]
-    out += blocks[1] * halves[::-1, None, 1]
+    out = _product(role, blocks[0], halves[::-1, None, 0])
+    out += _product("product", blocks[1], halves[::-1, None, 1])
     if diag is not None:
-        out += diag * halves
+        out += _product("product", diag, halves)
     return out.reshape(4, m_in * blocks.shape[4], n_pts)
 
 
@@ -247,17 +312,25 @@ def _propagators(qs: np.ndarray, denom: np.ndarray) -> list:
     With r = 1/denom, which is what numpy's complex-by-real division
     multiplies by, every entry is the same double as the 4x4 matrix's.
     """
-    r, m = 1.0 / denom, ELECTRON_MASS_MEV
-    t, x, y, z = np.ascontiguousarray(qs.transpose(2, 1, 0))
-    x, y, z = x * r, y * r, z * r
-    sigma = np.empty((qs.shape[1], 2, 2, 1, qs.shape[0]), complex)
-    sigma[:, 0, 0, 0], sigma[:, 0, 1, 0] = z, x + 1j * y
-    sigma[:, 1, 0, 0], sigma[:, 1, 1, 0] = x - 1j * y, -z
-    return list(zip((t + m) * r, (m - t) * r, sigma))
+    m = ELECTRON_MASS_MEV
+    r = np.divide(1.0, denom, out=_buffer("r", denom.shape, float))
+    q = _buffer("q_components", (4,) + denom.shape, float)
+    q[...] = qs.transpose(2, 1, 0)
+    x, y, z = np.multiply(q[1:], r, out=_buffer("q_r", q[1:].shape, float))
+    sigma = _buffer("sigma", (qs.shape[1], 2, 2, 1, qs.shape[0]))
+    sigma[:, 0, 0, 0] = z
+    np.add(x, _product("i_y", 1j, y), out=sigma[:, 0, 1, 0])
+    np.subtract(x, _product("i_y", 1j, y), out=sigma[:, 1, 0, 0])
+    np.negative(z, out=sigma[:, 1, 1, 0])
+    diag = _buffer("prop_diag", (2,) + denom.shape, float)
+    np.multiply(np.add(q[0], m, out=diag[0]), r, out=diag[0])
+    np.multiply(np.subtract(m, q[0], out=diag[1]), r, out=diag[1])
+    return list(zip(diag[0], diag[1], sigma))
 
 
-def _propagate(prop: tuple, state: np.ndarray) -> np.ndarray:
-    """S(q) on state (4, M, N) -> (4, M, N).
+def _propagate(prop: tuple, state: np.ndarray, role="current") -> np.ndarray:
+    """S(q) on state (4, M, N) -> (4, M, N), written into the buffer of
+    ``role``.
 
     prop is (d_up, d_lo, sigma): the diagonals (t + m) r and (m - t) r,
     (N,), and sigma.q r by column, (c, row, 1, N), with r = 1/(q^2 - m^2),
@@ -265,14 +338,14 @@ def _propagate(prop: tuple, state: np.ndarray) -> np.ndarray:
     its non-zero terms in the column order of the 4x4 product.
     """
     d_up, d_lo, sigma = prop
-    out = np.empty(state.shape, complex)
+    out = _buffer(role, state.shape)
     upper, lower = out[:2], out[2:]
     np.multiply(d_up, state[:2], out=upper)
-    upper -= sigma[0] * state[2]
-    upper -= sigma[1] * state[3]
+    upper -= _product("product", sigma[0], state[2])
+    upper -= _product("product", sigma[1], state[3])
     np.multiply(sigma[0], state[0], out=lower)
-    lower += sigma[1] * state[1]
-    lower += d_lo * state[2:]
+    lower += _product("product", sigma[1], state[1])
+    lower += _product("product", d_lo, state[2:])
     return out
 
 
@@ -380,7 +453,7 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     # its parent subset's (the subset less its last photon) plus one photon
     subsets = [subset for size in range(1, n)
                for subset in itertools.combinations(range(n), size)]
-    qs = np.empty((n_pts, len(subsets), 4))
+    qs = _buffer("q", (n_pts, len(subsets), 4), float)
     for col, subset in enumerate(subsets):
         *parent, j = subset
         q = qs[:, subsets.index(tuple(parent))] if parent else p_i
@@ -389,46 +462,53 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
         else:
             np.subtract(q, k_out[j - 1], out=qs[:, col])
     metric = np.array([1.0, -1.0, -1.0, -1.0])
-    denom = np.einsum('nsi,nsi->sn', qs * metric, qs) - m * m
+    denom = np.einsum('nsi,nsi->sn', _product("product", qs, metric), qs,
+                      out=_buffer("denom", (n_pts, len(subsets)), float).T)
+    denom -= m * m
     if (np.abs(denom) < POLE_GUARD * m * m).any():
         raise PropagatorPoleError(f"propagator pole: |q^2 - m^2| = "
                                   f"{np.abs(denom).min():.6e} MeV^2")
     props = _propagators(qs, denom)
     # each photon's vertex blocks, at its own point axis, and its exit
     # vertex ubar eslash, (2, 4, P, N)
-    vertices = [_vertex_op(e) for e in eps_arrays]
-    exits = [_exit_op(ubar, vertex) for vertex in vertices]
+    vertices = [_vertex_op(e, j) for j, e in enumerate(eps_arrays)]
+    exits = [_exit_op(ubar, vertex, j) for j, vertex in enumerate(vertices)]
     n_pols = [e.shape[1] for e in eps_arrays]
 
     def vertex_sum(apply, ops, mask):
-        """sum over photons j in mask of ops[j] J(mask - {j}), (r M, N)."""
+        """sum over photons j in mask of ops[j] J(mask - {j}), (r M, N),
+        in the buffer "sum"."""
         total, before = None, 1
         for j in range(n):
             if mask >> j & 1:
-                term = apply(ops[j], currents[mask ^ 1 << j], before)
                 if total is None:
-                    total = term
+                    total = apply(ops[j], currents[mask ^ 1 << j], before)
                 else:
-                    total += term
+                    total += apply(ops[j], currents[mask ^ 1 << j], before,
+                                   "term")
                 before *= n_pols[j]
         return total
 
     # J(S) by bit mask of S, (4, M, N).  J(S) is read only while the
     # currents one photon larger are built, so each size's currents replace
-    # the last; the exits read the largest, J(all - {j}).
+    # the last, and the buffers of sizes two apart are shared; the exits
+    # read the largest, J(all - {j}).
     masks = [sum(1 << j for j in subset) for subset in subsets]
     currents = {0: u_1}
     for size in range(1, n):
-        currents = {mask: _propagate(props[col], vertex_sum(
-            _vertex, vertices, mask))
-            for col, mask in enumerate(masks) if mask.bit_count() == size}
+        cols = [col for col, mask in enumerate(masks)
+                if mask.bit_count() == size]
+        currents = {masks[col]: _propagate(
+            props[col], vertex_sum(_vertex, vertices, masks[col]),
+            ("current", size % 2, slot)) for slot, col in enumerate(cols)}
     total = vertex_sum(_apply, exits, (1 << n) - 1).reshape(
         (2,) + tuple(n_pols) + (n_pts,))
     total *= m ** (n - 1)
     # the r_i = 2 half by the spin-flip identity (module docstring)
     out = np.empty((n_pts,) + tuple(n_pols) + (2, 2), complex)
     out[..., 0, :] = total.transpose((n + 1,) + tuple(range(1, n + 1)) + (0,))
-    out[..., 1, 0] = -out[..., 0, 1].conj()
-    out[..., 1, 1] = out[..., 0, 0].conj()
+    np.negative(np.conjugate(out[..., 0, 1], out=out[..., 1, 0]),
+                out=out[..., 1, 0])
+    np.conjugate(out[..., 0, 0], out=out[..., 1, 1])
     return out
 

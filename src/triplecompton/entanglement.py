@@ -321,12 +321,21 @@ def _direction(system, rhs: np.ndarray) -> np.ndarray:
     """The step in y = [W, P_1, P_2, P_3] for right-hand-side rows r_W, r_s,
     solved in the system's basis; mapped back, it is exactly real symmetric
     or Hermitian."""
-    basis, chol, y, schur = system
+    basis, chol, y, _ = system
     rhs = (rhs @ basis.conj().T).real
     t = np.linalg.solve(chol, rhs[1:, :, None])
-    dy = np.empty_like(rhs)
-    dy[0] = np.linalg.solve(
-        schur, rhs[0] + (y.swapaxes(-1, -2) @ t).sum(axis=0)[:, 0])
+    return _back_substitute(
+        system, rhs[0] + (y.swapaxes(-1, -2) @ t).sum(axis=0)[:, 0], t)
+
+
+def _back_substitute(system, rhs_w: np.ndarray, t=0.0) -> np.ndarray:
+    """The step in y from the Schur complement's right-hand side ``rhs_w``
+    and t = L_s^{-1} r_s, both in the system's basis: dW from the Schur
+    complement, then each dP_s by back-substitution.  t is 0 where every
+    r_s is, as in the predictor, which so skips the forward solve."""
+    basis, chol, y, schur = system
+    dy = np.empty((4,) + rhs_w.shape)
+    dy[0] = np.linalg.solve(schur, rhs_w)
     dy[1:] = np.linalg.solve(chol.swapaxes(-1, -2),
                              t + y @ dy[0, :, None])[..., 0]
     return (dy @ basis).reshape(4, 8, 8)
@@ -350,8 +359,9 @@ def _newton_step(s: np.ndarray, x: np.ndarray, mu: float,
     linv = np.linalg.inv(np.linalg.cholesky(np.concatenate([s, x])))
     sinv = linv[:CONES].conj().swapaxes(-1, -2) @ linv[:CONES]
     system = _newton_system(x, sinv, basis)
-    # predictor: the affine-scaling step (mu = 0)
-    ds = _slacks(_direction(system, -target), 0.0)
+    # predictor: the affine-scaling step (mu = 0), whose r_s rows are 0
+    ds = _slacks(_back_substitute(
+        system, (-target @ basis.conj().T).real[0]), 0.0)
     dx = -x - _hermitize(x @ ds @ sinv)
     reach = np.minimum(1.0, _max_steps(linv, np.concatenate([ds, dx])))
     mu_aff = float(np.vdot(s + reach[:CONES].min() * ds,

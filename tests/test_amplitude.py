@@ -1,6 +1,8 @@
 import gc
 import itertools
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -548,3 +550,90 @@ def test_block_operators_equal_full_products_bit_for_bit(
         assert np.array_equal(am._propagate(prop, state),
                               am._apply(full.transpose(1, 2, 0)[:, :, None],
                                         state))
+
+
+def test_warm_call_allocates_little_beyond_its_output(rest_setup):
+    # the kernel keeps its intermediates in per-thread buffers between
+    # calls; once they are grown, a call allocates little more than the
+    # tensor it returns (the allocate-per-operation kernel peaked at 9.6x)
+    ks, p_f, eps = _stacked_points(rest_setup, 3, 256, 89)
+    am.amplitude_tensor(rest_setup, ks[1:], p_f, eps)
+    tracemalloc.start()
+    try:
+        out = am.amplitude_tensor(rest_setup, ks[1:], p_f, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes, peak / out.nbytes
+
+
+def _buffer_cases(setup):
+    """Kernel arguments (k_out, p_f, eps) of many shapes: 1-4 emitted
+    photons, N = 0, 1, 7 and 256, per-point and shared bases, a polarized
+    beam and a timelike eps (the diagonal path)."""
+    cases = []
+    for n_out, n_pts in itertools.product((1, 2, 3, 4), (0, 1, 7, 256)):
+        if n_pts == 0:
+            empty = np.empty(0)
+            cases.append((np.empty((n_out, 0, 4)), np.empty((0, 4)),
+                          [am.beam_basis_arrays()]
+                          + [am.outgoing_basis_arrays(empty, empty)] * n_out))
+            continue
+        if n_out == 4 and n_pts == 256:
+            continue
+        ks, p_f, eps = _stacked_points(setup, n_out, n_pts, 7 * n_out + n_pts)
+        timelike = list(eps)
+        timelike[1] = ks[1][:, None]
+        cases += [(ks[1:], p_f, eps),
+                  (ks[1:], p_f, [eps[0]] + [e[:1] for e in eps[1:]]),
+                  (ks[1:], p_f, [am.beam_basis_arrays(2)] + eps[1:]),
+                  (ks[1:], p_f, timelike)]
+    return cases
+
+
+def test_kept_buffers_never_leak_into_results(rest_setup):
+    # calls A, B, A with different shapes: the second A must give the bits
+    # of the first, and the first A's tensor must not change, because the
+    # kernel returns a fresh array and reads no buffer it did not write
+    cases = _buffer_cases(rest_setup)
+    first = [am.amplitude_tensor(rest_setup, *case) for case in cases]
+    kept = [tensor.copy() for tensor in first]
+    for order in (range(len(cases) - 1, -1, -1), range(0, len(cases), 3)):
+        for i in order:
+            again = am.amplitude_tensor(rest_setup, *cases[i])
+            assert again.shape == kept[i].shape
+            assert np.array_equal(again.view(np.int64),
+                                  kept[i].view(np.int64))
+    for tensor, copy in zip(first, kept):
+        assert np.array_equal(tensor.view(np.int64), copy.view(np.int64))
+
+
+def test_kernel_buffers_are_per_thread(rest_setup, monkeypatch):
+    # thread A is paused inside the kernel while thread B runs a whole call
+    # on other points of the same shapes; A's result must still be its
+    # single-threaded one, which a buffer set shared by threads breaks
+    ks_a, p_a, eps_a = _stacked_points(rest_setup, 3, 16, 97)
+    ks_b, p_b, eps_b = _stacked_points(rest_setup, 3, 16, 98)
+    want = am.amplitude_tensor(rest_setup, ks_a[1:], p_a, eps_a)
+    paused, resume = threading.Event(), threading.Event()
+    propagate = am._propagate
+
+    def pausing(*args, **kwargs):
+        if threading.current_thread().name == "A" and not paused.is_set():
+            paused.set()
+            assert resume.wait(60)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(am, "_propagate", pausing)
+    got = {}
+    thread = threading.Thread(name="A", target=lambda: got.update(
+        a=am.amplitude_tensor(rest_setup, ks_a[1:], p_a, eps_a)))
+    thread.start()
+    try:
+        assert paused.wait(60)
+        other = am.amplitude_tensor(rest_setup, ks_b[1:], p_b, eps_b)
+    finally:
+        resume.set()
+        thread.join(60)
+    assert not np.array_equal(other, want)
+    assert np.array_equal(got["a"].view(np.int64), want.view(np.int64))

@@ -512,3 +512,49 @@ def test_wrong_photon_label_count_raises(rest_setup, entry, final_pols):
     with pytest.raises(ValueError, match="need three photon labels"):
         entry(rest_setup, (1.2, 2.0, 0.9), (0.4, 2.5, 4.4), 0.1, 0.15,
               final_pols=final_pols)
+
+
+def test_grid_path_independent_of_kernel_rows(xfel_setup, monkeypatch):
+    # the grid path runs the kernel in chunks of at most KERNEL_ROWS kept
+    # rows, like the Monte Carlo path; panels and tau states must not
+    # depend on the chunk size, and no kernel call may pass it
+    from triplecompton import amplitude, cross_section, entanglement
+
+    kernel, rows = amplitude.amplitude_tensor, []
+
+    def counted(setup, k_out, p_f, eps_arrays):
+        rows.append(p_f.shape[0])
+        return kernel(setup, k_out, p_f, eps_arrays)
+
+    class Cell:
+        tau = 0.0
+
+    states = []
+
+    def state(rho):
+        states.append(rho)
+        return Cell()
+
+    monkeypatch.setattr(amplitude, "amplitude_tensor", counted)
+    monkeypatch.setattr(entanglement, "gme_tau", state)
+    w1s, w2s = np.linspace(50.0, 1400.0, 23), np.linspace(50.0, 1400.0, 19)
+    runs = []
+    for chunk in (1, 7, 256, 10 ** 6):
+        monkeypatch.setattr(cross_section, "KERNEL_ROWS", chunk)
+        rows.clear()
+        states.clear()
+        panels, masked = sigma5_panel_grids(xfel_setup, XFEL_THETAS,
+                                            XFEL_PHIS, w1s, w2s, 1, 50.0)
+        taus = entanglement.tau_grid(xfel_setup, XFEL_THETAS, XFEL_PHIS,
+                                     w1s[::3], w2s[::3], 1, 50.0)
+        kept = int((~masked).sum()) + int((~taus[1]).sum())
+        assert max(rows) <= chunk and sum(rows) == kept
+        runs.append((panels, masked, list(states)))
+    assert 0 < len(runs[0][2]) and masked.any() and not masked.all()
+    for panels, masked, states in runs[1:]:
+        assert np.array_equal(masked, runs[0][1])
+        for label in PANEL_ORDER:
+            assert np.array_equal(panels[label], runs[0][0][label])
+        assert len(states) == len(runs[0][2])
+        for a, b in zip(states, runs[0][2]):
+            assert np.array_equal(a, b)
