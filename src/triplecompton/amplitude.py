@@ -60,9 +60,10 @@ buffer per role and per thread (``threading.local``), grown to the largest
 size asked for and never shrunk.  So a warm call allocates little more
 than the fresh tensor it returns, and every amplitude keeps its bits.  The
 helpers return views on those buffers, which the next call of the same
-role overwrites; roles whose lifetimes do not overlap share a buffer.
-Callers bound what is kept by the rows they pass (``cross_section``
-passes at most ``KERNEL_ROWS``).
+role overwrites; roles whose lifetimes do not overlap share a buffer, and
+every helper is told the role it writes.  A batch larger than
+``KERNEL_ROWS`` is evaluated in passes of at most that many rows, so what
+is kept stays bounded however large a batch a caller passes.
 """
 from __future__ import annotations
 
@@ -80,6 +81,14 @@ from .algebra import (POLE_GUARD, PropagatorPoleError, check_labels,
 from .algebra import dirac_spinor_bar_batch, dirac_spinor_batch, slash_batch
 from .constants import ELECTRON_MASS_MEV
 from .kinematics import CollisionSetup
+
+# rows per kernel pass: amplitude_tensor evaluates a larger batch in
+# successive passes of at most this many rows, so the buffers the kernel
+# keeps stay bounded, about 2.2, 5.2 and 11.2 KB per row for one, two and
+# three photons; the result does not depend on it
+KERNEL_ROWS = 256
+# views kept on the buffers, dropped all at once when there would be more
+_KEPT_VIEWS = 1024
 
 
 def point_amplitude(setup: CollisionSetup, photons, p_f, eps, r_i: int = 1,
@@ -149,17 +158,17 @@ class _Buffers(threading.local):
     """This thread's kept intermediates: one flat byte buffer per role,
     grown to the largest size asked for and never shrunk, and the views
     handed out on it by (role, shape, dtype), dropped when the buffer
-    grows.  A cached view saves its construction on every call; since
-    callers pass at most KERNEL_ROWS rows, a few thousand views at most
-    are kept."""
+    grows.  A cached view saves its construction on every pass; at most
+    _KEPT_VIEWS are held, as the pass size varies from batch to batch."""
 
     def __init__(self):
         self.flat, self.views = {}, {}
 
-    def __call__(self, role, shape, dtype=complex) -> np.ndarray:
+    def __call__(self, role, shape, dtype=complex, key=None) -> np.ndarray:
         """A (shape, dtype) view on the buffer of ``role``, contents
-        undefined."""
-        key = (role, shape, dtype)
+        undefined, cached under ``key`` (role first), by default (role,
+        shape, dtype)."""
+        key = key or (role, shape, dtype)
         view = self.views.get(key)
         if view is None:
             dtype = np.dtype(dtype)
@@ -169,6 +178,8 @@ class _Buffers(threading.local):
                 flat = self.flat[role] = np.empty(nbytes, np.uint8)
                 self.views = {k: v for k, v in self.views.items()
                               if k[0] != role}
+            if len(self.views) >= _KEPT_VIEWS:
+                self.views.clear()
             view = self.views[key] = flat[:nbytes].view(dtype).reshape(shape)
         return view
 
@@ -177,13 +188,21 @@ _buffer = _Buffers()
 
 
 def _product(role, a, b) -> np.ndarray:
-    """a * b, broadcast, written into the buffer of ``role``."""
-    out = _buffer(role, np.broadcast(a, b).shape, np.result_type(a, b))
+    """a * b, broadcast, written into the buffer of ``role``; the view is
+    cached by the factors' shapes and dtypes, which fix its own."""
+    key = (role, a.shape, b.shape, a.dtype, b.dtype)
+    out = _buffer.views.get(key)
+    if out is None:
+        out = _buffer(role, np.broadcast(a, b).shape, np.result_type(a, b),
+                      key)
     return np.multiply(a, b, out=out)
 
 
-def _apply(op: np.ndarray, state: np.ndarray, before: int = 1,
-           role="sum") -> np.ndarray:
+_I = np.complex128(1j)      # 1j with a shape and dtype, for _product
+
+
+def _apply(op: np.ndarray, state: np.ndarray, before: int,
+           role) -> np.ndarray:
     """op (r, 4, P, N) on state (4, M, N) -> (r, A P M / A, N), A = before,
     written into the buffer of ``role``.
 
@@ -228,7 +247,7 @@ def _spinors(p_i: np.ndarray, p_f: np.ndarray) -> tuple:
     return np.broadcast_to(u_1, (4, 1, len(p_f))), rows[:, :, 1:]
 
 
-def _vertex_op(eps: np.ndarray, photon: int = 0) -> tuple:
+def _vertex_op(eps: np.ndarray, photon: int) -> tuple:
     """One photon's polarization vectors (N or 1, P, 4) as _vertex's
     (blocks, diag), built from their components t, x, y, z into the
     buffers of that ``photon``.
@@ -242,8 +261,8 @@ def _vertex_op(eps: np.ndarray, photon: int = 0) -> tuple:
     t, x, y, z = eps.transpose(2, 1, 0)
     blocks = _buffer(("blocks", photon), (2, 2, 2) + t.shape)
     plus, minus = blocks[0, 1, 1], blocks[1, 1, 0]
-    np.add(x, _product("i_y", 1j, y), out=plus)
-    np.subtract(x, _product("i_y", 1j, y), out=minus)
+    np.add(x, _product("i_y", _I, y), out=plus)
+    np.subtract(x, _product("i_y", _I, y), out=minus)
     np.negative(z, out=blocks[0, 0, 0])
     blocks[1, 1, 1] = blocks[0, 0, 0]
     blocks[1, 0, 1] = blocks[0, 1, 0] = z
@@ -258,7 +277,7 @@ def _vertex_op(eps: np.ndarray, photon: int = 0) -> tuple:
     return blocks[:, :, :, None, :, None], diag
 
 
-def _exit_op(ubar: np.ndarray, vertex: tuple, photon: int = 0) -> np.ndarray:
+def _exit_op(ubar: np.ndarray, vertex: tuple, photon: int) -> np.ndarray:
     """ubar eslash for the rows ubar (2, 4, N) and one photon's
     _vertex_op, (2, 4, P, N), in the buffer of that ``photon``.
 
@@ -285,7 +304,7 @@ def _exit_op(ubar: np.ndarray, vertex: tuple, photon: int = 0) -> np.ndarray:
 
 
 def _vertex(vertex: tuple, state: np.ndarray, before: int,
-            role="sum") -> np.ndarray:
+            role) -> np.ndarray:
     """eslash on state (4, M, N) -> (4, A P M / A, N), A = before, written
     into the buffer of ``role``.
 
@@ -319,8 +338,8 @@ def _propagators(qs: np.ndarray, denom: np.ndarray) -> list:
     x, y, z = np.multiply(q[1:], r, out=_buffer("q_r", q[1:].shape, float))
     sigma = _buffer("sigma", (qs.shape[1], 2, 2, 1, qs.shape[0]))
     sigma[:, 0, 0, 0] = z
-    np.add(x, _product("i_y", 1j, y), out=sigma[:, 0, 1, 0])
-    np.subtract(x, _product("i_y", 1j, y), out=sigma[:, 1, 0, 0])
+    np.add(x, _product("i_y", _I, y), out=sigma[:, 0, 1, 0])
+    np.subtract(x, _product("i_y", _I, y), out=sigma[:, 1, 0, 0])
     np.negative(z, out=sigma[:, 1, 1, 0])
     diag = _buffer("prop_diag", (2,) + denom.shape, float)
     np.multiply(np.add(q[0], m, out=diag[0]), r, out=diag[0])
@@ -328,7 +347,7 @@ def _propagators(qs: np.ndarray, denom: np.ndarray) -> list:
     return list(zip(diag[0], diag[1], sigma))
 
 
-def _propagate(prop: tuple, state: np.ndarray, role="current") -> np.ndarray:
+def _propagate(prop: tuple, state: np.ndarray, role) -> np.ndarray:
     """S(q) on state (4, M, N) -> (4, M, N), written into the buffer of
     ``role``.
 
@@ -384,7 +403,9 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     the ubar(p_f) rows at every point.  Each photon's vertex blocks are
     built at that photon's own point axis, so a shared photon's are built
     once and broadcast, each product the same double either way.  A batch
-    of N = 0 points gives an empty (0, P, ..., 2, 2) tensor.
+    is evaluated in passes of at most KERNEL_ROWS points (``_kernel_pass``)
+    written into one fresh output; a batch of N = 0 points gives an empty
+    (0, P, ..., 2, 2) tensor.
 
     Photon vertices use the Dirac representation's block form.  With
     eps = (t, e) and sigma.e = [[z, x - iy], [x + iy, -z]],
@@ -445,6 +466,29 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
         raise ValueError("polarization four-vectors must be real: the "
                          "r_i = 2 amplitudes are built by conjugation")
     k_out = np.asarray(k_out, float)
+    n_pts = k_out.shape[1]
+    shape = (n_pts,) + tuple(e.shape[1] for e in eps_arrays) + (2, 2)
+    out = None
+    for start in range(0, n_pts, KERNEL_ROWS):
+        rows = slice(start, start + KERNEL_ROWS)
+        half = _kernel_pass(setup, k_out[:, rows], p_f[rows],
+                            [e if len(e) == 1 else e[rows] for e in eps_arrays])
+        if out is None:
+            # after the first pass, once numpy's broadcasting buffers are
+            # freed, so that a one-pass call peaks near its output's size
+            out = np.empty(shape, complex)
+        tensor = out[rows]
+        # the r_i = 2 half by the spin-flip identity (module docstring)
+        tensor[..., 0, :] = half.swapaxes(0, -1)
+        np.negative(np.conjugate(tensor[..., 0, 1], out=tensor[..., 1, 0]),
+                    out=tensor[..., 1, 0])
+        np.conjugate(tensor[..., 0, 0], out=tensor[..., 1, 1])
+    return np.empty(shape, complex) if out is None else out
+
+
+def _kernel_pass(setup, k_out, p_f, eps_arrays) -> np.ndarray:
+    """The r_i = 1 amplitudes at up to KERNEL_ROWS points, (r_f, P, ...,
+    P, N), in the kept buffers: every intermediate lives there."""
     n, n_pts = k_out.shape[0] + 1, k_out.shape[1]
     p_i, k_0, m = setup.p_i, setup.k_0, ELECTRON_MASS_MEV
     u_1, ubar = _spinors(p_i, p_f)
@@ -482,7 +526,8 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
         for j in range(n):
             if mask >> j & 1:
                 if total is None:
-                    total = apply(ops[j], currents[mask ^ 1 << j], before)
+                    total = apply(ops[j], currents[mask ^ 1 << j], before,
+                                  "sum")
                 else:
                     total += apply(ops[j], currents[mask ^ 1 << j], before,
                                    "term")
@@ -504,11 +549,5 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     total = vertex_sum(_apply, exits, (1 << n) - 1).reshape(
         (2,) + tuple(n_pols) + (n_pts,))
     total *= m ** (n - 1)
-    # the r_i = 2 half by the spin-flip identity (module docstring)
-    out = np.empty((n_pts,) + tuple(n_pols) + (2, 2), complex)
-    out[..., 0, :] = total.transpose((n + 1,) + tuple(range(1, n + 1)) + (0,))
-    np.negative(np.conjugate(out[..., 0, 1], out=out[..., 1, 0]),
-                out=out[..., 1, 0])
-    np.conjugate(out[..., 0, 0], out=out[..., 1, 1])
-    return out
+    return total
 

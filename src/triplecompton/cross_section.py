@@ -27,11 +27,11 @@ from .algebra import check_labels
 from .constants import ALPHA, ELECTRON_MASS_MEV, HBARC2_MEV2_BARN
 from .kinematics import CollisionSetup, _check_directions, _close_arrays
 
-# kept rows per amplitude kernel call, on every path (_kernel_chunks): the
-# kernel keeps its intermediates between calls, about 3.4, 6.4 and 14 KB per
-# row for one, two and three photons at 256 rows, so a chunk bounds the
-# memory it keeps; the result does not depend on it
-KERNEL_ROWS = 256
+# kept rows per amplitude kernel call in unpolarized_differential_batch, one
+# kernel pass (amp.KERNEL_ROWS, which bounds the buffers the kernel keeps):
+# each call's tensor is reduced to |M|^2 before the next, so no tensor of
+# every point of a batch is held; the result does not depend on it
+KERNEL_ROWS = amp.KERNEL_ROWS
 
 
 def prefactor(n_out: int) -> float:
@@ -119,32 +119,19 @@ def _kept_points(setup, thetas, phis, omegas_free, threshold_eps):
     return thetas, phis, k_out, p_f, keep, kin
 
 
-def _kernel_chunks(setup, thetas, phis, k_out, p_f, keep, beam):
-    """The amplitude kernel on the kept rows of :func:`_kept_points`'s
-    output, in successive chunks of at most KERNEL_ROWS rows: yields (rows,
-    tensor), the chunk's row indices and its amplitude tensor.
-
-    The emitted photons' polarization bases are built once, on every kept
-    row, or once in all, (n_out, 1, 2, 4), where the directions are
-    shared; each chunk is handed its slice of them and ``beam``, the beam
-    photon's basis.  Each row is computed on its own, so a row's tensor
-    does not depend on KERNEL_ROWS.
-    """
-    kept = np.flatnonzero(keep)
-    cols = slice(None) if thetas.shape[1] == 1 else kept
-    bases = amp.outgoing_basis_arrays(thetas[:, cols], phis[:, cols])
-    for start in range(0, kept.size, KERNEL_ROWS):
-        chunk = slice(start, start + KERNEL_ROWS)
-        rows = kept[chunk]
-        yield rows, amp.amplitude_tensor(
-            setup, k_out[:, rows], p_f[rows],
-            [beam, *(bases if bases.shape[1] == 1 else bases[:, chunk])])
+def _bases(thetas, phis, rows):
+    """Each emitted photon's polarization basis at the points ``rows``
+    selects (a mask or indices) of :func:`_kept_points`'s angles, (n_out,
+    K, 2, 4), or once, (n_out, 1, 2, 4), when its direction is shared."""
+    cols = slice(None) if thetas.shape[1] == 1 else rows
+    return amp.outgoing_basis_arrays(thetas[:, cols], phis[:, cols])
 
 
 def _tensor_for_points(setup, thetas, phis, omegas_free,
                        threshold_eps: float = 0.0, beam_pol=None):
     """Amplitude tensor and kinematic factor at stacked points, the kernel
-    run over the kept rows in chunks of at most KERNEL_ROWS.
+    called once over every kept row (it evaluates them in passes of at most
+    ``amp.KERNEL_ROWS``).
 
     thetas, phis: (n_out, N) photon directions, one per point, or
     (n_out, 1), one direction per photon shared by every point;
@@ -155,20 +142,19 @@ def _tensor_for_points(setup, thetas, phis, omegas_free,
     are, with the same bits as values repeated at every point.  The beam
     photon's polarization axis holds both basis vectors for None, the
     beam's own polarization (one entry) otherwise.  The tensor is evaluated
-    on the kept rows only, by :func:`_kernel_chunks`, each chunk copied
-    into place, so the kernel keeps at most KERNEL_ROWS rows of
-    intermediates however large the grid; it reads zero elsewhere.  keep
-    and kin are :func:`_kept_points`'s.  Returns (tensor, kin, keep).  A
-    threshold_eps that is not finite and non-negative raises ValueError.
+    on the kept rows only and reads zero elsewhere; keep and kin are
+    :func:`_kept_points`'s.  Returns (tensor, kin, keep).  A threshold_eps
+    that is not finite and non-negative raises ValueError.
     """
     thetas, phis, k_out, p_f, keep, kin = _kept_points(
         setup, thetas, phis, omegas_free, threshold_eps)
     beam = amp.beam_basis_arrays(beam_pol)
     tensor = np.zeros((keep.size, beam.shape[1]) + (2,) * (len(thetas) + 2),
                       dtype=complex)
-    for rows, chunk in _kernel_chunks(setup, thetas, phis, k_out, p_f, keep,
-                                      beam):
-        tensor[rows] = chunk
+    if keep.any():
+        tensor[keep] = amp.amplitude_tensor(
+            setup, k_out[:, keep], p_f[keep],
+            [beam, *_bases(thetas, phis, keep)])
     return tensor, kin, keep
 
 
@@ -237,18 +223,26 @@ def unpolarized_differential_batch(setup, thetas, phis, omegas_free,
 
     Units: b sr^-n_out MeV^-(n_out-1).  Used by the total-cross-section
     integrators for the one-, two- and three-photon processes.  The
-    closure, keep mask and kinematic factor run once on all N points; the
-    amplitude kernel runs on the kept rows in chunks of at most KERNEL_ROWS
-    (:func:`_kernel_chunks`), each reduced to its 0.25 sum |M|^2 before
-    the next, so no tensor of every point is held and the kernel keeps at
-    most KERNEL_ROWS rows of intermediates.  Each row is computed on its
-    own, so the result does not depend on KERNEL_ROWS.
+    closure, keep mask, kinematic factor and emitted photons' polarization
+    bases run once on all N points, the bases on the kept rows; the
+    amplitude kernel runs on successive chunks of at most KERNEL_ROWS kept
+    rows, one kernel pass each, each handed its slice of the bases and
+    reduced to its 0.25 sum |M|^2 before the next, so no tensor of every
+    point is held.  Each row is computed on its own, so the result does
+    not depend on KERNEL_ROWS.
     """
     thetas, phis, k_out, p_f, keep, kin = _kept_points(
         setup, thetas, phis, omegas_free, threshold_eps)
+    beam = amp.beam_basis_arrays(None)
+    kept = np.flatnonzero(keep)
+    bases = _bases(thetas, phis, kept)
     msq = np.zeros(keep.size)
-    for rows, tensor in _kernel_chunks(setup, thetas, phis, k_out, p_f, keep,
-                                       amp.beam_basis_arrays(None)):
+    for start in range(0, kept.size, KERNEL_ROWS):
+        chunk = slice(start, start + KERNEL_ROWS)
+        rows = kept[chunk]
+        tensor = amp.amplitude_tensor(
+            setup, k_out[:, rows], p_f[rows],
+            [beam, *(bases if bases.shape[1] == 1 else bases[:, chunk])])
         msq[rows] = 0.25 * (np.abs(tensor) ** 2).reshape(rows.size,
                                                          -1).sum(axis=1)
     return msq * kin

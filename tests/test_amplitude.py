@@ -525,7 +525,7 @@ def test_block_operators_equal_full_products_bit_for_bit(
                 setup.k_0[None, None], am.beam_basis_arrays()):
         eslash = np.ascontiguousarray(
             al.slash_batch(eps).transpose(2, 3, 1, 0))
-        vertex = am._vertex_op(eps)
+        vertex = am._vertex_op(eps, 0)
         blocks, diag = vertex
         for c, h, i in itertools.product((0, 1), repeat=3):
             assert np.array_equal(blocks[c, h, i, 0, :, 0],
@@ -535,21 +535,24 @@ def test_block_operators_equal_full_products_bit_for_bit(
                                   eslash[[0, 2], [0, 2]])
         else:
             assert diag is None
+            # each side writes into a kept buffer of its own, so neither
+            # overwrites the other before they are compared
             for before in (1, 2, 3):
-                assert np.array_equal(am._vertex(vertex, state, before),
-                                      am._apply(eslash, state, before))
+                assert np.array_equal(
+                    am._vertex(vertex, state, before, "sum"),
+                    am._apply(eslash, state, before, "term"))
         n_vec = eslash.shape[2]
         assert np.array_equal(
-            am._exit_op(ubar, vertex),
-            am._apply(ubar[:, :, None], eslash.reshape(4, 4 * n_vec, -1)
-                      ).reshape(2, 4, n_vec, -1))
+            am._exit_op(ubar, vertex, 0),
+            am._apply(ubar[:, :, None], eslash.reshape(4, 4 * n_vec, -1), 1,
+                      "sum").reshape(2, 4, n_vec, -1))
     denom = al.minkowski_dot(qs, qs).T - mass * mass
     for col, prop in enumerate(am._propagators(qs, denom)):
         full = (al.slash_batch(qs[:, col]) + mass * al.IDENTITY4) / denom[
             col, :, None, None]
-        assert np.array_equal(am._propagate(prop, state),
+        assert np.array_equal(am._propagate(prop, state, "current"),
                               am._apply(full.transpose(1, 2, 0)[:, :, None],
-                                        state))
+                                        state, 1, "sum"))
 
 
 def test_warm_call_allocates_little_beyond_its_output(rest_setup):
@@ -637,3 +640,57 @@ def test_kernel_buffers_are_per_thread(rest_setup, monkeypatch):
         thread.join(60)
     assert not np.array_equal(other, want)
     assert np.array_equal(got["a"].view(np.int64), want.view(np.int64))
+
+
+def _in_new_thread(run):
+    """run() in a thread of its own, so on kernel buffers of its own."""
+    got = {}
+    thread = threading.Thread(target=lambda: got.update(value=run()))
+    thread.start()
+    thread.join(60)
+    return got["value"]
+
+
+def test_large_call_keeps_one_pass_of_buffers(rest_setup, monkeypatch):
+    # a batch larger than KERNEL_ROWS is evaluated in passes of at most that
+    # many rows: the kernel then keeps what one full pass keeps, and every
+    # row has the bits of one pass over the whole batch
+    ks, p_f, eps = _stacked_points(rest_setup, 3, 5 * 16 + 3, 101)
+    whole = am.amplitude_tensor(rest_setup, ks[1:], p_f, eps)
+    monkeypatch.setattr(am, "KERNEL_ROWS", 16)
+
+    def kept_bytes(n):
+        tensor = am.amplitude_tensor(rest_setup, ks[1:, :n], p_f[:n],
+                                     [eps[0]] + [e[:n] for e in eps[1:]])
+        return tensor, sum(b.nbytes for b in am._buffer.flat.values())
+
+    def one_pass_then_whole():
+        return kept_bytes(16), kept_bytes(p_f.shape[0])
+
+    (_, one_pass), (tensor, after) = _in_new_thread(one_pass_then_whole)
+    assert 0 < one_pass == after
+    assert np.array_equal(tensor.view(np.int64), whole.view(np.int64))
+
+
+def test_kept_views_stay_bounded(rest_setup, monkeypatch):
+    # the buffers' views are cached by shape, and the pass size varies from
+    # batch to batch: the cache is emptied before it outgrows _KEPT_VIEWS,
+    # and every row keeps its bits across the refills
+    ks, p_f, eps = _stacked_points(rest_setup, 2, 40, 103)
+    whole = am.amplitude_tensor(rest_setup, ks[1:], p_f, eps)
+    monkeypatch.setattr(am, "_KEPT_VIEWS", 128)
+
+    def every_size():
+        sizes = []
+        for n in [40] + list(range(1, 41)):
+            tensor = am.amplitude_tensor(rest_setup, ks[1:, :n], p_f[:n],
+                                         [eps[0]] + [e[:n] for e in eps[1:]])
+            assert np.array_equal(tensor.view(np.int64),
+                                  whole[:n].view(np.int64))
+            sizes.append(len(am._buffer.views))
+        return sizes
+
+    sizes = _in_new_thread(every_size)
+    # the buffers grow on the first call alone, so only the bound drops views
+    assert max(sizes) <= 128
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))

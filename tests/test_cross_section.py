@@ -515,16 +515,16 @@ def test_wrong_photon_label_count_raises(rest_setup, entry, final_pols):
 
 
 def test_grid_path_independent_of_kernel_rows(xfel_setup, monkeypatch):
-    # the grid path runs the kernel in chunks of at most KERNEL_ROWS kept
-    # rows, like the Monte Carlo path; panels and tau states must not
-    # depend on the chunk size, and no kernel call may pass it
-    from triplecompton import amplitude, cross_section, entanglement
+    # the kernel evaluates the grid's kept rows in passes of at most
+    # amplitude.KERNEL_ROWS; panels and tau states must not depend on the
+    # pass size, and no pass may exceed it
+    from triplecompton import amplitude, entanglement
 
-    kernel, rows = amplitude.amplitude_tensor, []
+    kernel_pass, rows = amplitude._kernel_pass, []
 
     def counted(setup, k_out, p_f, eps_arrays):
         rows.append(p_f.shape[0])
-        return kernel(setup, k_out, p_f, eps_arrays)
+        return kernel_pass(setup, k_out, p_f, eps_arrays)
 
     class Cell:
         tau = 0.0
@@ -535,12 +535,12 @@ def test_grid_path_independent_of_kernel_rows(xfel_setup, monkeypatch):
         states.append(rho)
         return Cell()
 
-    monkeypatch.setattr(amplitude, "amplitude_tensor", counted)
+    monkeypatch.setattr(amplitude, "_kernel_pass", counted)
     monkeypatch.setattr(entanglement, "gme_tau", state)
     w1s, w2s = np.linspace(50.0, 1400.0, 23), np.linspace(50.0, 1400.0, 19)
     runs = []
     for chunk in (1, 7, 256, 10 ** 6):
-        monkeypatch.setattr(cross_section, "KERNEL_ROWS", chunk)
+        monkeypatch.setattr(amplitude, "KERNEL_ROWS", chunk)
         rows.clear()
         states.clear()
         panels, masked = sigma5_panel_grids(xfel_setup, XFEL_THETAS,
