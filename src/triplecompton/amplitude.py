@@ -12,24 +12,55 @@ order given by the permutation xi.  n = 3 gives the photon-splitting process
 permutations) and feed the two-photon and one-photon cross sections.
 
 ``amplitude_tensor`` is the one evaluation engine: it builds the sum over
-orders from subset currents (Berends-Giele recursion) over stacked
-phase-space points.  The current of a set of photons is the electron line
-after absorbing or emitting exactly those photons, in every order; it is
-built once from the currents one photon smaller and shared by every order
-that starts with that set.  The cost grows as (n+1) 2^(n+1) vertex
-applications rather than (n+1)! chains: for n = 3, 14 currents and 4 exit
-contractions instead of 24 chains.  Inside it the point axis is last, so
-applying an operator takes a few whole-array operations rather than one
-small matrix product per point.  No 4x4 matrix is built: each operator
-is written straight from the components of its four-vectors.  A
-polarization vector with zero time component, as every basis vector is,
-slashes to two off-diagonal 2x2 Pauli blocks, so each photon vertex is
-built and applied as those blocks alone, without the half of the 4x4
-product that multiplies exact zeros; each propagator is applied as its
-two diagonal scalars and one 2x2 Pauli block, built once per call, and
-the spinors and exit rows ubar eslash are written entry by entry.  All
-give the same amplitudes to the bit as the 4x4 products.  It raises on a
-propagator pole itself.
+orders from subset currents (F. A. Berends, W. T. Giele, Nucl. Phys. B306
+(1988) 759) over stacked phase-space points.  The current of a set S of
+photons is the electron line after absorbing or emitting exactly those
+photons, in every order: J(empty) = u_1(p_i) and, for every proper subset
+S,
+
+    J(S) = S(p_i + k_S) sum_{j in S} eslash_j J(S - {j}),
+
+with k_S the momentum S brings in (k_0 added, emitted photons
+subtracted); then M(1, r_f) = m^(n-1) sum_j (ubar_r_f eslash_j) J(all -
+{j}).  Each current is built once, from the currents one photon smaller,
+and shared by every order that starts with its set, so the cost grows as
+(n+1) 2^(n+1) vertex applications rather than (n+1)! chains: for n = 3,
+14 currents and 4 exit contractions instead of 24 chains.  Inside it the
+point axis is last and contiguous, so applying an operator takes a few
+whole-array operations rather than one small matrix product per point;
+every operation is elementwise along that axis, so a row's result does not
+depend on the other rows.  It raises on a propagator pole itself.
+
+No 4x4 matrix is built: each operator is written straight from the
+components of its four-vectors, each entry the same double as the 4x4
+reference forms' (``algebra.slash_batch``, ``dirac_spinor_batch``,
+``dirac_spinor_bar_batch``), and each row sums its non-zero terms in the
+column order of the 4x4 product, so every amplitude is the same to the
+bit as the 4x4 products'.  With eps = (t, e) and sigma.e = [[z, x - iy],
+[x + iy, -z]],
+
+    eslash = [[t, -sigma.e], [sigma.e, -t]],
+
+so a vertex swaps the halves of J and applies one 2x2 block to each: the
+two non-zero terms of each row of the 4x4 product, whose other two terms
+are exact zeros (a sum of two terms does not depend on their order).
+Every basis vector has t = 0 exactly; the diagonal term is added, after
+the blocks, only for a photon whose t is non-zero at some point of the
+batch, as in gauge tests (eps -> k), and adds exact zeros where t = 0.
+With q = (t, q) and r = 1/(q^2 - m^2),
+
+    S(q) = [[(t + m) r, -sigma.q r], [sigma.q r, (m - t) r]],
+
+two diagonal scalars and one 2x2 block per internal momentum, built once
+per call; numpy divides a complex number by a real one by multiplying with
+its reciprocal, so each entry is the same double as (qslash + m)/(q^2 -
+m^2).  u_1(p_i) is built once from p_i's components and broadcast along the
+point axis, the ubar(p_f) rows at every point, and the exit rows ubar
+eslash_j = [t ubar_up + ubar_lo sigma.e, -ubar_up sigma.e - t ubar_lo]
+from the vertex blocks; only their contraction with the currents is a full
+4-term sum.  Each photon's vertex blocks are built at that photon's own
+point axis, so a shared photon's are built once and broadcast, each
+product the same double either way.
 
 The electron spin sum is paid once.  In the Dirac representation A =
 gamma^0 gamma^1 gamma^3 is real, A gamma^mu* A^-1 = gamma^mu, gamma^0 A^-1
@@ -383,7 +414,7 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     array (N, P, ..., P, 2, 2): one polarization axis per photon (photon
     order), then r_i, then r_f.  Raises PropagatorPoleError if any |q^2 -
     m^2| is below POLE_GUARD m^2, and ValueError if any eps array is
-    complex: the vectors must be real for the conjugation below.
+    complex: the vectors must be real for the spin-flip conjugation.
 
     The amplitude is linear in each polarization vector, so a polarized
     beam needs no contraction afterwards: ``beam_basis_arrays`` hands the
@@ -392,75 +423,10 @@ def amplitude_tensor(setup: CollisionSetup, k_out: np.ndarray,
     computed on its own, so a basis vector alone gives the same amplitudes,
     to the bit, as its slice of the P = 2 tensor.
 
-    Inside, the point axis is last and contiguous: spinors, vertex and
-    propagator blocks are (..., N) stacks, and applying an operator is a
-    few broadcast multiplies and sums for all points at once.  Every
-    operator is built straight from the components of its four-vectors,
-    never as a 4x4 slashed matrix, each entry the same double as the 4x4
-    reference forms' (``algebra.slash_batch``, ``dirac_spinor_batch``,
-    ``dirac_spinor_bar_batch``).  ``_spinors`` builds u_1(p_i) once, from
-    p_i's components, and broadcasts it along the point axis, and builds
-    the ubar(p_f) rows at every point.  Each photon's vertex blocks are
-    built at that photon's own point axis, so a shared photon's are built
-    once and broadcast, each product the same double either way.  A batch
-    is evaluated in passes of at most KERNEL_ROWS points (``_kernel_pass``)
-    written into one fresh output; a batch of N = 0 points gives an empty
-    (0, P, ..., 2, 2) tensor.
-
-    Photon vertices use the Dirac representation's block form.  With
-    eps = (t, e) and sigma.e = [[z, x - iy], [x + iy, -z]],
-
-        eslash = [[t, -sigma.e], [sigma.e, -t]],
-
-    so ``_vertex_op`` writes the blocks -sigma.e and sigma.e from x, y and
-    z, and the diagonal (t, -t) only for a photon with some t non-zero.
-    The upper half of eslash J is -sigma.e times J's lower half and the
-    lower half is sigma.e times its upper half: ``_vertex`` swaps the
-    halves and applies one 2x2 block to each.  Each row sums the same two
-    non-zero terms as the full 4x4 product, whose other two terms are exact
-    zeros, so every amplitude with t = 0 equals the 4x4 product's to the
-    bit, and results recorded from it are reproduced exactly (a sum of two
-    terms does not depend on their order).  The basis vectors all have
-    t = 0 exactly.  The diagonal term is added, after the blocks, only for
-    a photon whose t is non-zero at some point of the batch, which happens
-    only in gauge tests (eps -> k); at the rows where t = 0 it adds exact
-    zeros.
-
-    Propagators take the same block form.  With q = (t, q) and r = 1/(q^2
-    - m^2),
-
-        S(q) = [[(t + m) r, -sigma.q r], [sigma.q r, (m - t) r]],
-
-    so ``_propagators`` builds, once per call, two diagonal scalars and one
-    2x2 block per internal momentum instead of a 4x4 matrix, and
-    ``_propagate`` writes the upper half (t + m) r J_up - sigma.q r J_lo and
-    the lower half sigma.q r J_up + (m - t) r J_lo into one output.  numpy
-    divides a complex number by a real one by multiplying with its
-    reciprocal, so every entry is the same double as (qslash + m)/(q^2 -
-    m^2), and each row sums its three non-zero terms in the column order of
-    the 4x4 product: the amplitudes are the same to the bit.  The exit
-    rows ubar eslash_j = [t ubar_up + ubar_lo sigma.e, -ubar_up sigma.e -
-    t ubar_lo] are built by ``_exit_op`` from the vertex blocks, each entry
-    summing its non-zero terms in the column order of the 4x4 product;
-    only their contraction with the currents is a full 4-term sum
-    (``_apply``).
-
-    The sum over insertion orders is built from subset currents (F. A.
-    Berends, W. T. Giele, Nucl. Phys. B306 (1988) 759): J(empty) =
-    u_1(p_i) and, for every proper subset S of the photons,
-
-        J(S) = S(p_i + k_S) sum_{j in S} eslash_j J(S - {j}),
-
-    with k_S the momentum S brings in (k_0 added, emitted photons
-    subtracted), kept as a (4, pol..., N) stack with S's polarization axes
-    in photon order; then M(1, r_f) = m^(n-1) sum_j (ubar_r_f eslash_j)
-    J(all - {j}).  Each current is built once and shared by every order
-    whose first |S| vertices are S, so the cost grows as n 2^n in the
-    number n of photon lines rather than as n!.  The r_i = 2 entries are
-    then M(2, 1) = -conj M(1, 2) and M(2, 2) = conj M(1, 1) (module
-    docstring), so the currents carry one spinor column instead of two.
-    Every operation is elementwise along the point axis, so a row's result
-    does not depend on the other rows or on N.
+    A batch is evaluated in passes of at most KERNEL_ROWS points
+    (``_kernel_pass``) written into one fresh output, and a batch of N = 0
+    points gives an empty (0, P, ..., 2, 2) tensor.  The design, and why
+    every amplitude keeps its bits, is the module docstring's.
     """
     if any(np.iscomplexobj(e) for e in eps_arrays):
         raise ValueError("polarization four-vectors must be real: the "

@@ -27,12 +27,6 @@ from .algebra import check_labels
 from .constants import ALPHA, ELECTRON_MASS_MEV, HBARC2_MEV2_BARN
 from .kinematics import CollisionSetup, _check_directions, _close_arrays
 
-# kept rows per amplitude kernel call in unpolarized_differential_batch, one
-# kernel pass (amp.KERNEL_ROWS, which bounds the buffers the kernel keeps):
-# each call's tensor is reduced to |M|^2 before the next, so no tensor of
-# every point of a batch is held; the result does not depend on it
-KERNEL_ROWS = amp.KERNEL_ROWS
-
 
 def prefactor(n_out: int) -> float:
     """Process-order prefactor alpha^(n+1)/(2 pi)^(2(n-1))/m^(2(n-1))."""
@@ -58,8 +52,10 @@ def sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
     :func:`grid_tensor`."""
     _check_final_pols(final_pols)
     check_labels(r_i, r_f)
-    tensor, kin, _ = grid_tensor(setup, thetas, phis, [omega1], [omega2],
-                                 beam_pol, threshold_eps)
+    tensor, kin, keep = grid_tensor(setup, thetas, phis, [omega1], [omega2],
+                                    beam_pol, threshold_eps)
+    if not keep[0]:
+        return 0.0
     i, j, l = (lab - 1 for lab in final_pols)
     return float(abs(tensor[0, 0, i, j, l, r_i - 1, r_f - 1]) ** 2 * kin[0])
 
@@ -90,15 +86,28 @@ def unpolarized_sigma5(setup: CollisionSetup, thetas, phis, omega1, omega2,
 # ---------------------------------------------------------------------------
 # batched evaluation on arrays of phase-space points
 
-def _kept_points(setup, thetas, phis, omegas_free, threshold_eps):
-    """Closure, keep mask and kinematic factor at stacked points, the part
-    of :func:`_tensor_for_points` before the amplitude kernel.
+def _tensor_for_points(setup, thetas, phis, omegas_free,
+                       threshold_eps: float = 0.0, beam_pol=None):
+    """Amplitude tensor of the kept rows, kinematic factor and keep mask at
+    stacked points: the closure, then one amplitude kernel call on the kept
+    rows (the kernel evaluates them in passes of at most
+    ``amp.KERNEL_ROWS``).
 
-    Returns (thetas, phis, k_out, p_f, keep, kin): the angles as float
-    arrays of at least two dimensions, the closed momenta of every point,
-    the kept rows (the physical points with every photon at or above
-    threshold_eps) and kin, the differential cross section per unit squared
-    amplitude (the formula in the module docstring without |M|^2), zero off
+    thetas, phis: (n_out, N) photon directions, one per point, or
+    (n_out, 1), one direction per photon shared by every point;
+    omegas_free: (n_out - 1, N) free photon energies.  A point axis of 1
+    means the same value at every point, and numpy broadcasting applies it
+    where it is used: shared directions reach the closure, and their bases
+    and the beam's ``amp.beam_basis_arrays(beam_pol)`` the kernel, as they
+    are, with the same bits as values repeated at every point.  The beam
+    photon's polarization axis holds both basis vectors for None, the
+    beam's own polarization (one entry) otherwise.
+
+    Returns (tensor, kin, keep): keep flags the kept rows, the physical
+    points with every photon at or above threshold_eps; tensor holds the
+    amplitudes of the K kept rows alone, in row order, (K, P, 2, ..., 2);
+    kin is the differential cross section per unit squared amplitude (the
+    formula in the module docstring without |M|^2) at every point, zero off
     the kept rows.  Each row is computed on its own, so a row's values do
     not depend on the other rows.  A threshold_eps that is not finite and
     non-negative raises ValueError.
@@ -116,45 +125,12 @@ def _kept_points(setup, thetas, phis, omegas_free, threshold_eps):
     kin[keep] = (prefactor(len(thetas))
                  * k_out[:, keep, 0].prod(axis=0) / (e_f * setup.flux)
                  / np.abs(kfac[keep]) * HBARC2_MEV2_BARN)
-    return thetas, phis, k_out, p_f, keep, kin
-
-
-def _bases(thetas, phis, rows):
-    """Each emitted photon's polarization basis at the points ``rows``
-    selects (a mask or indices) of :func:`_kept_points`'s angles, (n_out,
-    K, 2, 4), or once, (n_out, 1, 2, 4), when its direction is shared."""
-    cols = slice(None) if thetas.shape[1] == 1 else rows
-    return amp.outgoing_basis_arrays(thetas[:, cols], phis[:, cols])
-
-
-def _tensor_for_points(setup, thetas, phis, omegas_free,
-                       threshold_eps: float = 0.0, beam_pol=None):
-    """Amplitude tensor and kinematic factor at stacked points, the kernel
-    called once over every kept row (it evaluates them in passes of at most
-    ``amp.KERNEL_ROWS``).
-
-    thetas, phis: (n_out, N) photon directions, one per point, or
-    (n_out, 1), one direction per photon shared by every point;
-    omegas_free: (n_out - 1, N) free photon energies.  A point axis of 1
-    means the same value at every point, and numpy broadcasting applies it
-    where it is used: shared directions reach the closure, and their bases
-    and the beam's ``amp.beam_basis_arrays(beam_pol)`` the kernel, as they
-    are, with the same bits as values repeated at every point.  The beam
-    photon's polarization axis holds both basis vectors for None, the
-    beam's own polarization (one entry) otherwise.  The tensor is evaluated
-    on the kept rows only and reads zero elsewhere; keep and kin are
-    :func:`_kept_points`'s.  Returns (tensor, kin, keep).  A threshold_eps
-    that is not finite and non-negative raises ValueError.
-    """
-    thetas, phis, k_out, p_f, keep, kin = _kept_points(
-        setup, thetas, phis, omegas_free, threshold_eps)
-    beam = amp.beam_basis_arrays(beam_pol)
-    tensor = np.zeros((keep.size, beam.shape[1]) + (2,) * (len(thetas) + 2),
-                      dtype=complex)
-    if keep.any():
-        tensor[keep] = amp.amplitude_tensor(
-            setup, k_out[:, keep], p_f[keep],
-            [beam, *_bases(thetas, phis, keep)])
+    # a shared direction's basis is built once, (n_out, 1, 2, 4)
+    cols = slice(None) if thetas.shape[1] == 1 else keep
+    tensor = amp.amplitude_tensor(
+        setup, k_out[:, keep], p_f[keep],
+        [amp.beam_basis_arrays(beam_pol),
+         *amp.outgoing_basis_arrays(thetas[:, cols], phis[:, cols])])
     return tensor, kin, keep
 
 
@@ -207,8 +183,9 @@ def sigma5_panel_grids(setup, thetas, phis, omega1_grid, omega2_grid,
     tensor, kin, keep = grid_tensor(setup, thetas, phis, omega1_grid,
                                     omega2_grid, beam_pol, threshold_eps)
     shape = (np.size(omega1_grid), np.size(omega2_grid))
-    # (N, 2,2,2, r_i, r_f) -> (N, 2,2,2)
-    msq = 0.5 * (np.abs(tensor[:, 0]) ** 2).sum(axis=(4, 5))
+    # (K, 2,2,2, r_i, r_f) -> (K, 2,2,2) on the kept rows, zero elsewhere
+    msq = np.zeros((keep.size, 2, 2, 2))
+    msq[keep] = 0.5 * (np.abs(tensor[:, 0]) ** 2).sum(axis=(4, 5))
     panels = {}
     for label in PANEL_ORDER:
         i, j, l = (int(c) - 1 for c in label)
@@ -222,27 +199,16 @@ def unpolarized_differential_batch(setup, thetas, phis, omegas_free,
     emitted photons; thetas, phis (n_out, N), omegas_free (n_out - 1, N).
 
     Units: b sr^-n_out MeV^-(n_out-1).  Used by the total-cross-section
-    integrators for the one-, two- and three-photon processes.  The
-    closure, keep mask, kinematic factor and emitted photons' polarization
-    bases run once on all N points, the bases on the kept rows; the
-    amplitude kernel runs on successive chunks of at most KERNEL_ROWS kept
-    rows, one kernel pass each, each handed its slice of the bases and
-    reduced to its 0.25 sum |M|^2 before the next, so no tensor of every
-    point is held.  Each row is computed on its own, so the result does
-    not depend on KERNEL_ROWS.
+    integrators for the one-, two- and three-photon processes.  One
+    :func:`_tensor_for_points` call evaluates the batch's kept rows, each
+    reduced to 0.25 sum |M|^2, so a row's value does not depend on the
+    other rows.
     """
-    thetas, phis, k_out, p_f, keep, kin = _kept_points(
-        setup, thetas, phis, omegas_free, threshold_eps)
-    beam = amp.beam_basis_arrays(None)
-    kept = np.flatnonzero(keep)
-    bases = _bases(thetas, phis, kept)
+    tensor, kin, keep = _tensor_for_points(setup, thetas, phis, omegas_free,
+                                           threshold_eps)
+    amps = np.abs(tensor)
+    np.square(amps, out=amps)
     msq = np.zeros(keep.size)
-    for start in range(0, kept.size, KERNEL_ROWS):
-        chunk = slice(start, start + KERNEL_ROWS)
-        rows = kept[chunk]
-        tensor = amp.amplitude_tensor(
-            setup, k_out[:, rows], p_f[rows],
-            [beam, *(bases if bases.shape[1] == 1 else bases[:, chunk])])
-        msq[rows] = 0.25 * (np.abs(tensor) ** 2).reshape(rows.size,
-                                                         -1).sum(axis=1)
+    msq[keep] = 0.25 * amps.reshape(len(amps),
+                                    math.prod(amps.shape[1:])).sum(axis=1)
     return msq * kin

@@ -541,7 +541,7 @@ def tau_grid(setup: CollisionSetup, thetas, phis, omega1_grid, omega2_grid,
     tensor, _, keep = grid_tensor(setup, thetas, phis, omega1_grid,
                                   omega2_grid, beam_pol, threshold_eps)
     cells = np.nonzero(keep)[0]
-    states, _, live = _states(tensor[cells, 0])
+    states, _, live = _states(tensor[:, 0])
     masked = ~keep
     masked[cells[~live]] = True
     taus = np.zeros(keep.size)

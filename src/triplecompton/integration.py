@@ -18,10 +18,9 @@ per-stratum means are combined with math.fsum as well.
 
 The integrand sees fixed batches of at most BATCH_ROWS rows, filled stratum
 after stratum, so one batch may hold the tail of one stratum and the head of
-the next.  Only one batch of points is alive at a time, and the cross
-section runs the amplitude kernel on at most cross_section.KERNEL_ROWS kept
-rows of it at a time, so apart from one float per sample for the weights
-memory does not grow with the budget; the per-stratum sums read one
+the next.  Only one batch of points, and the amplitude tensor of its kept
+rows, is alive at a time, so apart from one float per sample for the
+weights memory does not grow with the budget; the per-stratum sums read one
 stratum's weights at a time.  A small budget costs one call rather than one
 per stratum.
 """
@@ -43,10 +42,10 @@ from .kinematics import CollisionSetup, _check_directions
 
 _MASK64 = (1 << 64) - 1
 # rows per integrand call, across stratum boundaries; the per-stratum sums do
-# not depend on it.  The cross section runs the amplitude kernel on at most
-# cross_section.KERNEL_ROWS kept rows of a batch at a time, so a batch this
-# large spreads the per-call cost of the draws, maps and closure without
-# holding a kernel's memory for every row
+# not depend on it.  A batch this large spreads the per-call cost of the
+# draws, maps and closure; its kept rows' amplitude tensor is at most 1 KB
+# per row (three photons), and the kernel's own buffers are bounded by
+# amplitude.KERNEL_ROWS
 BATCH_ROWS = 2048
 
 PROCESS_PHOTONS = {"single": 1, "double": 2, "triple": 3}
@@ -123,7 +122,8 @@ def stratified_monte_carlo(integrand, dim, strata, budget,
     """Stratified mean of ``integrand`` over the unit cube [0,1)^dim.
 
     strata: tuple of cell counts applied to the leading dims (equal
-    probability cells).  integrand maps (n, dim) -> (n,) weights already
+    probability cells), at most dim counts, each an integer >= 1 (else
+    ValueError).  integrand maps (n, dim) -> (n,) weights already
     including all map Jacobians; it is called on batches of at most
     BATCH_ROWS rows that may span strata, so each row's weight must not
     depend on the other rows.  budget and seed must be integers (see
@@ -131,7 +131,10 @@ def stratified_monte_carlo(integrand, dim, strata, budget,
     """
     budget = _integer("budget", budget)
     seed = _integer("seed", seed)
-    counts = tuple(int(c) for c in strata)
+    counts = tuple(_integer("stratum count", c) for c in strata)
+    if len(counts) > dim or min(counts, default=1) < 1:
+        raise ValueError(f"strata {tuple(strata)} must be at most dim = "
+                         f"{dim} counts, each >= 1")
     n_cells = int(np.prod(counts)) if counts else 1
     n_per = budget // n_cells
     if n_per < 2:

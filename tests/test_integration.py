@@ -6,7 +6,7 @@ import pytest
 
 from triplecompton.constants import ALPHA, ELECTRON_MASS_MEV as M, \
     HBARC2_MEV2_BARN
-from triplecompton import amplitude, cross_section, integration
+from triplecompton import amplitude, integration
 from triplecompton.integration import (BeamParameters, BudgetError,
                                        IntegrationResult, WindowError,
                                        detector_average,
@@ -123,26 +123,31 @@ def test_cross_strata_batching_does_not_change_result(
                                   "detector_average"])
 def test_kernel_chunks_do_not_change_result(monkeypatch, rest_setup,
                                             xfel_setup, case):
-    # the cross section runs the amplitude kernel on at most KERNEL_ROWS
-    # kept rows of each batch: the estimate keeps every bit, and every
-    # estimate sends the kernel the same kept points, whatever the chunk
-    kernel = amplitude.amplitude_tensor
+    # each integrand batch makes one amplitude kernel call on its kept rows,
+    # which the kernel evaluates in passes of at most amplitude.KERNEL_ROWS:
+    # the estimate keeps every bit, and every estimate sends the kernel the
+    # same kept points, whatever the pass size
+    kernel, kernel_pass = amplitude.amplitude_tensor, amplitude._kernel_pass
     estimate = _estimator(case, 1 << 12, rest_setup, xfel_setup)
     results, points = [], []
     for rows in (1, 7, 256, 10 ** 6):
-        monkeypatch.setattr(cross_section, "KERNEL_ROWS", rows)
-        sizes = []
+        monkeypatch.setattr(amplitude, "KERNEL_ROWS", rows)
+        calls, sizes = [], []
 
         def counted(setup, k_out, *args):
-            sizes.append(k_out.shape[1])
+            calls.append(k_out.shape[1])
             return kernel(setup, k_out, *args)
+
+        def counted_pass(setup, k_out, *args):
+            sizes.append(k_out.shape[1])
+            return kernel_pass(setup, k_out, *args)
         monkeypatch.setattr(amplitude, "amplitude_tensor", counted)
+        monkeypatch.setattr(amplitude, "_kernel_pass", counted_pass)
         results.append(estimate())
         assert 0 < max(sizes) <= rows
         points.append(sum(sizes))
-        if rows == 10 ** 6:
-            # one call per batch
-            assert len(sizes) == -(-4096 // integration.BATCH_ROWS)
+        assert len(calls) == -(-4096 // integration.BATCH_ROWS)
+        assert sum(calls) == points[-1]
     for res in results[1:]:
         assert res == results[0]
     assert points == [points[0]] * 4
@@ -160,6 +165,15 @@ def test_sampler_memory_does_not_grow_with_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * budget, peak / budget
+
+
+@pytest.mark.parametrize("strata", [(0,), (8, 8), (-8, 8), (2.5,)],
+                         ids=["zero", "too_many", "negative", "fractional"])
+def test_bad_strata_raise(strata):
+    # (0,) raised ZeroDivisionError, (8, 8) over one dimension IndexError
+    # and (-8, 8) a BudgetError over "-64 strata"; (2.5,) ran 2 strata
+    with pytest.raises(ValueError, match="strat"):
+        stratified_monte_carlo(lambda x: x[:, 0], 1, strata, 1024, seed=0)
 
 
 def test_integrand_calls_are_bounded_batches(monkeypatch):
