@@ -55,7 +55,7 @@ INT = "src/triplecompton/integration.py"
 MUTANTS = [
     Mutant(CS, "    return (ALPHA ** (n_out + 1)",
            "    return (1.1 if n_out == 2 else 1.0) * (ALPHA ** (n_out + 1)",
-           "prefactor(2) x 1.1 (soft-photon normalization tests, PR 31)"),
+           "prefactor(2) x 1.1 (CHANGES.md, soft-photon normalization tests)"),
     Mutant(CS, "    return (ALPHA ** (n_out + 1)",
            "    return (1.001 if n_out == 3 else 1.0) * (ALPHA ** (n_out + 1)",
            "prefactor(3) x 1.001 (ROADMAP item 11)"),
@@ -80,25 +80,25 @@ MUTANTS = [
     Mutant(AMP, "        np.conjugate(tensor[..., 0, 0], "
            "out=tensor[..., 1, 1])",
            "        tensor[..., 1, 1] = tensor[..., 0, 0]",
-           "dropped conj on the r_i = 2 (2, 2) fill (PR 34)"),
+           "dropped conj on the r_i = 2 (2, 2) fill (CHANGES.md)"),
     Mutant(AMP, "        np.negative(np.conjugate(tensor[..., 0, 1], "
            "out=tensor[..., 1, 0]),",
            "        np.positive(np.conjugate(tensor[..., 0, 1], "
            "out=tensor[..., 1, 0]),",
-           "flipped sign on the r_i = 2 (2, 1) fill (PR 34)"),
+           "flipped sign on the r_i = 2 (2, 1) fill (CHANGES.md)"),
     Mutant(AMP, "    np.negative(plus, out=blocks[0, 0, 1])",
            "    np.positive(plus, out=blocks[0, 0, 1])",
-           "dropped sign of a vertex block (PR 35)"),
+           "dropped sign of a vertex block (CHANGES.md)"),
     Mutant(AMP, '    np.add(x, _product("i_y", _I, y), out=plus)\n'
            '    np.subtract(x, _product("i_y", _I, y), out=minus)',
            '    np.subtract(x, _product("i_y", _I, y), out=plus)\n'
            '    np.add(x, _product("i_y", _I, y), out=minus)',
-           "x + iy swapped with x - iy in the vertex blocks (PR 35)"),
+           "x + iy swapped with x - iy in the vertex blocks (CHANGES.md)"),
     Mutant(AMP, "    rows[0, 2], rows[1, 3] = -c, c",
            "    rows[0, 2], rows[1, 3] = c, c",
-           "dropped sign in the ubar rows (PR 35)"),
+           "dropped sign in the ubar rows (CHANGES.md)"),
     Mutant(AMP, "a[0] + 1j * b[0]", "a[0] - 1j * b[0]",
-           "x + iy swapped with x - iy in u_1(p_i) (PR 35)"),
+           "x + iy swapped with x - iy in u_1(p_i) (CHANGES.md)"),
     Mutant(ENT, "    transposed = split[_PT_ROWS, _PT_INDEX]",
            "    transposed = split[_PT_ROWS, _PT_INDEX[[1, 0, 2]]]",
            "wrong partial-transpose rows in _dual_bound (CHANGES.md)"),
