@@ -7,18 +7,20 @@ where it was first reported.  The script unpacks ``git archive HEAD`` of
 the repository into a temporary directory once, then for one mutant at a
 time writes the mutated file, runs ``pytest -x`` over the test files in
 TEST_ORDER (cheap, low-level files first, so most mutants die in seconds)
-and restores the file.  A mutant is killed when pytest fails; the first
-failing test and the seconds the run took are reported.  A survivor is a
-gap in the tests: report it, never drop it from the catalogue.
+and restores the file.  The unmutated archive is run first and must pass,
+so a failure under a mutant is the mutant's.  A mutant is killed when
+pytest reports a failing test (exit code 1); any other non-zero exit code
+stops the script.  The first failing test and the seconds the run took are
+reported.  A survivor is a gap in the tests: report it, never drop it from
+the catalogue.
 
     python scripts/mutants.py            # every mutant, at HEAD
-    python scripts/mutants.py 0 11       # the mutants at those indices
 
 The result is one JSON object per mutant on stdout, then a summary line.
-Only the standard library and a local ``git`` are used; the unmutated
-archive is assumed to pass Tier-1.  ``tests/test_mutants.py`` checks that
-every old text still occurs exactly once in ``src/``, so a refactor that
-moves the code must update its entries here.
+Only the standard library and a local ``git`` are used.
+``tests/test_mutants.py`` checks that every old text still occurs exactly
+once in ``src/``, so a refactor that moves the code must update its
+entries here.
 """
 from __future__ import annotations
 
@@ -129,7 +131,16 @@ def _unpack(into: Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "HEAD"],
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
+        tar.extractall(into)
+
+
+def _pytest(tree: Path, tests: list) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+         "no:cacheprovider", *tests],
+        cwd=tree, env=env, capture_output=True, text=True)
 
 
 def run_mutant(tree: Path, mutant: Mutant, tests: list) -> dict:
@@ -140,42 +151,43 @@ def run_mutant(tree: Path, mutant: Mutant, tests: list) -> dict:
         raise ValueError(f"old text of {mutant.origin!r} occurs "
                          f"{original.count(mutant.old)} times in "
                          f"{mutant.file}")
-    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1",
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     path.write_text(original.replace(mutant.old, mutant.new))
     start = time.perf_counter()
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-             "no:cacheprovider", *tests],
-            cwd=tree, env=env, capture_output=True, text=True)
+        proc = _pytest(tree, tests)
     finally:
         path.write_text(original)
     seconds = time.perf_counter() - start
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"pytest exited {proc.returncode} under "
+                           f"{mutant.origin!r}:\n{proc.stdout}{proc.stderr}")
     failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)
     return {"origin": mutant.origin, "file": mutant.file,
-            "killed": proc.returncode != 0,
+            "killed": proc.returncode == 1,
             "by": failed.group(1) if failed else None,
             "seconds": round(seconds, 1)}
 
 
-def main(argv: list) -> int:
-    picks = [int(a) for a in argv] or range(len(MUTANTS))
+def main() -> int:
     start = time.perf_counter()
     survivors = 0
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         _unpack(tree)
         tests = _test_files(tree)
-        for index in picks:
-            result = {"index": index,
-                      **run_mutant(tree, MUTANTS[index], tests)}
+        baseline = _pytest(tree, tests)
+        if baseline.returncode != 0:
+            raise RuntimeError(f"the unmutated tree fails (pytest exited "
+                               f"{baseline.returncode}):\n"
+                               f"{baseline.stdout}{baseline.stderr}")
+        for index, mutant in enumerate(MUTANTS):
+            result = {"index": index, **run_mutant(tree, mutant, tests)}
             survivors += not result["killed"]
             print(json.dumps(result), flush=True)
-    print(json.dumps({"mutants": len(picks), "survived": survivors,
+    print(json.dumps({"mutants": len(MUTANTS), "survived": survivors,
                       "seconds": round(time.perf_counter() - start, 1)}))
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
